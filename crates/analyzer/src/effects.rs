@@ -25,9 +25,9 @@
 
 use crate::cardest::Statistics;
 use cda_sql::ast::Statement;
-use cda_sql::dml::{plan_dml, DmlKind, DmlPlan};
+use cda_sql::dml::{DmlKind, DmlPlan};
 use cda_sql::plan::Plan;
-use cda_sql::{Catalog, OptimizerRules, WriteGuard};
+use cda_sql::{Catalog, StatementPlan, WriteGuard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -222,23 +222,26 @@ pub fn dml_effects(plan: &DmlPlan, stats: Option<&Statistics>) -> EffectSet {
     EffectSet { reads, writes, schema_effects: false, affected_rows, provable_noop }
 }
 
-/// The effects of any parsed statement against a catalog. SELECTs get the
-/// read set of their *optimized* plan (the plan that executes and is
-/// cached); DML statements get [`dml_effects`]. Binding errors bubble up —
-/// the soundness gate reports them first.
+/// The effects of a compiled statement. A query gets the read set of its
+/// *optimized* plan (the plan that executes and is cached) and an empty
+/// write set; a DML statement gets [`dml_effects`].
+pub fn compiled_effects(plan: &StatementPlan, stats: Option<&Statistics>) -> EffectSet {
+    match plan {
+        StatementPlan::Query { optimized, .. } => plan_effects(optimized),
+        StatementPlan::Write(dml) => dml_effects(dml, stats),
+    }
+}
+
+/// The effects of any parsed statement against a catalog:
+/// [`compiled_effects`] of its bound form. Binding errors bubble up — the
+/// soundness gate reports them first.
 pub fn statement_effects(
     catalog: &Catalog,
     stmt: &Statement,
     stats: Option<&Statistics>,
 ) -> cda_sql::Result<EffectSet> {
-    match stmt {
-        Statement::Select(s) => {
-            let plan = cda_sql::planner::plan_select(catalog, s)?;
-            let plan = cda_sql::optimizer::optimize(plan, OptimizerRules::all());
-            Ok(plan_effects(&plan))
-        }
-        _ => Ok(dml_effects(&plan_dml(catalog, stmt)?, stats)),
-    }
+    let plan = cda_sql::plan_statement(catalog, stmt)?;
+    Ok(compiled_effects(&plan, stats))
 }
 
 #[cfg(test)]

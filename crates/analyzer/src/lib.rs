@@ -4,7 +4,9 @@
 //! Two independent passes live here:
 //!
 //! * [`sqlcheck`] — a semantic lint/typecheck over parsed SQL ASTs and bound
-//!   logical plans (`cda_sql::plan::Plan`). It detects, without touching a
+//!   logical plans (`cda_sql::plan::Plan`), and the one place SQL text is
+//!   compiled: [`Analyzer::gate`] returns the compiled statement next to its
+//!   report, and every layer above reuses it. It detects, without touching a
 //!   single row, the query shapes that execution-based verification
 //!   (`cda-soundness`) would only discover after paying full execution cost:
 //!   unknown tables/columns, type misuse, GROUP BY violations, predicates
@@ -19,8 +21,9 @@
 //!   catch rate and the wall-clock saved).
 //! * [`repolint`] — a dependency-free source scanner enforcing the repo
 //!   conventions of DESIGN.md §6 (no `unsafe`, no `unwrap()`/`panic!` on
-//!   non-test paths, module docs, crate-root lint headers, no deprecated-item
-//!   escapes on product paths), run by `ci.sh` via the `repolint` binary.
+//!   non-test paths, module docs, crate-root lint headers, no stdio macros,
+//!   file I/O or catalog mutation outside their owning modules), run by
+//!   `ci.sh` via the `repolint` binary.
 //!
 //! A third pass, [`repair`], closes the diagnosis→generation loop: it
 //! translates gate findings into structured [`RepairHint`]s (nearest schema
@@ -69,11 +72,13 @@ pub mod repolint;
 pub mod sqlcheck;
 
 pub use absint::{abs_eval, abs_truth, analyze, domain_tree, row_bounds, AbsTruth, Analysis};
-pub use effects::{dml_effects, plan_effects, plan_reads, statement_effects, ColumnSet, EffectSet};
+pub use effects::{
+    compiled_effects, dml_effects, plan_effects, plan_reads, statement_effects, ColumnSet, EffectSet,
+};
 pub use cardest::{estimate, q_error, CardEstimate, Statistics, TableStatistics};
 pub use equiv::{
     certify_optimizer, Counterexample, EquivEngine, EquivReport, EquivResult, PlanFingerprint,
     RuleCheck,
 };
-pub use repair::{apply_hints, edit_distance, nearest_name, repair_hints, RepairHint};
+pub use repair::{apply_hints, edit_distance, nearest_name, repair_hints, Gated, RepairHint};
 pub use sqlcheck::{Analyzer, Code, Finding, RenderOpts, Report, Severity};

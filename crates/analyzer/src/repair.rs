@@ -21,7 +21,7 @@
 use crate::sqlcheck::{Analyzer, Code, Report};
 use cda_dataframe::DataType;
 use cda_sql::ast::{Expr, Select, Statement};
-use cda_sql::Catalog;
+use cda_sql::{Catalog, Compiled};
 use std::fmt;
 
 /// One structured, applicable repair derived from a gate finding.
@@ -727,12 +727,51 @@ fn apply_hints_dml(sql: &str, hints: &[RepairHint]) -> Option<String> {
     changed.then(|| stmt.to_string())
 }
 
+/// What [`Analyzer::gate_with_repair`] settled on.
+#[derive(Debug, Clone)]
+pub struct Gated {
+    /// The SQL the verdict is about — post-repair, so it may differ from
+    /// the input.
+    pub sql: String,
+    /// The gate's report on `sql`.
+    pub report: Report,
+    /// `sql` compiled, when it parses and binds — doomed or not, which is
+    /// `report`'s call.
+    pub compiled: Option<Compiled>,
+    /// The repair hints applied on the way, in order.
+    pub hints: Vec<RepairHint>,
+}
+
 impl<'a> Analyzer<'a> {
     /// Derive repair hints for a candidate from its gate report (the
     /// hint-extraction half of the diagnosis→generation loop; the decoder
     /// applies them with [`apply_hints`] and re-gates).
     pub fn repair_hints(&self, sql: &str, report: &Report) -> Vec<RepairHint> {
         repair_hints(self.catalog(), sql, report)
+    }
+
+    /// The gate-and-repair loop of the dialogue layer, for queries and
+    /// writes alike: [`gate`](Self::gate) the statement and, while it is
+    /// doomed, apply the analyzer's own hints and re-gate — at most `rounds`
+    /// times, stopping early when no hint applies.
+    pub fn gate_with_repair(&self, sql: &str, rounds: usize) -> Gated {
+        let mut sql = sql.to_owned();
+        let (mut report, mut compiled) = self.gate(&sql);
+        let mut applied = Vec::new();
+        for _ in 0..rounds {
+            if !report.dooms_execution() {
+                break;
+            }
+            let hints = self.repair_hints(&sql, &report);
+            if hints.is_empty() {
+                break;
+            }
+            let Some(fixed) = apply_hints(&sql, &hints) else { break };
+            applied.extend(hints);
+            sql = fixed;
+            (report, compiled) = self.gate(&sql);
+        }
+        Gated { sql, report, compiled, hints: applied }
     }
 }
 
@@ -1047,5 +1086,39 @@ mod tests {
             expected: DataType::Int,
         };
         assert!(h.to_string().contains("type mismatch"), "{h}");
+    }
+
+    #[test]
+    fn gate_with_repair_converges_on_a_compiled_statement() {
+        let c = catalog();
+        let a = Analyzer::new(&c);
+        // A misspelled column: doomed as written, repaired in one round.
+        let gated = a.gate_with_repair("SELECT cantn FROM employment", 2);
+        assert_eq!(gated.sql, "SELECT canton FROM employment");
+        assert_eq!(gated.hints.len(), 1);
+        assert!(!gated.report.dooms_execution());
+        assert!(gated.compiled.is_some_and(|c| c.query().is_some()));
+        // Writes go through the same loop.
+        let gated = a.gate_with_repair("UPDATE employment SET jbs = 1", 2);
+        assert!(gated.sql.contains("jobs"), "{}", gated.sql);
+        assert!(gated.compiled.is_some_and(|c| c.write().is_some()));
+    }
+
+    #[test]
+    fn gate_with_repair_gives_up_without_hints_or_rounds() {
+        let c = catalog();
+        let a = Analyzer::new(&c);
+        // Zero rounds is the plain gate.
+        let gated = a.gate_with_repair("SELECT cantn FROM employment", 0);
+        assert_eq!(gated.sql, "SELECT cantn FROM employment");
+        assert!(gated.hints.is_empty() && gated.compiled.is_none());
+        assert_eq!(gated.report, a.gate("SELECT cantn FROM employment").0);
+        // Unparseable text has no AST to repair.
+        let gated = a.gate_with_repair("SELECT FROM FROM", 3);
+        assert!(gated.hints.is_empty() && gated.compiled.is_none());
+        assert!(gated.report.dooms_execution());
+        // A sound statement is left alone.
+        let gated = a.gate_with_repair("SELECT canton FROM employment", 3);
+        assert!(gated.hints.is_empty() && gated.compiled.is_some());
     }
 }

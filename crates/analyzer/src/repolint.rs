@@ -13,12 +13,6 @@
 //! * **R003** — every module carries `//!` docs before its first item.
 //! * **R004** — every crate root (`lib.rs`) declares
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
-//! * **R005** — no `#[allow(deprecated)]` escapes on product paths. The
-//!   workspace compiles with `-D warnings`, so `allow(deprecated)` is the
-//!   only way deprecated items survive on a product path; flagging the
-//!   escape flags every use. Tests/benches may pin deprecated shims
-//!   (that is what regression pins are for); a deliberate product-path
-//!   exception needs `// lint: allow(R005)` and a justification.
 //! * **R006** — no `dbg!`, `print!`/`println!`, or `eprint!`/`eprintln!`
 //!   on product paths: library code reports through return values and the
 //!   transcript, never by writing to the process's stdio. Demo/bench
@@ -34,16 +28,6 @@
 //!   (the single source of truth the render path goes through) and checks
 //!   the test file covers each one. [`lint_tree`] runs it automatically;
 //!   [`lint_code_coverage`] is the pure core.
-//! * **R008** — no construction of the deprecated `CdaSystem` shim
-//!   (`CdaSystem::new` / `CdaSystem::with_config`) on product paths.
-//!   Extends R005: where R005 catches the `allow(deprecated)` escape this
-//!   rule names the one API the escape exists for, so a product path cannot
-//!   reintroduce the pre-snapshot constructor even if the deprecation
-//!   attribute is ever dropped. The shim module itself
-//!   (`crates/core/src/system.rs`) is exempt by path — it is the one place
-//!   allowed to build a `CdaSystem`; tests/benches/examples may keep
-//!   pinning the shim. A deliberate exception needs `// lint: allow(R008)`
-//!   and a justification.
 //! * **R009** — no direct `std::fs` use on product paths outside the
 //!   storage crate. Durable state goes through `cda_storage::StorageBackend`
 //!   (pages, checksums, crash-safe commit); ad-hoc file I/O bypasses all
@@ -62,6 +46,9 @@
 //!   mutate scratch catalogs freely. A deliberate exception needs
 //!   `// lint: allow(R010)` and a justification. The pattern is
 //!   dot-prefixed, so the method's own definition never matches.
+//!
+//! Retired codes, never reused: R005, R008 (they fenced deprecated shims
+//! that no longer exist).
 //!
 //! The scanner strips comments and string/char-literal *contents* (keeping
 //! delimiters and line structure) before matching, so a doc comment that
@@ -270,12 +257,6 @@ const R002_PATTERNS: &[&str] = &[
 /// `println`.
 const R006_MACROS: &[&str] = &["dbg", "print", "println", "eprint", "eprintln"];
 
-/// Shim constructors R008 bans outside the shim module itself.
-const R008_CONSTRUCTORS: &[&str] = &["CdaSystem::new", "CdaSystem::with_config"];
-
-/// The one product path allowed to construct the deprecated shim.
-const R008_SHIM_MODULE: &str = "crates/core/src/system.rs";
-
 /// The crate tree that owns file I/O; R009 exempts it by path.
 const R009_STORAGE_TREE: &str = "crates/storage/";
 
@@ -317,8 +298,8 @@ fn contains_word(line: &str, word: &str) -> bool {
 }
 
 /// True when `line` contains the `::`-qualified path `path` with identifier
-/// boundaries at both ends (so `MyCdaSystem::new` or `CdaSystem::newer`
-/// never match `CdaSystem::new`).
+/// boundaries at both ends (so `mystd::fs` or `std::fsync` never match
+/// `std::fs`).
 fn contains_path(line: &str, path: &str) -> bool {
     let bytes = line.as_bytes();
     let mut start = 0;
@@ -398,7 +379,7 @@ pub fn lint_source(file: &str, source: &str, kind: FileKind) -> Vec<Violation> {
         });
     }
 
-    // R001 / R002 / R005 / R006 line scan with #[cfg(test)]-module skipping.
+    // R001 / R002 / R006 line scan with #[cfg(test)]-module skipping.
     // Entry points under `src/bin/` print by design (benches, repolint, demos).
     let is_bin_entry = file.replace('\\', "/").contains("/src/bin/");
     let mut depth: i64 = 0;
@@ -424,20 +405,6 @@ pub fn lint_source(file: &str, source: &str, kind: FileKind) -> Vec<Violation> {
                     message: "`unsafe` is forbidden (DESIGN.md §6)".into(),
                 });
             }
-            if kind != FileKind::TestOrBench
-                && sl.contains("allow(deprecated)")
-                && !has_allow(&raw_lines, idx, "R005")
-            {
-                out.push(Violation {
-                    code: "R005",
-                    file: file.into(),
-                    line: idx + 1,
-                    message: "`allow(deprecated)` on a product path — migrate to the \
-                              replacement API instead, or escape with \
-                              `// lint: allow(R005)` and a justification"
-                        .into(),
-                });
-            }
             if kind != FileKind::TestOrBench && !is_bin_entry {
                 for mac in R006_MACROS {
                     if contains_macro_call(sl, mac) && !has_allow(&raw_lines, idx, "R006") {
@@ -449,25 +416,6 @@ pub fn lint_source(file: &str, source: &str, kind: FileKind) -> Vec<Violation> {
                                 "`{mac}!` on a product path — report through return values \
                                  or the transcript instead, or escape with \
                                  `// lint: allow(R006)` and a justification"
-                            ),
-                        });
-                        break;
-                    }
-                }
-            }
-            if kind != FileKind::TestOrBench && !file.replace('\\', "/").ends_with(R008_SHIM_MODULE)
-            {
-                for ctor in R008_CONSTRUCTORS {
-                    if contains_path(sl, ctor) && !has_allow(&raw_lines, idx, "R008") {
-                        out.push(Violation {
-                            code: "R008",
-                            file: file.into(),
-                            line: idx + 1,
-                            message: format!(
-                                "`{ctor}` on a product path — build a `WorldSnapshot` and open \
-                                 a `Session` instead; only the shim module \
-                                 ({R008_SHIM_MODULE}) may construct `CdaSystem`, or escape \
-                                 with `// lint: allow(R008)` and a justification"
                             ),
                         });
                         break;
@@ -739,37 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn r005_flags_deprecated_escapes_on_product_paths() {
-        let src = format!("{DOC}#[allow(deprecated)]\nfn f() {{ old_api(); }}\n");
-        assert_eq!(codes("src/m.rs", &src, FileKind::Product), vec!["R005"]);
-        let root = format!(
-            "{DOC}#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n#[allow(deprecated)]\n\
-             fn f() {{ old_api(); }}\n"
-        );
-        assert_eq!(codes("crates/x/src/lib.rs", &root, FileKind::CrateRoot), vec!["R005"]);
-        // tests and benches may pin deprecated shims
-        assert!(codes("tests/t.rs", &src, FileKind::TestOrBench).is_empty());
-        // so may #[cfg(test)] modules inside product files
-        let in_tests = format!(
-            "{DOC}pub fn f() {{}}\n#[cfg(test)]\nmod tests {{\n    #[allow(deprecated)]\n    \
-             fn t() {{}}\n}}\n"
-        );
-        assert!(codes("src/m.rs", &in_tests, FileKind::Product).is_empty());
-        // explicit escape with justification
-        let escaped = format!(
-            "{DOC}// lint: allow(R005) sole remaining caller, removed next release\n\
-             #[allow(deprecated)]\nfn f() {{}}\n"
-        );
-        assert!(codes("src/m.rs", &escaped, FileKind::Product).is_empty());
-        // mentions in comments or strings never trigger
-        let benign = format!(
-            "{DOC}// talking about #[allow(deprecated)] here\nfn f() {{ let _ = \
-             \"allow(deprecated)\"; }}\n"
-        );
-        assert!(codes("src/m.rs", &benign, FileKind::Product).is_empty(), "{benign}");
-    }
-
-    #[test]
     fn r006_flags_stdio_macros_on_product_paths() {
         for mac in ["dbg", "print", "println", "eprint", "eprintln"] {
             let src = format!("{DOC}fn f() {{ {mac}!(\"x\"); }}\n");
@@ -808,49 +725,6 @@ mod tests {
             "{DOC}fn f() {{ pretty_print!(x); my_dbg(); writeln!(out, \"y\").ok(); }}\n"
         );
         assert!(codes("src/m.rs", &idents, FileKind::Product).is_empty(), "{idents}");
-    }
-
-    #[test]
-    fn r008_flags_shim_construction_on_product_paths() {
-        for ctor in ["CdaSystem::new(catalog, kg, vocab, linker, lm, config)", "CdaSystem::with_config(c, k, v, l, m)"] {
-            let src = format!("{DOC}fn f() {{ let _ = {ctor}; }}\n");
-            assert_eq!(codes("crates/core/src/demo.rs", &src, FileKind::Product), vec!["R008"], "{ctor}");
-        }
-    }
-
-    #[test]
-    fn r008_exempts_the_shim_module_tests_and_escapes() {
-        let src = format!("{DOC}fn f() {{ let _ = CdaSystem::new(a, b, c, d, e, g); }}\n");
-        // the shim module is the one product path allowed to build the shim
-        assert!(codes("crates/core/src/system.rs", &src, FileKind::Product).is_empty());
-        // tests, benches, and examples may pin the deprecated API
-        assert!(codes("crates/integration/tests/pin.rs", &src, FileKind::TestOrBench).is_empty());
-        // explicit escape with justification
-        let escaped = format!(
-            "{DOC}// lint: allow(R008) migration scaffolding, removed next release\n\
-             fn f() {{ let _ = CdaSystem::new(a, b, c, d, e, g); }}\n"
-        );
-        assert!(codes("crates/core/src/demo.rs", &escaped, FileKind::Product).is_empty());
-        // #[cfg(test)] modules inside product files are exempt too
-        let in_tests = format!(
-            "{DOC}pub fn f() {{}}\n#[cfg(test)]\nmod tests {{\n    fn t() {{ \
-             CdaSystem::new(a, b, c, d, e, g); }}\n}}\n"
-        );
-        assert!(codes("crates/core/src/demo.rs", &in_tests, FileKind::Product).is_empty());
-    }
-
-    #[test]
-    fn r008_requires_identifier_boundaries_and_real_code() {
-        // similarly-named items never fire
-        let idents = format!(
-            "{DOC}fn f() {{ MyCdaSystem::new(); CdaSystem::newer(); cda_system::new(); }}\n"
-        );
-        assert!(codes("crates/core/src/demo.rs", &idents, FileKind::Product).is_empty(), "{idents}");
-        // mentions in comments and strings never fire
-        let benign = format!(
-            "{DOC}// migrate CdaSystem::new call sites\nfn f() {{ let _ = \"CdaSystem::new\"; }}\n"
-        );
-        assert!(codes("crates/core/src/demo.rs", &benign, FileKind::Product).is_empty(), "{benign}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `sqlcheck` — the pre-execution static soundness gate for generated SQL.
 //!
-//! The configurable [`Analyzer`] runs up to three passes over a candidate
-//! query, without executing it:
+//! The configurable [`Analyzer`] compiles a candidate statement once
+//! ([`Analyzer::gate`]) and runs up to three passes over it, without
+//! executing it:
 //!
 //! 1. an **AST pass** against the catalog: unknown tables and columns,
 //!    ambiguous references, type misuse (arithmetic on text, `SUM` over a
@@ -33,11 +34,9 @@ use crate::cardest::{estimate, CardEstimate, Statistics};
 use cda_dataframe::kernels::AggKind;
 use cda_dataframe::{DataType, Field, Schema, Value};
 use cda_sql::ast::{BinaryOp, Expr, Select, SelectItem, Statement};
-use cda_sql::dml::plan_dml;
 use cda_sql::optimizer::fold_expr;
 use cda_sql::plan::{BoundExpr, Plan};
-use cda_sql::planner::plan_select;
-use cda_sql::{Catalog, SqlError};
+use cda_sql::{Catalog, Compiled, DmlKind, DmlPlan, SqlError, StatementPlan};
 use std::fmt;
 use std::ops::Range;
 
@@ -385,7 +384,7 @@ impl Report {
 }
 
 /// The configurable static-analysis entry point: a catalog plus optional
-/// table statistics, row budget, and pass toggles.
+/// table statistics and row budget.
 ///
 /// ```
 /// # use cda_analyzer::sqlcheck::Analyzer;
@@ -401,23 +400,14 @@ pub struct Analyzer<'a> {
     catalog: &'a Catalog,
     stats: Option<&'a Statistics>,
     row_budget: Option<u64>,
-    ast_pass: bool,
-    plan_pass: bool,
     absint: bool,
 }
 
 impl<'a> Analyzer<'a> {
-    /// An analyzer over `catalog` with both static passes on and no cost
-    /// pass (no statistics, no budget).
+    /// An analyzer over `catalog` with no cost pass (no statistics, no
+    /// budget).
     pub fn new(catalog: &'a Catalog) -> Self {
-        Self {
-            catalog,
-            stats: None,
-            row_budget: None,
-            ast_pass: true,
-            plan_pass: true,
-            absint: true,
-        }
+        Self { catalog, stats: None, row_budget: None, absint: true }
     }
 
     /// Enable the cost pass with these table statistics.
@@ -430,18 +420,6 @@ impl<'a> Analyzer<'a> {
     /// (only effective together with [`with_stats`](Self::with_stats)).
     pub fn with_row_budget(mut self, rows: u64) -> Self {
         self.row_budget = Some(rows);
-        self
-    }
-
-    /// Toggle the AST pass (on by default).
-    pub fn with_ast_pass(mut self, on: bool) -> Self {
-        self.ast_pass = on;
-        self
-    }
-
-    /// Toggle the plan pass (on by default).
-    pub fn with_plan_pass(mut self, on: bool) -> Self {
-        self.plan_pass = on;
         self
     }
 
@@ -459,221 +437,151 @@ impl<'a> Analyzer<'a> {
         self.catalog
     }
 
-    /// Statically analyze one SQL query. Never executes.
+    /// Statically analyze one SQL query (anything but a SELECT is a syntax
+    /// error here). Never executes.
     pub fn analyze(&self, sql: &str) -> Report {
+        let parsed = cda_sql::parser::parse(sql).map(Statement::Select);
+        self.gate_parsed(sql, parsed, "query").0
+    }
+
+    /// Statically analyze any supported statement: the report of
+    /// [`gate`](Self::gate). Never executes.
+    pub fn analyze_statement(&self, sql: &str) -> Report {
+        self.gate(sql).0
+    }
+
+    /// The static soundness gate — and the one place SQL text is compiled.
+    ///
+    /// Parses `sql`, runs the AST pass, binds and optimizes the statement
+    /// ([`cda_sql::plan_statement`]), then runs the plan, abstract-
+    /// interpretation and cost passes over the logical plan (a SELECT) or
+    /// the write gate A019–A023 over the bound DML statement and its read
+    /// side. A statement that parses and binds comes back compiled next to
+    /// its report, so fingerprinting, effect analysis and execution reuse
+    /// this one parse and bind; whether it may run is the caller's question
+    /// to [`Report::dooms_execution`]. Never executes.
+    pub fn gate(&self, sql: &str) -> (Report, Option<Compiled>) {
+        self.gate_parsed(sql, cda_sql::parser::parse_statement(sql), "statement")
+    }
+
+    fn gate_parsed(
+        &self,
+        sql: &str,
+        parsed: cda_sql::Result<Statement>,
+        noun: &str,
+    ) -> (Report, Option<Compiled>) {
         let mut report = Report { row_budget: self.row_budget, ..Report::default() };
-        let select = match cda_sql::parser::parse(sql) {
+        let statement = match parsed {
             Ok(s) => s,
             Err(e) => {
-                report.push(Code::SyntaxError, format!("the query is not valid SQL ({e})"));
-                return report;
+                report.push(Code::SyntaxError, format!("the {noun} is not valid SQL ({e})"));
+                return (report, None);
             }
         };
-        if self.ast_pass {
-            check_select(self.catalog, &select, &mut report);
-            attach_spans(&mut report, sql);
-        }
-        if report.dooms_execution() {
-            // Planning would fail for the same reasons; no further signal.
-            return report;
-        }
-        match plan_select(self.catalog, &select) {
-            Ok(plan) => {
-                if self.plan_pass {
-                    check_plan(&plan, &mut report);
-                }
-                self.absint_pass(&plan, &mut report);
-                self.cost_pass(&plan, &mut report);
+        match &statement {
+            Statement::Select(select) => {
+                check_select(self.catalog, select, &mut report);
+                attach_spans(&mut report, sql);
             }
-            Err(e) => report.push(
-                map_plan_error(&e),
-                format!("the query cannot be bound to a plan ({e})"),
-            ),
+            write => check_write(self.catalog, write, &mut report),
         }
-        report
-    }
-
-    /// Statically analyze any supported statement. SELECTs get the full
-    /// query gate ([`analyze`](Self::analyze)); INSERT/UPDATE/DELETE get the
-    /// DML write gate ([`analyze_dml`](Self::analyze_dml)). Never executes.
-    pub fn analyze_statement(&self, sql: &str) -> Report {
-        match cda_sql::parser::parse_statement(sql) {
-            Ok(Statement::Select(_)) => self.analyze(sql),
-            Ok(stmt) => self.analyze_dml(&stmt),
+        // A statement the AST pass dooms gets no further findings: binding
+        // would fail for the same reasons, and the deep passes have no
+        // signal to add.
+        let doomed = report.dooms_execution();
+        let plan = match cda_sql::plan_statement(self.catalog, &statement) {
+            Ok(plan) => plan,
+            Err(_) if doomed => return (report, None),
             Err(e) => {
-                let mut report = Report { row_budget: self.row_budget, ..Report::default() };
-                report.push(Code::SyntaxError, format!("the statement is not valid SQL ({e})"));
-                report
-            }
-        }
-    }
-
-    /// The DML soundness gate: statically analyze a parsed
-    /// INSERT/UPDATE/DELETE against the catalog, raising A019–A023 plus the
-    /// plan, abstract-interpretation, and cost passes over the statement's
-    /// read side (so a filtered write still gets A006/A007/A008 checks and
-    /// an A013 affected-row governor). Never executes.
-    pub fn analyze_dml(&self, stmt: &Statement) -> Report {
-        let mut report = Report { row_budget: self.row_budget, ..Report::default() };
-        let Some(target) = stmt.write_target() else {
-            report.push(
-                Code::SyntaxError,
-                "the statement is a SELECT, not DML — use the query gate",
-            );
-            return report;
-        };
-        let Ok(entry) = self.catalog.get(target) else {
-            report.push(
-                Code::UnknownWriteTarget,
-                format!(
-                    "the write targets table {target:?}, which does not exist (available: {})",
-                    self.catalog.table_names().join(", ")
-                ),
-            );
-            return report;
-        };
-        let schema = entry.table.schema().clone();
-        let scope = TableScope { entries: vec![(target.to_owned(), schema.clone())] };
-        let no_aliases: [String; 0] = [];
-        if self.ast_pass {
-            match stmt {
-                Statement::Select(_) => return report,
-                Statement::Insert(i) => {
-                    for c in &i.columns {
-                        if schema.index_of(c).is_none() {
-                            report.push(
-                                Code::UnknownWriteTarget,
-                                format!("INSERT into {target:?} names unknown column {c:?}"),
-                            );
-                        }
-                    }
-                    let width =
-                        if i.columns.is_empty() { schema.len() } else { i.columns.len() };
-                    for row in &i.rows {
-                        if row.len() != width {
-                            report.push(
-                                Code::WriteShapeMismatch,
-                                format!(
-                                    "an INSERT row supplies {} values for {} columns",
-                                    row.len(),
-                                    width
-                                ),
-                            );
-                            continue;
-                        }
-                        for (k, expr) in row.iter().enumerate() {
-                            check_expr(expr, &scope, &no_aliases, &mut report);
-                            let idx = if i.columns.is_empty() {
-                                Some(k)
-                            } else {
-                                i.columns.get(k).and_then(|c| schema.index_of(c))
-                            };
-                            if let (Some(field), Some(vt)) =
-                                (idx.and_then(|i| schema.field_at(i)), infer_type(expr, &scope))
-                            {
-                                check_write_type(target, field, vt, expr, &mut report);
-                            }
-                        }
-                    }
-                }
-                Statement::Update(u) => {
-                    for (c, expr) in &u.sets {
-                        check_expr(expr, &scope, &no_aliases, &mut report);
-                        match schema.index_of(c) {
-                            None => report.push(
-                                Code::UnknownWriteTarget,
-                                format!("UPDATE {target:?} SET names unknown column {c:?}"),
-                            ),
-                            Some(idx) => {
-                                if let (Some(field), Some(vt)) =
-                                    (schema.field_at(idx), infer_type(expr, &scope))
-                                {
-                                    check_write_type(target, field, vt, expr, &mut report);
-                                }
-                            }
-                        }
-                    }
-                    if let Some(w) = &u.filter {
-                        check_expr(w, &scope, &no_aliases, &mut report);
-                    }
-                }
-                Statement::Delete(d) => {
-                    if let Some(w) = &d.filter {
-                        check_expr(w, &scope, &no_aliases, &mut report);
-                    }
-                }
-            }
-        }
-        if report.dooms_execution() {
-            return report;
-        }
-        // Deep pass: bind the statement; residual errors (non-constant
-        // INSERT values, values that can never be stored) are shape faults.
-        let plan = match plan_dml(self.catalog, stmt) {
-            Ok(p) => p,
-            Err(e) => {
-                report.push(
-                    Code::WriteShapeMismatch,
-                    format!("the write cannot be bound to a plan ({e})"),
-                );
-                return report;
-            }
-        };
-        if let Some(read) = plan.read_plan() {
-            if self.plan_pass {
-                check_plan(&read, &mut report);
-            }
-            let analysis = self.absint.then(|| crate::absint::analyze(&read, self.stats));
-            let provably_empty = analysis.as_ref().and_then(|a| a.provably_empty.clone());
-            let shallow_empty =
-                report.findings.iter().any(|f| f.code == Code::UnsatisfiablePredicate);
-            let noop = provably_empty.is_some() || shallow_empty;
-            if noop {
-                let verb = if matches!(stmt, Statement::Delete(_)) { "DELETE" } else { "UPDATE" };
-                let why = provably_empty
-                    .unwrap_or_else(|| "its WHERE clause constant-folds to FALSE".to_owned());
-                report.push(
-                    Code::ProvablyNoopWrite,
-                    format!("the {verb} provably affects no rows: {why}"),
-                );
-            }
-            if let Statement::Delete(d) = stmt {
-                let full = if noop {
-                    None
-                } else if d.filter.is_none() {
-                    Some("it has no WHERE clause".to_owned())
-                } else if report.findings.iter().any(|f| f.code == Code::TautologicalFilter)
-                    || analysis.as_ref().is_some_and(|a| !a.tautologies.is_empty())
-                {
-                    Some("its WHERE clause is true on every current row".to_owned())
-                } else {
-                    None
-                };
-                if let Some(why) = full {
+                // Residual DML binding errors (non-constant INSERT values,
+                // values that can never be stored) are shape faults.
+                if statement.is_write() {
                     report.push(
-                        Code::FullTableDelete,
-                        format!("the DELETE provably removes every row of {target:?} ({why})"),
+                        Code::WriteShapeMismatch,
+                        format!("the write cannot be bound to a plan ({e})"),
+                    );
+                } else {
+                    report.push(
+                        map_plan_error(&e),
+                        format!("the query cannot be bound to a plan ({e})"),
                     );
                 }
+                return (report, None);
             }
-            // A013 governor over the affected-row bound.
-            self.cost_pass(&read, &mut report);
+        };
+        if !doomed {
+            match &plan {
+                StatementPlan::Query { logical, .. } => self.plan_passes(logical, &mut report),
+                StatementPlan::Write(dml) => self.write_passes(&statement, dml, &mut report),
+            }
         }
-        report
+        (report, Some(Compiled { statement, plan }))
+    }
+
+    /// The deep half of the DML gate, over the bound statement: A008 over
+    /// the SET expressions, then the plan, abstract-interpretation and cost
+    /// passes over the statement's read side (so a filtered write gets
+    /// A006/A007/A008 checks, the A021/A022 verdicts and an A013
+    /// affected-row governor).
+    fn write_passes(&self, stmt: &Statement, plan: &DmlPlan, report: &mut Report) {
+        if let DmlKind::Update { sets, .. } = &plan.kind {
+            for (_, expr) in sets {
+                check_div_zero(expr, report);
+            }
+        }
+        let Some(read) = plan.read_plan() else { return };
+        check_plan(&read, report);
+        let analysis = self.absint.then(|| crate::absint::analyze(&read, self.stats));
+        let provably_empty = analysis.as_ref().and_then(|a| a.provably_empty.clone());
+        let shallow_empty =
+            report.findings.iter().any(|f| f.code == Code::UnsatisfiablePredicate);
+        let noop = provably_empty.is_some() || shallow_empty;
+        if noop {
+            let verb = if matches!(stmt, Statement::Delete(_)) { "DELETE" } else { "UPDATE" };
+            let why = provably_empty
+                .unwrap_or_else(|| "its WHERE clause constant-folds to FALSE".to_owned());
+            report.push(
+                Code::ProvablyNoopWrite,
+                format!("the {verb} provably affects no rows: {why}"),
+            );
+        }
+        if let Statement::Delete(d) = stmt {
+            let full = if noop {
+                None
+            } else if d.filter.is_none() {
+                Some("it has no WHERE clause".to_owned())
+            } else if report.findings.iter().any(|f| f.code == Code::TautologicalFilter)
+                || analysis.as_ref().is_some_and(|a| !a.tautologies.is_empty())
+            {
+                Some("its WHERE clause is true on every current row".to_owned())
+            } else {
+                None
+            };
+            if let Some(why) = full {
+                report.push(
+                    Code::FullTableDelete,
+                    format!("the DELETE provably removes every row of {:?} ({why})", d.table),
+                );
+            }
+        }
+        // A013 governor over the affected-row bound.
+        self.cost_pass(&read, report);
     }
 
     /// Statically analyze an already-bound logical plan: the plan pass
     /// (constant-folded predicates, cartesian joins, division by literal
-    /// zero, out-of-range columns, `LIMIT 0`) plus the cost pass when
-    /// statistics are configured.
+    /// zero, out-of-range columns, `LIMIT 0`), the abstract-interpretation
+    /// pass, plus the cost pass when statistics are configured.
     pub fn analyze_plan(&self, plan: &Plan) -> Report {
         let mut report = Report { row_budget: self.row_budget, ..Report::default() };
-        if self.plan_pass {
-            check_plan(plan, &mut report);
-        }
-        self.absint_pass(plan, &mut report);
-        self.cost_pass(plan, &mut report);
+        self.plan_passes(plan, &mut report);
         report
+    }
+
+    fn plan_passes(&self, plan: &Plan, report: &mut Report) {
+        check_plan(plan, report);
+        self.absint_pass(plan, report);
+        self.cost_pass(plan, report);
     }
 
     /// Convenience for gates: does static analysis prove this query cannot
@@ -777,6 +685,93 @@ fn attach_spans(report: &mut Report, sql: &str) {
         }
         if let Some(pos) = lower.find(&ident.to_ascii_lowercase()) {
             f.span = Some(pos..pos + ident.len());
+        }
+    }
+}
+
+/// The AST half of the DML gate: unknown write targets (A019), INSERT
+/// arity and value types (A020/A023), and the column/type checks of every
+/// expression position. An unknown target table ends the pass — nothing
+/// else can be resolved against it.
+fn check_write(catalog: &Catalog, stmt: &Statement, report: &mut Report) {
+    let Some(target) = stmt.write_target() else { return };
+    let Ok(entry) = catalog.get(target) else {
+        report.push(
+            Code::UnknownWriteTarget,
+            format!(
+                "the write targets table {target:?}, which does not exist (available: {})",
+                catalog.table_names().join(", ")
+            ),
+        );
+        return;
+    };
+    let schema = entry.table.schema();
+    let scope = TableScope { entries: vec![(target.to_owned(), schema.clone())] };
+    let no_aliases: [String; 0] = [];
+    match stmt {
+        Statement::Select(_) => {}
+        Statement::Insert(i) => {
+            for c in &i.columns {
+                if schema.index_of(c).is_none() {
+                    report.push(
+                        Code::UnknownWriteTarget,
+                        format!("INSERT into {target:?} names unknown column {c:?}"),
+                    );
+                }
+            }
+            let width = if i.columns.is_empty() { schema.len() } else { i.columns.len() };
+            for row in &i.rows {
+                if row.len() != width {
+                    report.push(
+                        Code::WriteShapeMismatch,
+                        format!(
+                            "an INSERT row supplies {} values for {} columns",
+                            row.len(),
+                            width
+                        ),
+                    );
+                    continue;
+                }
+                for (k, expr) in row.iter().enumerate() {
+                    check_expr(expr, &scope, &no_aliases, report);
+                    let idx = if i.columns.is_empty() {
+                        Some(k)
+                    } else {
+                        i.columns.get(k).and_then(|c| schema.index_of(c))
+                    };
+                    if let (Some(field), Some(vt)) =
+                        (idx.and_then(|i| schema.field_at(i)), infer_type(expr, &scope))
+                    {
+                        check_write_type(target, field, vt, expr, report);
+                    }
+                }
+            }
+        }
+        Statement::Update(u) => {
+            for (c, expr) in &u.sets {
+                check_expr(expr, &scope, &no_aliases, report);
+                match schema.index_of(c) {
+                    None => report.push(
+                        Code::UnknownWriteTarget,
+                        format!("UPDATE {target:?} SET names unknown column {c:?}"),
+                    ),
+                    Some(idx) => {
+                        if let (Some(field), Some(vt)) =
+                            (schema.field_at(idx), infer_type(expr, &scope))
+                        {
+                            check_write_type(target, field, vt, expr, report);
+                        }
+                    }
+                }
+            }
+            if let Some(w) = &u.filter {
+                check_expr(w, &scope, &no_aliases, report);
+            }
+        }
+        Statement::Delete(d) => {
+            if let Some(w) = &d.filter {
+                check_expr(w, &scope, &no_aliases, report);
+            }
         }
     }
 }
@@ -1881,25 +1876,74 @@ mod tests {
     }
 
     #[test]
-    fn pass_toggles_disable_their_findings() {
+    fn absint_toggle_only_moves_the_deep_findings() {
         let c = catalog();
-        let no_ast = Analyzer::new(&c).with_ast_pass(false).with_absint(false);
-        // A012 comes from the AST pass; with it (and the deeper absint
-        // pass, which proves the same mismatch empties the result) off,
-        // the query is clean.
-        assert!(no_ast.analyze("SELECT canton FROM emp WHERE canton > 5").is_clean());
-        // With absint alone, the cross-type comparison surfaces as A015.
-        let absint_only = Analyzer::new(&c).with_ast_pass(false);
-        let r = absint_only.analyze("SELECT canton FROM emp WHERE canton > 5");
-        assert!(r.findings.iter().all(|f| f.code == Code::ProvablyEmpty), "{:?}", r.findings);
-        let no_plan = Analyzer::new(&c).with_plan_pass(false).with_absint(false);
-        assert!(no_plan.analyze("SELECT canton FROM emp WHERE 1 = 2").is_clean());
-        // With the plan pass off but absint on, the deeper pass still
-        // proves the emptiness (as A015, since A006 never fired).
-        let r = Analyzer::new(&c)
-            .with_plan_pass(false)
-            .analyze("SELECT canton FROM emp WHERE 1 = 2");
-        assert!(r.findings.iter().any(|f| f.code == Code::ProvablyEmpty), "{:?}", r.findings);
+        // The cross-type comparison is A012 from the AST pass either way;
+        // only the abstract interpreter also proves the result empty.
+        let sql = "SELECT canton FROM emp WHERE canton > 5";
+        let codes_of = |r: &Report| r.findings.iter().map(|f| f.code).collect::<Vec<_>>();
+        let on = Analyzer::new(&c).analyze(sql);
+        assert_eq!(codes_of(&on), vec![Code::SuspiciousComparison, Code::ProvablyEmpty]);
+        let off = Analyzer::new(&c).with_absint(false).analyze(sql);
+        assert_eq!(codes_of(&off), vec![Code::SuspiciousComparison]);
+        // A constant-folded FALSE is the plan pass's A006 with absint on or
+        // off — never doubled as A015.
+        for a in [Analyzer::new(&c), Analyzer::new(&c).with_absint(false)] {
+            let r = a.analyze("SELECT canton FROM emp WHERE 1 = 2");
+            assert_eq!(codes_of(&r), vec![Code::UnsatisfiablePredicate]);
+        }
     }
 
+    #[test]
+    fn gate_hands_back_the_compiled_statement_when_it_binds() {
+        let c = catalog();
+        let a = Analyzer::new(&c);
+        let (report, compiled) = a.gate("SELECT canton FROM emp WHERE jobs > 50");
+        assert!(report.is_clean());
+        let compiled = compiled.unwrap();
+        let (logical, optimized) = compiled.query().unwrap();
+        assert_ne!(logical, optimized, "the optimizer pushed the filter down");
+        assert!(compiled.write().is_none());
+        let (report, compiled) = a.gate("UPDATE emp SET jobs = jobs + 1 WHERE canton = 'ZH'");
+        assert!(!report.dooms_execution(), "{:?}", report.findings);
+        assert_eq!(compiled.unwrap().write().unwrap().table, "emp");
+        // Doomed by the AST pass and by binding: nothing bound to hand back.
+        for sql in ["SELECT nope FROM emp", "SELECT canton, SUM(jobs) FROM emp"] {
+            let (report, compiled) = a.gate(sql);
+            assert!(report.dooms_execution() && compiled.is_none(), "{sql}");
+        }
+        // Doomed by the plan pass: it bound, and whether to run it is the
+        // caller's question to the report.
+        let (report, compiled) = a.gate("SELECT jobs / 0 FROM emp");
+        assert!(report.dooms_execution() && compiled.is_some());
+        // `analyze` is the SELECT-only front of the same gate.
+        assert_eq!(a.analyze("SELECT jobs / 0 FROM emp"), a.gate("SELECT jobs / 0 FROM emp").0);
+        assert_eq!(
+            codes("DELETE FROM emp"),
+            vec![Code::SyntaxError],
+            "a write is not a query"
+        );
+    }
+
+    #[test]
+    fn a008_covers_update_set_and_insert_values() {
+        let c = catalog();
+        let a = Analyzer::new(&c);
+        // Division by a literal zero in a SET expression used to pass the
+        // gate and fail at execution.
+        let sql = "UPDATE emp SET rate = rate + 1 / 0 WHERE canton = 'ZH'";
+        let (report, compiled) = a.gate(sql);
+        assert!(report.findings.iter().any(|f| f.code == Code::DivisionByZero), "{:?}", report.findings);
+        assert!(report.dooms_execution());
+        // The doom is real: executed anyway, the bound statement fails.
+        let compiled = compiled.unwrap();
+        let plan = compiled.write().unwrap();
+        assert!(cda_sql::execute_dml(&c, plan, cda_sql::ExecOptions::default()).is_err());
+        // INSERT values are folded when the statement is bound, so the same
+        // fault surfaces there as a binding failure (A020).
+        let (report, compiled) = a.gate("INSERT INTO regions (canton, population) VALUES ('BE', 1 / 0)");
+        assert!(report.dooms_execution() && compiled.is_none(), "{:?}", report.findings);
+        // A column divisor is not a literal zero.
+        assert!(!a.gate("UPDATE emp SET rate = rate / jobs").0.dooms_execution());
+    }
 }

@@ -27,12 +27,8 @@
 
 use cda_analyzer::{plan_reads, statement_effects, Analyzer, EffectSet, Statistics};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
-use cda_sql::exec::optimized_plan;
 use cda_sql::parser::parse_statement;
-use cda_sql::{
-    execute, execute_dml, execute_dml_checked, plan_dml, Catalog, ExecOptions, OptimizerRules,
-    WriteGuard,
-};
+use cda_sql::{execute, execute_dml, execute_dml_checked, plan_dml, Catalog, ExecOptions, WriteGuard};
 use cda_testkit::prelude::*;
 use cda_testkit::prop as proptest;
 
@@ -183,8 +179,9 @@ fn changed_answers_are_always_invalidated() {
     let reads: Vec<(String, EffectSet)> = read_corpus()
         .into_iter()
         .map(|q| {
-            let plan = optimized_plan(&c, q, OptimizerRules::all()).expect(q);
-            (q.to_owned(), EffectSet::read_only(plan_reads(&plan)))
+            let compiled = cda_sql::compile(&c, q).expect(q);
+            let (_, plan) = compiled.query().expect(q);
+            (q.to_owned(), EffectSet::read_only(plan_reads(plan)))
         })
         .collect();
     let mut changed_pairs = 0usize;

@@ -184,7 +184,7 @@ fn absint_findings_render_pinned() {
 
 #[test]
 fn dml_gate_findings_render_pinned() {
-    // The message shapes `Analyzer::analyze_dml` produces for A019..A023,
+    // The message shapes `Analyzer::gate` produces for A019..A023,
     // pinned byte for byte under the default options.
     let opts = RenderOpts::default();
     let cases = [

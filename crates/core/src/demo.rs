@@ -13,7 +13,6 @@ use crate::catalog::{Dataset, DatasetCatalog};
 use crate::reliability::CdaConfig;
 use crate::rot::Freshness;
 use crate::session::Session;
-use crate::system::CdaSystem;
 use crate::world::WorldSnapshot;
 use std::sync::Arc;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
@@ -328,12 +327,6 @@ pub fn demo_world(seed: u64) -> Arc<WorldSnapshot> {
 /// single-session LM stream) over a fresh [`demo_world`].
 pub fn demo_session(seed: u64) -> Session {
     Session::open(demo_world(seed), CdaConfig::default())
-}
-
-/// Assemble the fully configured Figure-1 demo system.
-#[deprecated(since = "0.1.0", note = "use `demo_session` (or `demo_world` + `Session::open`)")]
-pub fn demo_system(seed: u64) -> CdaSystem {
-    CdaSystem::from_session(demo_session(seed))
 }
 
 #[cfg(test)]

@@ -12,13 +12,14 @@
 
 use crate::answer::{AnswerStatus, AnswerTurn, PropertyTag};
 use crate::session::{CacheStore, CachedAnswer, Session};
+use cda_analyzer::equiv::EquivEngine;
 use cda_guidance::graph::{EdgeKind, NodeRole};
 use cda_guidance::planner::{Action, SpeculativePlanner};
 use cda_kg::linking::LinkerConfig;
 use cda_nlmodel::generation;
 use cda_nlmodel::intent::{classify_intent, Intent};
 use cda_nlmodel::lm::Nl2SqlPrompt;
-use cda_nlmodel::nl2sql::{parse_question, refine_task};
+use cda_nlmodel::nl2sql::{parse_question, refine_task, AnalyticTask};
 use cda_provenance::checks::check_losslessness;
 use cda_provenance::lineage::NodeKind;
 use cda_provenance::Explanation;
@@ -45,30 +46,55 @@ impl Session {
         }
     }
 
-    /// Execute the chosen SQL, under the absint sanitizer when
+    /// Execute the answering plan, under the absint sanitizer when
     /// `CdaConfig::absint_check` is on: the optimized plan's static
     /// [`DomainTree`](cda_dataframe::DomainTree) is computed from the
     /// catalog statistics first, and every operator output is cross-checked
     /// against its abstract domain during execution. A violation (an
     /// analyzer soundness bug, by construction) surfaces as an execution
     /// error and the turn abstains rather than answering from an unsound
-    /// analysis. With the check off this is exactly
-    /// [`cda_sql::execute_with_options`] — same parse/plan/optimize
-    /// pipeline, no checks. UQ candidate executions stay unchecked either
-    /// way: only the answering execution pays for (and benefits from) the
-    /// cross-check.
-    fn execute_answer(&self, sql: &str) -> cda_sql::Result<cda_sql::QueryResult> {
-        let opts = self.exec_options();
-        if !self.config.absint_check {
-            return cda_sql::execute_with_options(self.world.catalog.sql(), sql, opts);
-        }
-        let select = cda_sql::parser::parse(sql)?;
-        let plan = cda_sql::planner::plan_select(self.world.catalog.sql(), &select)?;
-        let plan = cda_sql::optimizer::optimize(plan, opts.rules);
+    /// analysis. UQ candidate executions stay unchecked either way: only
+    /// the answering execution pays for (and benefits from) the cross-check.
+    fn execute_answer(&self, plan: &cda_sql::plan::Plan) -> cda_sql::Result<cda_sql::QueryResult> {
         // The monitor must describe the exact plan that executes, so it is
-        // built *after* the optimizer ran.
-        let monitor = cda_analyzer::domain_tree(&plan, Some(self.world.catalog.stats()));
-        cda_sql::execute_plan_checked(self.world.catalog.sql(), &plan, opts, Some(&monitor))
+        // built from the optimized plan.
+        let monitor = self
+            .config
+            .absint_check
+            .then(|| cda_analyzer::domain_tree(plan, Some(self.world.catalog.stats())));
+        cda_sql::execute_plan_checked(
+            self.world.catalog.sql(),
+            plan,
+            self.exec_options(),
+            monitor.as_ref(),
+        )
+    }
+
+    /// Is the utterance SQL DML typed at the prompt? A parseable write is
+    /// unambiguous, so it routes to the mutation gate before the
+    /// probabilistic intent classifier gets a say.
+    fn is_write(utterance: &str) -> bool {
+        cda_sql::parser::parse_statement(utterance).map(|s| s.is_write()).unwrap_or(false)
+    }
+
+    /// The analytic task the utterance asks for: a full parse first, else
+    /// an iterative refinement of the previous task ("and per sector?",
+    /// "only ZH"). Workload tables are precomputed per world snapshot.
+    fn analytic_task(&self, utterance: &str) -> Option<AnalyticTask> {
+        let tables = self.world.workload_tables();
+        parse_question(utterance, tables).or_else(|| {
+            self.state.last_task.as_ref().and_then(|prev| refine_task(prev, utterance, tables))
+        })
+    }
+
+    /// Where [`process`](Self::process) sends an utterance, as far as it can
+    /// be told before the turn runs — the admission signal of `cda-server`.
+    pub fn route(&self, utterance: &str) -> Route {
+        if Self::is_write(utterance) {
+            Route::Write
+        } else {
+            self.analytic_task(utterance).map_or(Route::Dialogue, Route::Analysis)
+        }
     }
 
     /// Process one user utterance and produce the annotated system turn.
@@ -80,13 +106,7 @@ impl Session {
         let utt_lin = self.lineage_node(NodeKind::Utterance(utterance.to_owned()), &[]);
 
         let t_nl = Instant::now();
-        // SQL DML typed at the prompt is unambiguous — a parseable write
-        // routes straight to the mutation gate (`crate::mutation`), before
-        // the probabilistic intent classifier gets a say.
-        let is_dml = cda_sql::parser::parse_statement(utterance)
-            .map(|s| s.is_write())
-            .unwrap_or(false);
-        let (intent_label, answer) = if is_dml {
+        let (intent_label, answer) = if Self::is_write(utterance) {
             let nl_elapsed = t_nl.elapsed();
             let intent_lin = self.lineage_node(
                 NodeKind::ModelCall("intent=mutation confidence=1.00".to_owned()),
@@ -633,19 +653,7 @@ impl Session {
 
     fn handle_analysis(&mut self, utterance: &str, parent: usize) -> AnswerTurn {
         let t_nl = Instant::now();
-        // full parse first; else treat the utterance as an iterative
-        // refinement of the previous task ("and per sector?", "only ZH").
-        // Workload tables are precomputed per world snapshot.
-        let parsed = {
-            let tables = self.world.workload_tables();
-            parse_question(utterance, tables).or_else(|| {
-                self.state
-                    .last_task
-                    .as_ref()
-                    .and_then(|prev| refine_task(prev, utterance, tables))
-            })
-        };
-        let Some(task) = parsed else {
+        let Some(task) = self.analytic_task(utterance) else {
             return self.handle_unclear(parent);
         };
         let schema = self
@@ -713,27 +721,16 @@ impl Session {
         // executing it. Dooming findings abstain without paying execution
         // cost; softer findings become annotations and scale confidence.
         // The cost pass estimates the result size from registration-time
-        // statistics and flags runaway candidates (A013).
-        let mut sql = sql;
-        let mut static_report = analyzer.analyze(&sql);
-        // Diagnosis→generation feedback (P4 enhances P5): before abstaining
+        // statistics and flags runaway candidates (A013). Before abstaining
         // on a doomed candidate — reachable when soundness is off upstream
-        // or UQ fell back — try the analyzer's own repair hints.
-        if static_report.dooms_execution() && self.config.repair_rounds > 0 {
-            for _ in 0..self.config.repair_rounds {
-                let hints = analyzer.repair_hints(&sql, &static_report);
-                if hints.is_empty() {
-                    break;
-                }
-                let Some(fixed) = cda_analyzer::apply_hints(&sql, &hints) else { break };
-                repair_notes.extend(hints.iter().map(|h| format!("[repair] {h}")));
-                sql = fixed;
-                static_report = analyzer.analyze(&sql);
-                if !static_report.dooms_execution() {
-                    break;
-                }
-            }
-        }
+        // or UQ fell back — the analyzer's own repair hints are tried
+        // (diagnosis→generation feedback, P4 enhances P5). The gate is also
+        // where the chosen SQL is compiled: the fingerprint, the cache and
+        // the answering execution below all read that one statement.
+        let gated = analyzer.gate_with_repair(&sql, self.config.repair_rounds);
+        repair_notes.extend(gated.hints.iter().map(|h| format!("[repair] {h}")));
+        let (sql, static_report) = (gated.sql, gated.report);
+        let query = gated.compiled.as_ref().and_then(cda_sql::Compiled::query);
         if self.config.soundness && static_report.dooms_execution() {
             let mut a = AnswerTurn::answered(format!(
                 "Static analysis rejected the generated query before execution: {}. I will \
@@ -772,11 +769,9 @@ impl Session {
         // execution, so the served answer is exactly what re-executing would
         // produce (E16 verifies this).
         let t_infra = Instant::now();
-        let fingerprint = if self.config.semantic_cache {
-            plan_fingerprint(self.world.catalog.sql(), &sql)
-        } else {
-            None
-        };
+        let fingerprint = query
+            .filter(|_| self.config.semantic_cache)
+            .map(|(logical, _)| EquivEngine::new().fingerprint(logical).as_u64());
         let mut cache_note: Option<String> = None;
         let executed = match fingerprint.and_then(|fp| self.semantic_cache.get(fp)) {
             Some(hit) => {
@@ -786,12 +781,14 @@ impl Session {
                     hit.turn + 1,
                     hit.sql
                 ));
-                Ok(hit.result)
+                Some(hit.result)
             }
-            None => self.execute_answer(&sql),
+            // A statement that does not bind has nothing to execute; only
+            // with `soundness` off (the P4 ablation) does one get this far.
+            None => query.and_then(|(_, optimized)| self.execute_answer(optimized).ok()),
         };
         let infra_elapsed = t_infra.elapsed();
-        if let (Some(fp), None, Ok(result)) = (fingerprint, &cache_note, &executed) {
+        if let (Some(fp), None, Some(result)) = (fingerprint, &cache_note, &executed) {
             self.semantic_cache.put(
                 fp,
                 CachedAnswer {
@@ -801,7 +798,7 @@ impl Session {
                 },
             );
         }
-        let Ok(result) = executed else {
+        let Some(result) = executed else {
             let mut a = AnswerTurn::answered(
                 "The generated query failed to execute; I will not fabricate a result.",
             );
@@ -986,12 +983,17 @@ impl Session {
     }
 }
 
-/// Canonical-plan fingerprint of `sql` against the catalog (`None` when it
-/// does not parse or plan — such queries bypass the semantic cache).
-fn plan_fingerprint(catalog: &cda_sql::Catalog, sql: &str) -> Option<u64> {
-    let select = cda_sql::parser::parse(sql).ok()?;
-    let plan = cda_sql::planner::plan_select(catalog, &select).ok()?;
-    Some(cda_analyzer::equiv::EquivEngine::new().fingerprint(&plan).as_u64())
+/// Where an utterance is headed ([`Session::route`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Route {
+    /// SQL DML, through the mutation gate ([`Session::apply_sql`]).
+    Write,
+    /// An analytic question (or a refinement of the last one): nl2sql,
+    /// provided the intent classifier agrees it is an analysis turn.
+    Analysis(AnalyticTask),
+    /// Anything else: discovery, description, selection, time-series
+    /// insight, or a clarification.
+    Dialogue,
 }
 
 #[cfg(test)]
@@ -1382,5 +1384,25 @@ mod tests {
         );
         assert!(!a.analysis.is_empty(), "gate findings must reach the transcript");
         assert_eq!(s.epoch(), epoch0, "nothing committed");
+    }
+
+    #[test]
+    fn route_mirrors_where_process_sends_the_turn() {
+        let mut s = demo_session(1);
+        assert_eq!(s.route("UPDATE wage_stats SET median_wage = 1 WHERE canton = 'ZH'"), Route::Write);
+        assert_eq!(s.route(FIGURE1_TURNS[0]), Route::Dialogue);
+        // A refinement routes as dialogue until there is a task to refine.
+        assert_eq!(s.route("and per type instead?"), Route::Dialogue);
+        let question = "What is the total employees in employment_by_type per canton?";
+        let Route::Analysis(task) = s.route(question) else { panic!("a question is an analysis turn") };
+        assert_eq!(task.group_by.as_deref(), Some("canton"));
+        let _ = s.process(question);
+        let Route::Analysis(refined) = s.route("and per type instead?") else {
+            panic!("a refinement of the last task is an analysis turn")
+        };
+        assert_eq!(refined.group_by.as_deref(), Some("type"));
+        // A SELECT is not a write: it routes by what it asks, like any text.
+        assert!(!Session::is_write("SELECT canton FROM wage_stats"));
+        assert!(!Session::is_write("UPDATE wage_stats SET"), "unparseable DML is dialogue");
     }
 }

@@ -19,8 +19,8 @@
 //! * **Semantic cache** — `(fingerprint → epoch, turn, SQL, result)`
 //!   records. The result *table* and `ExecStats` are serialized; the plan
 //!   is **not** — it is re-derived from the stored SQL against the
-//!   (epoch-matched, hence identical) catalog via
-//!   [`cda_sql::exec::optimized_plan`], because planning is deterministic
+//!   (epoch-matched, hence identical) catalog via [`cda_sql::compile()`],
+//!   because planning is deterministic
 //!   and plan trees are deep recursive structures with no stability
 //!   guarantee across refactors.
 //!
@@ -339,6 +339,17 @@ fn cached_sql(bytes: &[u8]) -> Result<(u64, String)> {
     Ok((epoch, sql))
 }
 
+/// The plan a stored query executed: compiling is deterministic, so the
+/// stored SQL recompiled against the epoch-matched catalog is that plan.
+fn replan(catalog: &cda_sql::Catalog, sql: &str) -> cda_sql::Result<cda_sql::plan::Plan> {
+    match cda_sql::compile(catalog, sql)?.plan {
+        cda_sql::StatementPlan::Query { optimized, .. } => Ok(optimized),
+        cda_sql::StatementPlan::Write(_) => {
+            Err(cda_sql::SqlError::Semantic("a cached statement must be a query".into()))
+        }
+    }
+}
+
 /// Decode a cache record, re-deriving the plan from the stored SQL against
 /// `catalog` (which must be the epoch-matched catalog the record was
 /// executed under).
@@ -355,8 +366,7 @@ fn decode_cached(bytes: &[u8], catalog: &cda_sql::Catalog) -> Result<(u64, Cache
     let table = decode_table(&mut r)?;
     r.expect_end().map_err(serr)?;
     let plan =
-        cda_sql::exec::optimized_plan(catalog, &sql, cda_sql::OptimizerRules::all())
-            .map_err(|e| cerr(&format!("plan rebuild for cached SQL: {e}")))?;
+        replan(catalog, &sql).map_err(|e| cerr(&format!("plan rebuild for cached SQL: {e}")))?;
     Ok((epoch, CachedAnswer { turn, sql, result: QueryResult { table, plan, stats } }))
 }
 
@@ -449,8 +459,7 @@ fn restamp_cache(
             continue;
         };
         if let Some((effects, catalog)) = invalidated {
-            let reads = cda_sql::exec::optimized_plan(catalog, &sql, cda_sql::OptimizerRules::all())
-                .map(|plan| cda_analyzer::plan_reads(&plan));
+            let reads = replan(catalog, &sql).map(|plan| cda_analyzer::plan_reads(&plan));
             match reads {
                 Ok(reads) if !effects.invalidates(&reads) => {}
                 _ => {

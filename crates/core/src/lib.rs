@@ -33,8 +33,7 @@
 //!
 //! Concurrent conversations share one immutable [`world::WorldSnapshot`]
 //! behind an `Arc` and each open a cheap [`session::Session`] on it —
-//! `cda-server` multiplexes thousands of them over a worker pool. The old
-//! monolithic [`CdaSystem`] remains as a deprecated byte-identical shim.
+//! `cda-server` multiplexes thousands of them over a worker pool.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -49,16 +48,15 @@ pub mod mutation;
 pub mod reliability;
 pub mod rot;
 pub mod session;
-pub mod system;
 pub mod world;
 
 pub use answer::{AnswerTurn, PropertyTag};
 pub use catalog::{Dataset, DatasetCatalog};
+pub use dialogue::Route;
 pub use durable::DurableCache;
 pub use mutation::{WriteDecision, WriteOutcome};
 pub use reliability::CdaConfig;
 pub use session::{CacheStats, CacheStore, Session, SessionStats};
-pub use system::CdaSystem;
 pub use world::{WorldDelta, WorldSnapshot};
 
 /// The storage layer, re-exported so callers assembling a durable world

@@ -7,9 +7,13 @@
 //!
 //! 1. **Static gate** (P4): the analyzer's DML pass (codes `A019`–`A023`)
 //!    runs before anything executes, with the same analyzer-guided repair
-//!    loop the query path uses. A statement that still dooms execution
-//!    after repair is [`WriteDecision::Rejected`] — nothing was modified.
-//! 2. **Effect analysis**: [`cda_analyzer::statement_effects`] derives the
+//!    loop the query path uses
+//!    ([`Analyzer::gate_with_repair`](cda_analyzer::Analyzer::gate_with_repair)).
+//!    A statement that still dooms execution after repair is
+//!    [`WriteDecision::Rejected`] — nothing was modified. The gate hands
+//!    back the statement compiled; the steps below reuse that one parse
+//!    and bind.
+//! 2. **Effect analysis**: [`cda_analyzer::dml_effects`] derives the
 //!    statement's static read/write sets, sharpened by the abstract
 //!    interpreter (a provably-empty row match is reported as a no-op).
 //! 3. **Guarded execution**: when [`crate::CdaConfig::effect_check`] is on, the
@@ -91,55 +95,33 @@ impl Session {
             let analyzer = cda_analyzer::Analyzer::new(catalog.sql())
                 .with_stats(catalog.stats())
                 .with_row_budget(self.config.row_budget);
-            let mut sql = sql.to_owned();
-            let mut report = analyzer.analyze_statement(&sql);
-            let mut repairs = Vec::new();
             // Diagnosis→generation feedback, same loop as the query path.
-            // The DML pass early-returns after an unknown table, so a
-            // misspelled table *and* column takes two rounds to converge.
-            if report.dooms_execution() && self.config.repair_rounds > 0 {
-                for _ in 0..self.config.repair_rounds {
-                    let hints = analyzer.repair_hints(&sql, &report);
-                    if hints.is_empty() {
-                        break;
-                    }
-                    let Some(fixed) = cda_analyzer::apply_hints(&sql, &hints) else {
-                        break;
-                    };
-                    repairs.extend(hints.iter().map(|h| format!("[repair] {h}")));
-                    sql = fixed;
-                    report = analyzer.analyze_statement(&sql);
-                    if !report.dooms_execution() {
-                        break;
-                    }
-                }
-            }
-            if report.dooms_execution() {
+            // The DML pass stops at an unknown table, so a misspelled table
+            // *and* column takes two rounds to converge.
+            let gated = analyzer.gate_with_repair(sql, self.config.repair_rounds);
+            if gated.report.dooms_execution() {
                 return Ok(WriteDecision::Rejected {
-                    annotations: report.annotations(),
-                    summary: report.summary(),
+                    annotations: gated.report.annotations(),
+                    summary: gated.report.summary(),
                 });
             }
-            let stmt = cda_sql::parser::parse_statement(&sql).map_err(sql_err)?;
-            if !stmt.is_write() {
+            let Some(plan) = gated.compiled.as_ref().and_then(cda_sql::Compiled::write) else {
                 return Err(crate::CdaError::Substrate(
                     "apply_sql takes DML (INSERT/UPDATE/DELETE); route SELECT through \
                      the query path"
                         .into(),
                 ));
-            }
-            let effects =
-                cda_analyzer::statement_effects(catalog.sql(), &stmt, Some(catalog.stats()))
-                    .map_err(sql_err)?;
-            let plan = cda_sql::dml::plan_dml(catalog.sql(), &stmt).map_err(sql_err)?;
+            };
+            let effects = cda_analyzer::dml_effects(plan, Some(catalog.stats()));
             // The sanitizer cross-checks execution against the static write
             // set — a cross-check on the analyzer (CdaConfig::effect_check),
             // not a user-facing property.
             let guard = if self.config.effect_check { effects.write_guard() } else { None };
             let result =
-                cda_sql::dml::execute_dml_checked(catalog.sql(), &plan, self.exec_options(), guard.as_ref())
-                    .map_err(sql_err)?;
-            (effects, result, sql, repairs)
+                cda_sql::execute_dml_checked(catalog.sql(), plan, self.exec_options(), guard.as_ref())
+                    .map_err(|e| crate::CdaError::Substrate(e.to_string()))?;
+            let repairs = gated.hints.iter().map(|h| format!("[repair] {h}")).collect();
+            (effects, result, gated.sql, repairs)
         };
 
         if result.affected == 0 {
@@ -187,10 +169,6 @@ impl Session {
         self.world = world;
         Ok(WriteDecision::Applied(outcome))
     }
-}
-
-fn sql_err(e: cda_sql::SqlError) -> crate::CdaError {
-    crate::CdaError::Substrate(e.to_string())
 }
 
 #[cfg(test)]

@@ -289,9 +289,9 @@ pub struct Session {
 }
 
 /// Derive a session's LM seed from the world's base seed. Seed 0 is the
-/// identity — it pins the legacy single-session stream, which is what keeps
-/// the deprecated `CdaSystem` shim byte-identical. Any other seed mixes
-/// through SplitMix64 so distinct sessions draw decorrelated samples.
+/// identity — it pins the legacy single-session stream the golden
+/// transcripts were recorded on. Any other seed mixes through SplitMix64 so
+/// distinct sessions draw decorrelated samples.
 fn derive_lm_seed(base: u64, session_seed: u64) -> u64 {
     if session_seed == 0 {
         base

@@ -10,8 +10,8 @@
 //! keep a consistent view until they finish, and caches can key
 //! invalidation off [`epoch`](WorldSnapshot::epoch).
 //!
-//! The split from the old monolithic `CdaSystem` is what makes thousands of
-//! concurrent sessions cheap: one `Arc<WorldSnapshot>` is shared by every
+//! The world/session split is what makes thousands of concurrent sessions
+//! cheap: one `Arc<WorldSnapshot>` is shared by every
 //! [`Session`](crate::session::Session) instead of each conversation
 //! cloning the catalog, index, and knowledge graph.
 
@@ -162,8 +162,7 @@ impl WorldSnapshot {
     }
 }
 
-/// Builder for [`WorldSnapshot`] — the replacement for the six-positional-
-/// argument `CdaSystem::new`.
+/// Builder for [`WorldSnapshot`].
 #[derive(Debug, Clone)]
 pub struct WorldSnapshotBuilder {
     epoch: u64,
@@ -249,20 +248,6 @@ impl WorldSnapshotBuilder {
     pub fn with_storage(mut self, backend: Arc<dyn StorageBackend>) -> Self {
         self.storage = Some(backend);
         self
-    }
-
-    /// Deprecated path-taking convenience: opens a [`cda_storage::FileBackend`]
-    /// at `path` and attaches it. Construct the backend yourself and use
-    /// [`with_storage`](Self::with_storage) — backends carry tuning
-    /// (pool size, fault plans) that a bare path cannot express.
-    #[deprecated(
-        since = "0.9.0",
-        note = "open a cda_storage::FileBackend and pass it to with_storage()"
-    )]
-    pub fn storage_path(self, path: &std::path::Path) -> crate::Result<Self> {
-        let backend = cda_storage::FileBackend::open(path)
-            .map_err(|e| crate::CdaError::Substrate(format!("storage: {e}")))?;
-        Ok(self.with_storage(Arc::new(backend)))
     }
 
     /// Freeze the snapshot, precomputing the per-snapshot workload tables.

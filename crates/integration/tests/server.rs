@@ -7,7 +7,7 @@
 //! control must reject over-quota work *before* execution, never after a
 //! session has been touched.
 
-use cda_core::demo::{demo_session, demo_world};
+use cda_core::demo::demo_world;
 use cda_core::{CdaConfig, Session};
 use cda_server::loadgen::{interleave, session_scripts, LoadSpec};
 use cda_server::{Server, ServerConfig, TenantQuota, TurnOutcome};
@@ -134,29 +134,6 @@ fn admission_rejections_never_touch_a_session() {
     assert_eq!(srv.rejected_quota, 1);
     assert_eq!(srv.rejected_budget, 1);
     assert_eq!(srv.turns_completed, 2);
-}
-
-#[test]
-fn deprecated_shim_is_byte_identical_to_a_seed_zero_session() {
-    // The pre-snapshot `CdaSystem` API must keep producing exactly the
-    // bytes it produced before the world/session split.
-    #[allow(deprecated)]
-    let mut shim = cda_core::demo::demo_system(42);
-    let mut session = demo_session(42);
-    for turn in [
-        "Which datasets cover employment by canton?",
-        "Tell me more about the first one",
-        "What is the total employees in employment_by_type per canton?",
-        "and per type instead?",
-        "Is there seasonality in the labour barometer?",
-    ] {
-        let a = shim.process(turn);
-        let b = session.process(turn);
-        assert_eq!(a.render(), b.render(), "shim diverged on {turn:?}");
-        assert_eq!(a.executed_sql, b.executed_sql);
-        assert_eq!(a.confidence, b.confidence);
-    }
-    assert_eq!(shim.session().lineage().to_string(), session.lineage().to_string());
 }
 
 #[test]

@@ -212,51 +212,6 @@ fn cache_store_contract_holds_for_memory_and_durable_backends() {
     let _ = std::fs::remove_file(&path);
 }
 
-#[test]
-fn deprecated_storage_path_shim_is_byte_identical_to_with_storage() {
-    let a_path = tmp("shim-a");
-    let b_path = tmp("shim-b");
-    let _ = std::fs::remove_file(&a_path);
-    let _ = std::fs::remove_file(&b_path);
-
-    let via_builder = durable_world(&a_path, 1);
-    #[allow(deprecated)]
-    let via_shim = WorldSnapshot::builder()
-        .catalog(demo_catalog(1))
-        .kg(demo_kg())
-        .vocab(demo_vocabulary())
-        .linker(demo_linker())
-        .lm(SimLmConfig { hallucination_rate: 0.15, overconfidence: 0.8, seed: 1 })
-        .storage_path(&b_path)
-        .unwrap()
-        .open_shared()
-        .unwrap();
-
-    let mut a = Session::open_durable(via_builder, CdaConfig::default()).unwrap();
-    let mut b = Session::open_durable(via_shim, CdaConfig::default()).unwrap();
-    for q in QUERIES {
-        let ta = a.process(q);
-        let tb = b.process(q);
-        assert_eq!(ta.text, tb.text);
-        assert_eq!(ta.executed_sql, tb.executed_sql);
-        assert_eq!(ta.confidence, tb.confidence);
-        assert_eq!(ta.analysis, tb.analysis);
-    }
-    assert_eq!(a.stats(), b.stats());
-
-    // The two files carry identical logical state.
-    let ba = FileBackend::open(&a_path);
-    drop(a);
-    drop(b);
-    let ba = ba.unwrap();
-    let bb = FileBackend::open(&b_path).unwrap();
-    for &s in StoreId::ALL.iter() {
-        assert_eq!(ba.scan(s).unwrap(), bb.scan(s).unwrap(), "{s:?}");
-    }
-    let _ = std::fs::remove_file(&a_path);
-    let _ = std::fs::remove_file(&b_path);
-}
-
 /// The wage question reads `wage_stats`; the employment questions read
 /// `employment_by_type` — disjoint tables, so a write to one must leave
 /// the other's cached answers untouched.

@@ -11,8 +11,8 @@
 //!   config, frozen into an epoch-numbered `Arc<WorldSnapshot>`. Every
 //!   session shares the same allocation; catalog mutation means building a
 //!   successor snapshot and [`Server::install_world`]-ing it (epoch must
-//!   grow). Sessions opened before the swap keep their old snapshot — that
-//!   is the point of snapshots.
+//!   grow). Sessions opened before the swap keep their old snapshot until
+//!   their next drained turn, which runs over the installed one.
 //! * **Session** — per-conversation mutable state
 //!   ([`cda_core::Session`]): lineage, conversation graph, dialogue state,
 //!   query log, semantic cache, and a per-session PRNG seed so a session

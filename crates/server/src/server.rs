@@ -12,8 +12,7 @@
 
 use cda_analyzer::sqlcheck::Analyzer;
 use cda_analyzer::EffectSet;
-use cda_core::{CdaConfig, Session, SessionStats, WorldSnapshot};
-use cda_nlmodel::nl2sql::{parse_question, refine_task};
+use cda_core::{CdaConfig, Route, Session, SessionStats, WorldSnapshot};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -279,7 +278,8 @@ impl Server {
     }
 
     /// Swap in a successor snapshot. The epoch must strictly advance;
-    /// sessions opened earlier keep their original snapshot.
+    /// sessions opened earlier keep their original snapshot until their
+    /// next drained turn, which runs over this one.
     pub fn install_world(&mut self, world: Arc<WorldSnapshot>) -> Result<(), WorldInstallError> {
         if world.epoch() <= self.world.epoch() {
             return Err(WorldInstallError {
@@ -423,15 +423,18 @@ impl Server {
                 .get(&slot.tenant)
                 .map(|t| t.quota.max_estimated_rows)
                 .unwrap_or(self.config.default_quota.max_estimated_rows);
-            let effects: Vec<(QueuedTurn, EffectSet)> = queue
+            // The turns run over the server's world, so the session adopts it
+            // now and the prelude routes them the way they will run.
+            slot.session.adopt_world(Arc::clone(&self.world), None);
+            let queue: Vec<(QueuedTurn, EffectSet)> = queue
                 .into_iter()
                 .map(|t| {
-                    let e = turn_effects(&self.world, &slot.session, &t.utterance);
-                    (t, e)
+                    let effects = turn_effects(&slot.session, &t.utterance);
+                    (t, effects)
                 })
                 .collect();
             let mut union = EffectSet::default();
-            for (_, e) in &effects {
+            for (_, e) in &queue {
                 union.union(e);
             }
             // Placeholder session: replaced when the drained session returns.
@@ -439,7 +442,7 @@ impl Server {
                 &mut slot.session,
                 Session::open(self.world.clone(), self.config.session_config),
             );
-            work.push((i, Mutex::new(Some((parked, effects, budget)))));
+            work.push((i, Mutex::new(Some((parked, queue, budget)))));
             slot_effects.push(union);
         }
         self.queued = 0;
@@ -568,14 +571,16 @@ fn run_drain_task(
             session.adopt_world(Arc::clone(&lane_world), lane_delta.as_ref());
         }
         let epoch_before = session.epoch();
-        outcomes.push(run_admitted_turn(&lane_world, session, id, turn, budgets[m]));
+        outcomes.push(run_admitted_turn(session, id, turn, budgets[m]));
         if session.epoch() > epoch_before {
             // The turn committed a write: its successor world carries the
-            // invalidation forward for the rest of the lane.
+            // invalidation forward for the rest of the lane. A commit the
+            // prelude derived no write set for invalidates everything.
             lane_world = Arc::clone(session.world());
+            let committed = if effects.is_write() { effects } else { EffectSet::schema_change() };
             match &mut lane_delta {
-                Some(d) => d.union(&effects),
-                None => lane_delta = Some(effects),
+                Some(d) => d.union(&committed),
+                None => lane_delta = Some(committed),
             }
         }
     }
@@ -584,34 +589,36 @@ fn run_drain_task(
     (sessions, outcomes, advanced)
 }
 
-/// Statically derive one queued turn's effect set against the pre-drain
-/// world — the write-admission signal. DML parses directly and gets its
-/// read/write sets from `cda_analyzer::statement_effects`; analysis turns
-/// get the read set of their oracle plan; anything underivable (a
-/// refinement of a turn still queued ahead of it, free-form dialogue) is
-/// treated as reading the whole catalog, which serializes it behind
-/// writers only when a writer is actually queued. Derivation failures fall
-/// back to the conservative schema-change effect (conflicts with
-/// everything) for writes and the whole-catalog read set for reads —
-/// admission must never be *under*-conservative.
-fn turn_effects(world: &Arc<WorldSnapshot>, session: &Session, utterance: &str) -> EffectSet {
+/// Statically derive one queued turn's effect set against the session's
+/// world — the write-admission signal. The turn is routed the way
+/// [`Session::process`] will route it. A write goes through the session's own
+/// gate-and-repair loop and gets the read/write sets of the statement that
+/// will execute — or none at all when the gate dooms it, since a statement
+/// that cannot run cannot write. An analysis turn gets the read set of its
+/// oracle plan. Anything underivable (a refinement of a turn still queued
+/// ahead of it, free-form dialogue, an oracle that does not compile) is
+/// treated as reading the whole catalog, which serializes it behind writers
+/// only when a writer is actually queued — admission must never be
+/// *under*-conservative.
+fn turn_effects(session: &Session, utterance: &str) -> EffectSet {
+    let world = session.world();
     let catalog = world.catalog();
-    if let Ok(stmt) = cda_sql::parser::parse_statement(utterance) {
-        if stmt.is_write() {
-            return cda_analyzer::statement_effects(catalog.sql(), &stmt, Some(catalog.stats()))
-                .unwrap_or_else(|_| EffectSet::schema_change());
+    let compiled = match session.route(utterance) {
+        Route::Write => {
+            let gated = Analyzer::new(catalog.sql())
+                .with_stats(catalog.stats())
+                .gate_with_repair(utterance, session.config.repair_rounds);
+            if gated.report.dooms_execution() {
+                return EffectSet::default();
+            }
+            gated.compiled
         }
-    }
-    let tables = world.workload_tables();
-    let task = parse_question(utterance, tables).or_else(|| {
-        session.state().last_task.as_ref().and_then(|prev| refine_task(prev, utterance, tables))
-    });
-    task.and_then(|t| {
-        cda_sql::exec::optimized_plan(catalog.sql(), &t.to_sql(), cda_sql::OptimizerRules::all())
-            .ok()
-            .map(|p| EffectSet::read_only(cda_analyzer::plan_reads(&p)))
-    })
-    .unwrap_or_else(|| full_read_effects(world))
+        Route::Analysis(task) => cda_sql::compile(catalog.sql(), &task.to_sql()).ok(),
+        Route::Dialogue => None,
+    };
+    compiled
+        .map(|c| cda_analyzer::compiled_effects(&c.plan, Some(catalog.stats())))
+        .unwrap_or_else(|| full_read_effects(world))
 }
 
 /// The conservative ⊤ read set: every column of every table in the world's
@@ -639,14 +646,13 @@ fn full_read_effects(world: &Arc<WorldSnapshot>) -> EffectSet {
 /// Run one queued turn through the governor gate and, if admitted, the
 /// session pipeline.
 fn run_admitted_turn(
-    world: &Arc<WorldSnapshot>,
     session: &mut Session,
     id: SessionId,
     turn: QueuedTurn,
     budget: Option<u64>,
 ) -> (u64, TurnOutcome) {
     if let Some(budget) = budget {
-        if let Some(estimated_rows) = governor_overrun(world, session, &turn.utterance, budget) {
+        if let Some(estimated_rows) = governor_overrun(session, &turn.utterance, budget) {
             return (
                 turn.seq,
                 TurnOutcome::Rejected {
@@ -673,31 +679,21 @@ fn run_admitted_turn(
     )
 }
 
-/// The governor gate: parse the utterance as an analytic task (standalone
-/// or as a refinement of the session's last task), derive its oracle SQL,
-/// and ask the cardinality estimator whether the result would exceed the
-/// row budget. Returns the overshooting point estimate, or `None` when the
-/// turn is admitted. Non-analysis turns always pass.
-fn governor_overrun(
-    world: &Arc<WorldSnapshot>,
-    session: &Session,
-    utterance: &str,
-    budget: u64,
-) -> Option<u64> {
-    let tables = world.workload_tables();
-    let task = parse_question(utterance, tables).or_else(|| {
-        session.state().last_task.as_ref().and_then(|prev| refine_task(prev, utterance, tables))
-    })?;
-    let sql = task.to_sql();
-    let report = Analyzer::new(world.catalog().sql())
-        .with_stats(world.catalog().stats())
+/// The governor gate, at turn time — over the world and the dialogue state
+/// the turn is about to run on: gate the oracle SQL of an analysis turn under
+/// the row budget and return the overshooting point estimate of an A013
+/// finding, or `None` when the turn is admitted. Writes and dialogue turns
+/// always pass.
+fn governor_overrun(session: &Session, utterance: &str, budget: u64) -> Option<u64> {
+    let Route::Analysis(task) = session.route(utterance) else { return None };
+    let catalog = session.world().catalog();
+    let report = Analyzer::new(catalog.sql())
+        .with_stats(catalog.stats())
         .with_row_budget(budget)
-        .analyze(&sql);
-    if report.exceeds_budget() {
-        let estimated = report.estimate.map(|e| e.est.round() as u64).unwrap_or(u64::MAX);
-        return Some(estimated);
-    }
-    None
+        .analyze(&task.to_sql());
+    report
+        .exceeds_budget()
+        .then(|| report.estimate.map(|e| e.est.round() as u64).unwrap_or(u64::MAX))
 }
 
 /// Normalize a submitted utterance (trim trailing whitespace only — the
@@ -834,6 +830,36 @@ mod tests {
     }
 
     #[test]
+    fn governor_reads_the_world_the_turn_runs_on() {
+        // A session opened before a world swap is governed like one opened
+        // after it: both turns run over the new world, where the new table
+        // is wide.
+        let mut s = server();
+        s.set_quota("tiny", TenantQuota { max_turns: None, max_estimated_rows: Some(1) });
+        let before = s.open_session("tiny");
+        let mut catalog = s.world().catalog().clone();
+        catalog
+            .register(cda_core::catalog::Dataset {
+                name: "employment_2025".into(),
+                description: "next year's employment type distribution".into(),
+                source_url: String::new(),
+                table: Some(cda_core::demo::employment_table(7)),
+                series: None,
+                keywords: vec!["employment".into()],
+                freshness: cda_core::rot::Freshness::static_data(),
+            })
+            .unwrap();
+        s.install_world(s.world().successor().catalog(catalog).build_shared()).unwrap();
+        let after = s.open_session("tiny");
+        for id in [before, after] {
+            s.submit(id, "What is the total employees in employment_2025 per canton?").unwrap();
+        }
+        let report = s.drain();
+        assert_eq!(report.rejected(), 2, "{:?}", report.outcomes);
+        assert_eq!(s.session_stats(before).unwrap().turns, 0);
+    }
+
+    #[test]
     fn unknown_session_is_rejected() {
         let mut s = server();
         let err = s.submit(SessionId(99), "hello").unwrap_err();
@@ -936,6 +962,39 @@ mod tests {
         s.drain();
         let st = s.session_stats(reader).unwrap();
         assert!(st.cache.hits >= 2, "wage entry survived the unrelated write: {:?}", st.cache);
+    }
+
+    #[test]
+    fn a_write_that_cannot_bind_serializes_nobody() {
+        // The gate dooms this before binding (A019, and no column is near
+        // enough for repair): it cannot write, so it has no effects to
+        // serialize anyone behind.
+        const DOOMED: &str = "UPDATE wage_stats SET missing_col = 1";
+        let round = |turns: &[&str]| {
+            let mut s = server();
+            let ids = s.open_sessions("t", turns.len());
+            for (id, turn) in ids.iter().zip(turns) {
+                s.submit(*id, turn).unwrap();
+            }
+            let report = s.drain();
+            assert_eq!(s.world().epoch(), 0, "nothing committed");
+            report
+        };
+        let without = round(&[EMPLOYMENT_Q, WAGE_Q]);
+        let with = round(&[EMPLOYMENT_Q, WAGE_Q, DOOMED]);
+        assert_eq!(without.serialized, 0);
+        assert_eq!(with.serialized, without.serialized, "the doomed write parks nobody in the lane");
+        // Hosted transcripts equal the serial replay, the rejection included.
+        for (i, (outcome, turn)) in with.outcomes.iter().zip([EMPLOYMENT_Q, WAGE_Q, DOOMED]).enumerate() {
+            let mut reference = Session::open_seeded(demo_world(42), CdaConfig::default(), i as u64 + 1);
+            let expect = reference.process(turn).render();
+            match outcome {
+                TurnOutcome::Completed(r) => assert_eq!(r.rendered, expect, "{turn}"),
+                other => panic!("unexpected rejection: {other:?}"),
+            }
+        }
+        let TurnOutcome::Completed(rejected) = &with.outcomes[2] else { unreachable!() };
+        assert!(rejected.rendered.contains("Static analysis rejected the write"), "{}", rejected.rendered);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! better (experiment E5 quantifies the gap).
 
 //! When the dialogue layer enables analyzer-guided repair
-//! ([`consistency_confidence_with`]), statically-doomed samples are first
+//! ([`ConsistencyUq::with_repair`]), statically-doomed samples are first
 //! run through the hint-apply-regate loop of `cda_analyzer::repair`; a
 //! salvaged sample clusters under its **post-repair** SQL, so the UQ signal
 //! sees the candidates the decoder would actually return, and the report
@@ -27,13 +27,12 @@
 //! the clusters (and therefore the confidence) are provably unchanged; the
 //! report's `executions_saved` counts the wall-clock win (E16 measures it).
 
-use crate::verify::execution_signature_with;
+use crate::verify::result_signature;
 use crate::{Result, SoundnessError};
 use cda_analyzer::equiv::EquivEngine;
-use cda_analyzer::{apply_hints, Analyzer};
+use cda_analyzer::{apply_hints, Analyzer, Report};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm};
-use cda_sql::planner::plan_select;
-use cda_sql::Catalog;
+use cda_sql::{Catalog, Compiled};
 use std::collections::HashMap;
 
 /// The outcome of one consistency-UQ round.
@@ -85,26 +84,9 @@ pub fn consistency_confidence(
     k: usize,
     temperature: f64,
 ) -> Result<ConsistencyReport> {
-    consistency_confidence_with(lm, prompt, &Analyzer::new(catalog), k, temperature, 0)
-}
-
-/// Consistency UQ gated by a configured [`Analyzer`], with up to
-/// `repair_rounds` hint-apply-regate rounds per statically-doomed sample.
-/// A salvaged sample clusters under its post-repair SQL — the UQ signal
-/// sees what the repairing decoder would actually return — and still-doomed
-/// samples count as failed exactly as with repair disabled.
-pub fn consistency_confidence_with(
-    lm: &SimLm,
-    prompt: &Nl2SqlPrompt,
-    analyzer: &Analyzer<'_>,
-    k: usize,
-    temperature: f64,
-    repair_rounds: usize,
-) -> Result<ConsistencyReport> {
-    ConsistencyUq::new(lm, analyzer)
+    ConsistencyUq::new(lm, &Analyzer::new(catalog))
         .with_samples(k)
         .with_temperature(temperature)
-        .with_repair(repair_rounds)
         .run(prompt)
 }
 
@@ -211,15 +193,18 @@ impl<'a> ConsistencyUq<'a> {
         let mut sample_hints: Vec<Vec<String>> = vec![Vec::new(); k];
         for (i, g) in gens.iter().enumerate() {
             effective.push(g.sql.clone());
-            // Pre-execution gate: statically-doomed candidates cannot produce
-            // an execution signature. Try to repair them first; still-doomed
-            // ones count failed without executing, exactly as with repair
-            // disabled.
-            if analyzer.execution_doomed(&g.sql) {
-                match repair_sample(analyzer, &g.sql, self.repair_rounds) {
-                    Some((sql, hints)) => {
+            // Pre-execution gate, which also compiles the candidate — once,
+            // for the gate, the fingerprint and the execution alike.
+            // Statically-doomed candidates cannot produce an execution
+            // signature. Try to repair them first; still-doomed ones count
+            // failed without executing, exactly as with repair disabled.
+            let (report, mut compiled) = analyzer.gate(&g.sql);
+            if report.dooms_execution() {
+                match repair_sample(analyzer, &g.sql, report, self.repair_rounds) {
+                    Some((sql, hints, fixed)) => {
                         effective[i] = sql;
                         sample_hints[i] = hints;
+                        compiled = Some(fixed);
                     }
                     None => {
                         failed += 1;
@@ -228,29 +213,31 @@ impl<'a> ConsistencyUq<'a> {
                     }
                 }
             }
-            let sig = if self.equivalence {
-                match fingerprint_of(&engine, catalog, &effective[i]) {
-                    Some(fp) => match sig_by_fp.get(&fp) {
-                        Some(shared) => {
-                            // A prior sample's canonical plan was identical:
-                            // its outcome is this sample's outcome.
-                            executions_saved += 1;
-                            shared.clone()
-                        }
-                        None => {
-                            let sig =
-                                execution_signature_with(catalog, &effective[i], self.exec_options);
-                            sig_by_fp.insert(fp, sig.clone());
-                            sig
-                        }
-                    },
-                    // Unfingerprintable (should not pass the gate, but stay
-                    // safe): fall back to executing individually.
-                    None => execution_signature_with(catalog, &effective[i], self.exec_options),
+            // Only a query has a result to sign (the LM emits nothing else).
+            let sig = compiled.as_ref().and_then(Compiled::query).and_then(|(logical, optimized)| {
+                let execute = || {
+                    cda_sql::execute_plan(catalog, optimized, self.exec_options)
+                        .ok()
+                        .map(|r| result_signature(&r.table))
+                };
+                if !self.equivalence {
+                    return execute();
                 }
-            } else {
-                execution_signature_with(catalog, &effective[i], self.exec_options)
-            };
+                let fp = engine.fingerprint(logical).as_u64();
+                match sig_by_fp.get(&fp) {
+                    Some(shared) => {
+                        // A prior sample's canonical plan was identical:
+                        // its outcome is this sample's outcome.
+                        executions_saved += 1;
+                        shared.clone()
+                    }
+                    None => {
+                        let sig = execute();
+                        sig_by_fp.insert(fp, sig.clone());
+                        sig
+                    }
+                }
+            });
             match sig {
                 Some(sig) => {
                     clusters.entry(sig).or_default().push(i);
@@ -307,36 +294,31 @@ impl<'a> ConsistencyUq<'a> {
     }
 }
 
-/// Canonical-plan fingerprint of a candidate, `None` when it does not parse
-/// or plan (such candidates execute individually).
-fn fingerprint_of(engine: &EquivEngine, catalog: &Catalog, sql: &str) -> Option<u64> {
-    let select = cda_sql::parser::parse(sql).ok()?;
-    let plan = plan_select(catalog, &select).ok()?;
-    Some(engine.fingerprint(&plan).as_u64())
-}
-
-/// Hint-apply-regate loop for one doomed sample. Returns the repaired SQL
-/// and the rendered hints when some round clears the gate (not doomed and
-/// within budget), `None` otherwise.
+/// Hint-apply-regate loop for one doomed sample, starting from its gate
+/// `report`. Returns the repaired SQL, the rendered hints and the compiled
+/// statement when some round clears the gate (not doomed and within
+/// budget), `None` otherwise.
 fn repair_sample(
     analyzer: &Analyzer<'_>,
     sql: &str,
+    mut report: Report,
     rounds: usize,
-) -> Option<(String, Vec<String>)> {
+) -> Option<(String, Vec<String>, Compiled)> {
     let mut sql = sql.to_owned();
-    let mut report = analyzer.analyze(&sql);
     let mut rendered: Vec<String> = Vec::new();
     for _ in 0..rounds {
         let hints = analyzer.repair_hints(&sql, &report);
         if hints.is_empty() {
             return None;
         }
-        let fixed = apply_hints(&sql, &hints)?;
+        sql = apply_hints(&sql, &hints)?;
         rendered.extend(hints.iter().map(ToString::to_string));
-        report = analyzer.analyze(&fixed);
-        sql = fixed;
-        if !report.dooms_execution() && !report.exceeds_budget() {
-            return Some((sql, rendered));
+        let (next, compiled) = analyzer.gate(&sql);
+        match compiled {
+            Some(compiled) if !next.dooms_execution() && !next.exceeds_budget() => {
+                return Some((sql, rendered, compiled))
+            }
+            _ => report = next,
         }
     }
     None
@@ -466,8 +448,11 @@ mod tests {
         let c = catalog();
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.6, seed: 5, ..Default::default() });
         let plain = consistency_confidence(&lm, &prompt(), &c, 9, 1.0).unwrap();
-        let with =
-            consistency_confidence_with(&lm, &prompt(), &Analyzer::new(&c), 9, 1.0, 0).unwrap();
+        let with = ConsistencyUq::new(&lm, &Analyzer::new(&c))
+            .with_samples(9)
+            .with_repair(0)
+            .run(&prompt())
+            .unwrap();
         assert_eq!(plain, with);
         assert_eq!(with.repaired, 0);
         assert!(with.repair_hints.is_empty());
@@ -485,8 +470,11 @@ mod tests {
         let plain = consistency_confidence(&lm, &p, &c, 6, 1.0).unwrap();
         assert_eq!(plain.confidence, 0.0);
         assert_eq!(plain.static_rejects, 6);
-        let repaired =
-            consistency_confidence_with(&lm, &p, &Analyzer::new(&c), 6, 1.0, 2).unwrap();
+        let repaired = ConsistencyUq::new(&lm, &Analyzer::new(&c))
+            .with_samples(6)
+            .with_repair(2)
+            .run(&p)
+            .unwrap();
         assert_eq!(repaired.confidence, 1.0, "{repaired:?}");
         assert_eq!(repaired.repaired, 6);
         assert_eq!(repaired.static_rejects, 0);
@@ -498,21 +486,6 @@ mod tests {
         );
         // The post-repair representative must itself pass the gate.
         assert!(!Analyzer::new(&c).execution_doomed(repaired.chosen_sql.as_deref().unwrap()));
-    }
-
-    #[test]
-    fn builder_defaults_match_the_free_functions() {
-        let c = catalog();
-        let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.4, seed: 3, ..Default::default() });
-        let analyzer = Analyzer::new(&c);
-        let free = consistency_confidence_with(&lm, &prompt(), &analyzer, 7, 1.0, 2).unwrap();
-        let built = ConsistencyUq::new(&lm, &analyzer)
-            .with_samples(7)
-            .with_temperature(1.0)
-            .with_repair(2)
-            .run(&prompt())
-            .unwrap();
-        assert_eq!(free, built);
     }
 
     #[test]

@@ -44,25 +44,12 @@ pub fn execution_accuracy(catalog: &Catalog, candidate_sql: &str, gold_sql: &str
     tables_equal_unordered(&cand.table, &gold.table)
 }
 
-/// The canonical "result signature" of executing a SQL string: `None` when
-/// execution fails, otherwise a deterministic fingerprint of the result
-/// multiset. Two programs with the same signature are execution-equivalent —
-/// the clustering key of consistency-based UQ.
-pub fn execution_signature(catalog: &Catalog, sql: &str) -> Option<String> {
-    execution_signature_with(catalog, sql, cda_sql::ExecOptions::default())
-}
-
-/// [`execution_signature`] with explicit execution options, so UQ sampling
-/// can ride the vectorized engine (`ExecOptions::vectorized()`). Both engine
-/// paths produce byte-identical tables, so the signature is independent of
-/// the options — the differential suite pins this.
-pub fn execution_signature_with(
-    catalog: &Catalog,
-    sql: &str,
-    options: cda_sql::ExecOptions,
-) -> Option<String> {
-    let result = cda_sql::execute_with_options(catalog, sql, options).ok()?;
-    let t = &result.table;
+/// The canonical signature of a result table: a deterministic fingerprint
+/// of its row multiset. Two executions with the same signature are
+/// execution-equivalent — the clustering key of consistency-based UQ. It is
+/// independent of the engine that produced the table (both engine paths are
+/// differentially certified byte-identical).
+pub fn result_signature(t: &Table) -> String {
     let mut rows: Vec<String> = (0..t.num_rows())
         .map(|i| {
             let cells: Vec<String> =
@@ -71,7 +58,7 @@ pub fn execution_signature_with(
         })
         .collect();
     rows.sort_unstable();
-    Some(format!("{}cols\u{2}{}", t.num_columns(), rows.join("\u{2}")))
+    format!("{}cols\u{2}{}", t.num_columns(), rows.join("\u{2}"))
 }
 
 #[cfg(test)]
@@ -127,12 +114,10 @@ mod tests {
     #[test]
     fn signatures_cluster_equivalent_programs() {
         let c = catalog();
-        let a = execution_signature(&c, "SELECT canton, jobs FROM emp ORDER BY jobs");
-        let b = execution_signature(&c, "SELECT canton, jobs FROM emp ORDER BY canton DESC");
-        assert_eq!(a, b);
-        let d = execution_signature(&c, "SELECT canton, jobs FROM emp WHERE jobs > 40");
-        assert_ne!(a, d);
-        assert_eq!(execution_signature(&c, "SELECT broken FROM"), None);
+        let sig = |sql: &str| result_signature(&execute(&c, sql).unwrap().table);
+        let a = sig("SELECT canton, jobs FROM emp ORDER BY jobs");
+        assert_eq!(a, sig("SELECT canton, jobs FROM emp ORDER BY canton DESC"));
+        assert_ne!(a, sig("SELECT canton, jobs FROM emp WHERE jobs > 40"));
     }
 
     #[test]

@@ -397,13 +397,6 @@ pub fn execute_dml_checked(
     Ok(DmlResult { table: plan.table.clone(), new_table, affected, matched, touched, stats })
 }
 
-/// Parse, bind, and execute one DML statement with default options.
-pub fn execute_statement(catalog: &Catalog, sql: &str) -> Result<DmlResult> {
-    let stmt = crate::parser::parse_statement(sql)?;
-    let plan = plan_dml(catalog, &stmt)?;
-    execute_dml(catalog, &plan, ExecOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,11 +13,11 @@
 
 use crate::ast::JoinKind;
 use crate::catalog::Catalog;
+use crate::compile::plan_query;
 use crate::error::SqlError;
-use crate::optimizer::{optimize, OptimizerRules};
+use crate::optimizer::OptimizerRules;
 use crate::parser::parse;
 use crate::plan::{AggExpr, BoundExpr, Plan, SortSpec};
-use crate::planner::plan_select;
 use crate::Result;
 use cda_dataframe::kernels::{sort_indices, AggKind, SortKey, SortOrder};
 use cda_dataframe::{Column, DataType, DomainTree, Schema, Table, Value};
@@ -80,21 +80,10 @@ pub fn execute(catalog: &Catalog, sql: &str) -> Result<QueryResult> {
 
 /// Parse, plan, optimize, and execute with explicit options.
 pub fn execute_with_options(catalog: &Catalog, sql: &str, options: ExecOptions) -> Result<QueryResult> {
-    let plan = optimized_plan(catalog, sql, options.rules)?;
+    let (_, plan) = plan_query(catalog, &parse(sql)?, options.rules)?;
     let mut stats = ExecStats::default();
     let table = dispatch(catalog, &plan, options, None, &mut stats)?;
     Ok(QueryResult { table, plan, stats })
-}
-
-/// Parse, plan, and optimize a SELECT without executing it — the exact plan
-/// [`execute_with_options`] would run. Planning is deterministic, so
-/// callers that persist a query's *SQL* (the durable semantic cache) can
-/// reconstruct the plan a stored result was produced by, instead of
-/// serializing plan trees.
-pub fn optimized_plan(catalog: &Catalog, sql: &str, rules: OptimizerRules) -> Result<Plan> {
-    let select = parse(sql)?;
-    let plan = plan_select(catalog, &select)?;
-    Ok(optimize(plan, rules))
 }
 
 /// Execute an already-built plan.
@@ -522,6 +511,8 @@ pub(crate) fn sort(t: &Table, keys: &[SortSpec]) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::optimize;
+    use crate::planner::plan_select;
     use cda_dataframe::{Field, RowId};
 
     fn catalog() -> Catalog {

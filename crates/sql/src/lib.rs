@@ -4,7 +4,10 @@
 //! substrate of the CDA reproduction (layer ⓑ of Figure 1-right).
 //!
 //! Pipeline: [`lexer`] → [`parser`] (AST in [`ast`]) → [`planner`] (logical
-//! plan in [`plan`]) → [`optimizer`] → [`exec`].
+//! plan in [`plan`]) → [`optimizer`] → [`exec`]. [`compile`](compile()) runs
+//! the front half once — text to a [`Compiled`] statement carrying the AST,
+//! the logical plan and the plan that executes — and is the entry every
+//! layer above this crate goes through; SELECT and DML share it.
 //!
 //! Execution has two engines sharing one semantics: the row-at-a-time
 //! interpreter in [`exec`] (the reference oracle) and the vectorized
@@ -43,7 +46,8 @@
 //! DML ([`dml`]): `INSERT INTO t [(cols)] VALUES (…), …`,
 //! `UPDATE t SET col = expr, … [WHERE expr]`, and
 //! `DELETE FROM t [WHERE expr]` — parsed by [`parser::parse_statement`],
-//! bound by [`dml::plan_dml`], executed by [`dml::execute_dml`]. Row
+//! bound by [`dml::plan_dml`] (through [`plan_statement`]), executed by
+//! [`dml::execute_dml_checked`]. Row
 //! matching for UPDATE/DELETE reuses both query engines via lineage, so the
 //! write path inherits their differential certification; execution returns a
 //! replacement table committed through [`Catalog::replace_table`].
@@ -69,6 +73,7 @@
 
 pub mod ast;
 pub mod catalog;
+pub mod compile;
 pub mod dml;
 pub mod error;
 pub mod exec;
@@ -81,6 +86,7 @@ pub mod plan;
 pub mod planner;
 
 pub use catalog::Catalog;
+pub use compile::{compile, plan_statement, Compiled, StatementPlan};
 pub use dml::{
     execute_dml, execute_dml_checked, plan_dml, DmlKind, DmlPlan, DmlResult, WriteGuard,
 };
