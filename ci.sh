@@ -26,6 +26,11 @@ echo "== tier-1: full test suite (unit + doc + integration), one run"
 # certification, the server runtime suite and the storage fault sweep.
 cargo test -q --workspace
 
+echo "== tier-1, release: transcript pins and the execution-count law with the sanitizers off"
+# The debug run above has absint_check / effect_check on (cfg!(debug_assertions));
+# the benchmark runs release, where they are off. Same pins, same law, on that path.
+cargo test --release -q -p cda-integration --test once
+
 echo "== examples"
 cargo build --examples
 

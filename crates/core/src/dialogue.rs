@@ -13,6 +13,7 @@
 use crate::answer::{AnswerStatus, AnswerTurn, PropertyTag};
 use crate::session::{CacheStore, CachedAnswer, Session};
 use cda_analyzer::equiv::EquivEngine;
+use cda_analyzer::{Analyzer, Report};
 use cda_guidance::graph::{EdgeKind, NodeRole};
 use cda_guidance::planner::{Action, SpeculativePlanner};
 use cda_kg::linking::LinkerConfig;
@@ -20,10 +21,11 @@ use cda_nlmodel::generation;
 use cda_nlmodel::intent::{classify_intent, Intent};
 use cda_nlmodel::lm::Nl2SqlPrompt;
 use cda_nlmodel::nl2sql::{parse_question, refine_task, AnalyticTask};
-use cda_provenance::checks::check_losslessness;
+use cda_provenance::checks::check_plan_losslessness;
 use cda_provenance::lineage::NodeKind;
 use cda_provenance::Explanation;
-use cda_soundness::consistency::ConsistencyUq;
+use cda_soundness::consistency::{ConsistencyUq, Execution, UqRound};
+use cda_sql::Compiled;
 use cda_timeseries::seasonality::detect_seasonality;
 use cda_timeseries::decompose::decompose;
 use std::time::Instant;
@@ -46,15 +48,15 @@ impl Session {
         }
     }
 
-    /// Execute the answering plan, under the absint sanitizer when
-    /// `CdaConfig::absint_check` is on: the optimized plan's static
-    /// [`DomainTree`](cda_dataframe::DomainTree) is computed from the
-    /// catalog statistics first, and every operator output is cross-checked
-    /// against its abstract domain during execution. A violation (an
-    /// analyzer soundness bug, by construction) surfaces as an execution
-    /// error and the turn abstains rather than answering from an unsound
-    /// analysis. UQ candidate executions stay unchecked either way: only
-    /// the answering execution pays for (and benefits from) the cross-check.
+    /// Execute the answering plan of a turn consistency UQ did not run for
+    /// (UQ's winner arrives already executed, under the same sanitizer —
+    /// `ConsistencyUq::with_sanitizer`). With `CdaConfig::absint_check` on,
+    /// the optimized plan's static [`DomainTree`](cda_dataframe::DomainTree)
+    /// is computed from the catalog statistics first, and every operator
+    /// output is cross-checked against its abstract domain during execution.
+    /// A violation (an analyzer soundness bug, by construction) surfaces as
+    /// an execution error and the turn abstains rather than answering from
+    /// an unsound analysis.
     fn execute_answer(&self, plan: &cda_sql::plan::Plan) -> cda_sql::Result<cda_sql::QueryResult> {
         // The monitor must describe the exact plan that executes, so it is
         // built from the optimized plan.
@@ -674,34 +676,34 @@ impl Session {
         let prompt = Nl2SqlPrompt { task: task.clone(), schema, other_tables };
         let nl_elapsed = t_nl.elapsed();
 
-        // Soundness: consistency UQ chooses the SQL and its confidence.
-        // The analyzer carries stats + row budget and is shared between the
-        // UQ gate (which now sees post-repair candidates) and the static
-        // check of the chosen SQL below.
-        let analyzer = cda_analyzer::Analyzer::new(self.world.catalog.sql())
+        // Soundness: one consistency-UQ round chooses the statement. It
+        // gates, fingerprints and — unless the session's semantic cache
+        // already holds that fingerprint's result — executes each candidate
+        // once, and hands the winner back with all of that attached: the
+        // rest of the turn reads the record instead of redoing the work.
+        // Equivalence-aware clustering is provably confidence-neutral (equal
+        // fingerprints ⇒ identical execution), so it is always on here.
+        let analyzer = Analyzer::new(self.world.catalog.sql())
             .with_stats(self.world.catalog.stats())
             .with_row_budget(self.config.row_budget);
+        let use_cache = self.config.semantic_cache;
         let t_sound = Instant::now();
-        let (sql, confidence, mut repair_notes) = if self.config.soundness {
-            // Equivalence-aware clustering: syntactic variants of the same
-            // canonical plan share one execution. Provably confidence-
-            // neutral (equal fingerprints ⇒ identical execution), so it is
-            // always on here; E16 measures the executions saved.
-            match ConsistencyUq::new(&self.lm, &analyzer)
+        let chosen = if self.config.soundness {
+            let round = ConsistencyUq::new(&self.lm, &analyzer)
                 .with_samples(self.config.uq_samples)
                 .with_temperature(self.config.temperature)
                 .with_repair(self.config.repair_rounds)
                 .with_equivalence(true)
                 .with_exec_options(self.exec_options())
-                .run(&prompt)
-            {
-                Ok(report) => match report.chosen_sql {
-                    Some(sql) => {
-                        let notes: Vec<String> =
-                            report.repair_hints.iter().map(|h| format!("[repair] {h}")).collect();
-                        (sql, report.confidence, notes)
-                    }
-                    None => {
+                .with_sanitizer(self.config.absint_check.then(|| self.world.catalog.stats()))
+                .run_with(&prompt, |fp| {
+                    use_cache.then(|| self.semantic_cache.probe(fp)).flatten()
+                });
+            match round {
+                Ok(UqRound { report, winner }) => {
+                    // One execution per fingerprint group the cache did not hold.
+                    self.executions += report.equiv_groups - report.known_results;
+                    let Some(winner) = winner else {
                         let mut a = AnswerTurn::answered(
                             "None of my candidate queries executed successfully, so I cannot \
                              answer this reliably.",
@@ -709,28 +711,28 @@ impl Session {
                         a.status = AnswerStatus::Abstained("no executable candidate".into());
                         a.tag(PropertyTag::Soundness);
                         return a;
+                    };
+                    Chosen {
+                        sql: winner.sql,
+                        report: winner.report,
+                        compiled: Some(winner.compiled),
+                        confidence: report.confidence,
+                        repairs: report.repair_hints,
+                        settled: Some((winner.fingerprint, winner.execution)),
                     }
-                },
-                Err(_) => (prompt.task.to_sql(), 0.0, Vec::new()),
+                }
+                Err(_) => self.gate_unsampled(&analyzer, &prompt.task.to_sql(), 0.0),
             }
         } else {
             let g = self.lm.generate_sql(&prompt, self.config.temperature, 0);
-            (g.sql.clone(), g.naive_confidence(), Vec::new())
+            self.gate_unsampled(&analyzer, &g.sql, g.naive_confidence())
         };
-        // Static soundness gate (P4): analyze the chosen SQL *before*
-        // executing it. Dooming findings abstain without paying execution
-        // cost; softer findings become annotations and scale confidence.
-        // The cost pass estimates the result size from registration-time
-        // statistics and flags runaway candidates (A013). Before abstaining
-        // on a doomed candidate — reachable when soundness is off upstream
-        // or UQ fell back — the analyzer's own repair hints are tried
-        // (diagnosis→generation feedback, P4 enhances P5). The gate is also
-        // where the chosen SQL is compiled: the fingerprint, the cache and
-        // the answering execution below all read that one statement.
-        let gated = analyzer.gate_with_repair(&sql, self.config.repair_rounds);
-        repair_notes.extend(gated.hints.iter().map(|h| format!("[repair] {h}")));
-        let (sql, static_report) = (gated.sql, gated.report);
-        let query = gated.compiled.as_ref().and_then(cda_sql::Compiled::query);
+        let Chosen { sql, report: static_report, compiled, confidence, repairs, settled } = chosen;
+        let repair_notes: Vec<String> = repairs.iter().map(|h| format!("[repair] {h}")).collect();
+        // Static soundness gate (P4): dooming findings abstain without paying
+        // execution cost; softer findings become annotations and scale
+        // confidence. (A UQ winner is never doomed — doomed candidates do not
+        // execute — so this fires only for a statement UQ did not pick.)
         if self.config.soundness && static_report.dooms_execution() {
             let mut a = AnswerTurn::answered(format!(
                 "Static analysis rejected the generated query before execution: {}. I will \
@@ -763,18 +765,41 @@ impl Session {
             a.timings.soundness += sound_elapsed;
             return a;
         }
-        // Semantic answer cache (P1 enabling P4): fingerprint the canonical
-        // plan and reuse a prior turn's stored result when an earlier query
-        // certified equivalent — equal fingerprints guarantee byte-identical
+        // Semantic answer cache (P1 enabling P4): a result stored under the
+        // statement's canonical-plan fingerprint by an earlier turn is served
+        // instead of executing — equal fingerprints guarantee byte-identical
         // execution, so the served answer is exactly what re-executing would
-        // produce (E16 verifies this).
+        // produce (E16 verifies this). UQ's winner arrives with that already
+        // settled; only a statement UQ did not pick is fingerprinted, looked
+        // up and executed here.
         let t_infra = Instant::now();
-        let fingerprint = query
-            .filter(|_| self.config.semantic_cache)
-            .map(|(logical, _)| EquivEngine::new().fingerprint(logical).as_u64());
+        let query = compiled.as_ref().and_then(Compiled::query);
+        let (fingerprint, execution) = match (settled, query) {
+            (Some((fingerprint, execution)), _) => {
+                (fingerprint.filter(|_| use_cache), Some(execution))
+            }
+            (None, Some((logical, optimized))) => {
+                let fingerprint =
+                    use_cache.then(|| EquivEngine::new().fingerprint(logical).as_u64());
+                let execution = match fingerprint.and_then(|fp| self.semantic_cache.probe(fp)) {
+                    Some(hit) => Some(Execution::Known(hit)),
+                    None => {
+                        self.executions += 1;
+                        self.execute_answer(optimized).ok().map(Execution::Ran)
+                    }
+                };
+                (fingerprint, execution)
+            }
+            // A statement that does not bind has nothing to execute; only
+            // with `soundness` off (the P4 ablation) does one get this far.
+            (None, None) => (None, None),
+        };
+        // The turn serves the hit, or stores the execution it paid for —
+        // the winner's only: losing candidates are never cached.
         let mut cache_note: Option<String> = None;
-        let executed = match fingerprint.and_then(|fp| self.semantic_cache.get(fp)) {
-            Some(hit) => {
+        let executed = match execution {
+            Some(Execution::Known(hit)) => {
+                self.semantic_cache.count_hit();
                 cache_note = Some(format!(
                     "[cache] served from the semantic cache: this request is equivalent to the \
                      query executed in turn {} ({})",
@@ -783,21 +808,22 @@ impl Session {
                 ));
                 Some(hit.result)
             }
-            // A statement that does not bind has nothing to execute; only
-            // with `soundness` off (the P4 ablation) does one get this far.
-            None => query.and_then(|(_, optimized)| self.execute_answer(optimized).ok()),
+            Some(Execution::Ran(result)) => {
+                if let Some(fp) = fingerprint {
+                    self.semantic_cache.put(
+                        fp,
+                        CachedAnswer {
+                            turn: self.state.turn.saturating_sub(1),
+                            sql: sql.clone(),
+                            result: result.clone(),
+                        },
+                    );
+                }
+                Some(result)
+            }
+            None => None,
         };
         let infra_elapsed = t_infra.elapsed();
-        if let (Some(fp), None, Some(result)) = (fingerprint, &cache_note, &executed) {
-            self.semantic_cache.put(
-                fp,
-                CachedAnswer {
-                    turn: self.state.turn.saturating_sub(1),
-                    sql: sql.clone(),
-                    result: result.clone(),
-                },
-            );
-        }
         let Some(result) = executed else {
             let mut a = AnswerTurn::answered(
                 "The generated query failed to execute; I will not fabricate a result.",
@@ -834,11 +860,20 @@ impl Session {
         // Explainability: provenance + losslessness verification.
         let t_expl = Instant::now();
         let explanation = if self.config.explainability {
-            let lossless = (result.table.num_rows() > 0)
-                .then(|| {
-                    check_losslessness(self.world.catalog.sql(), &sql, &result.table, 0).ok()
-                })
-                .flatten();
+            // Replays the plan that produced the answer over the tables it
+            // scans, restricted to the rows the answer's first row cites.
+            let lossless = query.filter(|_| result.table.num_rows() > 0).and_then(
+                |(_, optimized)| {
+                    check_plan_losslessness(
+                        self.world.catalog.sql(),
+                        optimized,
+                        self.exec_options(),
+                        &result.table,
+                        0,
+                    )
+                    .ok()
+                },
+            );
             let cited = result
                 .table
                 .lineages()
@@ -897,6 +932,24 @@ impl Session {
         a.timings.explainability += expl_elapsed;
         a.timings.guidance += guide_elapsed;
         a
+    }
+
+    /// The start of the one branch on which consistency UQ did not choose
+    /// the statement (`soundness` off, or UQ could not sample): gate `sql`
+    /// and, before giving up on a doomed statement, try the analyzer's own
+    /// repair hints (diagnosis→generation feedback, P4 enhances P5). The
+    /// gate compiles the statement; nothing has been fingerprinted or
+    /// executed yet.
+    fn gate_unsampled(&self, analyzer: &Analyzer<'_>, sql: &str, confidence: f64) -> Chosen {
+        let gated = analyzer.gate_with_repair(sql, self.config.repair_rounds);
+        Chosen {
+            sql: gated.sql,
+            report: gated.report,
+            compiled: gated.compiled,
+            confidence,
+            repairs: gated.hints.iter().map(ToString::to_string).collect(),
+            settled: None,
+        }
     }
 
     fn handle_unclear(&mut self, parent: usize) -> AnswerTurn {
@@ -981,6 +1034,24 @@ impl Session {
             .map(|ranked| ranked.into_iter().take(2).map(|r| r.action.description).collect())
             .unwrap_or_default()
     }
+}
+
+/// The statement an analysis turn answers with, and how far it has been
+/// taken already.
+struct Chosen {
+    /// Post-repair SQL.
+    sql: String,
+    /// The gate's report on `sql`.
+    report: Report,
+    /// `sql` as the gate compiled it (`None`: it does not bind).
+    compiled: Option<Compiled>,
+    /// Confidence before the static report and the repairs weigh in.
+    confidence: f64,
+    /// Rendered repair hints that produced `sql`.
+    repairs: Vec<String>,
+    /// Canonical-plan fingerprint and result, when consistency UQ chose the
+    /// statement: its round settles both.
+    settled: Option<(Option<u64>, Execution<CachedAnswer>)>,
 }
 
 /// Where an utterance is headed ([`Session::route`]).

@@ -551,16 +551,17 @@ impl DurableCache {
 }
 
 impl CacheStore for DurableCache {
-    fn get(&mut self, fingerprint: u64) -> Option<CachedAnswer> {
+    fn probe(&self, fingerprint: u64) -> Option<CachedAnswer> {
         let bytes = self.backend.get(StoreId::SemanticCache, &fingerprint.to_be_bytes()).ok()??;
         match decode_cached(&bytes, self.world.catalog().sql()) {
-            Ok((epoch, answer)) if epoch == self.world.epoch() => {
-                self.hits += 1;
-                Some(answer)
-            }
-            // Stale stamp (never served) or undecodable: a miss.
+            Ok((epoch, answer)) if epoch == self.world.epoch() => Some(answer),
+            // Stale stamp (never served) or undecodable: not held.
             _ => None,
         }
+    }
+
+    fn count_hit(&mut self) {
+        self.hits += 1;
     }
 
     fn put(&mut self, fingerprint: u64, answer: CachedAnswer) {

@@ -51,7 +51,8 @@ pub struct CdaConfig {
     /// on: dialogue, UQ sampling, and the semantic cache all ride it.
     pub vectorized_exec: bool,
     /// Sanitizer-style runtime cross-checking of the abstract interpreter
-    /// (`cda_analyzer::absint`): the answering execution runs under
+    /// (`cda_analyzer::absint`): an analysis turn's executions — the
+    /// consistency-UQ candidates, whose winner is the answer — run under
     /// `cda_sql::exec::execute_plan_checked` with the plan's static
     /// [`DomainTree`](cda_dataframe::DomainTree), so any materialized value
     /// outside its per-node abstract domain aborts the turn with a domain

@@ -56,15 +56,39 @@ pub struct CachedAnswer {
     pub result: QueryResult,
 }
 
+impl std::borrow::Borrow<QueryResult> for CachedAnswer {
+    fn borrow(&self) -> &QueryResult {
+        &self.result
+    }
+}
+
 /// The narrow interface every semantic-cache backend implements — the
 /// in-memory [`SemanticCache`] and the durable
 /// [`DurableCache`](crate::durable::DurableCache) are interchangeable
-/// behind it, and the dialogue layer talks only to this trait. `get`
-/// returns an owned answer (a durable backend decodes it from storage, so
-/// there is no stored value to borrow).
+/// behind it, and the dialogue layer talks only to this trait.
+///
+/// Looking an answer up and serving it are two steps, because a turn looks
+/// up more than it serves: consistency UQ [`probe`](Self::probe)s every
+/// candidate's fingerprint so that a held result is not executed again, and
+/// only if the turn then answers from a held result does it
+/// [`count_hit`](Self::count_hit). Only the answer a turn executed and
+/// returned is [`put`](Self::put) — a losing candidate's result never is —
+/// so `hits`, `misses` and the stored entries are per *turn*, whatever UQ
+/// looked at on the way. Lookups return an owned answer (a durable backend
+/// decodes it from storage, so there is no stored value to borrow).
 pub trait CacheStore {
-    /// Look up a fingerprint; counts a hit when found.
-    fn get(&mut self, fingerprint: u64) -> Option<CachedAnswer>;
+    /// Look up a fingerprint without counting anything.
+    fn probe(&self, fingerprint: u64) -> Option<CachedAnswer>;
+    /// Count one turn served from the cache.
+    fn count_hit(&mut self);
+    /// Look up a fingerprint and serve it: counts a hit when found.
+    fn get(&mut self, fingerprint: u64) -> Option<CachedAnswer> {
+        let hit = self.probe(fingerprint);
+        if hit.is_some() {
+            self.count_hit();
+        }
+        hit
+    }
     /// Store an executed answer under its fingerprint; counts a miss.
     fn put(&mut self, fingerprint: u64, answer: CachedAnswer);
     /// Drop exactly the stored answers a committed write invalidates —
@@ -131,12 +155,12 @@ impl SemanticCache {
 }
 
 impl CacheStore for SemanticCache {
-    fn get(&mut self, fingerprint: u64) -> Option<CachedAnswer> {
-        let hit = self.entries.get(&fingerprint).cloned();
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
+    fn probe(&self, fingerprint: u64) -> Option<CachedAnswer> {
+        self.entries.get(&fingerprint).cloned()
+    }
+
+    fn count_hit(&mut self) {
+        self.hits += 1;
     }
 
     fn put(&mut self, fingerprint: u64, answer: CachedAnswer) {
@@ -182,10 +206,17 @@ pub(crate) enum SessionCache {
 }
 
 impl CacheStore for SessionCache {
-    fn get(&mut self, fingerprint: u64) -> Option<CachedAnswer> {
+    fn probe(&self, fingerprint: u64) -> Option<CachedAnswer> {
         match self {
-            Self::Mem(c) => c.get(fingerprint),
-            Self::Durable(c) => c.get(fingerprint),
+            Self::Mem(c) => c.probe(fingerprint),
+            Self::Durable(c) => c.probe(fingerprint),
+        }
+    }
+
+    fn count_hit(&mut self) {
+        match self {
+            Self::Mem(c) => c.count_hit(),
+            Self::Durable(c) => c.count_hit(),
         }
     }
 
@@ -260,6 +291,12 @@ pub struct SessionStats {
     pub conversation_nodes: usize,
     /// Semantic-cache counters.
     pub cache: CacheStats,
+    /// Query executions the engine ran for this conversation's analysis
+    /// turns — consistency-UQ candidates included. Each distinct candidate
+    /// plan of a turn executes at most once, and not at all when the
+    /// semantic cache already holds its result; the turn's answer is one of
+    /// those executions, never an extra one.
+    pub executions: usize,
 }
 
 /// One conversation over a shared [`WorldSnapshot`].
@@ -286,6 +323,8 @@ pub struct Session {
     /// Semantic answer cache keyed on canonical-plan fingerprints
     /// (active when [`CdaConfig::semantic_cache`] is set).
     pub(crate) semantic_cache: SessionCache,
+    /// Query executions so far (see [`SessionStats::executions`]).
+    pub(crate) executions: usize,
 }
 
 /// Derive a session's LM seed from the world's base seed. Seed 0 is the
@@ -327,6 +366,7 @@ impl Session {
             state: DialogueState::default(),
             query_log: QueryLog::new(),
             semantic_cache: SessionCache::Mem(SemanticCache::new()),
+            executions: 0,
         }
     }
 
@@ -444,6 +484,7 @@ impl Session {
             lineage_nodes: self.lineage.len(),
             conversation_nodes: self.conversation.len(),
             cache: self.semantic_cache.stats(),
+            executions: self.executions,
         }
     }
 
@@ -493,6 +534,7 @@ impl Session {
         // its entries; the durable backend keeps its world-scoped entries
         // and resets only the counters.
         self.semantic_cache.clear();
+        self.executions = 0;
     }
 }
 
@@ -557,6 +599,20 @@ mod tests {
         let tb = b.process(q);
         assert_eq!(ta.render(), tb.render());
         assert_eq!(ta.executed_sql, tb.executed_sql);
+    }
+
+    #[test]
+    fn probing_counts_nothing_and_get_is_probe_plus_count_hit() {
+        let mut s = demo_session(1);
+        let _ = s.process("What is the total employees in employment_by_type per canton?");
+        let SessionCache::Mem(cache) = &mut s.semantic_cache else { unreachable!() };
+        let fp = *cache.entries.keys().next().expect("the answered turn stored its execution");
+        let before = cache.stats();
+        assert!(cache.probe(fp).is_some() && cache.probe(fp ^ 1).is_none());
+        assert_eq!(cache.stats(), before);
+        assert!(cache.get(fp).is_some() && cache.get(fp ^ 1).is_none());
+        assert_eq!(cache.stats().hits, before.hits + 1);
+        assert_eq!(cache.stats().misses, before.misses);
     }
 
     #[test]

@@ -6,17 +6,22 @@
 //! explanation") as new, testable properties of explanations. Both are
 //! implemented here as *decision procedures*, not aspirations:
 //!
-//! * [`check_losslessness`] — replay the query against a catalog restricted
-//!   to **only the rows the explanation cites**; the cited rows are lossless
-//!   iff the explained answer row reappears unchanged.
+//! * [`check_plan_losslessness`] — replay the executed plan against a catalog
+//!   restricted to **only the rows the explanation cites**; the cited rows
+//!   are lossless iff the explained answer row reappears unchanged. The
+//!   restricted catalog holds only the tables the plan scans, so the check
+//!   costs what the citation costs, not what the world holds.
+//!   [`check_losslessness`] is the SQL-text front of the same check.
 //! * [`check_invertibility`] — recompute an aggregate cell from its
 //!   how-provenance valuation and compare with the reported value.
 
 use crate::semiring::HowSpan;
 use crate::{ProvenanceError, Result};
 use cda_dataframe::kernels::AggKind;
-use cda_dataframe::{RowId, Table, Value};
-use cda_sql::{execute, Catalog};
+use cda_dataframe::{RowId, Table};
+use cda_sql::plan::Plan;
+use cda_sql::{Catalog, ExecOptions};
+use std::collections::{BTreeSet, HashMap};
 
 /// Outcome of a losslessness check for one answer row.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,28 +34,56 @@ pub struct LosslessReport {
     pub replay_rows: usize,
 }
 
+fn replay_err(e: impl ToString) -> ProvenanceError {
+    ProvenanceError::Replay(e.to_string())
+}
+
 /// Check losslessness of the explanation of result row `row` of `sql`:
-/// restrict every base table to the rows in that row's lineage, re-execute,
-/// and require the original answer row to appear in the replay.
+/// compile the query (row engine, default rules) and run
+/// [`check_plan_losslessness`] on its optimized plan.
 pub fn check_losslessness(
     catalog: &Catalog,
     sql: &str,
     result: &Table,
     row: usize,
 ) -> Result<LosslessReport> {
+    let plan = optimized_plan(catalog, sql)?;
+    check_plan_losslessness(catalog, &plan, ExecOptions::default(), result, row)
+}
+
+/// The plan `sql` executes as (default optimizer rules); only a query has an
+/// answer to explain.
+fn optimized_plan(catalog: &Catalog, sql: &str) -> Result<Plan> {
+    match cda_sql::compile(catalog, sql).map_err(replay_err)?.plan {
+        cda_sql::StatementPlan::Query { optimized, .. } => Ok(optimized),
+        cda_sql::StatementPlan::Write(_) => Err(replay_err("a write has no answer to explain")),
+    }
+}
+
+/// Check losslessness of the explanation of row `row` of `result`, the
+/// table `plan` (optimized, compiled against `catalog`) produced: restrict
+/// every base table the plan scans to the rows in that row's lineage,
+/// re-execute the plan under `options`, and require the original answer row
+/// to appear in the replay. `Plan::Scan` binds by table name, so the plan
+/// compiled against the full catalog runs unchanged against the restricted
+/// one.
+pub fn check_plan_losslessness(
+    catalog: &Catalog,
+    plan: &Plan,
+    options: ExecOptions,
+    result: &Table,
+    row: usize,
+) -> Result<LosslessReport> {
     if row >= result.num_rows() {
         return Err(ProvenanceError::RowOutOfRange { row, len: result.num_rows() });
     }
-    let lineage = result
-        .lineage(row)
-        .map_err(|e| ProvenanceError::Replay(e.to_string()))?;
-    let restricted = restrict_catalog(catalog, lineage)?;
-    let replay = execute(&restricted, sql).map_err(|e| ProvenanceError::Replay(e.to_string()))?;
-    let target = result.row(row).map_err(|e| ProvenanceError::Replay(e.to_string()))?;
+    let lineage = result.lineage(row).map_err(replay_err)?;
+    let restricted = restrict_catalog(catalog, plan, lineage)?;
+    let replay = cda_sql::execute_plan(&restricted, plan, options).map_err(replay_err)?;
+    let target = result.row(row).map_err(replay_err)?;
     let mut found = false;
     for r in 0..replay.table.num_rows() {
-        let cand = replay.table.row(r).map_err(|e| ProvenanceError::Replay(e.to_string()))?;
-        if cand == target {
+        if replay.table.row(r).map_err(replay_err)? == target {
             found = true;
             break;
         }
@@ -62,31 +95,48 @@ pub fn check_losslessness(
     })
 }
 
-/// Build a catalog whose tables contain only the cited rows (other tables
-/// keep their full contents only if they are never cited; cited tables are
-/// restricted).
-fn restrict_catalog(catalog: &Catalog, lineage: &[RowId]) -> Result<Catalog> {
-    let mut out = Catalog::new();
-    // Collect cited rows per tag.
-    let mut by_tag: std::collections::HashMap<u32, Vec<usize>> = std::collections::HashMap::new();
+/// The (lower-cased) names of the base tables `plan` scans.
+fn scanned_tables(plan: &Plan, out: &mut BTreeSet<String>) {
+    match plan {
+        Plan::Scan { table, .. } => {
+            out.insert(table.to_ascii_lowercase());
+        }
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. } => scanned_tables(input, out),
+        Plan::Join { left, right, .. } => {
+            scanned_tables(left, out);
+            scanned_tables(right, out);
+        }
+    }
+}
+
+/// Build the catalog the replay runs against: exactly the tables `plan`
+/// scans, each restricted to its cited rows — a scanned table the lineage
+/// never cites keeps its full contents. Tables the plan does not scan are
+/// not looked at.
+fn restrict_catalog(catalog: &Catalog, plan: &Plan, lineage: &[RowId]) -> Result<Catalog> {
+    let mut by_tag: HashMap<u32, Vec<usize>> = HashMap::new();
     for rid in lineage {
         by_tag.entry(rid.table).or_default().push(rid.row as usize);
     }
-    // Re-register in a stable order so tags are deterministic.
-    let mut names: Vec<&str> = catalog.iter().map(|(n, _)| n).collect();
-    names.sort_unstable();
+    let mut names = BTreeSet::new();
+    scanned_tables(plan, &mut names);
+    let mut out = Catalog::new();
     for name in names {
-        let entry = catalog.get(name).map_err(|e| ProvenanceError::Replay(e.to_string()))?;
-        let table = match by_tag.get(&entry.tag) {
-            Some(rows) => {
-                let mut rows = rows.clone();
+        let entry = catalog.get(&name).map_err(replay_err)?;
+        let table = match by_tag.remove(&entry.tag) {
+            Some(mut rows) => {
                 rows.sort_unstable();
                 rows.dedup();
-                entry.table.take(&rows).map_err(|e| ProvenanceError::Replay(e.to_string()))?
+                entry.table.take(&rows).map_err(replay_err)?
             }
             None => entry.table.clone(),
         };
-        out.register(name, table).map_err(|e| ProvenanceError::Replay(e.to_string()))?;
+        out.register(name, table).map_err(replay_err)?;
     }
     Ok(out)
 }
@@ -118,7 +168,7 @@ pub fn check_invertibility(
     if row >= result.num_rows() {
         return Err(ProvenanceError::RowOutOfRange { row, len: result.num_rows() });
     }
-    let entry = catalog.get(source_table).map_err(|e| ProvenanceError::Replay(e.to_string()))?;
+    let entry = catalog.get(source_table).map_err(replay_err)?;
     let col_idx = entry
         .table
         .schema()
@@ -126,7 +176,7 @@ pub fn check_invertibility(
         .ok_or_else(|| ProvenanceError::Replay(format!("unknown column {source_column:?}")))?;
     let lineage: Vec<RowId> = result
         .lineage(row)
-        .map_err(|e| ProvenanceError::Replay(e.to_string()))?
+        .map_err(replay_err)?
         .iter()
         .filter(|rid| rid.table == entry.tag)
         .copied()
@@ -202,10 +252,11 @@ pub fn verification_rates(
     if n == 0 {
         return Ok((1.0, 1.0));
     }
+    let plan = optimized_plan(catalog, sql)?;
     let mut lossless = 0usize;
     let mut invertible = 0usize;
     for row in 0..n {
-        if check_losslessness(catalog, sql, result, row)?.lossless {
+        if check_plan_losslessness(catalog, &plan, ExecOptions::default(), result, row)?.lossless {
             lossless += 1;
         }
         if check_invertibility(catalog, result, row, agg_col, agg, source_table, source_column)?
@@ -217,16 +268,11 @@ pub fn verification_rates(
     Ok((lossless as f64 / n as f64, invertible as f64 / n as f64))
 }
 
-/// The residual of Value: PartialEq is structural; rows compare as vectors.
-#[allow(dead_code)]
-fn rows_equal(a: &[Value], b: &[Value]) -> bool {
-    a == b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cda_dataframe::{Column, DataType, Field, Schema};
+    use cda_dataframe::{Column, DataType, Field, Schema, Value};
+    use cda_sql::execute;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -299,6 +345,92 @@ mod tests {
             .unwrap();
         let report = check_losslessness(&c, sql, &forged, ge_row).unwrap();
         assert!(!report.lossless);
+    }
+
+    const AGGREGATE: &str =
+        "SELECT canton, SUM(jobs) AS total FROM emp GROUP BY canton ORDER BY canton";
+    const JOIN: &str = "SELECT e.canton, r.region FROM emp e JOIN regions r \
+                        ON e.canton = r.canton WHERE e.jobs > 60";
+
+    /// The aggregate, join and forged-lineage cases above as `(sql, answer)`.
+    fn cases(c: &Catalog) -> Vec<(&'static str, Table)> {
+        let aggregate = execute(c, AGGREGATE).unwrap().table;
+        let forged = Table::with_lineage(
+            aggregate.schema().clone(),
+            aggregate.columns().to_vec(),
+            vec![vec![RowId::new(c.get("emp").unwrap().tag, 4)]; aggregate.num_rows()],
+        )
+        .unwrap();
+        vec![(AGGREGATE, aggregate), (JOIN, execute(c, JOIN).unwrap().table), (AGGREGATE, forged)]
+    }
+
+    #[test]
+    fn text_entry_and_plan_entry_agree_on_both_engines() {
+        let c = catalog();
+        let mut verdicts = Vec::new();
+        for (sql, answer) in cases(&c) {
+            let plan = optimized_plan(&c, sql).unwrap();
+            for row in 0..answer.num_rows() {
+                let text = check_losslessness(&c, sql, &answer, row).unwrap();
+                for options in [ExecOptions::default(), ExecOptions::vectorized()] {
+                    let by_plan = check_plan_losslessness(&c, &plan, options, &answer, row);
+                    assert_eq!(by_plan.unwrap(), text, "{sql} row {row} {options:?}");
+                }
+                verdicts.push(text.lossless);
+            }
+        }
+        // honest rows pass, and the forged citation fails for GE and ZH
+        assert_eq!(verdicts.iter().filter(|v| !**v).count(), 2, "{verdicts:?}");
+    }
+
+    #[test]
+    fn the_restricted_catalog_holds_exactly_the_scanned_tables() {
+        let c = catalog();
+        let answer = execute(&c, AGGREGATE).unwrap().table;
+        let restricted =
+            restrict_catalog(&c, &optimized_plan(&c, AGGREGATE).unwrap(), answer.lineage(0).unwrap())
+                .unwrap();
+        assert_eq!(restricted.table_names(), ["emp"]);
+        assert_eq!(restricted.get("emp").unwrap().table.num_rows(), 2); // GE's two rows
+
+        // A join registers both sides; the side the lineage never cites
+        // keeps its full contents.
+        let emp_only: Vec<RowId> = vec![RowId::new(c.get("emp").unwrap().tag, 0)];
+        let restricted = restrict_catalog(&c, &optimized_plan(&c, JOIN).unwrap(), &emp_only).unwrap();
+        assert_eq!(restricted.table_names(), ["emp", "regions"]);
+        assert_eq!(restricted.get("emp").unwrap().table.num_rows(), 1);
+        assert_eq!(restricted.get("regions").unwrap().table.num_rows(), 2);
+    }
+
+    #[test]
+    fn an_unrelated_table_changes_neither_the_report_nor_the_restricted_catalog() {
+        let c = catalog();
+        let mut crowded = catalog();
+        let n = 100_000i64;
+        let big = Table::from_columns(
+            Schema::new(vec![Field::new("x", DataType::Int)]),
+            vec![Column::from_ints(&(0..n).collect::<Vec<_>>())],
+        )
+        .unwrap();
+        crowded.register("unrelated", big).unwrap();
+        for (sql, answer) in cases(&c) {
+            let plan = optimized_plan(&c, sql).unwrap();
+            for row in 0..answer.num_rows() {
+                assert_eq!(
+                    check_losslessness(&crowded, sql, &answer, row).unwrap(),
+                    check_losslessness(&c, sql, &answer, row).unwrap()
+                );
+                let lineage = answer.lineage(row).unwrap();
+                let (a, b) = (
+                    restrict_catalog(&crowded, &plan, lineage).unwrap(),
+                    restrict_catalog(&c, &plan, lineage).unwrap(),
+                );
+                assert_eq!(a.table_names(), b.table_names());
+                for name in a.table_names() {
+                    assert_eq!(a.get(&name).unwrap().table, b.get(&name).unwrap().table);
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod lineage;
 pub mod mitigate;
 pub mod semiring;
 
-pub use checks::{check_invertibility, check_losslessness};
+pub use checks::{check_invertibility, check_losslessness, check_plan_losslessness};
 pub use mitigate::recalibrate;
 pub use explain::Explanation;
 pub use lineage::{LineageGraph, NodeKind};

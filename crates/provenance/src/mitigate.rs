@@ -8,10 +8,10 @@
 //! from a fresh, trusted execution of the same query and reports what was
 //! wrong with the original.
 
-use crate::checks::check_losslessness;
+use crate::checks::check_plan_losslessness;
 use crate::explain::Explanation;
 use crate::{ProvenanceError, Result};
-use cda_sql::{execute, Catalog};
+use cda_sql::{execute, Catalog, ExecOptions};
 
 /// The outcome of one mitigation pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +49,8 @@ pub fn recalibrate(
     let cited: std::collections::BTreeSet<_> = original.cited_rows.iter().copied().collect();
     let spurious_citations = cited.difference(&true_rows).count();
     let missing_citations = true_rows.difference(&cited).count();
-    let lossless = check_losslessness(catalog, sql, &replay.table, row)?;
+    let lossless =
+        check_plan_losslessness(catalog, &replay.plan, ExecOptions::default(), &replay.table, row)?;
     let original_sound =
         spurious_citations == 0 && missing_citations == 0 && original.code == sql;
     let explanation = Explanation::new(format!(

@@ -9,30 +9,48 @@
 //! this signal needs no access to model internals and — because hallucinated
 //! variants rarely agree with each other — tracks true correctness far
 //! better (experiment E5 quantifies the gap).
-
-//! When the dialogue layer enables analyzer-guided repair
-//! ([`ConsistencyUq::with_repair`]), statically-doomed samples are first
-//! run through the hint-apply-regate loop of `cda_analyzer::repair`; a
-//! salvaged sample clusters under its **post-repair** SQL, so the UQ signal
-//! sees the candidates the decoder would actually return, and the report
-//! records how many samples repair rescued.
 //!
-//! The [`ConsistencyUq`] builder additionally supports **equivalence-aware**
-//! clustering ([`with_equivalence`](ConsistencyUq::with_equivalence)):
-//! post-repair candidate plans are fingerprinted by `cda_analyzer::equiv`,
-//! and samples whose canonical plans certify equivalent share one execution
-//! — agreement is decided over *meaning*, so syntactic variants of the same
-//! query merge into one cluster without paying k executions. Because equal
-//! fingerprints guarantee identical results on the deterministic executor,
-//! the clusters (and therefore the confidence) are provably unchanged; the
-//! report's `executions_saved` counts the wall-clock win (E16 measures it).
+//! One round ([`ConsistencyUq::run_with`]) does each piece of work once per
+//! candidate and hands all of it to the caller:
+//!
+//! * **Gate and repair.** Every sample goes through the analyzer's gate,
+//!   which also compiles it. With [`ConsistencyUq::with_repair`],
+//!   statically-doomed samples are first run through the hint-apply-regate
+//!   loop of `cda_analyzer::repair`; a salvaged sample clusters under its
+//!   **post-repair** SQL, so the UQ signal sees the candidates the decoder
+//!   would actually return, and the report records how many samples repair
+//!   rescued.
+//! * **Fingerprint.** With
+//!   [`with_equivalence`](ConsistencyUq::with_equivalence), post-repair
+//!   candidate plans are fingerprinted by `cda_analyzer::equiv`, and samples
+//!   whose canonical plans certify equivalent share one outcome — agreement
+//!   is decided over *meaning*, so syntactic variants of the same query
+//!   merge into one cluster without paying k executions
+//!   (`executions_saved`, E16).
+//! * **Known results.** Before executing a fingerprint group the round asks
+//!   the caller's lookup whether a result for that fingerprint is already
+//!   known (the dialogue layer answers from the session's semantic cache); a
+//!   known group costs no execution (`known_results`). Equal fingerprints
+//!   guarantee identical results on the deterministic executor, so clusters
+//!   and confidence are provably the same whichever way a result was
+//!   obtained.
+//! * **Execute — if still unknown** — under the abstract-interpretation
+//!   sanitizer when [`with_sanitizer`](ConsistencyUq::with_sanitizer) is set.
+//! * **Winner.** The majority cluster's representative comes back as one
+//!   [`Winner`] record: post-repair SQL, the gate's report and compiled
+//!   statement, the fingerprint, and the result itself (executed or known).
+//!   The caller answers from that record — it does not gate, fingerprint or
+//!   execute the chosen SQL again.
 
 use crate::verify::result_signature;
 use crate::{Result, SoundnessError};
 use cda_analyzer::equiv::EquivEngine;
-use cda_analyzer::{apply_hints, Analyzer, Report};
+use cda_analyzer::{apply_hints, Analyzer, Report, Statistics};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm};
-use cda_sql::{Catalog, Compiled};
+use cda_sql::plan::Plan;
+use cda_sql::{Compiled, QueryResult};
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The outcome of one consistency-UQ round.
@@ -71,6 +89,60 @@ pub struct ConsistencyReport {
     /// Executions skipped because a sample's canonical plan certified
     /// equivalent to an already-executed one (0 with equivalence disabled).
     pub executions_saved: usize,
+    /// Of the `equiv_groups`, how many were served from the caller's
+    /// known-result lookup instead of an execution — the engine ran
+    /// `equiv_groups - known_results` times this round (0 with equivalence
+    /// disabled or an empty lookup).
+    pub known_results: usize,
+}
+
+/// Where a candidate's result came from.
+#[derive(Debug, Clone)]
+pub enum Execution<K> {
+    /// The candidate's plan was executed this round.
+    Ran(QueryResult),
+    /// The caller's lookup already held the result under the candidate's
+    /// fingerprint; nothing was executed.
+    Known(K),
+}
+
+impl<K: Borrow<QueryResult>> Execution<K> {
+    /// The candidate's result, however it was obtained.
+    pub fn result(&self) -> &QueryResult {
+        match self {
+            Self::Ran(result) => result,
+            Self::Known(known) => known.borrow(),
+        }
+    }
+}
+
+/// The representative of the majority cluster, with everything the round
+/// already worked out about it.
+#[derive(Debug, Clone)]
+pub struct Winner<K> {
+    /// The SQL it clusters under — post-repair, so it may differ from what
+    /// the model sampled.
+    pub sql: String,
+    /// The gate's report on `sql` (never dooming: a doomed candidate does
+    /// not reach execution).
+    pub report: Report,
+    /// `sql` as the gate compiled it.
+    pub compiled: Compiled,
+    /// Canonical-plan fingerprint of `compiled` (`None` with
+    /// equivalence-aware clustering disabled).
+    pub fingerprint: Option<u64>,
+    /// Its result: executed this round, or known to the caller's lookup.
+    pub execution: Execution<K>,
+}
+
+/// What [`ConsistencyUq::run_with`] returns: the report and, when some
+/// sample executed, the winner it describes.
+#[derive(Debug, Clone)]
+pub struct UqRound<K> {
+    /// Confidence and the round's counters.
+    pub report: ConsistencyReport,
+    /// The candidate `report.chosen_sql` names.
+    pub winner: Option<Winner<K>>,
 }
 
 /// Run consistency-based UQ: sample `k` candidates at `temperature`, cluster
@@ -80,7 +152,7 @@ pub struct ConsistencyReport {
 pub fn consistency_confidence(
     lm: &SimLm,
     prompt: &Nl2SqlPrompt,
-    catalog: &Catalog,
+    catalog: &cda_sql::Catalog,
     k: usize,
     temperature: f64,
 ) -> Result<ConsistencyReport> {
@@ -114,11 +186,21 @@ pub struct ConsistencyUq<'a> {
     repair_rounds: usize,
     equivalence: bool,
     exec_options: cda_sql::ExecOptions,
+    sanitizer: Option<&'a Statistics>,
+}
+
+/// Candidates whose results agree, in sample order.
+struct Cluster<K> {
+    signature: String,
+    members: Vec<usize>,
+    /// The member that opened the cluster — its representative.
+    first: Winner<K>,
 }
 
 impl<'a> ConsistencyUq<'a> {
     /// UQ over this model, gated by this analyzer; defaults: 8 samples,
-    /// temperature 1.0, repair off, equivalence-aware clustering off.
+    /// temperature 1.0, repair off, equivalence-aware clustering off,
+    /// row engine, no sanitizer.
     pub fn new(lm: &'a SimLm, analyzer: &'a Analyzer<'a>) -> Self {
         Self {
             lm,
@@ -128,6 +210,7 @@ impl<'a> ConsistencyUq<'a> {
             repair_rounds: 0,
             equivalence: false,
             exec_options: cda_sql::ExecOptions::default(),
+            sanitizer: None,
         }
     }
 
@@ -158,52 +241,79 @@ impl<'a> ConsistencyUq<'a> {
         self
     }
 
+    /// Run every execution under the abstract-interpretation sanitizer
+    /// (`cda_sql::execute_plan_checked` with the plan's static
+    /// `cda_analyzer::domain_tree` over `stats`): the winner's execution is
+    /// the answer, so the cross-check has to cover it here. A violation (an
+    /// analyzer soundness bug, by construction) fails that candidate like any
+    /// other execution error.
+    pub fn with_sanitizer(mut self, stats: Option<&'a Statistics>) -> Self {
+        self.sanitizer = stats;
+        self
+    }
+
     /// Enable equivalence-aware clustering: fingerprint each post-repair
-    /// candidate plan and execute only one representative per certified-
-    /// equivalent group, sharing its execution signature. Equal fingerprints
-    /// guarantee identical execution on the deterministic engine, so the
-    /// resulting clusters — and the confidence — are provably identical to
-    /// the exhaustive path; only `executions_saved` changes.
+    /// candidate plan and obtain one result per certified-equivalent group,
+    /// shared by its members. Equal fingerprints guarantee identical
+    /// execution on the deterministic engine, so the resulting clusters —
+    /// and the confidence — are provably identical to the exhaustive path;
+    /// only `executions_saved` changes. Fingerprints are also what the
+    /// known-result lookup of [`run_with`](Self::run_with) is keyed by.
     pub fn with_equivalence(mut self, on: bool) -> Self {
         self.equivalence = on;
         self
     }
 
-    /// Run the UQ round.
+    /// Run the UQ round with nothing known beforehand: the report of
+    /// [`run_with`](Self::run_with) over an empty lookup.
     pub fn run(&self, prompt: &Nl2SqlPrompt) -> Result<ConsistencyReport> {
+        self.run_with(prompt, |_| None::<QueryResult>).map(|round| round.report)
+    }
+
+    /// Run the UQ round. `known` maps a canonical-plan fingerprint to a
+    /// result the caller already holds for it (consulted once per
+    /// fingerprint group, and only with equivalence-aware clustering on):
+    /// such a group is not executed, and if it wins, the [`Winner`] hands
+    /// the caller's own record back.
+    pub fn run_with<K: Borrow<QueryResult>>(
+        &self,
+        prompt: &Nl2SqlPrompt,
+        known: impl Fn(u64) -> Option<K>,
+    ) -> Result<UqRound<K>> {
         let k = self.samples;
         if k == 0 {
             return Err(SoundnessError::NoSamples);
         }
         let analyzer = self.analyzer;
-        let catalog = analyzer.catalog();
         let engine = EquivEngine::new();
         let gens = self.lm.sample_k(prompt, self.temperature, k);
         let naive_confidence =
             gens.iter().map(cda_nlmodel::lm::Generation::naive_confidence).sum::<f64>() / k as f64;
-        let mut clusters: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut clusters: Vec<Cluster<K>> = Vec::new();
+        let mut cluster_of_signature: HashMap<String, usize> = HashMap::new();
+        // Fingerprint group → the cluster its result fell into (`None`: the
+        // group's execution failed, and so does every later member).
+        let mut cluster_of_fingerprint: HashMap<u64, Option<usize>> = HashMap::new();
         let mut failed = 0usize;
         let mut static_rejects = 0usize;
         let mut repaired = 0usize;
-        // Equivalence bookkeeping: fingerprint → shared execution signature.
-        let mut sig_by_fp: HashMap<u64, Option<String>> = HashMap::new();
         let mut executions_saved = 0usize;
-        // Per sample: the SQL it clusters under and the hints that produced it.
-        let mut effective: Vec<String> = Vec::with_capacity(k);
+        let mut known_results = 0usize;
         let mut sample_hints: Vec<Vec<String>> = vec![Vec::new(); k];
         for (i, g) in gens.iter().enumerate() {
-            effective.push(g.sql.clone());
             // Pre-execution gate, which also compiles the candidate — once,
-            // for the gate, the fingerprint and the execution alike.
+            // for the gate, the fingerprint, the execution and the caller.
             // Statically-doomed candidates cannot produce an execution
             // signature. Try to repair them first; still-doomed ones count
             // failed without executing, exactly as with repair disabled.
-            let (report, mut compiled) = analyzer.gate(&g.sql);
+            let mut sql = g.sql.clone();
+            let (mut report, mut compiled) = analyzer.gate(&sql);
             if report.dooms_execution() {
-                match repair_sample(analyzer, &g.sql, report, self.repair_rounds) {
-                    Some((sql, hints, fixed)) => {
-                        effective[i] = sql;
+                match repair_sample(analyzer, &sql, report, self.repair_rounds) {
+                    Some((fixed_sql, hints, fixed_report, fixed)) => {
+                        sql = fixed_sql;
                         sample_hints[i] = hints;
+                        report = fixed_report;
                         compiled = Some(fixed);
                     }
                     None => {
@@ -214,33 +324,52 @@ impl<'a> ConsistencyUq<'a> {
                 }
             }
             // Only a query has a result to sign (the LM emits nothing else).
-            let sig = compiled.as_ref().and_then(Compiled::query).and_then(|(logical, optimized)| {
-                let execute = || {
-                    cda_sql::execute_plan(catalog, optimized, self.exec_options)
-                        .ok()
-                        .map(|r| result_signature(&r.table))
-                };
-                if !self.equivalence {
-                    return execute();
+            let Some(compiled) = compiled else {
+                failed += 1;
+                continue;
+            };
+            let Some((logical, optimized)) = compiled.query() else {
+                failed += 1;
+                continue;
+            };
+            let fingerprint = self.equivalence.then(|| engine.fingerprint(logical).as_u64());
+            let cluster = match fingerprint.and_then(|fp| cluster_of_fingerprint.get(&fp)) {
+                Some(&shared) => {
+                    // A prior sample's canonical plan was identical: its
+                    // outcome is this sample's outcome.
+                    executions_saved += 1;
+                    shared
                 }
-                let fp = engine.fingerprint(logical).as_u64();
-                match sig_by_fp.get(&fp) {
-                    Some(shared) => {
-                        // A prior sample's canonical plan was identical:
-                        // its outcome is this sample's outcome.
-                        executions_saved += 1;
-                        shared.clone()
+                None => {
+                    let execution = match fingerprint.and_then(&known) {
+                        Some(known) => {
+                            known_results += 1;
+                            Some(Execution::Known(known))
+                        }
+                        None => self.execute(optimized).map(Execution::Ran),
+                    };
+                    let cluster = execution.map(|execution| {
+                        match cluster_of_signature.entry(result_signature(&execution.result().table)) {
+                            Entry::Occupied(agreeing) => *agreeing.get(),
+                            Entry::Vacant(new) => {
+                                clusters.push(Cluster {
+                                    signature: new.key().clone(),
+                                    members: Vec::new(),
+                                    first: Winner { sql, report, compiled, fingerprint, execution },
+                                });
+                                *new.insert(clusters.len() - 1)
+                            }
+                        }
+                    });
+                    if let Some(fp) = fingerprint {
+                        cluster_of_fingerprint.insert(fp, cluster);
                     }
-                    None => {
-                        let sig = execute();
-                        sig_by_fp.insert(fp, sig.clone());
-                        sig
-                    }
+                    cluster
                 }
-            });
-            match sig {
-                Some(sig) => {
-                    clusters.entry(sig).or_default().push(i);
+            };
+            match cluster {
+                Some(cluster) => {
+                    clusters[cluster].members.push(i);
                     if !sample_hints[i].is_empty() {
                         repaired += 1;
                     }
@@ -248,62 +377,65 @@ impl<'a> ConsistencyUq<'a> {
                 None => failed += 1,
             }
         }
-        let equiv_groups = sig_by_fp.len();
-        if clusters.is_empty() {
-            return Ok(ConsistencyReport {
-                chosen_sql: None,
-                confidence: 0.0,
-                samples: k,
-                clusters: 0,
-                failed,
-                static_rejects,
-                naive_confidence,
-                repaired,
-                repair_hints: Vec::new(),
-                equiv_groups,
-                executions_saved,
-            });
-        }
+        let distinct_clusters = clusters.len();
         // Majority cluster; ties broken deterministically by signature order.
-        let mut entries: Vec<(&String, &Vec<usize>)> = clusters.iter().collect();
-        entries.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(b.0)));
-        let (_, members) = entries[0];
-        let representative = effective[members[0]].clone();
+        let majority = clusters.into_iter().min_by(|a, b| {
+            b.members.len().cmp(&a.members.len()).then_with(|| a.signature.cmp(&b.signature))
+        });
         // The winning cluster's mass may rest partly on repaired members: the
         // hints of its first repaired member (if any) annotate the answer,
         // even when the representative itself was sampled clean — the vote
         // was.
-        let repair_hints = members
+        let repair_hints = majority
             .iter()
+            .flat_map(|c| &c.members)
             .find(|&&i| !sample_hints[i].is_empty())
             .map(|&i| sample_hints[i].clone())
             .unwrap_or_default();
-        Ok(ConsistencyReport {
-            chosen_sql: Some(representative),
-            confidence: members.len() as f64 / k as f64,
+        let report = ConsistencyReport {
+            chosen_sql: majority.as_ref().map(|c| c.first.sql.clone()),
+            confidence: majority.as_ref().map_or(0.0, |c| c.members.len() as f64 / k as f64),
             samples: k,
-            clusters: clusters.len(),
+            clusters: distinct_clusters,
             failed,
             static_rejects,
             naive_confidence,
             repaired,
             repair_hints,
-            equiv_groups,
+            equiv_groups: cluster_of_fingerprint.len(),
             executions_saved,
-        })
+            known_results,
+        };
+        Ok(UqRound { report, winner: majority.map(|c| c.first) })
+    }
+
+    /// Execute one candidate plan; an execution error is the candidate's
+    /// failure, not the round's.
+    fn execute(&self, optimized: &Plan) -> Option<QueryResult> {
+        // The monitor must describe the exact plan that executes, so it is
+        // built from the optimized plan.
+        let monitor =
+            self.sanitizer.map(|stats| cda_analyzer::domain_tree(optimized, Some(stats)));
+        cda_sql::execute_plan_checked(
+            self.analyzer.catalog(),
+            optimized,
+            self.exec_options,
+            monitor.as_ref(),
+        )
+        .ok()
     }
 }
 
 /// Hint-apply-regate loop for one doomed sample, starting from its gate
-/// `report`. Returns the repaired SQL, the rendered hints and the compiled
-/// statement when some round clears the gate (not doomed and within
-/// budget), `None` otherwise.
+/// `report`. Returns the repaired SQL, the rendered hints, and the gate's
+/// report and compiled statement for it when some round clears the gate (not
+/// doomed and within budget), `None` otherwise.
 fn repair_sample(
     analyzer: &Analyzer<'_>,
     sql: &str,
     mut report: Report,
     rounds: usize,
-) -> Option<(String, Vec<String>, Compiled)> {
+) -> Option<(String, Vec<String>, Report, Compiled)> {
     let mut sql = sql.to_owned();
     let mut rendered: Vec<String> = Vec::new();
     for _ in 0..rounds {
@@ -316,7 +448,7 @@ fn repair_sample(
         let (next, compiled) = analyzer.gate(&sql);
         match compiled {
             Some(compiled) if !next.dooms_execution() && !next.exceeds_budget() => {
-                return Some((sql, rendered, compiled))
+                return Some((sql, rendered, next, compiled))
             }
             _ => report = next,
         }
@@ -331,6 +463,7 @@ mod tests {
     use cda_dataframe::{Column, DataType, Field, Schema, Table};
     use cda_nlmodel::lm::SimLmConfig;
     use cda_nlmodel::nl2sql::AnalyticTask;
+    use cda_sql::Catalog;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -544,6 +677,92 @@ mod tests {
             assert!(on.equiv_groups >= on.clusters, "seed {seed}: {on:?}");
             // every gated sample either opened a group or reused one
             assert!(on.executions_saved + on.equiv_groups >= on.samples - on.failed, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_winner_record_is_what_the_caller_would_recompute() {
+        // Every sample reads a misspelled table, so the winner is a repaired
+        // candidate: the record must describe the post-repair statement.
+        let mut p = prompt();
+        p.task.table = "employmet".into();
+        let c = catalog();
+        let analyzer = Analyzer::new(&c);
+        let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.3, seed: 3, ..Default::default() });
+        let round = ConsistencyUq::new(&lm, &analyzer)
+            .with_samples(7)
+            .with_repair(2)
+            .with_equivalence(true)
+            .run_with(&p, |_| None::<QueryResult>)
+            .unwrap();
+        let winner = round.winner.expect("repair salvages the samples");
+        assert_eq!(Some(&winner.sql), round.report.chosen_sql.as_ref());
+        let gated = analyzer.gate_with_repair(&winner.sql, 2);
+        assert!(gated.hints.is_empty() && !gated.report.dooms_execution());
+        assert_eq!(winner.report, gated.report);
+        let (logical, optimized) = winner.compiled.query().unwrap();
+        assert_eq!(gated.compiled.unwrap().query().unwrap(), (logical, optimized));
+        assert_eq!(winner.fingerprint, Some(EquivEngine::new().fingerprint(logical).as_u64()));
+        let fresh = cda_sql::execute_plan(&c, optimized, Default::default()).unwrap();
+        assert!(matches!(winner.execution, Execution::Ran(_)));
+        assert_eq!(winner.execution.result().table, fresh.table);
+        assert_eq!(winner.execution.result().plan, fresh.plan);
+    }
+
+    #[test]
+    fn a_known_result_costs_no_execution_and_changes_nothing_else() {
+        let c = catalog();
+        let analyzer = Analyzer::new(&c);
+        for seed in 0..5u64 {
+            let lm =
+                SimLm::new(SimLmConfig { hallucination_rate: 0.5, seed, ..Default::default() });
+            let uq = ConsistencyUq::new(&lm, &analyzer)
+                .with_samples(9)
+                .with_repair(2)
+                .with_equivalence(true);
+            let cold = uq.run_with(&prompt(), |_| None::<QueryResult>).unwrap();
+            assert_eq!(cold.report.known_results, 0);
+            assert_eq!(cold.report, uq.run(&prompt()).unwrap());
+            let Some(winner) = cold.winner else { continue };
+            let (fp, result) = (winner.fingerprint.unwrap(), winner.execution.result().clone());
+            // The caller holds the winner's result: one group fewer executes,
+            // the caller's own record comes back, the verdict is unchanged.
+            let warm = uq.run_with(&prompt(), |f| (f == fp).then_some(&result)).unwrap();
+            assert_eq!(warm.report.known_results, 1, "seed {seed}");
+            assert_eq!(ConsistencyReport { known_results: 0, ..warm.report }, cold.report);
+            let served = warm.winner.unwrap();
+            assert_eq!((served.sql, served.fingerprint), (winner.sql, Some(fp)));
+            assert!(matches!(served.execution, Execution::Known(r) if std::ptr::eq(r, &result)));
+        }
+    }
+
+    #[test]
+    fn the_lookup_is_keyed_by_fingerprint_so_it_needs_equivalence() {
+        let c = catalog();
+        let analyzer = Analyzer::new(&c);
+        let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
+        let round = ConsistencyUq::new(&lm, &analyzer)
+            .with_samples(4)
+            .run_with(&prompt(), |_| -> Option<QueryResult> { panic!("never consulted") })
+            .unwrap();
+        assert_eq!(round.report.known_results, 0);
+        assert_eq!(round.winner.unwrap().fingerprint, None);
+    }
+
+    #[test]
+    fn the_sanitizer_is_verdict_neutral() {
+        let c = catalog();
+        let analyzer = Analyzer::new(&c);
+        let stats = Statistics::from_catalog(&c);
+        for seed in 0..5u64 {
+            let lm =
+                SimLm::new(SimLmConfig { hallucination_rate: 0.5, seed, ..Default::default() });
+            let uq = ConsistencyUq::new(&lm, &analyzer).with_samples(9).with_equivalence(true);
+            assert_eq!(
+                uq.with_sanitizer(Some(&stats)).run(&prompt()).unwrap(),
+                uq.run(&prompt()).unwrap(),
+                "seed {seed}"
+            );
         }
     }
 

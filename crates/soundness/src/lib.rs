@@ -28,7 +28,9 @@ pub mod selective;
 pub mod verify;
 
 pub use calibration::{auroc, brier_score, expected_calibration_error, log_loss, perplexity, ReliabilityBin};
-pub use consistency::{consistency_confidence, ConsistencyReport, ConsistencyUq};
+pub use consistency::{
+    consistency_confidence, ConsistencyReport, ConsistencyUq, Execution, UqRound, Winner,
+};
 pub use selective::{risk_coverage_curve, SelectivePolicy};
 pub use verify::{execution_accuracy, tables_equal_unordered};
 
