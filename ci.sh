@@ -2,8 +2,12 @@
 # Offline CI for the CDA workspace.
 #
 # Everything runs with zero network access and zero crates-io dependencies:
-# the in-tree `cda-testkit` crate provides the PRNG, property-test harness,
-# and bench harness. Run from anywhere; works from a clean checkout.
+# the in-tree `cda-testkit` crate provides the PRNG and property-test harness.
+# Run from anywhere; works from a clean checkout.
+#
+# Every pass/fail decision below is deterministic: no step exits non-zero
+# because of a wall-clock reading. Speed is measured by the `perf/`
+# benchmark (see perf/README.md), not gated here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -49,22 +53,22 @@ echo "== perf/: the benchmark builds against the product's public API and smoke-
 cargo build --release --offline --manifest-path perf/Cargo.toml
 cargo test --offline --manifest-path perf/Cargo.toml
 
-echo "== E14: cardinality estimation (bound coverage, q-error, gate overhead)"
+echo "== E14: cardinality estimation (coverage 1.0, median q-error <= 16, 0 A013 false rejects)"
 cargo run --release -q -p cda-bench --bin exp_cardinality
 
-echo "== E15: analyzer-guided repair (salvage rate, attempts saved, overhead)"
+echo "== E15: analyzer-guided repair (salvaged > 0, attempts saved > 0, 0 soundness regressions)"
 cargo run --release -q -p cda-bench --bin exp_repair
 
 echo "== E16: plan equivalence (certified rewrites, semantic cache, UQ clustering)"
 CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_equiv
 
-echo "== E17: vectorized morsel-parallel engine (>=3x speedup, 0 mismatches)"
+echo "== E17: vectorized morsel-parallel engine (0 mismatches vs the row engine)"
 CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_vectorized
 
-echo "== E18: abstract interpretation (catch-rate delta, 0 false rejects, sanitizer <5%)"
+echo "== E18: abstract interpretation (catch-rate delta, 0 false rejects, bounds only narrow, checked executions succeed)"
 CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_absint
 
-echo "== E19: multiplexed server (0 transcript mismatches vs serial, hw-conditional speedup)"
+echo "== E19: multiplexed server (0 transcript mismatches vs serial at 1 and N workers, admission)"
 CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_server
 
 echo "== E20: durable storage (restart hit rate > 0, 0 stale hits, 0 torn recoveries)"
@@ -72,12 +76,5 @@ CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_durability
 
 echo "== E21: mutation gate (catch rate 1.0, 0 stale serves, retention 1.0, 0 sanitizer hits)"
 CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_dml
-
-echo "== bench harness smoke (2 samples per bench, JSON artifacts)"
-CDA_BENCH_FAST=1 cargo bench -p cda-bench --bench sql
-test -f target/cda-bench/BENCH_sql_8k_rows.json || {
-  echo "FAIL: bench artifact missing" >&2
-  exit 1
-}
 
 echo "CI OK"

@@ -6,7 +6,7 @@
 //! * **R001** — `unsafe` is forbidden everywhere.
 //! * **R002** — no `.unwrap()`, `.expect("…")`, `panic!`, `unreachable!`,
 //!   `todo!`, `unimplemented!` on non-test paths. `#[cfg(test)]` modules,
-//!   `tests/`/`benches/` trees, examples, the bench harness crate, and the
+//!   `tests/` trees, examples, the experiment harness crate, and the
 //!   test infrastructure crate (`cda-testkit`, whose property harness panics
 //!   by design) are exempt. Invariant-guarded sites are escaped explicitly
 //!   with `// lint: allow(R002)` on the same or the preceding line.
@@ -33,7 +33,7 @@
 //!   (pages, checksums, crash-safe commit); ad-hoc file I/O bypasses all
 //!   three. The storage crate (`crates/storage/`) owns the file system by
 //!   design, and this linter module walks the source tree by design — both
-//!   are exempt by path; tests/benches/examples write scratch files freely.
+//!   are exempt by path; tests and examples write scratch files freely.
 //!   A deliberate exception needs `// lint: allow(R009)` and a
 //!   justification.
 //! * **R010** — no direct `.replace_table(` calls on product paths outside
@@ -42,7 +42,7 @@
 //!   derivation → write-guarded execution → precise cache invalidation.
 //!   A bare `Catalog::replace_table` call skips all four. The gate modules
 //!   (`crates/core/src/mutation.rs`, `crates/core/src/catalog.rs`) commit
-//!   replacements by design and are exempt by path; tests/benches/examples
+//!   replacements by design and are exempt by path; tests and examples
 //!   mutate scratch catalogs freely. A deliberate exception needs
 //!   `// lint: allow(R010)` and a justification. The pattern is
 //!   dot-prefixed, so the method's own definition never matches.
@@ -86,7 +86,7 @@ pub enum FileKind {
     Product,
     /// Crate root (`lib.rs`): all rules + R004.
     CrateRoot,
-    /// Tests, benches, examples, the bench and testkit crates: R002 exempt.
+    /// Tests, examples, the bench and testkit crates: R002 exempt.
     TestOrBench,
 }
 
@@ -94,7 +94,6 @@ pub enum FileKind {
 pub fn classify(path: &str) -> FileKind {
     let p = path.replace('\\', "/");
     if p.contains("/tests/")
-        || p.contains("/benches/")
         || p.contains("/examples/")
         || p.contains("crates/bench/")
         || p.contains("crates/testkit/")
@@ -380,7 +379,7 @@ pub fn lint_source(file: &str, source: &str, kind: FileKind) -> Vec<Violation> {
     }
 
     // R001 / R002 / R006 line scan with #[cfg(test)]-module skipping.
-    // Entry points under `src/bin/` print by design (benches, repolint, demos).
+    // Entry points under `src/bin/` print by design (experiments, repolint, demos).
     let is_bin_entry = file.replace('\\', "/").contains("/src/bin/");
     let mut depth: i64 = 0;
     let mut test_mod_depth: Option<i64> = None;
@@ -746,7 +745,7 @@ mod tests {
         assert!(codes("crates/storage/src/disk.rs", &src, FileKind::Product).is_empty());
         // the linter itself walks the tree by design
         assert!(codes("crates/analyzer/src/repolint.rs", &src, FileKind::Product).is_empty());
-        // tests, benches, and examples write scratch files freely
+        // tests and examples write scratch files freely
         assert!(codes("crates/integration/tests/storage.rs", &src, FileKind::TestOrBench).is_empty());
         // explicit escape with justification
         let escaped = format!(
@@ -774,7 +773,7 @@ mod tests {
         // the mutation gate and the world-catalog layer commit by design
         assert!(codes("crates/core/src/mutation.rs", &src, FileKind::Product).is_empty());
         assert!(codes("crates/core/src/catalog.rs", &src, FileKind::Product).is_empty());
-        // tests, benches, and examples mutate scratch catalogs freely
+        // tests and examples mutate scratch catalogs freely
         assert!(codes("crates/sql/tests/dml.rs", &src, FileKind::TestOrBench).is_empty());
         // explicit escape with justification
         let escaped = format!(

@@ -13,7 +13,11 @@
 //! - `regress`: accepted repaired candidates that fail execution or the
 //!   gate — must be 0 (repair never launders an unsound query);
 //! - `t-ratio`: gate + repair wall-clock over execution wall-clock per
-//!   candidate, the overhead of closing the loop.
+//!   candidate, the overhead of closing the loop — printed as information,
+//!   not gated.
+//!
+//! Exits non-zero unless some decode was salvaged, repair saved attempts
+//! overall, and there are no soundness regressions.
 
 use cda_analyzer::{apply_hints, Analyzer};
 use cda_bench::{f, header, row, timed, us};
@@ -80,7 +84,6 @@ fn main() {
     let mut total_regressions = 0usize;
     let mut total_attempts_skip = 0usize;
     let mut total_attempts_repair = 0usize;
-    let mut worst_ratio = 0.0f64;
     for pct in [20u32, 40, 60, 80] {
         let h = f64::from(pct) / 100.0;
         let lm = SimLm::new(SimLmConfig { hallucination_rate: h, overconfidence: 0.9, seed: 29 });
@@ -140,8 +143,6 @@ fn main() {
         }
         let n = workload.tasks.len();
         let mean_rounds = if salvaged == 0 { 0.0 } else { rounds as f64 / salvaged as f64 };
-        let ratio = t_gate.as_secs_f64() / t_exec.as_secs_f64();
-        worst_ratio = worst_ratio.max(ratio);
         total_salvaged += salvaged;
         total_regressions += regressions;
         total_attempts_skip += attempts_skip;
@@ -156,21 +157,19 @@ fn main() {
             regressions.to_string(),
             us(t_gate),
             us(t_exec),
-            f(ratio),
+            f(t_gate.as_secs_f64() / t_exec.as_secs_f64()),
         ]);
     }
 
     let saved = total_attempts_skip as i64 - total_attempts_repair as i64;
     println!(
-        "\nacceptance: salvaged {} decodes (>0: {}), attempts saved {} (>0: {}), \
-         soundness regressions {} (==0: {}), worst t-ratio {} (<0.10: {})",
-        total_salvaged,
+        "\nacceptance: salvaged {total_salvaged} decodes (>0: {}), attempts saved {saved} \
+         (>0: {}), soundness regressions {total_regressions} (==0: {})",
         total_salvaged > 0,
-        saved,
         saved > 0,
-        total_regressions,
         total_regressions == 0,
-        f(worst_ratio),
-        worst_ratio < 0.10,
     );
+    if !(total_salvaged > 0 && saved > 0 && total_regressions == 0) {
+        std::process::exit(1);
+    }
 }

@@ -1,7 +1,8 @@
-//! Shared harness utilities for the experiment binaries (`src/bin/exp_*`)
-//! and Criterion benches. Each binary regenerates one experiment from the
-//! index in DESIGN.md §4 and prints a fixed-width table whose rows are
-//! recorded in EXPERIMENTS.md.
+//! Shared harness utilities for the experiment binaries (`src/bin/exp_*`).
+//! Each binary regenerates one experiment from the index in DESIGN.md §4
+//! and prints a fixed-width table whose rows are recorded in
+//! EXPERIMENTS.md. Times they print are information only: an experiment's
+//! exit status never depends on a clock (the `perf/` benchmark owns speed).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

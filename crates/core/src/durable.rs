@@ -511,7 +511,8 @@ pub(crate) fn purge_stale_cache(backend: &dyn StorageBackend, epoch: u64) -> Res
 ///
 /// Storage failures fail *open* (a write error skips persistence, a read
 /// error is a miss) so a sick disk degrades to the in-memory behaviour
-/// instead of taking conversations down; `write_errors` counts them.
+/// instead of taking conversations down; [`CacheStats::write_errors`]
+/// counts the failed writes.
 #[derive(Debug, Clone)]
 pub struct DurableCache {
     world: Arc<WorldSnapshot>,
@@ -529,11 +530,6 @@ impl DurableCache {
     /// a fresh backend that has never held another world's records).
     pub fn new(world: Arc<WorldSnapshot>, backend: Arc<dyn StorageBackend>) -> Self {
         Self { world, backend, hits: 0, misses: 0, write_errors: 0 }
-    }
-
-    /// Storage write failures swallowed so far (fail-open persistence).
-    pub fn write_errors(&self) -> usize {
-        self.write_errors
     }
 
     /// Re-point the cache at a successor world (same backend). Storage-side
@@ -588,10 +584,10 @@ impl CacheStore for DurableCache {
 
     fn clear(&mut self) {
         // Durable entries are world-scoped, not conversation-scoped: a
-        // conversation reset forgets the counters, not the executed work.
+        // conversation reset forgets the hit/miss counters, not the executed
+        // work — and not the write failures, which describe the storage.
         self.hits = 0;
         self.misses = 0;
-        self.write_errors = 0;
     }
 
     fn len(&self) -> usize {
@@ -605,6 +601,7 @@ impl CacheStore for DurableCache {
             misses: self.misses,
             entries: self.entries(),
             hit_rate: if total == 0 { 0.0 } else { self.hits as f64 / total as f64 },
+            write_errors: self.write_errors,
         }
     }
 }

@@ -98,8 +98,8 @@ pub trait CacheStore {
     /// records were already reconciled storage-side when the successor
     /// world was opened.
     fn invalidate(&mut self, effects: &cda_analyzer::EffectSet) -> usize;
-    /// Forget conversation-scoped state (counters always; entries when the
-    /// backend is conversation-scoped, i.e. in-memory).
+    /// Forget conversation-scoped state (hit/miss counters always; entries
+    /// when the backend is conversation-scoped, i.e. in-memory).
     fn clear(&mut self);
     /// Number of stored answers visible to this store.
     fn len(&self) -> usize;
@@ -150,6 +150,7 @@ impl SemanticCache {
             misses: self.misses,
             entries: self.entries.len(),
             hit_rate: if total == 0 { 0.0 } else { self.hits as f64 / total as f64 },
+            write_errors: 0,
         }
     }
 }
@@ -267,6 +268,10 @@ pub struct CacheStats {
     pub entries: usize,
     /// Hit rate over all cache-eligible turns so far (0.0 when none).
     pub hit_rate: f64,
+    /// Answers a durable cache failed to persist (its writes fail open, so
+    /// the turn still answers). Always 0 in memory; a conversation reset
+    /// does not zero it.
+    pub write_errors: usize,
 }
 
 /// A point-in-time snapshot of one session — the uniform stats surface for
@@ -532,7 +537,7 @@ impl Session {
         // In-memory cached answers are conversation-scoped (the turn numbers
         // and transcript references would dangle), so the mem backend drops
         // its entries; the durable backend keeps its world-scoped entries
-        // and resets only the counters.
+        // and resets only the hit/miss counters.
         self.semantic_cache.clear();
         self.executions = 0;
     }

@@ -12,7 +12,7 @@
 
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary};
 use cda_core::session::{CachedAnswer, SemanticCache};
-use cda_core::storage::{FileBackend, MemBackend, StorageBackend, StoreId};
+use cda_core::storage::{FaultPlan, FileBackend, MemBackend, StorageBackend, StoreId};
 use cda_core::{CacheStore, CdaConfig, DurableCache, Session, WorldSnapshot};
 use cda_nlmodel::lm::SimLmConfig;
 use std::path::{Path, PathBuf};
@@ -168,6 +168,7 @@ fn exercise_cache_store<C: CacheStore>(cache: &mut C, answer: &CachedAnswer) {
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
     assert!((stats.hit_rate - 0.5).abs() < 1e-12);
+    assert_eq!(stats.write_errors, 0, "{stats:?}");
 }
 
 #[test]
@@ -209,6 +210,37 @@ fn cache_store_contract_holds_for_memory_and_durable_backends() {
     let backend = Arc::clone(world.storage().unwrap());
     let mut durable = DurableCache::new(world, backend);
     exercise_cache_store(&mut durable, &answer);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_failing_disk_still_answers_and_counts_its_write_errors() {
+    // Durable cache writes fail open: a sick disk degrades the session to
+    // in-memory behaviour, and the failed write shows in its stats.
+    let path = tmp("write-fault");
+    let _ = std::fs::remove_file(&path);
+    let file = Arc::new(FileBackend::open(&path).unwrap());
+    let world = WorldSnapshot::builder()
+        .catalog(demo_catalog(1))
+        .kg(demo_kg())
+        .vocab(demo_vocabulary())
+        .linker(demo_linker())
+        .lm(SimLmConfig { hallucination_rate: 0.15, overconfidence: 0.8, seed: 1 })
+        .with_storage(Arc::clone(&file) as Arc<dyn StorageBackend>)
+        .open_shared()
+        .unwrap();
+    let mut s = Session::open_durable(world, CdaConfig::default()).unwrap();
+    file.set_fault_plan(Some(FaultPlan { fail_after_writes: 0, torn_bytes: 0 }));
+
+    let answer = s.process(QUERIES[0]);
+    assert!(answer.executed_sql.is_some(), "{}", answer.text);
+    let stats = s.stats().cache;
+    assert_eq!((stats.misses, stats.write_errors), (1, 1), "{stats:?}");
+
+    // A conversation reset forgets hits and misses, not the disk's failures.
+    s.reset_conversation();
+    let stats = s.stats().cache;
+    assert_eq!((stats.misses, stats.write_errors), (0, 1), "{stats:?}");
     let _ = std::fs::remove_file(&path);
 }
 

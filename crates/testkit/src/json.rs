@@ -1,6 +1,6 @@
 //! A deliberately tiny JSON value type with a writer and parser — just
-//! enough for the bench harness to emit `BENCH_*.json` artifacts and for
-//! tests to round-trip them, with zero external dependencies.
+//! enough for the `perf/` benchmark to emit its result and trace documents
+//! and read them back, with zero external dependencies.
 
 use std::collections::BTreeMap;
 use std::fmt;

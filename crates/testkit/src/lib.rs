@@ -1,25 +1,24 @@
 //! # cda-testkit — zero-dependency deterministic testkit
 //!
 //! Makes the CDA workspace fully self-contained and regenerable offline,
-//! per the paper's Soundness property (P4): every random draw, generated
-//! property case, and benchmark sample in the repo flows through this crate
-//! under explicit fixed seeds, so experiments replay byte-identically with
-//! **zero crates-io dependencies**.
+//! per the paper's Soundness property (P4): every random draw and generated
+//! property case in the repo flows through this crate under explicit fixed
+//! seeds, so experiments replay byte-identically with **zero crates-io
+//! dependencies**.
 //!
-//! Three sub-systems, each replacing an external crate:
+//! Two sub-systems, each replacing an external crate:
 //!
 //! | module | replaces | surface |
 //! |--------|----------|---------|
 //! | [`rng`] | `rand` | [`rng::StdRng`] (xoshiro256++ / SplitMix64): `seed_from_u64`, `gen_range`, `gen_bool`, `gen`, `shuffle`, Gaussian |
 //! | [`prop`] | `proptest` | choice-stream generators with automatic shrinking, [`proptest!`], `prop_assert*`, fixed-seed replay |
-//! | [`mod@bench`] | `criterion` | warmup + N samples, median/p99, `BENCH_*.json` artifacts, [`criterion_group!`]/[`criterion_main!`] |
 //!
-//! Plus [`json`], the tiny writer/parser backing the bench artifacts.
+//! Plus [`json`], the tiny writer/parser the `perf/` benchmark reports
+//! through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;
