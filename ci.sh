@@ -8,6 +8,11 @@
 # Every pass/fail decision below is deterministic: no step exits non-zero
 # because of a wall-clock reading. Speed is measured by the `perf/`
 # benchmark (see perf/README.md), not gated here.
+#
+# The repo conventions of DESIGN.md §6 are compiler lints: rustc's
+# `unsafe_code` / `missing_docs` from `[workspace.lints]`, clippy's
+# no-panic / no-stdio lints from each product crate's root, and the
+# `std::fs` / `Catalog::replace_table` bans in `clippy.toml`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,7 +32,8 @@ echo "== tier-1: full test suite (unit + doc + integration), one run"
 # self-tests, the static analyzer suite (sqlcheck codes, gate consistency,
 # absint soundness laws), optimizer certification (a refuted rewrite fails
 # here and prints its counterexample tables), the vectorized differential
-# certification, the server runtime suite and the storage fault sweep.
+# certification, the server runtime suite and the storage fault sweep. It also
+# compiles the examples (`[[example]]` targets of cda-core).
 cargo test -q --workspace
 
 echo "== tier-1, release: transcript pins and the execution-count law with the sanitizers off"
@@ -35,17 +41,15 @@ echo "== tier-1, release: transcript pins and the execution-count law with the s
 # the benchmark runs release, where they are off. Same pins, same law, on that path.
 cargo test --release -q -p cda-integration --test once
 
-echo "== examples"
-cargo build --examples
-
-echo "== lint (warnings are errors)"
+echo "== lint: rustc + clippy on every target, warnings are errors (DESIGN.md §6)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== lint coverage: every crate inherits [workspace.lints]"
+missing=$(grep -L '^\[lints\]' crates/*/Cargo.toml || true)
+if [ -n "$missing" ]; then echo "FAIL: no [lints] table in: $missing" >&2; exit 1; fi
 
 echo "== docs (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
-
-echo "== repolint (in-tree source conventions: R001-R004, R006, R007, R009, R010)"
-cargo run --release -q -p cda-analyzer --bin repolint -- .
 
 echo "== perf/: the benchmark builds against the product's public API and smoke-runs all five workloads"
 # perf/ is its own package (not a workspace member): a refactor that breaks

@@ -462,6 +462,7 @@ impl EquivReport {
 
     /// Surface uncertified rewrites as analyzer findings (A014), one per
     /// failing (query, rule) pair, refuted rewrites first.
+    #[expect(clippy::unreachable, reason = "uncertified() filters out equivalent checks")]
     pub fn findings(&self) -> Vec<Finding> {
         self.uncertified()
             .into_iter()
@@ -474,7 +475,7 @@ impl EquivReport {
                     EquivResult::Unknown { reason } => {
                         format!("could not be certified ({reason})")
                     }
-                    EquivResult::Equivalent { .. } => unreachable!(), // lint: allow(R002) uncertified() filters these
+                    EquivResult::Equivalent { .. } => unreachable!(),
                 };
                 Finding::new(
                     Code::UncertifiedRewrite,
@@ -1460,6 +1461,7 @@ fn gen_value(dt: DataType, rng: &mut StdRng, pools: &ValuePools) -> Value {
     }
 }
 
+#[expect(clippy::unwrap_used, reason = "an empty table is always valid")]
 fn gen_table(schema: &Schema, rows: usize, rng: &mut StdRng, pools: &ValuePools) -> Table {
     let mut columns = Vec::with_capacity(schema.len());
     for field in schema.fields() {
@@ -1468,12 +1470,12 @@ fn gen_table(schema: &Schema, rows: usize, rng: &mut StdRng, pools: &ValuePools)
         // from_values only rejects type mismatches; generated values match.
         match Column::from_values(dt, &values) {
             Ok(c) => columns.push(c),
-            Err(_) => columns.push(Column::from_values(dt, &vec![Value::Null; rows]).unwrap_or_else(|_| Column::from_ints(&[]))), // lint: allow(R002) unreachable fallback
+            Err(_) => columns.push(Column::from_values(dt, &vec![Value::Null; rows]).unwrap_or_else(|_| Column::from_ints(&[]))),
         }
     }
     Table::from_columns(schema.clone(), columns).unwrap_or_else(|_| {
         // Unreachable: columns were built from this exact schema.
-        Table::from_columns(Schema::new(vec![]), vec![]).unwrap() // lint: allow(R002) empty table always valid
+        Table::from_columns(Schema::new(vec![]), vec![]).unwrap()
     })
 }
 

@@ -1,7 +1,9 @@
 //! Static analysis for the CDA stack — layer-crossing soundness checks that
 //! run *before* anything executes.
 //!
-//! Two independent passes live here:
+//! The passes, by the layer they analyze:
+//!
+//! **SQL text → compiled statement: the gate.**
 //!
 //! * [`sqlcheck`] — a semantic lint/typecheck over parsed SQL ASTs and bound
 //!   logical plans (`cda_sql::plan::Plan`), and the one place SQL text is
@@ -19,56 +21,57 @@
 //!   static half of that control, wired in as a pre-execution gate for the
 //!   rejection sampler and the dialogue loop (experiment E13 measures the
 //!   catch rate and the wall-clock saved).
-//! * [`repolint`] — a dependency-free source scanner enforcing the repo
-//!   conventions of DESIGN.md §6 (no `unsafe`, no `unwrap()`/`panic!` on
-//!   non-test paths, module docs, crate-root lint headers, no stdio macros,
-//!   file I/O or catalog mutation outside their owning modules), run by
-//!   `ci.sh` via the `repolint` binary.
+//! * [`repair`] closes the diagnosis→generation loop: it translates gate
+//!   findings into structured [`RepairHint`]s (nearest schema name by edit
+//!   distance, expected type, `LIMIT` injection) that the constrained
+//!   decoder in `cda-nlmodel` applies before resampling.
 //!
-//! A third pass, [`repair`], closes the diagnosis→generation loop: it
-//! translates gate findings into structured [`RepairHint`]s (nearest schema
-//! name by edit distance, expected type, `LIMIT` injection) that the
-//! constrained decoder in `cda-nlmodel` applies before resampling.
+//! **Bound plans: facts about what a query returns.**
 //!
-//! A fifth pass, [`absint`], is a fixpoint abstract interpreter over bound
-//! plans: per node and per column it computes a product lattice of 3VL
-//! null-ness, numeric intervals, string length/prefix bounds, finite value
-//! sets (seeded from literals and catalog min/max/NDV statistics), and
-//! row-count bounds. Its facts feed four consumers: sqlcheck codes
-//! A015–A018 (provably-empty result, data-grounded tautology,
-//! provably-NULL output column, provable runtime error), interval
-//! sharpening of [`cardest`] bounds, a domain-disjointness fast path in
-//! [`equiv`], and the **sanitizer** in `cda-sql` that re-checks every
-//! materialized node output against its static domain at runtime
-//! (experiment E18; DESIGN.md §13).
+//! * [`absint`] is a fixpoint abstract interpreter over bound plans: per
+//!   node and per column it computes a product lattice of 3VL null-ness,
+//!   numeric intervals, string length/prefix bounds, finite value sets
+//!   (seeded from literals and catalog min/max/NDV statistics), and
+//!   row-count bounds. Its facts feed four consumers: sqlcheck codes
+//!   A015–A018 (provably-empty result, data-grounded tautology,
+//!   provably-NULL output column, provable runtime error), interval
+//!   sharpening of [`cardest`] bounds, a domain-disjointness fast path in
+//!   [`equiv`], and the **sanitizer** in `cda-sql` that re-checks every
+//!   materialized node output against its static domain at runtime
+//!   (experiment E18; DESIGN.md §13).
+//! * [`cardest`] bounds and estimates every plan node's row count from
+//!   catalog statistics (sqlcheck A013, experiment E14).
+//! * [`equiv`] decides whether two bound plans *mean the same thing*: a
+//!   canonicalization pipeline hashes every plan into a stable
+//!   [`PlanFingerprint`], and a bounded refutation search over generated
+//!   tables settles (or honestly declines to settle) the cases fingerprints
+//!   cannot. It powers the differential certifier for `sql::optimizer`
+//!   rewrites ([`certify_optimizer`], surfacing `A014` findings), the
+//!   semantic answer cache in `cda-core`, and equivalence-aware consistency
+//!   UQ in `cda-soundness` (experiment E16 measures all three).
 //!
-//! A sixth pass, [`effects`], is a static read/write-set analysis over
-//! bound plans and DML statements: per statement it derives
-//! `(table, columns)` read and write sets (sharpened by [`absint`] — a
-//! provably-empty WHERE makes a write a provable no-op, interval analysis
-//! bounds affected-row counts). It powers the DML soundness gate (sqlcheck
-//! A019–A023), provably-precise semantic-cache invalidation in `cda-core`,
-//! effect-overlap write serialization in `cda-server`, and the runtime
-//! effect sanitizer (`cda_sql::WriteGuard`) behind `CdaConfig::effect_check`.
+//! **Statements: what a query or write touches.**
 //!
-//! A fourth pass, [`equiv`], decides whether two bound plans *mean the same
-//! thing*: a canonicalization pipeline hashes every plan into a stable
-//! [`PlanFingerprint`], and a bounded refutation search over generated
-//! tables settles (or honestly declines to settle) the cases fingerprints
-//! cannot. It powers the differential certifier for `sql::optimizer`
-//! rewrites ([`certify_optimizer`], surfacing `A014` findings), the
-//! semantic answer cache in `cda-core`, and equivalence-aware consistency
-//! UQ in `cda-soundness` (experiment E16 measures all three).
+//! * [`effects`] is a static read/write-set analysis over bound plans and
+//!   DML statements: per statement it derives `(table, columns)` read and
+//!   write sets (sharpened by [`absint`] — a provably-empty WHERE makes a
+//!   write a provable no-op, interval analysis bounds affected-row counts).
+//!   It powers the DML soundness gate (sqlcheck A019–A023),
+//!   provably-precise semantic-cache invalidation in `cda-core`,
+//!   effect-overlap write serialization in `cda-server`, and the runtime
+//!   effect sanitizer (`cda_sql::WriteGuard`) behind
+//!   `CdaConfig::effect_check`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
 
 pub mod absint;
 pub mod cardest;
 pub mod effects;
 pub mod equiv;
 pub mod repair;
-pub mod repolint;
 pub mod sqlcheck;
 
 pub use absint::{abs_eval, abs_truth, analyze, domain_tree, row_bounds, AbsTruth, Analysis};

@@ -25,6 +25,9 @@
 //!    column) are caught by the sanitizer on both engines, so the
 //!    cross-check is live, not vacuously green.
 
+// Commits writes to a scratch catalog directly: the mutation gate lives in cda-core.
+#![allow(clippy::disallowed_methods)]
+
 use cda_analyzer::{plan_reads, statement_effects, Analyzer, EffectSet, Statistics};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_sql::parser::parse_statement;

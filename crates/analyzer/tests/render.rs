@@ -234,6 +234,34 @@ fn dml_gate_findings_render_pinned() {
     }
 }
 
+/// Every `Code` variant, from one list written twice: as a `match` with no
+/// wildcard arm, so a new variant does not compile until it is listed, and
+/// as the array the test below walks.
+macro_rules! every_code {
+    ($($variant:ident)*) => {{
+        fn _exhaustive(code: Code) {
+            match code {
+                $(Code::$variant => {})*
+            }
+        }
+        [$(Code::$variant),*]
+    }};
+}
+
+#[test]
+fn every_code_variant_has_a_row_in_codes() {
+    let every = every_code!(
+        SyntaxError UnknownTable UnknownColumn TypeMismatch BareColumn UnsatisfiablePredicate
+        TautologicalFilter DivisionByZero CartesianJoin ColumnOutOfRange LimitZero
+        SuspiciousComparison RowBudgetExceeded UncertifiedRewrite ProvablyEmpty
+        DataGroundedTautology ProvablyNullColumn ProvableRuntimeError UnknownWriteTarget
+        WriteShapeMismatch ProvablyNoopWrite FullTableDelete NarrowingWrite
+    );
+    for code in every {
+        assert!(CODES.iter().any(|(c, _, _)| *c == code), "Code::{code:?} has no row in CODES");
+    }
+}
+
 #[test]
 fn every_code_renders_its_stable_code_and_severity() {
     for (code, code_str, sev) in CODES {

@@ -20,6 +20,9 @@
 //!   — **0 torn recoveries**.
 //! * **buffer pool**: the pool's hit rate over the run is reported.
 
+// Scratch database files under the temp dir.
+#![allow(clippy::disallowed_methods)]
+
 use cda_bench::{f, header, row, timed, us};
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary};
 use cda_core::storage::{FaultPlan, FileBackend, StorageBackend, StoreId, PAGE_SIZE};

@@ -4,9 +4,6 @@
 //! EXPERIMENTS.md. Times they print are information only: an experiment's
 //! exit status never depends on a clock (the `perf/` benchmark owns speed).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 use std::time::{Duration, Instant};
 
 /// Print an experiment header.

@@ -105,7 +105,7 @@ impl DatasetCatalog {
     /// schema (DML rewrites data, not shape); discovery embeddings and the
     /// vector index describe the dataset's *description*, which is
     /// unchanged, so neither is rebuilt.
-    pub fn replace_table(&mut self, name: &str, table: Table) -> Result<()> {
+    pub(crate) fn replace_table(&mut self, name: &str, table: Table) -> Result<()> {
         let ds = self
             .datasets
             .iter_mut()
@@ -114,6 +114,7 @@ impl DatasetCatalog {
         if ds.table.is_none() {
             return Err(CdaError::Substrate(format!("dataset {name:?} holds no tabular data")));
         }
+        #[expect(clippy::disallowed_methods, reason = "the mutation gate's commit step")]
         self.sql
             .replace_table(name, table.clone())
             .map_err(|e| CdaError::Substrate(e.to_string()))?;

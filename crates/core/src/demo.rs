@@ -42,6 +42,7 @@ pub const SECTORS: [&str; 4] = ["it", "finance", "health", "construction"];
 
 /// Build the employment-type distribution table (`canton, type, year,
 /// employees`).
+#[expect(clippy::expect_used, reason = "literal data: the static schema matches its columns")]
 pub fn employment_table(seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cantons = Vec::new();
@@ -78,10 +79,11 @@ pub fn employment_table(seed: u64) -> Table {
             Column::from_ints(&employees),
         ],
     )
-    .expect("static schema matches columns") // lint: allow(R002) literal data
+    .expect("static schema matches columns")
 }
 
 /// Build the wage table (`canton, sector, median_wage`).
+#[expect(clippy::expect_used, reason = "literal data: the static schema matches its columns")]
 pub fn wage_table(seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
     let mut cantons = Vec::new();
@@ -113,7 +115,7 @@ pub fn wage_table(seed: u64) -> Table {
             Column::from_floats(&wages),
         ],
     )
-    .expect("static schema matches columns") // lint: allow(R002) literal data
+    .expect("static schema matches columns")
 }
 
 /// The barometer series: 13 years of monthly observations with a genuine
@@ -123,6 +125,7 @@ pub fn barometer_series(seed: u64) -> TimeSeries {
 }
 
 /// The barometer as a SQL-visible table (`month, value`).
+#[expect(clippy::expect_used, reason = "literal data: the static schema matches its columns")]
 pub fn barometer_table(series: &TimeSeries) -> Table {
     Table::from_columns(
         Schema::new(vec![
@@ -134,12 +137,13 @@ pub fn barometer_table(series: &TimeSeries) -> Table {
             Column::from_floats(series.values()),
         ],
     )
-    .expect("static schema matches columns") // lint: allow(R002) literal data
+    .expect("static schema matches columns")
 }
 
 /// Build the demo dataset catalog.
 pub fn demo_catalog(seed: u64) -> DatasetCatalog {
     let mut catalog = DatasetCatalog::new();
+    #[expect(clippy::expect_used, reason = "a fresh catalog and unique literal names")]
     catalog
         .register(Dataset {
             name: "employment_by_type".into(),
@@ -158,8 +162,9 @@ pub fn demo_catalog(seed: u64) -> DatasetCatalog {
             ],
             freshness: Freshness::static_data(),
         })
-        .expect("fresh catalog"); // lint: allow(R002) names are unique literals
+        .expect("fresh catalog");
     let series = barometer_series(seed);
+    #[expect(clippy::expect_used, reason = "a fresh catalog and unique literal names")]
     catalog
         .register(Dataset {
             name: "labour_barometer".into(),
@@ -181,7 +186,8 @@ pub fn demo_catalog(seed: u64) -> DatasetCatalog {
             ],
             freshness: Freshness::static_data(),
         })
-        .expect("fresh catalog"); // lint: allow(R002) names are unique literals
+        .expect("fresh catalog");
+    #[expect(clippy::expect_used, reason = "a fresh catalog and unique literal names")]
     catalog
         .register(Dataset {
             name: "wage_stats".into(),
@@ -192,7 +198,8 @@ pub fn demo_catalog(seed: u64) -> DatasetCatalog {
             keywords: vec!["wage".into(), "salary".into(), "income".into(), "sector".into()],
             freshness: Freshness::static_data(),
         })
-        .expect("fresh catalog"); // lint: allow(R002) names are unique literals
+        .expect("fresh catalog");
+    #[expect(clippy::expect_used, reason = "a fresh catalog and unique literal names")]
     catalog
         .register(Dataset {
             name: "chocolate_exports".into(),
@@ -203,7 +210,7 @@ pub fn demo_catalog(seed: u64) -> DatasetCatalog {
             keywords: vec!["chocolate".into(), "export".into(), "trade".into()],
             freshness: Freshness::static_data(),
         })
-        .expect("fresh catalog"); // lint: allow(R002) names are unique literals
+        .expect("fresh catalog");
     catalog
 }
 

@@ -28,11 +28,11 @@
 //! executed under. A `successor()` rebuild commits the world under
 //! `epoch + 1`; what happens to the records is decided by the builder's
 //! [`WorldDelta`](crate::world::WorldDelta): a `Schema` delta drops every
-//! record whose stamp differs (`purge_stale_cache`), a `Data` delta drops
-//! exactly the records whose re-derived read set intersects the committed
-//! write's effect set and re-stamps the survivors, and a `Statistics`
-//! delta re-stamps everything. [`DurableCache::get`] re-checks the stamp
-//! on every hit as defense in depth — a stale entry is *never served*.
+//! record whose stamp differs (`purge_stale_cache`), and a `Data` delta
+//! drops exactly the records whose re-derived read set intersects the
+//! committed write's effect set and re-stamps the survivors.
+//! [`DurableCache::get`] re-checks the stamp on every hit as defense in
+//! depth — a stale entry is *never served*.
 
 use crate::catalog::{Dataset, DatasetCatalog};
 use crate::rot::{Freshness, UpdateCadence};
@@ -81,6 +81,7 @@ fn dtype_from_tag(tag: u8) -> Result<DataType> {
 
 /// Serialize a table: schema (name/type/nullability/description per field),
 /// typed column values (null-tagged), and per-row provenance lineage.
+#[expect(clippy::unreachable, reason = "the inner match runs on non-null values only")]
 pub fn encode_table(w: &mut ByteWriter, table: &Table) {
     let schema = table.schema();
     w.u32(schema.fields().len() as u32);
@@ -102,7 +103,7 @@ pub fn encode_table(w: &mut ByteWriter, table: &Table) {
                         Value::Float(x) => w.f64(x),
                         Value::Str(x) => w.str(&x),
                         Value::Bool(x) => w.bool(x),
-                        Value::Null => unreachable!("matched above"), // lint: allow(R002)
+                        Value::Null => unreachable!("matched above"),
                     }
                 }
             }
@@ -400,9 +401,8 @@ pub(crate) fn sync_world_delta(
     let dropped = match delta {
         crate::world::WorldDelta::Schema => purge_stale_cache(backend, epoch)?,
         crate::world::WorldDelta::Data(effects) => {
-            restamp_cache(backend, epoch, Some((effects, catalog.sql())))?
+            restamp_cache(backend, epoch, effects, catalog.sql())?
         }
-        crate::world::WorldDelta::Statistics => restamp_cache(backend, epoch, None)?,
     };
     backend.commit(epoch).map_err(serr)?;
     Ok(dropped)
@@ -436,20 +436,20 @@ pub(crate) fn load_world(
     Ok((catalog, kg, epoch))
 }
 
-/// Precise (or data-preserving) cache reconciliation for an epoch bump
-/// whose delta proves the catalog *shape* is unchanged. With
-/// `invalidated = Some((effects, catalog))`, a record is dropped exactly
-/// when the read set of its stored SQL — re-derived by replanning against
-/// the successor catalog, sound because the schema is identical —
-/// intersects the committed write set; with `None` (statistics-only
-/// rebuild) nothing is dropped. Every surviving record stamped with an
-/// older epoch is rewritten under `epoch` (the stamp is the first 8 bytes,
-/// so the rewrite is a prefix splice). Undecodable or unplannable records
-/// are dropped conservatively. Does not commit. Returns the drop count.
+/// Precise cache reconciliation for an epoch bump whose delta proves the
+/// catalog *shape* is unchanged. A record is dropped exactly when the read
+/// set of its stored SQL — re-derived by replanning against the successor
+/// `catalog`, sound because the schema is identical — intersects the
+/// committed write set of `effects` (an empty write set drops nothing).
+/// Every surviving record stamped with an older epoch is rewritten under
+/// `epoch` (the stamp is the first 8 bytes, so the rewrite is a prefix
+/// splice). Undecodable or unplannable records are dropped conservatively.
+/// Does not commit. Returns the drop count.
 fn restamp_cache(
     backend: &dyn StorageBackend,
     epoch: u64,
-    invalidated: Option<(&cda_analyzer::EffectSet, &cda_sql::Catalog)>,
+    effects: &cda_analyzer::EffectSet,
+    catalog: &cda_sql::Catalog,
 ) -> Result<usize> {
     let mut stale: Vec<Vec<u8>> = Vec::new();
     let mut restamp: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
@@ -458,14 +458,12 @@ fn restamp_cache(
             stale.push(key);
             continue;
         };
-        if let Some((effects, catalog)) = invalidated {
-            let reads = replan(catalog, &sql).map(|plan| cda_analyzer::plan_reads(&plan));
-            match reads {
-                Ok(reads) if !effects.invalidates(&reads) => {}
-                _ => {
-                    stale.push(key);
-                    continue;
-                }
+        let reads = replan(catalog, &sql).map(|plan| cda_analyzer::plan_reads(&plan));
+        match reads {
+            Ok(reads) if !effects.invalidates(&reads) => {}
+            _ => {
+                stale.push(key);
+                continue;
             }
         }
         if stamp != epoch {
@@ -645,7 +643,7 @@ mod tests {
                     assert_eq!(a.values(), b.values());
                 }
                 (None, None) => {}
-                other => unreachable!("series presence diverged: {other:?}"), // lint: allow(R002)
+                other => unreachable!("series presence diverged: {other:?}"),
             }
         }
     }

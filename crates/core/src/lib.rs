@@ -35,8 +35,10 @@
 //! behind an `Arc` and each open a cheap [`session::Session`] on it —
 //! `cda-server` multiplexes thousands of them over a worker pool.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
 
 pub mod answer;
 pub mod catalog;

@@ -96,6 +96,7 @@ impl QueryLog {
 
     /// Render the log as a queryable table: `(turn, utterance, intent,
     /// outcome, confidence)` — registerable in a catalog like any dataset.
+    #[expect(clippy::expect_used, reason = "schema and columns are built together here")]
     pub fn to_table(&self) -> Table {
         let turns: Vec<i64> = self.entries.iter().map(|e| e.turn as i64).collect();
         let utterances: Vec<String> =
@@ -121,7 +122,7 @@ impl QueryLog {
                 Column::from_opt_floats(&confidences),
             ],
         )
-        .expect("schema matches columns") // lint: allow(R002) built together above
+        .expect("schema matches columns")
     }
 }
 

@@ -34,9 +34,10 @@
 //! write lane re-points them with
 //! [`Session::adopt_world`](crate::session::Session::adopt_world).
 
-use crate::session::{CacheStore, Session, SessionCache};
+use crate::session::Session;
 use crate::world::WorldDelta;
 use cda_analyzer::EffectSet;
+use std::sync::Arc;
 
 /// What the mutation gate decided about one DML statement.
 #[derive(Debug, Clone)]
@@ -149,14 +150,8 @@ impl Session {
             .delta(WorldDelta::Data(effects.clone()))
             .open()?
             .into_shared();
-        let mem_dropped = match &mut self.semantic_cache {
-            SessionCache::Mem(c) => c.invalidate(&effects),
-            SessionCache::Durable(c) => {
-                c.set_world(std::sync::Arc::clone(&world));
-                0
-            }
-        };
-        let outcome = WriteOutcome {
+        let mem_dropped = self.adopt_world(Arc::clone(&world), Some(&effects));
+        Ok(WriteDecision::Applied(WriteOutcome {
             sql: executed_sql,
             table: result.table,
             affected: result.affected,
@@ -165,9 +160,7 @@ impl Session {
             committed: true,
             cache_invalidated: mem_dropped + world.stale_cache_dropped(),
             repairs,
-        };
-        self.world = world;
-        Ok(WriteDecision::Applied(outcome))
+        }))
     }
 }
 

@@ -31,17 +31,15 @@ use std::sync::Arc;
 ///
 /// The default, [`Schema`](WorldDelta::Schema), is the conservative
 /// pre-effects behaviour: every record stamped with another epoch is
-/// dropped. The two refinements exist because an epoch bump alone does not
-/// mean cached answers went stale:
-///
-/// * [`Data`](WorldDelta::Data) carries the committed write's static
-///   [`EffectSet`]; only records whose read set intersects the write set
-///   are dropped, and every survivor is re-stamped under the new epoch —
-///   provably precise invalidation (a cached answer reads only tables and
-///   columns, and untouched `(table, column)` pairs execute identically).
-/// * [`Statistics`](WorldDelta::Statistics) declares that no table data
-///   changed at all (a statistics-only or metadata rebuild): every record
-///   survives, re-stamped.
+/// dropped. [`Data`](WorldDelta::Data) is the refinement, because an epoch
+/// bump alone does not mean cached answers went stale: it carries the
+/// committed write's static [`EffectSet`]; only records whose read set
+/// intersects the write set are dropped, and every survivor is re-stamped
+/// under the new epoch — provably precise invalidation (a cached answer
+/// reads only tables and columns, and untouched `(table, column)` pairs
+/// execute identically). A rebuild that changed no table data at all (only
+/// statistics or metadata) is `Data(EffectSet::default())`: an empty write
+/// set drops nothing.
 #[derive(Debug, Clone, Default)]
 pub enum WorldDelta {
     /// Catalog shape changed (registration, schema change): purge every
@@ -51,8 +49,6 @@ pub enum WorldDelta {
     /// Table data changed with these statically-derived effects: drop
     /// exactly the intersecting readers, re-stamp the rest.
     Data(EffectSet),
-    /// No table data changed: keep and re-stamp every record.
-    Statistics,
 }
 
 /// The shared immutable world: catalog + statistics + knowledge graph +
@@ -223,10 +219,10 @@ impl WorldSnapshotBuilder {
 
     /// Declare what changed relative to the predecessor snapshot. The
     /// delta drives [`open`](Self::open)'s durable-cache invalidation:
-    /// [`WorldDelta::Schema`] (the default) purges by epoch,
+    /// [`WorldDelta::Schema`] (the default) purges by epoch, and
     /// [`WorldDelta::Data`] drops exactly the cached answers the write's
-    /// effect set intersects, and [`WorldDelta::Statistics`] keeps
-    /// everything. [`build`](Self::build) ignores it (no storage I/O).
+    /// effect set intersects. [`build`](Self::build) ignores it (no storage
+    /// I/O).
     pub fn delta(mut self, delta: WorldDelta) -> Self {
         self.delta = delta;
         self
@@ -287,9 +283,8 @@ impl WorldSnapshotBuilder {
     ///   builder's epoch, and cache records are reconciled per the declared
     ///   [`delta`](Self::delta): dropped on another epoch stamp for
     ///   [`WorldDelta::Schema`], dropped precisely (intersecting readers
-    ///   only, survivors re-stamped) for [`WorldDelta::Data`], all kept and
-    ///   re-stamped for [`WorldDelta::Statistics`]. The drop count is
-    ///   reported by [`WorldSnapshot::stale_cache_dropped`].
+    ///   only, survivors re-stamped) for [`WorldDelta::Data`]. The drop
+    ///   count is reported by [`WorldSnapshot::stale_cache_dropped`].
     ///
     /// Either way the returned snapshot and the backend agree on the epoch,
     /// which is what [`Session::open_durable`](crate::session::Session::open_durable)

@@ -312,8 +312,9 @@ impl Column {
     }
 
     /// Iterate values (allocating for strings; fine off the hot path).
+    #[expect(clippy::expect_used, reason = "every index is below len()")]
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len()).map(move |i| self.value(i).expect("in-bounds")) // lint: allow(R002) i < len
+        (0..self.len()).map(move |i| self.value(i).expect("in-bounds"))
     }
 
     /// Approximate heap size in bytes, for memory accounting in experiments.

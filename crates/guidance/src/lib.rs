@@ -19,8 +19,10 @@
 //! * [`profile`] — user-expertise profiling ("through profiling, determine
 //!   the level of expertise of the user and interact differently").
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
 
 pub mod clarify;
 pub mod graph;

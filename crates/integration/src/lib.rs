@@ -1,4 +1,1 @@
 //! Integration-test host crate; see `tests/`.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]

@@ -19,6 +19,9 @@
 //!   the answer is one of them, not one more — and a re-asked question costs
 //!   none for the candidates it shares with the earlier answer.
 
+// Scratch database files under the temp dir.
+#![allow(clippy::disallowed_methods)]
+
 use cda_analyzer::Analyzer;
 use cda_core::catalog::DatasetCatalog;
 use cda_core::demo::{

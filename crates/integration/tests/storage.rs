@@ -10,6 +10,9 @@
 //! literal within one test process: every handle (session, world, backend)
 //! is dropped, and the world is rebuilt from the file alone.
 
+// Scratch database files under the temp dir.
+#![allow(clippy::disallowed_methods)]
+
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary};
 use cda_core::session::{CachedAnswer, SemanticCache};
 use cda_core::storage::{FaultPlan, FileBackend, MemBackend, StorageBackend, StoreId};
@@ -252,8 +255,8 @@ const WAGE_QUERY: &str = "What is the average median_wage in wage_stats per cant
 #[test]
 fn statistics_only_rebuild_retains_every_durable_record() {
     // Regression: successor() used to force a full cache purge even when
-    // the rebuild changed only derived statistics. With WorldDelta::
-    // Statistics the records survive, re-stamped under the new epoch.
+    // the rebuild changed only derived statistics. With an empty write set
+    // the records survive, re-stamped under the new epoch.
     let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
     let world = WorldSnapshot::builder()
         .catalog(demo_catalog(1))
@@ -273,7 +276,7 @@ fn statistics_only_rebuild_retains_every_durable_record() {
 
     let next = world
         .successor()
-        .delta(cda_core::WorldDelta::Statistics)
+        .delta(cda_core::WorldDelta::Data(cda_analyzer::EffectSet::default()))
         .open_shared()
         .unwrap();
     assert_eq!(next.epoch(), 1);

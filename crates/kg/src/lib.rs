@@ -39,8 +39,10 @@
 //! assert_eq!(rows[0].get("what"), Some("labour_market"));
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
 
 pub mod error;
 pub mod linking;

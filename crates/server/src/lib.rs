@@ -48,8 +48,10 @@
 //! assert_eq!(server.stats().turns_completed, 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
 
 pub mod loadgen;
 pub mod server;

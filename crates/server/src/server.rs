@@ -550,11 +550,12 @@ fn run_drain_task(
     let mut merged: Vec<(usize, QueuedTurn, EffectSet)> = Vec::new();
     for (m, &w) in members.iter().enumerate() {
         let (slot_index, cell) = &work[w];
+        #[expect(clippy::expect_used, reason = "each member's slot is taken exactly once")]
         let (session, queue, budget) = cell
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .take()
-            .expect("drain slot taken twice"); // lint: allow(R002)
+            .expect("drain slot taken twice");
         sessions.push((*slot_index, session));
         budgets.push(budget);
         merged.extend(queue.into_iter().map(|(t, e)| (m, t, e)));

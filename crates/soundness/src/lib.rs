@@ -19,8 +19,10 @@
 //!   iff its result table equals the gold program's result (modulo row
 //!   order), the standard "execution accuracy" of NL2SQL benchmarks.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
 
 pub mod calibration;
 pub mod consistency;

@@ -64,7 +64,8 @@ impl Catalog {
     /// epoch-wide cache purge) instead. Returns the preserved tag.
     ///
     /// Product-path callers must route through the effects gate
-    /// (`cda_core::mutation`); repolint R010 enforces this.
+    /// (`cda_core::mutation`); `clippy.toml` lists this method under
+    /// `disallowed-methods`, so clippy enforces it.
     pub fn replace_table(&mut self, name: &str, table: Table) -> Result<u32> {
         let key = name.to_ascii_lowercase();
         let entry = self

@@ -10,7 +10,8 @@
 //! so the write path inherits the differential certification of the read
 //! path. Execution never mutates the catalog: it returns the replacement
 //! table, and callers commit via [`Catalog::replace_table`] (product paths
-//! through the `cda_core::mutation` effects gate; repolint R010).
+//! through the `cda_core::mutation` effects gate; `clippy.toml` bans the call
+//! elsewhere).
 //!
 //! The [`WriteGuard`] is the runtime half of the effect sanitizer: the
 //! analyzer's static write set is converted into a guard, and

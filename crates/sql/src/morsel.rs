@@ -71,6 +71,7 @@ pub fn morsel_ranges(rows: usize, morsel_rows: usize) -> Vec<Range<usize>> {
 /// Run `f(0..tasks)` across `threads` workers and return the results **in
 /// task order**, regardless of which worker computed what. Panics in workers
 /// propagate to the caller.
+#[expect(clippy::expect_used, reason = "every task index is claimed by exactly one worker")]
 pub fn run_ordered<T, F>(tasks: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -116,7 +117,7 @@ where
     // so every slot is filled once all workers have joined.
     slots
         .into_iter()
-        .map(|s| s.expect("run_ordered: task produced no result")) // lint: allow(R002)
+        .map(|s| s.expect("run_ordered: task produced no result"))
         .collect()
 }
 

@@ -1,7 +1,8 @@
 //! Positional page I/O over a single file, with fault injection.
 //!
 //! The disk manager is the only code in the workspace that touches the
-//! filesystem on a product path (repolint R009 enforces this). It reads and
+//! filesystem on a product path (clippy's `disallowed_types` /
+//! `disallowed_methods`, configured in `clippy.toml`, enforce this). It reads and
 //! writes whole [`Page`]s at `page_id * PAGE_SIZE` offsets and exposes a
 //! [`FaultPlan`] hook that kills a chosen physical page write — optionally
 //! leaving a torn prefix — so the crash-recovery suite can simulate a power

@@ -43,8 +43,12 @@
 //! assert_eq!(backend.committed_epoch().unwrap(), Some(0));
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
+// The one crate that owns the file system: clippy.toml bans `std::fs` everywhere else.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod backend;
 pub mod buffer;

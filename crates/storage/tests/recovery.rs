@@ -18,6 +18,9 @@
 //!   (random keys, value sizes spanning multi-page blobs, removes and
 //!   overwrites) and generated fault positions.
 
+// Scratch database files under the temp dir.
+#![allow(clippy::disallowed_methods)]
+
 use cda_storage::{FaultPlan, FileBackend, StorageBackend, StoreId, PAGE_SIZE};
 use cda_testkit::prelude::*;
 use std::path::PathBuf;

@@ -16,9 +16,6 @@
 //! Plus [`json`], the tiny writer/parser the `perf/` benchmark reports
 //! through.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod json;
 pub mod prop;
 pub mod rng;
