@@ -57,28 +57,11 @@ echo "== perf/: the benchmark builds against the product's public API and smoke-
 cargo build --release --offline --manifest-path perf/Cargo.toml
 cargo test --offline --manifest-path perf/Cargo.toml
 
-echo "== E14: cardinality estimation (coverage 1.0, median q-error <= 16, 0 A013 false rejects)"
-cargo run --release -q -p cda-bench --bin exp_cardinality
-
-echo "== E15: analyzer-guided repair (salvaged > 0, attempts saved > 0, 0 soundness regressions)"
-cargo run --release -q -p cda-bench --bin exp_repair
-
-echo "== E16: plan equivalence (certified rewrites, semantic cache, UQ clustering)"
-CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_equiv
-
-echo "== E17: vectorized morsel-parallel engine (0 mismatches vs the row engine)"
-CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_vectorized
-
-echo "== E18: abstract interpretation (catch-rate delta, 0 false rejects, bounds only narrow, checked executions succeed)"
-CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_absint
-
-echo "== E19: multiplexed server (0 transcript mismatches vs serial at 1 and N workers, admission)"
-CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_server
-
-echo "== E20: durable storage (restart hit rate > 0, 0 stale hits, 0 torn recoveries)"
-CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_durability
-
-echo "== E21: mutation gate (catch rate 1.0, 0 stale serves, retention 1.0, 0 sanitizer hits)"
-CDA_BENCH_FAST=1 cargo run --release -q -p cda-bench --bin exp_dml
+echo "== experiments: all 21 (DESIGN.md §4) at CI sizes; every gate holds and stdout equals the golden"
+# `exp` exits non-zero iff a gate fails; `diff` fails iff any deterministic
+# number moved. Wall-clock readings go to stderr and are never compared. A
+# change that moves a number on purpose regenerates the golden:
+#   cargo run --release -q -p cda-bench --bin exp -- --all --fast > crates/bench/golden_fast.txt
+cargo run --release -q -p cda-bench --bin exp -- --all --fast | diff -u crates/bench/golden_fast.txt -
 
 echo "CI OK"

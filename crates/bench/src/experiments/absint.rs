@@ -23,10 +23,10 @@
 //!    both engines: every checked execution must succeed. Its overhead vs
 //!    plain `execute_plan` is printed as information, not gated.
 //!
-//! `CDA_BENCH_FAST=1` reduces timing repetitions (CI smoke mode).
+//! A fast budget reduces timing repetitions.
 
 use cda_analyzer::{domain_tree, Analyzer, Code, Statistics};
-use cda_bench::{f, header, mean, row, timed_avg, us};
+use crate::{clock, mean, row, Budget, Cell, Experiment};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_sql::exec::{execute_plan, execute_plan_checked};
 use cda_sql::{execute, optimizer, parser, planner, Catalog, ExecOptions, OptimizerRules};
@@ -130,19 +130,26 @@ fn exec_catalog(rows: usize) -> Catalog {
     c
 }
 
-fn main() {
-    let fast = std::env::var("CDA_BENCH_FAST").is_ok();
-    let reps = if fast { 40 } else { 150 };
-    header("E18", "abstract interpretation: catch-rate delta, 0 false rejects, sanitizer cost");
+/// Run E18.
+pub fn run(budget: &Budget) -> Experiment {
+    let reps = if budget.fast { 40 } else { 150 };
+    let mut e = Experiment::new(
+        "E18",
+        "abstract interpretation: catch-rate delta, 0 false rejects, sanitizer cost",
+    );
 
     let c = analysis_catalog();
     let stats = Statistics::from_catalog(&c);
     let deep = Analyzer::new(&c).with_stats(&stats);
     let shallow = Analyzer::new(&c).with_stats(&stats).with_absint(false);
+    // Every broken obligation, one row each; printed only when non-empty.
+    let mut violations = crate::Table::new("violations", &["kind", "query"]);
 
     // ---- 1. catch-rate delta on the defective corpus ---------------------
-    println!("\n-- defective corpus: shallow gate (A001-A014) vs absint on --");
-    row(&["query".into(), "shallow".into(), "absint".into()]);
+    let mut corpus = crate::Table::new(
+        "defective corpus: shallow gate (A001-A014) vs absint on",
+        &["query", "shallow", "absint"],
+    );
     let mut shallow_flagged = 0usize;
     let mut deep_flagged = 0usize;
     let mut fired = std::collections::BTreeSet::new();
@@ -163,16 +170,16 @@ fn main() {
             match f.code {
                 Code::ProvablyEmpty if execute(&c, sql).map(|r| r.table.num_rows()) != Ok(0) => {
                     false_rejects += 1;
-                    println!("FALSE A015: {sql}");
+                    row!(violations; "false A015", sql);
                 }
                 Code::ProvableRuntimeError if execute(&c, sql).is_ok() => {
                     false_rejects += 1;
-                    println!("FALSE A018: {sql}");
+                    row!(violations; "false A018", sql);
                 }
                 _ => {}
             }
         }
-        row(&[sql.chars().take(48).collect(), codes(&r0), codes(&r1)]);
+        row!(corpus; sql, codes(&r0), codes(&r1));
     }
     let new_codes = ["A015", "A016", "A017", "A018"];
     let all_fire = new_codes.iter().all(|code| fired.contains(*code));
@@ -185,21 +192,22 @@ fn main() {
             matches!(f.code, Code::ProvablyEmpty | Code::ProvableRuntimeError)
         }) {
             gold_rejects += 1;
-            println!("GOLD REJECTED ({}): {sql}", codes(&r));
+            row!(violations; format!("gold rejected ({})", codes(&r)), sql);
         }
     }
-    println!(
-        "\nflagged: shallow {}/{q}, absint {}/{q}; new codes fired: {:?}; \
-         false rejects {false_rejects}, gold rejects {gold_rejects}",
-        shallow_flagged,
-        deep_flagged,
-        fired,
-        q = defective().len(),
-    );
+    let mut flagged = crate::Table::new("catch-rate delta", &["measure", "value"]);
+    let n = defective().len();
+    row!(flagged; "flagged by the shallow gate", format!("{shallow_flagged}/{n}"));
+    row!(flagged; "flagged with absint", format!("{deep_flagged}/{n}"));
+    row!(flagged; "new codes fired", fired.iter().cloned().collect::<Vec<_>>().join(","));
+    e.tables.push(corpus);
+    e.tables.push(flagged);
 
     // ---- 3. cardinality bound sharpening ---------------------------------
-    println!("\n-- cost-pass row-count interval width: absint off vs on --");
-    row(&["query".into(), "off".into(), "on".into()]);
+    let mut bounds = crate::Table::new(
+        "cost-pass row-count interval width: absint off vs on",
+        &["query", "off", "on"],
+    );
     let mut widened = 0usize;
     let mut strictly_narrowed = 0usize;
     for sql in defective().into_iter().chain(gold()) {
@@ -208,17 +216,17 @@ fn main() {
         if let (Some(w0), Some(w1)) = (width(&off), width(&on)) {
             if w1 > w0 {
                 widened += 1;
-                println!("WIDENED: {sql}");
+                row!(violations; "widened bound", sql);
             }
             if w1 < w0 {
                 strictly_narrowed += 1;
             }
-            row(&[sql.chars().take(48).collect(), w0.to_string(), w1.to_string()]);
+            row!(bounds; sql, w0, w1);
         }
     }
+    e.tables.push(bounds);
 
     // ---- 4. sanitizer overhead on both engines ---------------------------
-    println!("\n-- sanitizer overhead ({reps} reps per cell, 8k rows) --");
     let ec = exec_catalog(8_000);
     let estats = Statistics::from_catalog(&ec);
     let exec_corpus = [
@@ -226,7 +234,10 @@ fn main() {
         "SELECT g, x + 1, y * 2.0 FROM t WHERE x % 7 = 0 AND y < 0.5 ORDER BY x, g LIMIT 200",
         "SELECT DISTINCT g FROM t WHERE y BETWEEN 0.25 AND 0.75 ORDER BY g",
     ];
-    row(&["query".into(), "engine".into(), "plain".into(), "checked".into(), "overhead".into()]);
+    let mut sanitizer = crate::Table::new(
+        format!("sanitizer overhead ({reps} reps per cell, 8k rows)"),
+        &["query", "engine", "plain", "checked", "checked/plain"],
+    );
     let mut overheads = Vec::new();
     let mut checked_failures = 0usize;
     for sql in exec_corpus {
@@ -236,53 +247,40 @@ fn main() {
         let tree = domain_tree(&plan, Some(&estats));
         for (engine, opts) in [("row", ExecOptions::default()), ("vec", ExecOptions::vectorized())]
         {
-            if let Err(e) = execute_plan_checked(&ec, &plan, opts, Some(&tree)) {
+            if let Err(err) = execute_plan_checked(&ec, &plan, opts, Some(&tree)) {
                 checked_failures += 1;
-                println!("CHECKED EXECUTION FAILED ({engine}): {sql}: {e}");
+                row!(violations; format!("checked execution failed ({engine}): {err}"), sql);
                 continue;
             }
-            let (_, plain) = timed_avg(reps, || execute_plan(&ec, &plan, opts).unwrap());
+            let (_, plain) = clock(reps, || execute_plan(&ec, &plan, opts).unwrap());
             let (_, checked) =
-                timed_avg(reps, || execute_plan_checked(&ec, &plan, opts, Some(&tree)).unwrap());
-            let overhead = checked.as_secs_f64() / plain.as_secs_f64() - 1.0;
-            overheads.push(overhead);
-            row(&[
-                sql.chars().take(32).collect(),
-                engine.into(),
-                us(plain),
-                us(checked),
-                format!("{:+.1}%", overhead * 100.0),
-            ]);
+                clock(reps, || execute_plan_checked(&ec, &plan, opts, Some(&tree)).unwrap());
+            let ratio = checked.as_secs_f64() / plain.as_secs_f64();
+            overheads.push(ratio);
+            row!(sanitizer; sql, engine, plain, checked, Cell::TimeRatio(ratio));
         }
     }
-    println!("mean sanitizer overhead {}% (information, not gated)", f(mean(&overheads) * 100.0));
-
-    println!(
-        "\nacceptance: catch delta +{} (>0: {}), A015-A018 all fire ({}), false rejects {} \
-         (==0: {}), gold rejects {} (==0: {}), widened bounds {} (==0: {}), strictly narrowed {} \
-         (>0: {}), failed checked executions {} (==0: {})",
-        deep_flagged - shallow_flagged,
-        deep_flagged > shallow_flagged,
-        all_fire,
-        false_rejects,
-        false_rejects == 0,
-        gold_rejects,
-        gold_rejects == 0,
-        widened,
-        widened == 0,
-        strictly_narrowed,
-        strictly_narrowed > 0,
-        checked_failures,
-        checked_failures == 0,
+    e.tables.push(sanitizer);
+    let mut mean_overhead = crate::Table::new(
+        "sanitizer overhead (information, not gated)",
+        &["cells", "mean checked/plain"],
     );
-    if !(deep_flagged > shallow_flagged
-        && all_fire
-        && false_rejects == 0
-        && gold_rejects == 0
-        && widened == 0
-        && strictly_narrowed > 0
-        && checked_failures == 0)
-    {
-        std::process::exit(1);
+    row!(mean_overhead; overheads.len(), Cell::TimeRatio(mean(&overheads)));
+    e.tables.push(mean_overhead);
+    if !violations.rows.is_empty() {
+        e.tables.push(violations);
     }
+
+    e.gate(
+        "catch delta > 0",
+        format!("+{}", deep_flagged as i64 - shallow_flagged as i64),
+        deep_flagged > shallow_flagged,
+    );
+    e.gate("A015-A018 all fire", all_fire, all_fire);
+    e.gate("false rejects == 0", false_rejects, false_rejects == 0);
+    e.gate("gold rejects == 0", gold_rejects, gold_rejects == 0);
+    e.gate("widened bounds == 0", widened, widened == 0);
+    e.gate("strictly narrowed bounds > 0", strictly_narrowed, strictly_narrowed > 0);
+    e.gate("failed checked executions == 0", checked_failures, checked_failures == 0);
+    e
 }

@@ -5,7 +5,7 @@
 //! the uninformative naive signal the risk barely moves. AURC (area under
 //! the risk–coverage curve) summarizes: consistency ≪ naive.
 
-use cda_bench::{f, header, row};
+use crate::{row, Budget, Experiment};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
@@ -14,8 +14,10 @@ use cda_soundness::selective::{aurc, risk_coverage_curve, threshold_for_risk};
 use cda_soundness::verify::execution_accuracy;
 use cda_sql::Catalog;
 
-fn main() {
-    header("E6", "selective answering: risk-coverage of the two confidence signals");
+/// Run E6.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E6", "selective answering: risk-coverage of the two confidence signals");
     let t = Table::from_columns(
         Schema::new(vec![
             Field::new("canton", DataType::Str),
@@ -63,35 +65,44 @@ fn main() {
         correct.push(ok);
     }
     let base_risk = correct.iter().filter(|c| !**c).count() as f64 / correct.len() as f64;
-    println!("base risk (answer everything): {}", f(base_risk));
-    println!("AURC consistency: {}   AURC naive: {}\n", f(aurc(&cons, &correct)), f(aurc(&naive, &correct)));
+    let mut summary = crate::Table::new(
+        format!("{} tasks, 55% hallucination model", workload.tasks.len()),
+        &["measure", "value"],
+    );
+    row!(summary; "base risk (answer everything)", base_risk);
+    row!(summary; "AURC consistency", aurc(&cons, &correct));
+    row!(summary; "AURC naive", aurc(&naive, &correct));
+    e.tables.push(summary);
 
+    let mut targets = crate::Table::new(
+        "lowest threshold reaching a target risk",
+        &["signal", "target risk", "threshold", "coverage", "risk"],
+    );
     for (label, conf) in [("consistency", &cons), ("naive", &naive)] {
-        println!("risk-coverage, {label} signal:");
-        row(&["threshold".into(), "coverage".into(), "risk".into()]);
         let curve = risk_coverage_curve(conf, &correct);
-        // print up to 8 evenly spread points
+        let mut points = crate::Table::new(
+            format!("risk-coverage, {label} signal"),
+            &["threshold", "coverage", "risk"],
+        );
+        // up to 8 evenly spread points
         let step = (curve.len() / 8).max(1);
         for p in curve.iter().step_by(step) {
-            row(&[f(p.threshold), f(p.coverage), f(p.risk)]);
+            row!(points; p.threshold, p.coverage, p.risk);
         }
+        e.tables.push(points);
         for target in [0.1f64, 0.05] {
             match threshold_for_risk(conf, &correct, target) {
                 Some(t) => {
-                    let pt = risk_coverage_curve(conf, &correct)
-                        .into_iter()
+                    let pt = curve
+                        .iter()
                         .find(|p| (p.threshold - t).abs() < 1e-12)
                         .expect("threshold from curve");
-                    println!(
-                        "  target risk <= {target}: threshold {} gives coverage {} at risk {}",
-                        f(t),
-                        f(pt.coverage),
-                        f(pt.risk)
-                    );
+                    row!(targets; label, target, t, pt.coverage, pt.risk);
                 }
-                None => println!("  target risk <= {target}: unreachable with this signal"),
+                None => row!(targets; label, target, "unreachable", "-", "-"),
             }
         }
-        println!();
     }
+    e.tables.push(targets);
+    e
 }

@@ -8,7 +8,7 @@
 //! grows; consistency confidence tracks accuracy → ECE stays low and AUROC
 //! stays well above 0.5.
 
-use cda_bench::{f, header, mean, row};
+use crate::{mean, row, Budget, Experiment};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
@@ -50,70 +50,58 @@ fn catalog() -> (Catalog, Vec<WorkloadTable>) {
 const TASKS: usize = 80;
 const K: usize = 7;
 
-fn main() {
-    header("E5", "calibration: consistency-UQ vs naive LM confidence (k=7 samples)");
+/// Run E5.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E5", "calibration: consistency-UQ vs naive LM confidence (k=7 samples)");
     let (catalog, tables) = catalog();
     let workload = Workload::generate(&tables, TASKS, 13);
-    row(&[
-        "halluc rate".into(),
-        "accuracy".into(),
-        "naive conf".into(),
-        "naive ECE".into(),
-        "naive AUROC".into(),
-        "cons conf".into(),
-        "cons ECE".into(),
-        "cons AUROC".into(),
-        "cons Brier".into(),
-    ]);
+    let prompt = |t: &cda_nlmodel::nl2sql::Nl2SqlTask| Nl2SqlPrompt {
+        task: t.task.clone(),
+        schema: tables[0].schema.clone(),
+        other_tables: vec![],
+    };
+    let mut sweep = crate::Table::new(
+        format!("{TASKS} NL2SQL tasks, hallucination sweep"),
+        &["halluc rate", "accuracy", "naive conf", "naive ECE", "naive AUROC", "cons conf",
+          "cons ECE", "cons AUROC", "cons Brier"],
+    );
     for h in [0.0f64, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8] {
         let lm = SimLm::new(SimLmConfig { hallucination_rate: h, overconfidence: 1.0, seed: 17 });
         let mut cons = Vec::new();
         let mut naive = Vec::new();
         let mut correct = Vec::new();
         for t in &workload.tasks {
-            let prompt = Nl2SqlPrompt {
-                task: t.task.clone(),
-                schema: tables[0].schema.clone(),
-                other_tables: vec![],
-            };
-            let report = consistency_confidence(&lm, &prompt, &catalog, K, 1.0).unwrap();
+            let report = consistency_confidence(&lm, &prompt(t), &catalog, K, 1.0).unwrap();
+            naive.push(report.naive_confidence);
             let Some(sql) = report.chosen_sql else {
                 cons.push(0.0);
-                naive.push(report.naive_confidence);
                 correct.push(false);
                 continue;
             };
             cons.push(report.confidence);
-            naive.push(report.naive_confidence);
             correct.push(execution_accuracy(&catalog, &sql, &t.gold_sql));
         }
         let acc = correct.iter().filter(|c| **c).count() as f64 / correct.len() as f64;
-        row(&[
-            f(h),
-            f(acc),
-            f(mean(&naive)),
-            f(expected_calibration_error(&naive, &correct, 10).unwrap()),
-            f(auroc(&naive, &correct).unwrap()),
-            f(mean(&cons)),
-            f(expected_calibration_error(&cons, &correct, 10).unwrap()),
-            f(auroc(&cons, &correct).unwrap()),
-            f(brier_score(&cons, &correct).unwrap()),
-        ]);
+        row!(sweep; h, acc, mean(&naive),
+            expected_calibration_error(&naive, &correct, 10).unwrap(),
+            auroc(&naive, &correct).unwrap(),
+            mean(&cons),
+            expected_calibration_error(&cons, &correct, 10).unwrap(),
+            auroc(&cons, &correct).unwrap(),
+            brier_score(&cons, &correct).unwrap());
     }
 
-    println!("\nablation: consistency sample count k at hallucination 0.4:");
-    row(&["k".into(), "cons ECE".into(), "cons AUROC".into(), "LM calls".into()]);
+    let mut ablation = crate::Table::new(
+        "ablation: consistency sample count k at hallucination 0.4",
+        &["k", "cons ECE", "cons AUROC", "LM calls"],
+    );
     let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.4, overconfidence: 1.0, seed: 17 });
     for k in [3usize, 5, 7, 11, 15] {
         let mut cons = Vec::new();
         let mut correct = Vec::new();
         for t in &workload.tasks {
-            let prompt = Nl2SqlPrompt {
-                task: t.task.clone(),
-                schema: tables[0].schema.clone(),
-                other_tables: vec![],
-            };
-            let report = consistency_confidence(&lm, &prompt, &catalog, k, 1.0).unwrap();
+            let report = consistency_confidence(&lm, &prompt(t), &catalog, k, 1.0).unwrap();
             let Some(sql) = report.chosen_sql else {
                 cons.push(0.0);
                 correct.push(false);
@@ -122,11 +110,11 @@ fn main() {
             cons.push(report.confidence);
             correct.push(execution_accuracy(&catalog, &sql, &t.gold_sql));
         }
-        row(&[
-            format!("{k}"),
-            f(expected_calibration_error(&cons, &correct, 10).unwrap()),
-            f(auroc(&cons, &correct).unwrap()),
-            format!("{}", k * TASKS),
-        ]);
+        row!(ablation; k,
+            expected_calibration_error(&cons, &correct, 10).unwrap(),
+            auroc(&cons, &correct).unwrap(),
+            k * TASKS);
     }
+    e.tables = vec![sweep, ablation];
+    e
 }

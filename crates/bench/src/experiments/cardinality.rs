@@ -16,16 +16,14 @@
 //!   (stats + budget) vs without, over the whole workload — printed as
 //!   information, not gated.
 //!
-//! Exits non-zero unless coverage is 1.0, the median q-error is <= 16 and
+//! Gates: coverage is 1.0, the median q-error is <= 16 and
 //! there are no A013 false rejects.
 
 use cda_analyzer::cardest::{q_error, Statistics};
 use cda_analyzer::Analyzer;
-use cda_bench::{f, header, row, timed, us};
-use cda_dataframe::{Column, DataType, Field, Schema, Table};
-use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
+use super::static_gate::gold_workload;
+use crate::{clock, row, Budget, Cell, Experiment};
 use cda_sql::planner::plan_select;
-use cda_sql::Catalog;
 use std::time::Duration;
 
 fn median(xs: &mut [f64]) -> f64 {
@@ -45,47 +43,16 @@ fn percentile(xs: &mut [f64], p: f64) -> f64 {
     xs[i.min(xs.len() - 1)]
 }
 
-fn main() {
-    header("E14", "cardinality estimation: q-error, bound coverage, gate overhead");
+/// Run E14.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E14", "cardinality estimation: q-error, bound coverage, gate overhead");
 
     // The same 20k-row table and workload as E13.
-    let n_rows = 20_000usize;
-    let cantons = ["ZH", "GE", "VD", "BE", "TI", "SG"];
-    let sectors = ["it", "fin", "gov", "edu"];
-    let canton_col: Vec<&str> = (0..n_rows).map(|i| cantons[i % cantons.len()]).collect();
-    let sector_col: Vec<&str> = (0..n_rows).map(|i| sectors[(i / 7) % sectors.len()]).collect();
-    let jobs: Vec<i64> = (0..n_rows).map(|i| (i as i64 * 37) % 500 + 10).collect();
-    let rate: Vec<f64> = (0..n_rows).map(|i| (i as f64 * 0.618).fract()).collect();
-    let t = Table::from_columns(
-        Schema::new(vec![
-            Field::new("canton", DataType::Str),
-            Field::new("sector", DataType::Str),
-            Field::new("jobs", DataType::Int),
-            Field::new("rate", DataType::Float),
-        ]),
-        vec![
-            Column::from_strs(&canton_col),
-            Column::from_strs(&sector_col),
-            Column::from_ints(&jobs),
-            Column::from_floats(&rate),
-        ],
-    )
-    .unwrap();
-    let schema = t.schema().clone();
-    let mut catalog = Catalog::new();
-    catalog.register("emp", t).unwrap();
-    let tables = vec![WorkloadTable {
-        name: "emp".into(),
-        schema,
-        string_values: vec![
-            ("canton".into(), vec!["ZH".into(), "GE".into()]),
-            ("sector".into(), vec!["it".into(), "gov".into()]),
-        ],
-    }];
-    let workload = Workload::generate(&tables, 60, 41);
+    let (catalog, _, workload) = gold_workload();
+    let n_rows = catalog.get("emp").unwrap().table.num_rows();
 
-    let (stats, t_collect) = timed(|| Statistics::from_catalog(&catalog));
-    println!("stats collection over {n_rows} rows: {}", us(t_collect));
+    let (stats, t_collect) = clock(1, || Statistics::from_catalog(&catalog));
 
     // Per-query estimate vs ground truth, bucketed by query shape.
     let shape_of = |t: &cda_nlmodel::nl2sql::Nl2SqlTask| -> &'static str {
@@ -119,24 +86,15 @@ fn main() {
         buckets.entry(shape_of(task)).or_default().push(q_error(est.point(), actual));
     }
 
-    row(&[
-        "shape".into(),
-        "queries".into(),
-        "q-med".into(),
-        "q-p90".into(),
-        "q-max".into(),
-    ]);
+    let mut shapes = crate::Table::new(
+        format!("point-estimate q-error by query shape, {} gold queries over {n_rows} rows", total),
+        &["shape", "queries", "q-med", "q-p90", "q-max"],
+    );
     let mut all: Vec<f64> = Vec::new();
     for (shape, qs) in &mut buckets {
         all.extend(qs.iter().copied());
         let max = qs.iter().copied().fold(1.0f64, f64::max);
-        row(&[
-            (*shape).into(),
-            qs.len().to_string(),
-            f(median(qs)),
-            f(percentile(qs, 0.9)),
-            f(max),
-        ]);
+        row!(shapes; *shape, qs.len(), median(qs), percentile(qs, 0.9), max);
     }
     let med_all = median(&mut all);
     let coverage = covered as f64 / total as f64;
@@ -148,30 +106,22 @@ fn main() {
     let mut t_cost = Duration::ZERO;
     for _ in 0..reps {
         for task in &workload.tasks {
-            let (_, dt) = timed(|| plain.analyze(&task.gold_sql).is_clean());
-            t_plain += dt;
-            let (_, dt) = timed(|| budget_analyzer.analyze(&task.gold_sql).is_clean());
-            t_cost += dt;
+            t_plain += clock(1, || plain.analyze(&task.gold_sql).is_clean()).1;
+            t_cost += clock(1, || budget_analyzer.analyze(&task.gold_sql).is_clean()).1;
         }
     }
-    let overhead = t_cost.as_secs_f64() / t_plain.as_secs_f64() - 1.0;
-    println!(
-        "\ngate time over {} queries x {reps} reps: plain {}, with cost pass {} (overhead {:.1}%)",
-        workload.tasks.len(),
-        us(t_plain),
-        us(t_cost),
-        overhead * 100.0
+    let mut cost = crate::Table::new(
+        format!("static-gate time, {} queries x {reps} reps", workload.tasks.len()),
+        &["measure", "time"],
     );
-    let covered_all = covered == total;
-    println!(
-        "acceptance: coverage {} (==1.00: {covered_all}), median q-error {} (<=16: {}), \
-         A013 false rejects {a013_flags} (==0: {})",
-        f(coverage),
-        f(med_all),
-        med_all <= 16.0,
-        a013_flags == 0,
-    );
-    if !(covered_all && med_all <= 16.0 && a013_flags == 0) {
-        std::process::exit(1);
-    }
+    row!(cost; "stats collection", t_collect);
+    row!(cost; "analyze, plain", t_plain);
+    row!(cost; "analyze, with cost pass", t_cost);
+    row!(cost; "cost pass / plain", Cell::TimeRatio(t_cost.as_secs_f64() / t_plain.as_secs_f64()));
+    e.tables = vec![shapes, cost];
+
+    e.gate("bound coverage == 1.0", format!("{coverage:.3} ({covered}/{total})"), covered == total);
+    e.gate("median q-error <= 16", format!("{med_all:.3}"), med_all <= 16.0);
+    e.gate("A013 false rejects at a 1M-row budget == 0", a013_flags, a013_flags == 0);
+    e
 }

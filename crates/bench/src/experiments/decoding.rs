@@ -6,7 +6,7 @@
 //! Expected shape: validity and accuracy increase monotonically along the
 //! strategy ladder, at the cost of more LM samples.
 
-use cda_bench::{f, header, row};
+use crate::{row, Budget, Experiment};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::constrained::{Decoder, DecodingStrategy};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
@@ -14,8 +14,12 @@ use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
 use cda_soundness::verify::execution_accuracy;
 use cda_sql::Catalog;
 
-fn main() {
-    header("E7", "decoding strategies: validity + execution accuracy vs sampling cost");
+/// Run E7.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e = Experiment::new(
+        "E7",
+        "decoding strategies: validity + execution accuracy vs sampling cost",
+    );
     let t = Table::from_columns(
         Schema::new(vec![
             Field::new("canton", DataType::Str),
@@ -45,14 +49,10 @@ fn main() {
     let workload = Workload::generate(&tables, 80, 41);
 
     for h in [0.4f64, 0.7] {
-        println!("\nhallucination rate {h}:");
-        row(&[
-            "strategy".into(),
-            "answered".into(),
-            "valid SQL".into(),
-            "exec accuracy".into(),
-            "avg samples".into(),
-        ]);
+        let mut t = crate::Table::new(
+            format!("hallucination rate {h}, {} tasks, budget 12 samples", workload.tasks.len()),
+            &["strategy", "answered", "valid SQL", "exec accuracy", "avg samples"],
+        );
         let lm = SimLm::new(SimLmConfig { hallucination_rate: h, overconfidence: 0.9, seed: 29 });
         for strategy in [
             DecodingStrategy::Free,
@@ -89,13 +89,10 @@ fn main() {
                 }
             }
             let n = workload.tasks.len() as f64;
-            row(&[
-                strategy.label().into(),
-                f(answered as f64 / n),
-                f(valid as f64 / n),
-                f(accurate as f64 / n),
-                f(samples as f64 / n),
-            ]);
+            row!(t; strategy.label(), answered as f64 / n, valid as f64 / n,
+                accurate as f64 / n, samples as f64 / n);
         }
+        e.tables.push(t);
     }
+    e
 }

@@ -21,7 +21,7 @@
 //! * **0 effect-sanitizer violations**: the valid corpus executes under
 //!   `effect_check` with every write guarded by its static write set.
 
-use cda_bench::{f, header, row, timed, us};
+use crate::{clock, row, Budget, Experiment, Table};
 use cda_core::demo::demo_world;
 use cda_core::{CdaConfig, Session, WriteDecision};
 use cda_server::{Server, ServerConfig, SessionId, TurnOutcome};
@@ -85,17 +85,19 @@ fn server(readers: usize) -> (Server, SessionId, Vec<SessionId>) {
     (srv, writer, readers)
 }
 
-fn main() {
-    let fast = std::env::var("CDA_BENCH_FAST").is_ok();
-    let readers = if fast { 3 } else { 8 };
-    header("E21", "mutation gate: doomed writes, precise invalidation, effect sanitizer");
-    println!("readers {readers}");
+/// Run E21.
+pub fn run(budget: &Budget) -> Experiment {
+    let readers = if budget.fast { 3 } else { 8 };
+    let mut e = Experiment::new(
+        "E21",
+        "mutation gate: doomed writes, precise invalidation, effect sanitizer",
+    );
 
     // ---- doomed-write catch rate ----------------------------------------
     let mut s = gated_session(0);
     let epoch_before = s.epoch();
     let doomed = doomed_corpus();
-    let (caught, t_doom) = timed(|| {
+    let (caught, t_doom) = clock(1, || {
         doomed
             .iter()
             .filter(|sql| {
@@ -109,7 +111,7 @@ fn main() {
     // ---- valid corpus under the sanitizer -------------------------------
     let mut s = gated_session(2);
     let valid = valid_corpus();
-    let (applied, t_valid) = timed(|| {
+    let (applied, t_valid) = clock(1, || {
         valid
             .iter()
             .filter(|sql| matches!(s.apply_sql(sql), Ok(WriteDecision::Applied(_))))
@@ -117,17 +119,11 @@ fn main() {
     });
     let violations = valid.len() - applied;
 
-    row(&["corpus".into(), "wall".into(), "outcome".into()]);
-    row(&[
-        "doomed".into(),
-        us(t_doom),
-        format!("{caught}/{} rejected (catch rate {})", doomed.len(), f(catch_rate)),
-    ]);
-    row(&[
-        "valid + sanitizer".into(),
-        us(t_valid),
-        format!("{applied}/{} applied ({violations} violations)", valid.len()),
-    ]);
+    let mut gate = Table::new("the DML gate (gated session)", &["corpus", "outcome", "wall"]);
+    row!(gate; "doomed", format!("{caught}/{} rejected (catch rate {catch_rate:.3})", doomed.len()),
+        t_doom);
+    row!(gate; "valid + sanitizer", format!("{applied}/{} applied ({violations} violations)",
+        valid.len()), t_valid);
 
     // ---- cross-session DML: 0 stale serves ------------------------------
     let (mut srv, writer, ids) = server(readers);
@@ -141,22 +137,20 @@ fn main() {
     for id in &ids {
         srv.submit(*id, EMP_Q).expect("submit conflicting turn");
     }
-    let (report, t_lane) = timed(|| srv.drain());
+    let (report, t_lane) = clock(1, || srv.drain());
     let round2: Vec<Vec<String>> = ids.iter().map(|id| rendered(&report, *id)).collect();
     let stale_serves = round1.iter().zip(&round2).filter(|(a, b)| a == b).count();
     let conflicting_hits: usize = ids
         .iter()
         .map(|id| srv.session_stats(*id).map(|st| st.cache.hits).unwrap_or(0))
         .sum();
-    println!(
-        "\ncross-session DML: lane serialized {}/{} sessions in {}  epoch {} -> {}  \
-         stale serves {stale_serves}  cache hits on conflicting question {conflicting_hits}",
-        report.serialized,
-        ids.len() + 1,
-        us(t_lane),
-        epoch_before,
-        srv.world().epoch(),
+    let mut lane = Table::new(
+        format!("one writer + {readers} readers through the server's write lane"),
+        &["write", "serialized", "epoch", "reader outcome", "drain wall"],
     );
+    row!(lane; "conflicting", format!("{}/{}", report.serialized, ids.len() + 1),
+        format!("{epoch_before} -> {}", srv.world().epoch()),
+        format!("{stale_serves} stale serves, {conflicting_hits} cache hits"), t_lane);
 
     // ---- unrelated write: retention hit rate ----------------------------
     let (mut srv, writer, ids) = server(readers);
@@ -168,36 +162,33 @@ fn main() {
     for id in &ids {
         srv.submit(*id, WAGE_Q).expect("submit retained turn");
     }
-    let (unrelated, t_keep) = timed(|| srv.drain());
+    let (unrelated, t_keep) = clock(1, || srv.drain());
     let retained: usize = ids
         .iter()
         .map(|id| srv.session_stats(*id).map(|st| st.cache.hits).unwrap_or(0))
         .sum();
     let retention = retained as f64 / ids.len() as f64;
-    println!(
-        "unrelated write: lane serialized {}/{} sessions in {}  retained answers \
-         {retained}/{} (hit rate {})",
-        unrelated.serialized,
-        ids.len() + 1,
-        us(t_keep),
-        ids.len(),
-        f(retention)
-    );
+    row!(lane; "unrelated", format!("{}/{}", unrelated.serialized, ids.len() + 1),
+        format!("{epoch_before} -> {}", srv.world().epoch()),
+        format!("{retained}/{} answers retained (hit rate {retention:.3})", ids.len()), t_keep);
+    e.tables = vec![gate, lane];
 
     // ---- gates ----------------------------------------------------------
-    let doom_ok = catch_rate == 1.0 && doom_clean;
-    let sanitizer_ok = violations == 0;
-    let stale_ok = stale_serves == 0 && conflicting_hits == 0;
-    let retention_ok = retention == 1.0;
-    println!(
-        "\nacceptance: catch rate {} with world untouched (ok: {doom_ok})  \
-         {violations} sanitizer violations (ok: {sanitizer_ok})  {stale_serves} stale \
-         serves after cross-session DML (ok: {stale_ok})  retention hit rate {} on \
-         unrelated writes (ok: {retention_ok})",
-        f(catch_rate),
-        f(retention)
+    e.gate(
+        "doomed-write catch rate == 1.0 with the world untouched",
+        format!("{catch_rate:.3}, world untouched: {doom_clean}"),
+        catch_rate == 1.0 && doom_clean,
     );
-    if !doom_ok || !sanitizer_ok || !stale_ok || !retention_ok {
-        std::process::exit(1);
-    }
+    e.gate("effect-sanitizer violations == 0", violations, violations == 0);
+    e.gate(
+        "stale serves and conflicting cache hits after cross-session DML == 0",
+        format!("{stale_serves} stale, {conflicting_hits} hits"),
+        stale_serves == 0 && conflicting_hits == 0,
+    );
+    e.gate(
+        "retention hit rate on unrelated writes == 1.0",
+        format!("{retention:.3}"),
+        retention == 1.0,
+    );
+    e
 }

@@ -3,7 +3,7 @@
 //!
 //! Full mode drives 16 sessions x 40 turns through a file-backed world,
 //! restarts it, and sweeps a fault through every page-write boundary of a
-//! commit; `CDA_BENCH_FAST=1` scales down for CI. Gates:
+//! commit; a fast budget scales down for CI. Gates:
 //!
 //! * **restart reuse**: after a cold restart (every handle dropped, the
 //!   world rebuilt from the file alone) the durable semantic cache serves
@@ -23,7 +23,7 @@
 // Scratch database files under the temp dir.
 #![allow(clippy::disallowed_methods)]
 
-use cda_bench::{f, header, row, timed, us};
+use crate::{clock, row, Budget, Experiment, Table};
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary};
 use cda_core::storage::{FaultPlan, FileBackend, StorageBackend, StoreId, PAGE_SIZE};
 use cda_core::{CdaConfig, Session, WorldSnapshot};
@@ -32,6 +32,8 @@ use cda_server::loadgen::{session_scripts, LoadSpec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// A scratch file. The pid keeps concurrent runs apart; the path never
+/// reaches the printed output.
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("cda-e20-{}-{name}.db", std::process::id()));
@@ -161,11 +163,14 @@ fn fault_sweep(stride: u64) -> (u64, u64) {
     (tested, torn)
 }
 
-fn main() {
-    let fast = std::env::var("CDA_BENCH_FAST").is_ok();
-    let (sessions, turns_per_session, stride) = if fast { (4, 10, 4) } else { (16, 40, 1) };
-    header("E20", "durable world storage: restart reuse, epoch invalidation, crash recovery");
-    println!("sessions {sessions}  turns/session {turns_per_session}  fault stride {stride}");
+/// Run E20.
+pub fn run(budget: &Budget) -> Experiment {
+    let (sessions, turns_per_session, stride) =
+        if budget.fast { (4, 10, 4) } else { (16, 40, 1) };
+    let mut e = Experiment::new(
+        "E20",
+        "durable world storage: restart reuse, epoch invalidation, crash recovery",
+    );
 
     let path = tmp("world");
     let _ = std::fs::remove_file(&path);
@@ -174,12 +179,12 @@ fn main() {
     let world = durable_world(&path, 42);
     let spec = LoadSpec { sessions, turns_per_session, seed: 0xE20 };
     let scripts = session_scripts(&world, spec);
-    let ((_, h1, m1), t_cold) = timed(|| replay(&world, &scripts, true));
+    let ((_, h1, m1), t_cold) = clock(1, || replay(&world, &scripts, true));
     drop(world);
 
     let world = durable_world(&path, 42); // the restart: file is all that survives
-    let ((fresh, _, _), t_fresh) = timed(|| replay(&world, &scripts, false));
-    let ((served, h2, m2), t_warm) = timed(|| replay(&world, &scripts, true));
+    let ((fresh, _, _), t_fresh) = clock(1, || replay(&world, &scripts, false));
+    let ((served, h2, m2), t_warm) = clock(1, || replay(&world, &scripts, true));
     let restart_mismatches =
         fresh.iter().zip(&served).filter(|(a, b)| a != b).count();
     let backend = Arc::clone(world.storage().expect("storage attached"));
@@ -187,24 +192,18 @@ fn main() {
     let total = (h2 + m2).max(1);
     let restart_hit_rate = h2 as f64 / total as f64;
 
-    row(&["run".into(), "wall".into(), "hits".into(), "misses".into(), "mismatches".into()]);
-    row(&["cold (executes)".into(), us(t_cold), h1.to_string(), m1.to_string(), "-".into()]);
-    row(&["fresh replay (oracle)".into(), us(t_fresh), "-".into(), "-".into(), "-".into()]);
-    row(&[
-        "restart (serves)".into(),
-        us(t_warm),
-        h2.to_string(),
-        m2.to_string(),
-        restart_mismatches.to_string(),
-    ]);
-    println!(
-        "storage: {} pages ({} free)  {} commits  pool hit rate {}  restart cache hit rate {}",
-        stats.pages,
-        stats.free_pages,
-        stats.commits,
-        f(stats.pool.hit_rate()),
-        f(restart_hit_rate)
+    let mut restart = Table::new(
+        format!("cold restart, {sessions} sessions x {turns_per_session} turns"),
+        &["run", "hits", "misses", "mismatches", "wall"],
     );
+    row!(restart; "cold (executes)", h1, m1, "-", t_cold);
+    row!(restart; "fresh replay (oracle)", "-", "-", "-", t_fresh);
+    row!(restart; "restart (serves)", h2, m2, restart_mismatches, t_warm);
+    let mut storage = Table::new("storage after the restart replay", &["measure", "value"]);
+    row!(storage; "pages", stats.pages);
+    row!(storage; "free pages", stats.free_pages);
+    row!(storage; "commits", stats.commits);
+    row!(storage; "pool hit rate", stats.pool.hit_rate());
 
     // ---- epoch invalidation ---------------------------------------------
     let entries_before = backend.len(StoreId::SemanticCache).expect("len");
@@ -214,36 +213,43 @@ fn main() {
     let (served_bumped, h3, m3) = replay(&bumped, &scripts, true);
     let stale_mismatches =
         fresh_bumped.iter().zip(&served_bumped).filter(|(a, b)| a != b).count();
-    println!(
-        "\nepoch bump: {} records dropped ({entries_before} -> {entries_after})  \
-         post-bump hits {h3}  misses {m3}  mismatches vs fresh {stale_mismatches}",
-        bumped.stale_cache_dropped()
+    let mut epoch = Table::new(
+        "epoch bump",
+        &["records before", "records after", "dropped", "post-bump hits", "misses", "mismatches"],
     );
+    row!(epoch; entries_before, entries_after, bumped.stale_cache_dropped(), h3, m3,
+        stale_mismatches);
 
     // ---- crash recovery -------------------------------------------------
-    let ((boundaries, torn), t_sweep) = timed(|| fault_sweep(stride));
-    println!(
-        "\nfault sweep: {boundaries} write boundaries in {}  torn recoveries {torn}",
-        us(t_sweep)
+    let ((boundaries, torn), t_sweep) = clock(1, || fault_sweep(stride));
+    let mut sweep = Table::new(
+        format!("fault sweep, stride {stride}"),
+        &["write boundaries", "torn recoveries", "wall"],
     );
+    row!(sweep; boundaries, torn, t_sweep);
+    e.tables = vec![restart, storage, epoch, sweep];
 
     // ---- gates ----------------------------------------------------------
-    let restart_ok = h2 > 0 && restart_mismatches == 0;
-    let epoch_ok = entries_after == 0
-        && bumped.stale_cache_dropped() == entries_before
-        && stale_mismatches == 0;
-    let recovery_ok = torn == 0 && boundaries > 0;
-    println!(
-        "\nacceptance: restart hit rate {} > 0 with {restart_mismatches} mismatches (ok: \
-         {restart_ok})  epoch bump dropped {}/{entries_before} with {stale_mismatches} \
-         mismatches (ok: {epoch_ok})  {torn} torn recoveries over {boundaries} boundaries \
-         (ok: {recovery_ok})  pool hit rate {}",
-        f(restart_hit_rate),
-        bumped.stale_cache_dropped(),
-        f(stats.pool.hit_rate())
+    e.gate(
+        "restart hit rate > 0 with 0 mismatches",
+        format!("{restart_hit_rate:.3}, {restart_mismatches} mismatches"),
+        h2 > 0 && restart_mismatches == 0,
+    );
+    e.gate(
+        "epoch bump drops every record with 0 mismatches",
+        format!(
+            "{}/{entries_before} dropped, {entries_after} left, {stale_mismatches} mismatches",
+            bumped.stale_cache_dropped()
+        ),
+        entries_after == 0
+            && bumped.stale_cache_dropped() == entries_before
+            && stale_mismatches == 0,
+    );
+    e.gate(
+        "0 torn recoveries over > 0 boundaries",
+        format!("{torn} torn over {boundaries}"),
+        torn == 0 && boundaries > 0,
     );
     let _ = std::fs::remove_file(&path);
-    if !restart_ok || !epoch_ok || !recovery_ok {
-        std::process::exit(1);
-    }
+    e
 }

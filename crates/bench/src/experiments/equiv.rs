@@ -7,8 +7,8 @@
 //! 1. **Certification** — every optimizer rule is differentially certified
 //!    against the canonicalizer over a 20-query corpus; reported per rule:
 //!    `equivalent` / `refuted` / `unknown` counts and certification time.
-//!    Acceptance requires 100% `Equivalent` (a refutation prints its
-//!    counterexample and fails CI via the acceptance line).
+//!    A gate requires 100% `Equivalent`; a refutation is listed with its
+//!    verdict and fails the gate.
 //! 2. **Semantic cache** — a scripted demo-system conversation with
 //!    repeated and re-phrased analysis turns is replayed with the cache on
 //!    and off; reported: hit rate, infrastructure wall-clock both ways, and
@@ -19,10 +19,10 @@
 //!    executions saved and the maximum confidence delta, which must be
 //!    exactly 0 (the clustering is provably behavior-neutral).
 //!
-//! `CDA_BENCH_FAST=1` shrinks the UQ sweep (CI smoke mode).
+//! A fast budget shrinks the UQ sweep to 3 seeds.
 
 use cda_analyzer::{certify_optimizer, Analyzer, EquivEngine};
-use cda_bench::{f, header, row, timed, us};
+use crate::{clock, row, Budget, Experiment};
 use cda_core::demo::demo_session;
 use cda_core::reliability::CdaConfig;
 use cda_dataframe::kernels::AggKind;
@@ -107,16 +107,21 @@ fn strip_cache_note(text: &str) -> String {
         .join("\n")
 }
 
-fn main() {
-    let fast = std::env::var("CDA_BENCH_FAST").is_ok();
-    header("E16", "plan equivalence: certified rewrites, semantic cache, UQ clustering");
+/// Run E16.
+pub fn run(budget: &Budget) -> Experiment {
+    let mut e = Experiment::new(
+        "E16",
+        "plan equivalence: certified rewrites, semantic cache, UQ clustering",
+    );
 
     // ---- 1. differential certification of every optimizer rule ----------
-    println!("\n-- optimizer rule certification ({} queries) --", corpus().len());
     let c = catalog();
     let engine = EquivEngine::new().with_trials(8).with_seed(0xE16);
-    let (report, t_cert) = timed(|| certify_optimizer(&engine, &c, &corpus()));
-    row(&["rule".into(), "checks".into(), "equivalent".into(), "refuted".into(), "unknown".into()]);
+    let (report, t_cert) = clock(1, || certify_optimizer(&engine, &c, &corpus()));
+    let mut certification = crate::Table::new(
+        format!("optimizer rule certification ({} queries)", corpus().len()),
+        &["rule", "checks", "equivalent", "refuted", "unknown"],
+    );
     let mut rules: Vec<&str> = Vec::new();
     for ch in &report.checks {
         if !rules.contains(&ch.rule) {
@@ -129,22 +134,23 @@ fn main() {
         let refuted =
             checks.iter().filter(|ch| ch.result.label() == "not-equivalent").count();
         let unknown = checks.len() - eq - refuted;
-        row(&[
-            rule.into(),
-            checks.len().to_string(),
-            eq.to_string(),
-            refuted.to_string(),
-            unknown.to_string(),
-        ]);
+        row!(certification; rule, checks.len(), eq, refuted, unknown);
     }
+    e.tables.push(certification);
+    let mut uncertified =
+        crate::Table::new("uncertified rewrites", &["rule", "query", "verdict"]);
     for ch in report.uncertified() {
-        println!("UNCERTIFIED [{}] {} — {:?}", ch.rule, ch.sql, ch.result);
+        row!(uncertified; ch.rule, ch.sql.as_str(), format!("{:?}", ch.result));
+    }
+    if !uncertified.rows.is_empty() {
+        e.tables.push(uncertified);
     }
     let all_certified = report.all_certified();
-    println!("certification time: {}", us(t_cert));
+    let mut t = crate::Table::new("certification time", &["corpus", "time"]);
+    row!(t; "all rules", t_cert);
+    e.tables.push(t);
 
     // ---- 2. semantic answer cache over a scripted conversation ----------
-    println!("\n-- semantic answer cache (demo-system replay) --");
     let script = [
         "What is the total employees in employment_by_type per canton?",
         "and per type instead?",
@@ -168,19 +174,14 @@ fn main() {
     let (texts_on, infra_on, hits, misses, hit_rate) = run(true);
     let (texts_off, infra_off, ..) = run(false);
     let byte_identical = texts_on == texts_off;
-    row(&["turns".into(), "hits".into(), "misses".into(), "hit-rate".into(), "infra-on".into(), "infra-off".into(), "identical".into()]);
-    row(&[
-        script.len().to_string(),
-        hits.to_string(),
-        misses.to_string(),
-        f(hit_rate),
-        us(infra_on),
-        us(infra_off),
-        byte_identical.to_string(),
-    ]);
+    let mut cache = crate::Table::new(
+        "semantic answer cache (demo-system replay, cache on vs off)",
+        &["turns", "hits", "misses", "hit-rate", "identical", "infra-on", "infra-off"],
+    );
+    row!(cache; script.len(), hits, misses, hit_rate, byte_identical, infra_on, infra_off);
+    e.tables.push(cache);
 
     // ---- 3. equivalence-aware consistency UQ ----------------------------
-    println!("\n-- equivalence-aware consistency UQ --");
     let analyzer = Analyzer::new(&c);
     let prompt = Nl2SqlPrompt {
         task: AnalyticTask {
@@ -195,10 +196,13 @@ fn main() {
         schema: c.get("emp").unwrap().table.schema().clone(),
         other_tables: vec!["regions".into()],
     };
-    let seeds: u64 = if fast { 3 } else { 10 };
+    let seeds: u64 = if budget.fast { 3 } else { 10 };
     let mut total_saved = 0usize;
     let mut max_delta = 0.0f64;
-    row(&["halluc".into(), "seeds".into(), "saved".into(), "max-dconf".into()]);
+    let mut uq = crate::Table::new(
+        "equivalence-aware consistency UQ (9 samples, repair 2): clustering on vs off",
+        &["halluc", "seeds", "saved", "max-dconf"],
+    );
     for pct in [0u32, 30, 60] {
         let h = f64::from(pct) / 100.0;
         let mut saved = 0usize;
@@ -213,26 +217,14 @@ fn main() {
         }
         total_saved += saved;
         max_delta = max_delta.max(delta);
-        row(&[format!("{pct}%"), seeds.to_string(), saved.to_string(), f(delta)]);
+        row!(uq; format!("{pct}%"), seeds, saved, delta);
     }
+    e.tables.push(uq);
 
-    println!(
-        "\nacceptance: all rewrites certified {} (true: {}), cache hit rate {} (>0: {}), \
-         cached answers byte-identical {} (true: {}), UQ executions saved {} (>0: {}), \
-         max UQ confidence delta {} (==0: {})",
-        all_certified,
-        all_certified,
-        f(hit_rate),
-        hit_rate > 0.0,
-        byte_identical,
-        byte_identical,
-        total_saved,
-        total_saved > 0,
-        f(max_delta),
-        max_delta == 0.0,
-    );
-    if !(all_certified && hit_rate > 0.0 && byte_identical && total_saved > 0 && max_delta == 0.0)
-    {
-        std::process::exit(1);
-    }
+    e.gate("all rewrites certified", all_certified, all_certified);
+    e.gate("cache hit rate > 0", format!("{hit_rate:.3}"), hit_rate > 0.0);
+    e.gate("cached answers byte-identical", byte_identical, byte_identical);
+    e.gate("UQ executions saved > 0", total_saved, total_saved > 0);
+    e.gate("max UQ confidence delta == 0", format!("{max_delta:.3}"), max_delta == 0.0);
+    e
 }

@@ -6,7 +6,7 @@
 //! context length. Metrics: precision/recall/F1 and top-1 accuracy — the
 //! paper's named metrics for grounding quality.
 
-use cda_bench::{f, header, row};
+use crate::{row, Budget, Experiment, Table};
 use cda_kg::linking::{Entity, Linker, LinkerConfig};
 use cda_kg::vocab::{Concept, Vocabulary};
 
@@ -72,10 +72,15 @@ fn linking_benchmark() -> (Linker, Vec<(&'static str, &'static str, &'static str
     (linker, cases)
 }
 
-fn main() {
-    header("E3", "grounding: entity linking ablation + disambiguation in context");
+/// Run E3.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E3", "grounding: entity linking ablation + disambiguation in context");
     let (linker, cases) = linking_benchmark();
-    row(&["signals".into(), "top-1 acc".into(), "mrr".into()]);
+    let mut linking = Table::new(
+        format!("entity linking, {} ambiguous mentions", cases.len()),
+        &["signals", "top-1 acc", "mrr"],
+    );
     for (label, config) in [
         ("lexical only", LinkerConfig { use_lexical: true, use_embedding: false, use_popularity: false }),
         ("lexical+pop", LinkerConfig { use_lexical: true, use_embedding: false, use_popularity: true }),
@@ -94,14 +99,9 @@ fn main() {
                 mrr_total += 1.0 / (pos + 1) as f64;
             }
         }
-        row(&[
-            label.into(),
-            f(correct as f64 / cases.len() as f64),
-            f(mrr_total / cases.len() as f64),
-        ]);
+        row!(linking; label, correct as f64 / cases.len() as f64, mrr_total / cases.len() as f64);
     }
 
-    println!("\nterminology disambiguation (vocabulary, varying context):");
     let mut vocab = Vocabulary::new();
     vocab.register(
         "barometer",
@@ -111,7 +111,10 @@ fn main() {
         "barometer",
         Concept::new("weather_barometer", "atmospheric pressure instrument weather", vec!["meteorology"]),
     );
-    row(&["context".into(), "top concept".into(), "confidence".into()]);
+    let mut terms = Table::new(
+        "terminology disambiguation of \"barometer\" (vocabulary, varying context)",
+        &["context", "top concept", "confidence"],
+    );
     for context in [
         "",
         "survey",
@@ -119,10 +122,9 @@ fn main() {
         "monthly employment survey of the labour market",
     ] {
         let d = vocab.disambiguate("barometer", context);
-        row(&[
-            format!("{:?}", &context[..context.len().min(14)]),
-            d[0].concept.id.clone(),
-            f(d[0].confidence),
-        ]);
+        row!(terms; format!("{:?}", &context[..context.len().min(14)]), d[0].concept.id.as_str(),
+            d[0].confidence);
     }
+    e.tables = vec![linking, terms];
+    e
 }

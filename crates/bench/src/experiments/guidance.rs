@@ -5,7 +5,7 @@
 //! fixed-order needs more, and random more still; planner rankings with
 //! lookahead reach higher MRR than myopic rankings.
 
-use cda_bench::{f, header, mean, row};
+use crate::{mean, row, Budget, Experiment, Table};
 use cda_guidance::clarify::{simulate_dialogue, ClarificationQuestion, GoalBelief};
 use cda_guidance::planner::{Action, SpeculativePlanner};
 use cda_vector::eval::ndcg_at_k;
@@ -35,8 +35,10 @@ fn build_domain(bits: usize) -> (Vec<String>, Vec<ClarificationQuestion>) {
     (goals, questions)
 }
 
-fn main() {
-    header("E8", "guidance: clarification turns-to-goal + suggestion ranking quality");
+/// Run E8.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E8", "guidance: clarification turns-to-goal + suggestion ranking quality");
     for bits in [2usize, 3, 4] {
         let (goals, questions) = build_domain(bits);
         let belief = GoalBelief::uniform(&goals.iter().map(String::as_str).collect::<Vec<_>>())
@@ -62,14 +64,20 @@ fn main() {
             let (t_rand, _) = simulate_dialogue(&belief, &shuffled, goal, 0.95, false);
             random_turns.push(t_rand as f64);
         }
-        println!("\n{} goals ({} questions):", goals.len(), questions.len());
-        row(&["policy".into(), "mean turns".into(), "goal found".into()]);
-        row(&["eig".into(), f(mean(&eig_turns)), f(eig_found as f64 / goals.len() as f64)]);
-        row(&["fixed order".into(), f(mean(&fixed_turns)), "1.000".into()]);
-        row(&["random order".into(), f(mean(&random_turns)), "1.000".into()]);
+        let mut t = Table::new(
+            format!("clarification, {} goals ({} questions)", goals.len(), questions.len()),
+            &["policy", "mean turns", "goal found"],
+        );
+        row!(t; "eig", mean(&eig_turns), eig_found as f64 / goals.len() as f64);
+        row!(t; "fixed order", mean(&fixed_turns), 1.0);
+        row!(t; "random order", mean(&random_turns), 1.0);
+        e.tables.push(t);
     }
 
-    println!("\nsuggestion ranking (60 simulated sessions, half with two-step goals):");
+    let mut ranking = Table::new(
+        "suggestion ranking (60 simulated sessions, half with two-step goals)",
+        &["planner", "mrr", "ndcg@4"],
+    );
     // The action space: "forecast" is only reachable through "seasonality".
     // When the user's latent goal is the forecast, the *progress-making*
     // recommendation is seasonality — which only the lookahead planner can
@@ -122,6 +130,8 @@ fn main() {
             progress_ids.push(*progress);
         }
         let mrr = SpeculativePlanner::mrr(&rankings, &progress_ids);
-        row(&[label.into(), format!("mrr={}", f(mrr)), format!("ndcg@4={}", f(mean(&ndcgs)))]);
+        row!(ranking; label, mrr, mean(&ndcgs));
     }
+    e.tables.push(ranking);
+    e
 }

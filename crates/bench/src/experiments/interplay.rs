@@ -15,7 +15,7 @@
 //! * P1 off → same answers, more work (efficiency "enables" the rest at
 //!   interactive speed).
 
-use cda_bench::{f, header, row};
+use crate::{row, Budget, Experiment, Table};
 use cda_core::answer::{AnswerStatus, PropertyTag};
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary, FIGURE1_TURNS};
 use cda_core::reliability::SessionOutcome;
@@ -109,18 +109,17 @@ fn evaluate(label: &str, config: CdaConfig) -> Report {
     }
 }
 
-fn main() {
-    header("F2", "property interplay by ablation (45% hallucination model, 50 tasks + Fig-1 turns)");
-    row(&[
-        "configuration".into(),
-        "reliability".into(),
-        "acc@answered".into(),
-        "coverage".into(),
-        "verif rate".into(),
-        "ECE".into(),
-        "grounded".into(),
-        "suggestions".into(),
-    ]);
+/// Run F2.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e = Experiment::new(
+        "F2",
+        "property interplay by ablation (45% hallucination model, 50 tasks + Fig-1 turns)",
+    );
+    let mut ablation = Table::new(
+        "single-property ablation",
+        &["configuration", "reliability", "acc@answered", "coverage", "verif rate", "ECE",
+          "grounded", "suggestions"],
+    );
     let mut reports = vec![evaluate("all properties", CdaConfig::default())];
     for p in [
         PropertyTag::Efficiency,
@@ -133,34 +132,18 @@ fn main() {
     }
     reports.push(evaluate("none (status quo)", CdaConfig::none()));
     for r in &reports {
-        row(&[
-            r.label.clone(),
-            f(r.reliability),
-            f(r.accuracy),
-            f(r.coverage),
-            f(r.verification),
-            f(r.ece),
-            format!("{}", r.grounded_turns),
-            format!("{}", r.suggestions),
-        ]);
+        row!(ablation; r.label.as_str(), r.reliability, r.accuracy, r.coverage, r.verification,
+            r.ece, r.grounded_turns, r.suggestions);
     }
-    println!("\nFigure-2 arrows, observed:");
+    let mut arrows = Table::new(
+        "Figure-2 arrows, observed: all properties vs the ablated one",
+        &["arrow", "metric", "all", "ablated"],
+    );
     let all = &reports[0];
-    let no_p3 = &reports[3];
-    let no_p4 = &reports[4];
-    let no_p5 = &reports[5];
-    println!(
-        "  P3 informs P4: verification rate {} -> {} when explainability is dropped",
-        f(all.verification),
-        f(no_p3.verification)
-    );
-    println!(
-        "  P4 enhances P5: accuracy@answered {} -> {} when soundness is dropped",
-        f(all.accuracy),
-        f(no_p4.accuracy)
-    );
-    println!(
-        "  P5 guidance: {} suggestions -> {} when guidance is dropped",
-        all.suggestions, no_p5.suggestions
-    );
+    let (no_p3, no_p4, no_p5) = (&reports[3], &reports[4], &reports[5]);
+    row!(arrows; "P3 informs P4", "verification rate", all.verification, no_p3.verification);
+    row!(arrows; "P4 enhances P5", "acc@answered", all.accuracy, no_p4.accuracy);
+    row!(arrows; "P5 guidance", "suggestions", all.suggestions, no_p5.suggestions);
+    e.tables = vec![ablation, arrows];
+    e
 }

@@ -6,7 +6,7 @@
 //! cost and extra triples but answers `type?` lookups fastest; the
 //! query-time reasoner trades per-query overhead for zero storage.
 
-use cda_bench::{header, row, timed, timed_avg, us};
+use crate::{clock, row, Budget, Experiment, Table};
 use cda_kg::query::{Bgp, Pattern, Term};
 use cda_kg::reason::{materialize, Reasoner};
 use cda_kg::TripleStore;
@@ -33,15 +33,15 @@ fn build_kg(n: usize, classes: usize, links: usize, seed: u64) -> TripleStore {
     kg
 }
 
-fn main() {
-    header("E12", "KG scale: BGP latency + materialization vs query-time reasoning");
-    row(&[
-        "entities".into(),
-        "triples".into(),
-        "1-pattern".into(),
-        "2-pattern join".into(),
-        "3-pattern join".into(),
-    ]);
+/// Run E12.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E12", "KG scale: BGP latency + materialization vs query-time reasoning");
+    let mut bgp = Table::new(
+        "BGP queries (32-class taxonomy, 2 links per entity)",
+        &["entities", "triples", "1-pattern rows", "2-pattern rows", "3-pattern rows", "1-pattern",
+            "2-pattern join", "3-pattern join"],
+    );
     for n in [10_000usize, 100_000, 300_000] {
         let kg = build_kg(n, 32, 2, 5);
         let q1 = Bgp::new(vec![Pattern::new(
@@ -58,46 +58,38 @@ fn main() {
             Pattern::new(Term::var("x"), Term::iri("relatedTo"), Term::var("y")),
             Pattern::new(Term::var("y"), Term::iri("type"), Term::var("c")),
         ]);
-        let (r1, t1) = timed_avg(3, || q1.evaluate(&kg));
-        let (r2, t2) = timed_avg(3, || q2.evaluate(&kg));
-        let (r3, t3) = timed_avg(3, || q3.evaluate(&kg));
-        row(&[
-            format!("{n}"),
-            format!("{}", kg.len()),
-            format!("{} ({} rows)", us(t1), r1.len()),
-            format!("{} ({} rows)", us(t2), r2.len()),
-            format!("{} ({} rows)", us(t3), r3.len()),
-        ]);
+        let (r1, t1) = clock(3, || q1.evaluate(&kg));
+        let (r2, t2) = clock(3, || q2.evaluate(&kg));
+        let (r3, t3) = clock(3, || q3.evaluate(&kg));
+        row!(bgp; n, kg.len(), r1.len(), r2.len(), r3.len(), t1, t2, t3);
     }
 
-    println!("\ninference strategies (100k entities, 32-class taxonomy):");
+    let mut inference = Table::new(
+        "inference strategies (100k entities, 32-class taxonomy)",
+        &["strategy", "extra triples", "setup time", "per-query time"],
+    );
     let base = build_kg(100_000, 32, 1, 9);
-    row(&[
-        "strategy".into(),
-        "setup time".into(),
-        "extra triples".into(),
-        "per-query time".into(),
-    ]);
     // materialization
     let mut mat = base.clone();
     let before = mat.len();
-    let (added, setup) = timed(|| materialize(&mut mat));
-    let (_, q_mat) = timed_avg(5, || mat.objects("e42", "type"));
-    row(&[
-        "materialize".into(),
-        us(setup),
-        format!("{added} (+{:.0}%)", 100.0 * added as f64 / before as f64),
-        us(q_mat),
-    ]);
+    let (added, setup) = clock(1, || materialize(&mut mat));
+    let (_, q_mat) = clock(5, || mat.objects("e42", "type"));
+    let extra = format!("{added} (+{:.0}%)", 100.0 * added as f64 / before as f64);
+    row!(inference; "materialize", extra, setup, q_mat);
     // query-time reasoning
-    let (reasoner, setup) = timed(|| Reasoner::new(&base));
-    let (_, q_virt) = timed_avg(5, || reasoner.types_of("e42"));
-    row(&["query-time".into(), us(setup), "0".into(), us(q_virt)]);
-    // sanity: both agree
+    let (reasoner, setup) = clock(1, || Reasoner::new(&base));
+    let (_, q_virt) = clock(5, || reasoner.types_of("e42"));
+    row!(inference; "query-time", "0", setup, q_virt);
+    e.tables = vec![bgp, inference];
+
     let mut a = mat.objects("e42", "type");
     let mut b = reasoner.types_of("e42");
     a.sort();
     b.sort();
-    assert_eq!(a, b, "materialization and query-time reasoning disagree");
-    println!("\n(consistency check passed: both strategies infer identical types)");
+    e.gate(
+        "materialization and query-time reasoning infer the same types for e42",
+        format!("{} vs {} types", a.len(), b.len()),
+        a == b,
+    );
+    e
 }

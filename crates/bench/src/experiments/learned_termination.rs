@@ -9,13 +9,16 @@
 //! fewer distance evaluations on the easy majority and more on the hard
 //! tail, beating every fixed setting on the cost/recall frontier.
 
-use cda_bench::{f, header, mean, row};
+use crate::{mean, row, Budget, Experiment, Table};
 use cda_vector::eval::{ground_truth, recall_at_k};
 use cda_vector::hnsw::{HnswIndex, HnswParams};
 use cda_vector::learned::{LearnedTermination, StagnationPolicy};
-use cda_vector::{Neighbor, VectorSet};
+use cda_vector::{Neighbor, SearchStats, VectorSet};
 
 const K: usize = 10;
+
+/// One policy's k-NN search with its work counters.
+type Search<'a> = dyn Fn(&[f32]) -> (Vec<Neighbor>, SearchStats) + 'a;
 
 /// 70% easy queries (tightly perturbed data points — the answer is right at
 /// the entry region) and 30% hard ones (strongly perturbed — solvable, but
@@ -26,27 +29,41 @@ fn mixed_queries(data: &VectorSet, n: usize, seed: u64) -> Vec<Vec<f32>> {
     out
 }
 
-fn main() {
-    header("E2", "learned adaptive early termination vs fixed ef (HNSW, mixed difficulty)");
+/// Run E2.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e = Experiment::new(
+        "E2",
+        "learned adaptive early termination vs fixed ef (HNSW, mixed difficulty)",
+    );
     let (data, _) = VectorSet::gaussian_clusters(30_000, 32, 50, 0.15, 21).unwrap();
     let queries = mixed_queries(&data, 60, 22);
     let truth = ground_truth(&data, &queries, K);
     let params = HnswParams { m: 12, ef_construction: 80, ef_search: 0, seed: 2 };
     let hnsw = HnswIndex::build(&data, params);
 
-    row(&["policy".into(), "recall@10".into(), "avg dist evals".into(), "p95 evals".into()]);
-
-    for ef in [20usize, 40, 80, 160, 320] {
+    let mut t = Table::new(
+        "30k x d32, 60 held-out queries (70% easy, 30% hard)",
+        &["policy", "recall@10", "avg dist evals", "p95 evals"],
+    );
+    let mut report = |label: String, search: &Search| {
         let mut evals = Vec::new();
         let results: Vec<Vec<Neighbor>> = queries
             .iter()
             .map(|q| {
-                let (hits, stats) = hnsw.search_with_stats(&data, q, K, ef);
+                let (hits, stats) = search(q);
                 evals.push(stats.distance_evals as f64);
                 hits
             })
             .collect();
-        report(&format!("fixed ef={ef}"), &truth, &results, &evals);
+        let mut sorted = evals.clone();
+        sorted.sort_by(f64::total_cmp);
+        let p95 = sorted[(sorted.len() as f64 * 0.95) as usize - 1];
+        row!(t; label, recall_at_k(&truth, &results, K), format!("{:.0}", mean(&evals)),
+            format!("{p95:.0}"));
+    };
+
+    for ef in [20usize, 40, 80, 160, 320] {
+        report(format!("fixed ef={ef}"), &|q| hnsw.search_with_stats(&data, q, K, ef));
     }
 
     // train on a *separate* mixed sample so the evaluation is held-out
@@ -54,46 +71,15 @@ fn main() {
     for target in [0.8f64, 0.9, 0.95] {
         let model =
             LearnedTermination::train_on_queries(&hnsw, &data, &train_queries, K, target);
-        let mut evals = Vec::new();
-        let results: Vec<Vec<Neighbor>> = queries
-            .iter()
-            .map(|q| {
-                let (hits, stats) = model.search_with_stats(&hnsw, &data, q, K);
-                evals.push(stats.distance_evals as f64);
-                hits
-            })
-            .collect();
-        report(&format!("budget t={target}"), &truth, &results, &evals);
+        report(format!("budget t={target}"), &|q| model.search_with_stats(&hnsw, &data, q, K));
     }
     for target in [0.8f64, 0.9, 0.95] {
         let policy =
             StagnationPolicy::train_on_queries(&hnsw, &data, &train_queries, K, target);
-        let mut evals = Vec::new();
-        let results: Vec<Vec<Neighbor>> = queries
-            .iter()
-            .map(|q| {
-                let (hits, stats) = policy.search_with_stats(&hnsw, &data, q, K);
-                evals.push(stats.distance_evals as f64);
-                hits
-            })
-            .collect();
-        report(
-            &format!("patience t={target} (T={})", policy.patience),
-            &truth,
-            &results,
-            &evals,
-        );
+        report(format!("patience t={target} (T={})", policy.patience), &|q| {
+            policy.search_with_stats(&hnsw, &data, q, K)
+        });
     }
-}
-
-fn report(label: &str, truth: &[Vec<Neighbor>], results: &[Vec<Neighbor>], evals: &[f64]) {
-    let mut sorted = evals.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let p95 = sorted[(sorted.len() as f64 * 0.95) as usize - 1];
-    row(&[
-        label.into(),
-        f(recall_at_k(truth, results, K)),
-        format!("{:.0}", mean(evals)),
-        format!("{p95:.0}"),
-    ]);
+    e.tables.push(t);
+    e
 }

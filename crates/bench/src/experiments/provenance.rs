@@ -6,7 +6,7 @@
 //! executions, losslessness and invertibility verify at 100%, and tampered
 //! results are caught.
 
-use cda_bench::{f, header, row, timed_avg, us};
+use crate::{clock, row, Budget, Cell, Experiment};
 use cda_dataframe::kernels::AggKind;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_provenance::checks::verification_rates;
@@ -41,8 +41,10 @@ fn build_catalog(rows: usize, seed: u64) -> Catalog {
     c
 }
 
-fn main() {
-    header("E4", "provenance: tracking overhead + losslessness/invertibility rates");
+/// Run E4.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E4", "provenance: tracking overhead + losslessness/invertibility rates");
     let workloads = [
         ("filter", "SELECT g, x FROM t WHERE x > 500"),
         ("aggregate", "SELECT g, SUM(x) AS s, COUNT(*) AS n FROM t GROUP BY g"),
@@ -54,48 +56,28 @@ fn main() {
     ];
     for rows in [2_000usize, 10_000] {
         let catalog = build_catalog(rows, 5);
-        println!("\nbase table rows: {rows}");
-        row(&[
-            "query".into(),
-            "time w/ lineage".into(),
-            "time w/o".into(),
-            "overhead".into(),
-        ]);
+        let mut t = crate::Table::new(
+            format!("lineage tracking cost, {rows} base rows"),
+            &["query", "time w/ lineage", "time w/o", "overhead"],
+        );
         for (name, sql) in workloads {
-            let (_, with_lineage) = timed_avg(5, || {
-                execute_with_options(
-                    &catalog,
-                    sql,
-                    ExecOptions { rules: OptimizerRules::all(), track_lineage: true, vectorized: None },
-                )
-                .unwrap()
-            });
-            let (_, without) = timed_avg(5, || {
-                execute_with_options(
-                    &catalog,
-                    sql,
-                    ExecOptions { rules: OptimizerRules::all(), track_lineage: false, vectorized: None },
-                )
-                .unwrap()
-            });
-            let overhead = with_lineage.as_secs_f64() / without.as_secs_f64();
-            row(&[
-                name.into(),
-                us(with_lineage),
-                us(without),
-                format!("{overhead:.2}x"),
-            ]);
+            let run = |track_lineage| {
+                let options =
+                    ExecOptions { rules: OptimizerRules::all(), track_lineage, vectorized: None };
+                clock(5, || execute_with_options(&catalog, sql, options).unwrap()).1
+            };
+            let (with_lineage, without) = (run(true), run(false));
+            row!(t; name, with_lineage, without,
+                Cell::TimeRatio(with_lineage.as_secs_f64() / without.as_secs_f64()));
         }
+        e.tables.push(t);
     }
 
-    println!("\nverification rates over the aggregate workload (honest results):");
     let catalog = build_catalog(2_000, 5);
     let sql = "SELECT g, SUM(x) AS s FROM t GROUP BY g ORDER BY g";
     let result = execute_with_options(&catalog, sql, ExecOptions::default()).unwrap();
     let (lossless, invertible) =
         verification_rates(&catalog, sql, &result.table, 1, AggKind::Sum, "t", "x").unwrap();
-    row(&["losslessness".into(), f(lossless), String::new(), String::new()]);
-    row(&["invertibility".into(), f(invertible), String::new(), String::new()]);
 
     // tampering detection: corrupt each aggregate value by +1
     let mut cols = result.table.columns().to_vec();
@@ -110,10 +92,24 @@ fn main() {
             .unwrap();
     let (_, forged_invertible) =
         verification_rates(&catalog, sql, &forged, 1, AggKind::Sum, "t", "x").unwrap();
-    row(&[
-        "tampered inv.".into(),
-        f(forged_invertible),
-        "(must be 0)".into(),
-        String::new(),
-    ]);
+
+    let mut rates = crate::Table::new(
+        "verification rates over the aggregate workload",
+        &["check", "result rows", "rate"],
+    );
+    row!(rates; "losslessness", "honest", lossless);
+    row!(rates; "invertibility", "honest", invertible);
+    row!(rates; "invertibility", "tampered (+1)", forged_invertible);
+    e.tables.push(rates);
+    e.gate(
+        "honest results verify: losslessness == invertibility == 1.0",
+        format!("{lossless:.3} / {invertible:.3}"),
+        lossless == 1.0 && invertible == 1.0,
+    );
+    e.gate(
+        "tampered aggregates are caught: invertibility == 0.0",
+        format!("{forged_invertible:.3}"),
+        forged_invertible == 0.0,
+    );
+    e
 }

@@ -16,69 +16,30 @@
 //!   candidate, the overhead of closing the loop — printed as information,
 //!   not gated.
 //!
-//! Exits non-zero unless some decode was salvaged, repair saved attempts
-//! overall, and there are no soundness regressions.
+//! Gates: some decode was salvaged, repair saved attempts overall, and
+//! there are no soundness regressions.
 
 use cda_analyzer::{apply_hints, Analyzer};
-use cda_bench::{f, header, row, timed, us};
-use cda_dataframe::{Column, DataType, Field, Schema, Table};
+use super::static_gate::gold_workload;
+use crate::{clock, row, Budget, Cell, Experiment};
 use cda_nlmodel::constrained::Decoder;
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
-use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
-use cda_sql::Catalog;
 use std::time::Duration;
 
-fn main() {
-    header("E15", "analyzer-guided repair: salvage rate, attempts saved, overhead");
+/// Run E15.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e =
+        Experiment::new("E15", "analyzer-guided repair: salvage rate, attempts saved, overhead");
 
-    let n_rows = 20_000usize;
-    let cantons = ["ZH", "GE", "VD", "BE", "TI", "SG"];
-    let sectors = ["it", "fin", "gov", "edu"];
-    let canton_col: Vec<&str> = (0..n_rows).map(|i| cantons[i % cantons.len()]).collect();
-    let sector_col: Vec<&str> = (0..n_rows).map(|i| sectors[(i / 7) % sectors.len()]).collect();
-    let jobs: Vec<i64> = (0..n_rows).map(|i| (i as i64 * 37) % 500 + 10).collect();
-    let rate: Vec<f64> = (0..n_rows).map(|i| (i as f64 * 0.618).fract()).collect();
-    let t = Table::from_columns(
-        Schema::new(vec![
-            Field::new("canton", DataType::Str),
-            Field::new("sector", DataType::Str),
-            Field::new("jobs", DataType::Int),
-            Field::new("rate", DataType::Float),
-        ]),
-        vec![
-            Column::from_strs(&canton_col),
-            Column::from_strs(&sector_col),
-            Column::from_ints(&jobs),
-            Column::from_floats(&rate),
-        ],
-    )
-    .unwrap();
-    let schema = t.schema().clone();
-    let mut catalog = Catalog::new();
-    catalog.register("emp", t).unwrap();
-    let tables = vec![WorkloadTable {
-        name: "emp".into(),
-        schema: schema.clone(),
-        string_values: vec![
-            ("canton".into(), vec!["ZH".into(), "GE".into()]),
-            ("sector".into(), vec!["it".into(), "gov".into()]),
-        ],
-    }];
-    let workload = Workload::generate(&tables, 60, 41);
+    // The same 20k-row table and workload as E13.
+    let (catalog, schema, workload) = gold_workload();
     let analyzer = Analyzer::new(&catalog);
 
-    row(&[
-        "halluc".into(),
-        "tasks".into(),
-        "salvaged".into(),
-        "rounds".into(),
-        "att-skip".into(),
-        "att-rep".into(),
-        "regress".into(),
-        "t-gate+rep".into(),
-        "t-exec".into(),
-        "t-ratio".into(),
-    ]);
+    let mut t = crate::Table::new(
+        "rejection decoding, budget 12: skip-only vs 2 repair rounds",
+        &["halluc", "tasks", "salvaged", "rounds", "att-skip", "att-rep", "regress", "t-gate+rep",
+          "t-exec", "t-ratio"],
+    );
 
     let mut total_salvaged = 0usize;
     let mut total_regressions = 0usize;
@@ -127,7 +88,7 @@ fn main() {
             // Per-candidate overhead: the gate + repair work on a raw sample
             // vs what executing that sample would cost.
             for g in lm.sample_k(&prompt, 1.0, 3) {
-                let (_, dt) = timed(|| {
+                let (_, dt) = clock(1, || {
                     let report = analyzer.analyze(&g.sql);
                     if report.dooms_execution() {
                         let hints = analyzer.repair_hints(&g.sql, &report);
@@ -137,7 +98,7 @@ fn main() {
                     }
                 });
                 t_gate += dt;
-                let (_, dt) = timed(|| cda_sql::execute(&catalog, &g.sql));
+                let (_, dt) = clock(1, || cda_sql::execute(&catalog, &g.sql));
                 t_exec += dt;
             }
         }
@@ -147,29 +108,15 @@ fn main() {
         total_regressions += regressions;
         total_attempts_skip += attempts_skip;
         total_attempts_repair += attempts_repair;
-        row(&[
-            format!("{pct}%"),
-            n.to_string(),
-            f(salvaged as f64 / n as f64),
-            f(mean_rounds),
-            f(attempts_skip as f64 / n as f64),
-            f(attempts_repair as f64 / n as f64),
-            regressions.to_string(),
-            us(t_gate),
-            us(t_exec),
-            f(t_gate.as_secs_f64() / t_exec.as_secs_f64()),
-        ]);
+        row!(t; format!("{pct}%"), n, salvaged as f64 / n as f64, mean_rounds,
+            attempts_skip as f64 / n as f64, attempts_repair as f64 / n as f64, regressions,
+            t_gate, t_exec, Cell::TimeRatio(t_gate.as_secs_f64() / t_exec.as_secs_f64()));
     }
+    e.tables.push(t);
 
     let saved = total_attempts_skip as i64 - total_attempts_repair as i64;
-    println!(
-        "\nacceptance: salvaged {total_salvaged} decodes (>0: {}), attempts saved {saved} \
-         (>0: {}), soundness regressions {total_regressions} (==0: {})",
-        total_salvaged > 0,
-        saved > 0,
-        total_regressions == 0,
-    );
-    if !(total_salvaged > 0 && saved > 0 && total_regressions == 0) {
-        std::process::exit(1);
-    }
+    e.gate("salvaged decodes > 0", total_salvaged, total_salvaged > 0);
+    e.gate("LM attempts saved > 0", saved, saved > 0);
+    e.gate("soundness regressions == 0", total_regressions, total_regressions == 0);
+    e
 }

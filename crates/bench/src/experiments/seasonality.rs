@@ -7,23 +7,23 @@
 //! series shorter than the sufficiency gate are refused, never guessed; the
 //! claimed period beats the drift baseline in held-out forecasting.
 
-use cda_bench::{f, header, mean, row};
+use crate::{mean, row, Budget, Experiment, Table};
 use cda_timeseries::forecast::{drift, mae, seasonal_naive};
 use cda_timeseries::seasonality::detect_seasonality;
 use cda_timeseries::TimeSeries;
 
 const TRIALS: usize = 60;
 
-fn main() {
-    header("E10", "seasonality insight: detection accuracy, confidence validity, refusal");
-    row(&[
-        "period".into(),
-        "noise/amp".into(),
-        "detect acc".into(),
-        "mean conf".into(),
-        "|conf-acc|".into(),
-        "refusals".into(),
-    ]);
+/// Run E10.
+pub fn run(_: &Budget) -> Experiment {
+    let mut e = Experiment::new(
+        "E10",
+        "seasonality insight: detection accuracy, confidence validity, refusal",
+    );
+    let mut detection = Table::new(
+        format!("period detection, {TRIALS} trials per cell"),
+        &["period", "noise/amp", "detect acc", "mean conf", "|conf-acc|", "refusals"],
+    );
     for period in [4usize, 6, 12] {
         for noise_ratio in [0.1f64, 0.4, 0.8, 1.6] {
             let amplitude = 5.0;
@@ -53,30 +53,28 @@ fn main() {
             let answered = TRIALS - refused;
             let acc = if answered == 0 { 0.0 } else { correct as f64 / answered as f64 };
             let conf = mean(&confidences);
-            row(&[
-                format!("{period}"),
-                f(noise_ratio),
-                f(acc),
-                f(conf),
-                f((conf - acc).abs()),
-                format!("{refused}/{TRIALS}"),
-            ]);
+            row!(detection; period, noise_ratio, acc, conf, (conf - acc).abs(),
+                format!("{refused}/{TRIALS}"));
         }
     }
 
-    println!("\nsufficiency gate: series shorter than 24 observations are refused:");
-    row(&["length".into(), "outcome".into()]);
+    let mut sufficiency = Table::new(
+        "sufficiency gate: series shorter than 24 observations are refused",
+        &["length", "outcome"],
+    );
     for len in [8usize, 16, 23, 24, 48] {
         let ts = TimeSeries::synthetic_seasonal(len, 6, 5.0, 0.0, 0.3, 99);
         let outcome = match detect_seasonality(&ts, 24) {
             Ok(r) => format!("answered (period {})", r.period),
             Err(e) => format!("refused: {e}"),
         };
-        row(&[format!("{len}"), outcome]);
+        row!(sufficiency; len, outcome);
     }
 
-    println!("\nverification-by-forecast (held-out 12 observations, 30 trials):");
-    row(&["series".into(), "seasonal-naive MAE".into(), "drift MAE".into(), "winner".into()]);
+    let mut forecast = Table::new(
+        "verification-by-forecast (held-out 12 observations, 30 trials)",
+        &["series", "seasonal-naive MAE", "drift MAE", "winner"],
+    );
     for (label, period, amplitude) in [("seasonal p=6", 6usize, 5.0f64), ("trend only", 0, 0.0)] {
         let mut mae_seasonal = Vec::new();
         let mut mae_drift = Vec::new();
@@ -91,11 +89,8 @@ fn main() {
             mae_drift.push(mae(&fd, actual));
         }
         let (ms, md) = (mean(&mae_seasonal), mean(&mae_drift));
-        row(&[
-            label.into(),
-            f(ms),
-            f(md),
-            if ms < md { "seasonal".into() } else { "drift".into() },
-        ]);
+        row!(forecast; label, ms, md, if ms < md { "seasonal" } else { "drift" });
     }
+    e.tables = vec![detection, sufficiency, forecast];
+    e
 }

@@ -2,12 +2,14 @@
 //! under concurrency and admission control.
 //!
 //! Full mode drives >=100k turns across >=1k sessions through the server;
-//! `CDA_BENCH_FAST=1` scales down for CI. Gates:
+//! a fast budget scales down for CI. Gates:
 //!
 //! * **0 transcript mismatches**: every hosted session's transcript hash
-//!   (FNV-1a over the rendered answers, in turn order) equals a serial
-//!   `Session` replay of the same script with the same seed — for both the
-//!   single-worker and the multi-worker run.
+//!   (a 64-bit hash of the rendered answers, in turn order) equals a serial
+//!   `Session` replay of the same script with the same seed — at 1 and at
+//!   4 workers. The counts are fixed, not read from the machine, so the
+//!   output is the same everywhere; `crates/integration/tests/server.rs`
+//!   covers {1, 2, 8}.
 //! * **admission**: a row-budget-capped tenant's wide turns are all
 //!   rejected pre-execution (the session's turn counter stays at the
 //!   admitted count) and every rejection is visible in `ServerStats`.
@@ -15,26 +17,12 @@
 //! Worker-pool throughput is not measured here: the `perf/` benchmark's
 //! `server_read` / `server_rw` workloads report it (`server.w1_ratio`).
 
-use cda_bench::{header, row};
+use crate::{row, Budget, Experiment};
 use cda_core::demo::demo_world;
 use cda_core::{CdaConfig, Session};
 use cda_server::loadgen::{interleave, session_scripts, LoadSpec};
 use cda_server::{Server, ServerConfig, TenantQuota, TurnOutcome};
-
-/// FNV-1a 64-bit over a byte stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
+use std::hash::{DefaultHasher, Hasher};
 
 /// Serial reference: replay each script on a bare session (seed = id + 1,
 /// the server's derivation) and hash the transcript.
@@ -44,12 +32,12 @@ fn serial_hashes(scripts: &[Vec<String>]) -> Vec<u64> {
         .enumerate()
         .map(|(i, script)| {
             let mut s = Session::open_seeded(demo_world(42), CdaConfig::default(), i as u64 + 1);
-            let mut h = Fnv::new();
+            let mut h = DefaultHasher::new();
             for turn in script {
                 h.write(s.process(turn).render().as_bytes());
                 h.write(b"\n");
             }
-            h.0
+            h.finish()
         })
         .collect()
 }
@@ -64,7 +52,7 @@ fn hosted_run(scripts: &[Vec<String>], workers: usize) -> Vec<u64> {
         server.submit(ids[i], &turn).expect("unlimited tenant");
     }
     let report = server.drain();
-    let mut hashes: Vec<Fnv> = (0..scripts.len()).map(|_| Fnv::new()).collect();
+    let mut hashes: Vec<DefaultHasher> = vec![DefaultHasher::new(); scripts.len()];
     for o in &report.outcomes {
         match o {
             TurnOutcome::Completed(r) => {
@@ -75,21 +63,15 @@ fn hosted_run(scripts: &[Vec<String>], workers: usize) -> Vec<u64> {
             TurnOutcome::Rejected { .. } => unreachable!("unlimited tenant"),
         }
     }
-    hashes.into_iter().map(|h| h.0).collect()
+    hashes.iter().map(Hasher::finish).collect()
 }
 
-fn main() {
-    let fast = std::env::var("CDA_BENCH_FAST").is_ok();
-    let (sessions, turns_per_session) = if fast { (80, 16) } else { (1250, 80) };
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let multi_workers = cores.max(2);
-    header(
+/// Run E19.
+pub fn run(budget: &Budget) -> Experiment {
+    let (sessions, turns_per_session) = if budget.fast { (80, 16) } else { (1250, 80) };
+    let mut e = Experiment::new(
         "E19",
         "multiplexed session runtime: determinism under concurrency + admission control",
-    );
-    println!(
-        "sessions {sessions}  turns/session {turns_per_session}  total {}  cores {cores}",
-        sessions * turns_per_session
     );
 
     let world = demo_world(42);
@@ -99,17 +81,24 @@ fn main() {
     let reference = serial_hashes(&scripts);
     let count_mismatches =
         |hosted: &[u64]| reference.iter().zip(hosted).filter(|(a, b)| a != b).count();
-    let mismatches_1 = count_mismatches(&hosted_run(&scripts, 1));
-    let mismatches_n = count_mismatches(&hosted_run(&scripts, multi_workers));
-
-    row(&["run".into(), "workers".into(), "mismatches".into()]);
-    row(&["serial Session".into(), "-".into(), "0 (oracle)".into()]);
-    row(&["server".into(), "1".into(), mismatches_1.to_string()]);
-    row(&["server".into(), multi_workers.to_string(), mismatches_n.to_string()]);
+    let mut determinism = crate::Table::new(
+        format!(
+            "{sessions} sessions x {turns_per_session} turns = {} turns, hosted vs serial replay",
+            sessions * turns_per_session
+        ),
+        &["run", "workers", "mismatches"],
+    );
+    row!(determinism; "serial Session", "-", "0 (oracle)");
+    let mut mismatches = 0usize;
+    for workers in [1usize, 4] {
+        let m = count_mismatches(&hosted_run(&scripts, workers));
+        row!(determinism; "server", workers, m);
+        mismatches += m;
+    }
 
     // ---- admission control: row-budget governor + tenant quota ----------
-    println!("\n-- admission control (capped tenant) --");
-    let mut server = Server::new(demo_world(42), ServerConfig::default());
+    let mut server =
+        Server::new(demo_world(42), ServerConfig { workers: 4, ..ServerConfig::default() });
     server.set_quota("capped", TenantQuota { max_turns: Some(6), max_estimated_rows: Some(1) });
     let id = server.open_session("capped");
     let narrow = "How many entries are in employment_by_type where type is part_time?";
@@ -126,26 +115,26 @@ fn main() {
         report.outcomes.iter().filter(|o| matches!(o, TurnOutcome::Rejected { .. })).count();
     let executed = server.session_stats(id).map(|s| s.turns).unwrap_or(0);
     let stats = server.stats();
-    row(&["submitted".into(), "quota-rejected".into(), "budget-rejected".into(), "executed".into()]);
-    row(&[
-        "8".into(),
-        quota_rejects.to_string(),
-        budget_rejects.to_string(),
-        executed.to_string(),
-    ]);
+    let mut admission = crate::Table::new(
+        "admission control (capped tenant: quota 6 turns, row budget 1)",
+        &["submitted", "quota-rejected", "budget-rejected", "executed"],
+    );
+    row!(admission; 8usize, quota_rejects, budget_rejects, executed);
+    e.tables = vec![determinism, admission];
     let admission_ok = quota_rejects == 2
         && budget_rejects == 3
         && executed == 3
         && stats.rejected_quota == 2
         && stats.rejected_budget == 3;
 
-    // ---- gates ----------------------------------------------------------
-    let mismatches = mismatches_1 + mismatches_n;
-    println!(
-        "\nacceptance: mismatches {mismatches} (==0: {})  admission (ok: {admission_ok})",
-        mismatches == 0
+    e.gate("transcript mismatches at 1 and 4 workers == 0", mismatches, mismatches == 0);
+    e.gate(
+        "admission: 2 quota + 3 budget rejects, 3 executed, all counted in ServerStats",
+        format!(
+            "{quota_rejects} + {budget_rejects} rejected, {executed} executed; stats {} + {}",
+            stats.rejected_quota, stats.rejected_budget
+        ),
+        admission_ok,
     );
-    if mismatches != 0 || !admission_ok {
-        std::process::exit(1);
-    }
+    e
 }

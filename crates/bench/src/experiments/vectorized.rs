@@ -12,13 +12,11 @@
 //!    Mismatches are counted and any divergence prints the query.
 //! 2. **Throughput** — the E11 aggregate and join queries timed on the
 //!    row path vs the vectorized path (default morsel config). The speedup
-//!    is printed as information; the exit status depends on the mismatch
-//!    count alone.
+//!    is printed as information; the one gate is the mismatch count.
 //!
-//! `CDA_BENCH_FAST=1` reduces repetitions (CI smoke mode); the table stays
-//! at 8k rows.
+//! A fast budget reduces timing repetitions; the table stays at 8k rows.
 
-use cda_bench::{f, header, row, timed_avg, us};
+use crate::{clock, row, Budget, Cell, Experiment};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_sql::{execute_with_options, Catalog, ExecOptions, MorselConfig};
 use cda_testkit::rng::StdRng;
@@ -70,15 +68,15 @@ fn corpus() -> Vec<&'static str> {
     ]
 }
 
-fn main() {
-    let fast = std::env::var("CDA_BENCH_FAST").is_ok();
-    let reps = if fast { 10 } else { 50 };
-    header("E17", "vectorized morsel-parallel engine: speedup + byte-identity");
+/// Run E17.
+pub fn run(budget: &Budget) -> Experiment {
+    let reps = if budget.fast { 10 } else { 50 };
+    let mut e =
+        Experiment::new("E17", "vectorized morsel-parallel engine: speedup + byte-identity");
     let c = catalog(8_000);
 
     // ---- 1. differential certification across thread counts -------------
-    println!("\n-- byte-identity vs the row-at-a-time reference (8k rows) --");
-    let mut mismatches = 0usize;
+    let mut mismatched = crate::Table::new("mismatches", &["threads", "query"]);
     let mut checks = 0usize;
     for sql in corpus() {
         let reference = execute_with_options(&c, sql, ExecOptions::default()).unwrap();
@@ -92,34 +90,34 @@ fn main() {
             .unwrap();
             checks += 1;
             if v.table != reference.table {
-                mismatches += 1;
-                println!("MISMATCH at threads={threads}: {sql}");
+                row!(mismatched; threads, sql);
             }
         }
     }
-    row(&["queries".into(), "thread counts".into(), "checks".into(), "mismatches".into()]);
-    row(&[
-        corpus().len().to_string(),
-        "1,2,8".to_string(),
-        checks.to_string(),
-        mismatches.to_string(),
-    ]);
+    let mismatches = mismatched.rows.len();
+    let mut identity = crate::Table::new(
+        "byte-identity vs the row-at-a-time reference (8k rows)",
+        &["queries", "thread counts", "checks", "mismatches"],
+    );
+    row!(identity; corpus().len(), "1,2,8", checks, mismatches);
+    e.tables.push(identity);
+    if mismatches > 0 {
+        e.tables.push(mismatched);
+    }
 
     // ---- 2. throughput: row path vs vectorized path ----------------------
-    println!("\n-- throughput ({reps} reps per cell) --");
-    let vec_opts = ExecOptions::vectorized();
-    let (_, agg_row) = timed_avg(reps, || execute_with_options(&c, AGG, ExecOptions::default()));
-    let (_, agg_vec) = timed_avg(reps, || execute_with_options(&c, AGG, vec_opts));
-    let (_, join_row) = timed_avg(reps, || execute_with_options(&c, JOIN, ExecOptions::default()));
-    let (_, join_vec) = timed_avg(reps, || execute_with_options(&c, JOIN, vec_opts));
-    let agg_speedup = agg_row.as_secs_f64() / agg_vec.as_secs_f64();
-    let join_speedup = join_row.as_secs_f64() / join_vec.as_secs_f64();
-    row(&["query".into(), "row".into(), "vectorized".into(), "speedup".into()]);
-    row(&["aggregate".into(), us(agg_row), us(agg_vec), format!("{}x", f(agg_speedup))]);
-    row(&["join".into(), us(join_row), us(join_vec), format!("{}x", f(join_speedup))]);
-
-    println!("\nacceptance: mismatches {mismatches} (==0: {})", mismatches == 0);
-    if mismatches != 0 {
-        std::process::exit(1);
+    let mut speed = crate::Table::new(
+        format!("throughput ({reps} reps per cell)"),
+        &["query", "row", "vectorized", "speedup"],
+    );
+    for (name, sql) in [("aggregate", AGG), ("join", JOIN)] {
+        let run = |options| clock(reps, || execute_with_options(&c, sql, options)).1;
+        let (row_path, vec_path) = (run(ExecOptions::default()), run(ExecOptions::vectorized()));
+        row!(speed; name, row_path, vec_path,
+            Cell::TimeRatio(row_path.as_secs_f64() / vec_path.as_secs_f64()));
     }
+    e.tables.push(speed);
+
+    e.gate("mismatches vs the row engine == 0", mismatches, mismatches == 0);
+    e
 }

@@ -13,7 +13,7 @@
 //! * **popularity** — a log-scaled prior.
 
 use crate::vocab::tokenize;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A known entity.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,11 +237,14 @@ impl Linker {
     /// Link a mention given its sentence context; ranked candidates, best
     /// first. Scores each catalog entity whose gazetteer key shares a token
     /// with the mention (cheap candidate generation), then combines signals.
+    /// Equal scores keep registration order, so the ranking is a pure
+    /// function of the inputs.
     pub fn link(&self, mention: &str, context: &str, config: LinkerConfig) -> Vec<LinkCandidate> {
         let mention_norm = tokenize(mention).join(" ");
         let mention_tokens: HashSet<&str> = mention_norm.split(' ').collect();
-        // candidate generation: any entity with a surface form sharing a token
-        let mut candidate_ids: HashSet<usize> = HashSet::new();
+        // candidate generation: any entity with a surface form sharing a
+        // token, in registration order (the stable sort below keeps it for ties)
+        let mut candidate_ids: BTreeSet<usize> = BTreeSet::new();
         for (key, ids) in &self.gazetteer {
             if key.split(' ').any(|t| mention_tokens.contains(t)) {
                 candidate_ids.extend(ids.iter().copied());
@@ -391,6 +394,23 @@ mod tests {
         let l = catalog();
         assert!(l.link("flux capacitor", "time travel", LinkerConfig::default()).is_empty());
         assert!(l.extract("nothing known here").is_empty());
+    }
+
+    #[test]
+    fn ties_rank_in_registration_order_on_every_call() {
+        let sense = |id: &str, popularity| Entity::new(id, id, vec!["barometer"], "", popularity);
+        let l = Linker::new(
+            vec![sense("labour_barometer", 40.0), sense("weather_barometer", 400.0)],
+            64,
+        );
+        // Lexical only: both senses share the alias, so their scores tie.
+        let cfg = LinkerConfig { use_lexical: true, use_embedding: false, use_popularity: false };
+        for _ in 0..32 {
+            let ranked = l.link("barometer", "", cfg);
+            assert_eq!(ranked[0].score, ranked[1].score);
+            let ids: Vec<&str> = ranked.iter().map(|c| c.entity_id.as_str()).collect();
+            assert_eq!(ids, ["labour_barometer", "weather_barometer"]);
+        }
     }
 
     #[test]
