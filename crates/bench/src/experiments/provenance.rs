@@ -87,9 +87,7 @@ pub fn run(_: &Budget) -> Experiment {
         tampered.push(cda_dataframe::Value::Int(v + 1)).unwrap();
     }
     cols[1] = tampered;
-    let forged =
-        Table::with_lineage(result.table.schema().clone(), cols, result.table.lineages().to_vec())
-            .unwrap();
+    let forged = result.table.with_columns(result.table.schema().clone(), cols).unwrap();
     let (_, forged_invertible) =
         verification_rates(&catalog, sql, &forged, 1, AggKind::Sum, "t", "x").unwrap();
 

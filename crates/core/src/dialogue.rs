@@ -877,8 +877,8 @@ impl Session {
             let cited = result
                 .table
                 .lineages()
+                .ids()
                 .iter()
-                .flatten()
                 .copied()
                 .collect::<std::collections::BTreeSet<_>>()
                 .into_iter()

@@ -39,7 +39,7 @@ use crate::rot::{Freshness, UpdateCadence};
 use crate::session::{CacheStats, CacheStore, CachedAnswer};
 use crate::world::WorldSnapshot;
 use crate::{CdaError, Result};
-use cda_dataframe::{Column, DataType, Field, Schema, Table, Value};
+use cda_dataframe::{ColumnBuilder, DataType, Field, LineageBuilder, Schema, Table, Value};
 use cda_sql::exec::{ExecStats, QueryResult};
 use cda_storage::{ByteReader, ByteWriter, StorageBackend, StoreId};
 use cda_timeseries::TimeSeries;
@@ -111,7 +111,7 @@ pub fn encode_table(w: &mut ByteWriter, table: &Table) {
     }
     let lineages = table.lineages();
     w.u64(lineages.len() as u64);
-    for lin in lineages {
+    for lin in lineages.iter() {
         w.u32(lin.len() as u32);
         for rid in lin {
             w.u32(rid.table);
@@ -142,7 +142,7 @@ pub fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
     let rows = r.u64().map_err(serr)? as usize;
     let mut columns = Vec::with_capacity(nfields);
     for f in &fields {
-        let mut col = Column::with_capacity(f.data_type(), rows);
+        let mut col = ColumnBuilder::with_capacity(f.data_type(), rows);
         for _ in 0..rows {
             let valid = r.bool().map_err(serr)?;
             let v = if !valid {
@@ -158,21 +158,20 @@ pub fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
             };
             col.push(v).map_err(|e| cerr(&format!("column rebuild: {e}")))?;
         }
-        columns.push(col);
+        columns.push(col.finish());
     }
     let nlin = r.u64().map_err(serr)? as usize;
-    let mut lineage = Vec::with_capacity(nlin);
+    let mut lineage = LineageBuilder::with_capacity(nlin);
     for _ in 0..nlin {
         let n = r.u32().map_err(serr)? as usize;
-        let mut lin = Vec::with_capacity(n);
         for _ in 0..n {
             let table = r.u32().map_err(serr)?;
             let row = r.u64().map_err(serr)?;
-            lin.push(cda_dataframe::RowId::new(table, row));
+            lineage.extend_row(&[cda_dataframe::RowId::new(table, row)]);
         }
-        lineage.push(lin);
+        lineage.finish_row();
     }
-    Table::with_lineage(Schema::new(fields), columns, lineage)
+    Table::with_lineage(Schema::new(fields), columns, lineage.build())
         .map_err(|e| cerr(&format!("table rebuild: {e}")))
 }
 
@@ -607,6 +606,7 @@ impl CacheStore for DurableCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cda_dataframe::Column;
     use crate::demo::{demo_catalog, demo_kg};
     use cda_storage::MemBackend;
 
@@ -624,6 +624,82 @@ mod tests {
                 assert_eq!(back.lineages(), t.lineages());
             }
         }
+    }
+
+    /// The tables whose encodings are pinned: every demo table, a table with
+    /// a NULL in every type, a grouped aggregate (several ids per row) and a
+    /// join (one id from each side per row).
+    fn pinned_tables() -> Vec<(String, Table)> {
+        let catalog = demo_catalog(7);
+        let mut out: Vec<(String, Table)> = catalog
+            .datasets()
+            .iter()
+            .filter_map(|ds| ds.table.clone().map(|t| (ds.name.clone(), t)))
+            .collect();
+        let nulls = Table::from_columns(
+            Schema::new(vec![
+                Field::new("i", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("s", DataType::Str),
+                Field::new("b", DataType::Bool),
+                Field::new("t", DataType::Timestamp),
+            ]),
+            vec![
+                Column::from_values(DataType::Int, &[Value::Int(-3), Value::Null]).unwrap(),
+                Column::from_values(DataType::Float, &[Value::Null, Value::Float(2.5)]).unwrap(),
+                Column::from_values(DataType::Str, &[Value::from("x"), Value::Null]).unwrap(),
+                Column::from_values(DataType::Bool, &[Value::Null, Value::Bool(true)]).unwrap(),
+                Column::from_values(DataType::Timestamp, &[Value::Timestamp(9), Value::Null])
+                    .unwrap(),
+            ],
+        )
+        .unwrap()
+        .with_table_tag(5);
+        out.push(("nulls".into(), nulls));
+        for (name, sql) in [
+            (
+                "aggregate",
+                "SELECT canton, SUM(employees) AS total, COUNT(*) AS n \
+                 FROM employment_by_type GROUP BY canton ORDER BY canton",
+            ),
+            (
+                "join",
+                "SELECT e.canton, e.employees, w.median_wage FROM employment_by_type e \
+                 JOIN wage_stats w ON e.canton = w.canton ORDER BY e.canton, e.employees",
+            ),
+        ] {
+            out.push((name.into(), cda_sql::execute(catalog.sql(), sql).unwrap().table));
+        }
+        out
+    }
+
+    /// `encode_table` bytes are a persisted format: their FNV-1a is pinned
+    /// per table, and every pinned table decodes back to an equal table.
+    #[test]
+    fn table_codec_bytes_are_pinned() {
+        const PINS: &[(&str, u64)] = &[
+            ("employment_by_type", 7638813946131748976),
+            ("labour_barometer", 12292228992566757352),
+            ("wage_stats", 4228452195176223603),
+            ("nulls", 6146218635204571997),
+            ("aggregate", 15987991151191211219),
+            ("join", 254496862888215301),
+        ];
+        let mut got = Vec::new();
+        for (name, t) in pinned_tables() {
+            assert!(t.num_rows() > 0, "table {name} is empty");
+            if name == "aggregate" || name == "join" {
+                assert!(t.lineages().iter().all(|l| l.len() > 1), "{name}: multi-id rows");
+            }
+            let mut w = ByteWriter::new();
+            encode_table(&mut w, &t);
+            let buf = w.finish();
+            let back = decode_table(&mut ByteReader::new(&buf)).unwrap();
+            assert_eq!(back, t, "table {name} must round-trip");
+            got.push((name, cda_storage::fnv1a(&buf)));
+        }
+        let got: Vec<(&str, u64)> = got.iter().map(|(n, h)| (n.as_str(), *h)).collect();
+        assert_eq!(got, PINS, "encode_table output drifted");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! narrowest type per column in the order BOOL → INT → FLOAT → STR. Empty
 //! cells become NULL.
 
-use crate::column::Column;
+use crate::column::ColumnBuilder;
 use crate::error::DataFrameError;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -79,10 +79,10 @@ fn build_table(names: Vec<String>, rows: Vec<(usize, Vec<String>)>) -> Result<Ta
         .map(|(n, t)| Field::new(n.clone(), t.unwrap_or(DataType::Str)))
         .collect();
     let schema = Schema::new(fields);
-    let mut columns: Vec<Column> = schema
+    let mut columns: Vec<ColumnBuilder> = schema
         .fields()
         .iter()
-        .map(|f| Column::with_capacity(f.data_type(), rows.len()))
+        .map(|f| ColumnBuilder::with_capacity(f.data_type(), rows.len()))
         .collect();
     for (line, cells) in &rows {
         for (c, cell) in cells.iter().enumerate() {
@@ -94,7 +94,7 @@ fn build_table(names: Vec<String>, rows: Vec<(usize, Vec<String>)>) -> Result<Ta
             columns[c].push(v)?;
         }
     }
-    Table::from_columns(schema, columns)
+    Table::from_columns(schema, columns.into_iter().map(ColumnBuilder::finish).collect())
 }
 
 fn infer_type(cell: &str) -> DataType {

@@ -10,7 +10,9 @@
 //! * schemas with named, typed, nullable fields ([`Schema`], [`Field`]),
 //! * immutable [`Table`]s with cheap row addressing and per-row
 //!   **provenance identifiers** ([`RowId`]) that the SQL layer threads through
-//!   every operator — the hook on which property **P3 Explainability** hangs,
+//!   every operator — the hook on which property **P3 Explainability** hangs;
+//!   a table is a cheap handle over shared column buffers and one flat
+//!   [`LineageStore`],
 //! * CSV ingestion with type inference ([`csv`]),
 //! * vectorized compute kernels (filter / take / sort / group) in
 //!   [`kernels`],
@@ -58,15 +60,17 @@ pub mod csv;
 pub mod domain;
 pub mod error;
 pub mod kernels;
+pub mod lineage;
 pub mod schema;
 pub mod stats;
 pub mod table;
 pub mod value;
 
 pub use batch::{Batch, Slot, Vector};
-pub use column::Column;
+pub use column::{Column, ColumnBuilder};
 pub use domain::{ColDomain, DomainTree, DomainViolation, Interval, NodeDomain, Nullness, StrDomain};
 pub use error::DataFrameError;
+pub use lineage::{LineageBuilder, LineageStore};
 pub use schema::{Field, Schema};
 pub use stats::ColumnStats;
 pub use table::{RowId, Table};

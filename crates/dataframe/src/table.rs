@@ -7,14 +7,21 @@
 //! row can be traced back to the base rows it came from ("where-from"
 //! provenance), and the provenance crate builds richer semiring annotations
 //! on top of the same ids.
+//!
+//! A table is a cheap handle: its columns share their buffers and its rows
+//! share one [`LineageStore`], so `clone`, [`Table::project`] and a
+//! projection that keeps the rows cost a reference bump per column, not a
+//! copy per cell.
 
-use crate::column::Column;
+use crate::column::{Column, ColumnBuilder};
 use crate::error::DataFrameError;
+use crate::lineage::LineageStore;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Identifier of a base-table row: `(table_tag, row_index)`.
 ///
@@ -41,16 +48,39 @@ impl fmt::Display for RowId {
     }
 }
 
-/// The provenance of one output row: the set of base rows that contributed.
-pub type Lineage = Vec<RowId>;
+/// Check that `columns` match `schema` in arity, type and length; returns
+/// the row count.
+fn check_columns(schema: &Schema, columns: &[Column]) -> Result<usize> {
+    if schema.len() != columns.len() {
+        return Err(DataFrameError::ArityMismatch { fields: schema.len(), columns: columns.len() });
+    }
+    let num_rows = columns.first().map_or(0, Column::len);
+    for c in columns {
+        if c.len() != num_rows {
+            return Err(DataFrameError::LengthMismatch { expected: num_rows, actual: c.len() });
+        }
+    }
+    for (f, c) in schema.fields().iter().zip(columns) {
+        if f.data_type() != c.data_type() {
+            return Err(DataFrameError::TypeMismatch {
+                expected: f.data_type().to_string(),
+                actual: c.data_type().to_string(),
+            });
+        }
+    }
+    Ok(num_rows)
+}
 
 /// An immutable columnar table with per-row lineage.
+///
+/// Equality compares schema, cell values and lineage; lineage compares
+/// logically (row by row), whichever form its store has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
-    /// `lineage[i]` lists the base rows that produced row `i`.
-    lineage: Vec<Lineage>,
+    /// Row `i` of the store lists the base rows that produced row `i`.
+    lineage: Arc<LineageStore>,
     num_rows: usize,
 }
 
@@ -59,55 +89,39 @@ impl Table {
     /// initialized as a fresh base table with tag 0; use
     /// [`Table::with_table_tag`] to re-tag after catalog registration.
     pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Result<Self> {
-        if schema.len() != columns.len() {
-            return Err(DataFrameError::ArityMismatch {
-                fields: schema.len(),
-                columns: columns.len(),
-            });
-        }
-        let num_rows = columns.first().map_or(0, Column::len);
-        for c in &columns {
-            if c.len() != num_rows {
-                return Err(DataFrameError::LengthMismatch { expected: num_rows, actual: c.len() });
-            }
-        }
-        for (f, c) in schema.fields().iter().zip(&columns) {
-            if f.data_type() != c.data_type() {
-                return Err(DataFrameError::TypeMismatch {
-                    expected: f.data_type().to_string(),
-                    actual: c.data_type().to_string(),
-                });
-            }
-        }
-        let lineage = (0..num_rows).map(|i| vec![RowId::new(0, i as u64)]).collect();
-        Ok(Self { schema, columns, lineage, num_rows })
+        let num_rows = check_columns(&schema, &columns)?;
+        Ok(Self { schema, columns, lineage: Arc::new(LineageStore::identity(0, num_rows)), num_rows })
     }
 
     /// Build a derived table with explicit lineage (one entry per row).
-    pub fn with_lineage(schema: Schema, columns: Vec<Column>, lineage: Vec<Lineage>) -> Result<Self> {
-        let mut t = Self::from_columns(schema, columns)?;
-        if lineage.len() != t.num_rows {
-            return Err(DataFrameError::LengthMismatch {
-                expected: t.num_rows,
-                actual: lineage.len(),
-            });
+    pub fn with_lineage(schema: Schema, columns: Vec<Column>, lineage: LineageStore) -> Result<Self> {
+        let num_rows = check_columns(&schema, &columns)?;
+        if lineage.len() != num_rows {
+            return Err(DataFrameError::LengthMismatch { expected: num_rows, actual: lineage.len() });
         }
-        t.lineage = lineage;
-        Ok(t)
+        Ok(Self { schema, columns, lineage: Arc::new(lineage), num_rows })
+    }
+
+    /// A table with new columns over this table's rows: the lineage store is
+    /// shared, not copied.
+    pub fn with_columns(&self, schema: Schema, columns: Vec<Column>) -> Result<Self> {
+        let num_rows = check_columns(&schema, &columns)?;
+        if num_rows != self.num_rows {
+            return Err(DataFrameError::LengthMismatch { expected: num_rows, actual: self.num_rows });
+        }
+        Ok(Self { schema, columns, lineage: Arc::clone(&self.lineage), num_rows: self.num_rows })
     }
 
     /// An empty table with the given schema.
     pub fn empty(schema: Schema) -> Self {
         let columns = schema.fields().iter().map(|f| Column::with_capacity(f.data_type(), 0)).collect();
-        Self { schema, columns, lineage: Vec::new(), num_rows: 0 }
+        Self { schema, columns, lineage: Arc::default(), num_rows: 0 }
     }
 
     /// Re-tag this table's base lineage with a catalog tag (returns a new
     /// table whose rows are `(tag, i)`).
     pub fn with_table_tag(mut self, tag: u32) -> Self {
-        for (i, lin) in self.lineage.iter_mut().enumerate() {
-            *lin = vec![RowId::new(tag, i as u64)];
-        }
+        self.lineage = Arc::new(LineageStore::identity(tag, self.num_rows));
         self
     }
 
@@ -166,28 +180,19 @@ impl Table {
     pub fn lineage(&self, row: usize) -> Result<&[RowId]> {
         self.lineage
             .get(row)
-            .map(Vec::as_slice)
             .ok_or(DataFrameError::IndexOutOfBounds { kind: "row", index: row, len: self.num_rows })
     }
 
-    /// All per-row lineage vectors.
-    pub fn lineages(&self) -> &[Lineage] {
+    /// Every row's lineage.
+    pub fn lineages(&self) -> &LineageStore {
         &self.lineage
     }
 
     /// Gather rows by index, propagating lineage.
     pub fn take(&self, indices: &[usize]) -> Result<Self> {
-        let columns: Result<Vec<Column>> = self.columns.iter().map(|c| c.take(indices)).collect();
-        let lineage = indices
-            .iter()
-            .map(|&i| {
-                self.lineage
-                    .get(i)
-                    .cloned()
-                    .ok_or(DataFrameError::IndexOutOfBounds { kind: "row", index: i, len: self.num_rows })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { schema: self.schema.clone(), columns: columns?, lineage, num_rows: indices.len() })
+        let columns = self.columns.iter().map(|c| c.take(indices)).collect::<Result<Vec<_>>>()?;
+        let lineage = Arc::new(self.lineage.take(indices)?);
+        Ok(Self { schema: self.schema.clone(), columns, lineage, num_rows: indices.len() })
     }
 
     /// Filter rows by a boolean mask, propagating lineage.
@@ -213,7 +218,7 @@ impl Table {
         }
         let schema = self.schema.project(indices);
         let columns = indices.iter().map(|&i| self.columns[i].clone()).collect();
-        Ok(Self { schema, columns, lineage: self.lineage.clone(), num_rows: self.num_rows })
+        Ok(Self { schema, columns, lineage: Arc::clone(&self.lineage), num_rows: self.num_rows })
     }
 
     /// Vertically concatenate another table with an identical schema.
@@ -226,14 +231,13 @@ impl Table {
         }
         let mut columns = Vec::with_capacity(self.columns.len());
         for (a, b) in self.columns.iter().zip(&other.columns) {
-            let mut c = Column::with_capacity(a.data_type(), a.len() + b.len());
+            let mut c = ColumnBuilder::with_capacity(a.data_type(), a.len() + b.len());
             for v in a.iter().chain(b.iter()) {
                 c.push(v)?;
             }
-            columns.push(c);
+            columns.push(c.finish());
         }
-        let mut lineage = self.lineage.clone();
-        lineage.extend(other.lineage.iter().cloned());
+        let lineage = Arc::new(self.lineage.concat(&other.lineage));
         Ok(Self {
             schema: self.schema.clone(),
             columns,
@@ -260,10 +264,8 @@ impl Table {
                 c.push(v.clone())?;
             }
         }
-        let mut lineage = self.lineage.clone();
-        for k in 0..rows.len() {
-            lineage.push(vec![RowId { table: 0, row: (self.num_rows + k) as u64 }]);
-        }
+        let appended = (0..rows.len()).map(|k| RowId::new(0, (self.num_rows + k) as u64)).collect();
+        let lineage = Arc::new(self.lineage.concat(&LineageStore::one_per_row(appended)));
         Ok(Self {
             schema: self.schema.clone(),
             columns,
@@ -303,7 +305,7 @@ impl Table {
         let mut columns = self.columns.clone();
         for (j, &c) in cols.iter().enumerate() {
             let old = &self.columns[c];
-            let mut rebuilt = Column::with_capacity(old.data_type(), self.num_rows);
+            let mut rebuilt = ColumnBuilder::with_capacity(old.data_type(), self.num_rows);
             for r in 0..self.num_rows {
                 let v = if slot[r] != usize::MAX {
                     let row_vals = &values[slot[r]];
@@ -319,12 +321,12 @@ impl Table {
                 };
                 rebuilt.push(v)?;
             }
-            columns[c] = rebuilt;
+            columns[c] = rebuilt.finish();
         }
         Ok(Self {
             schema: self.schema.clone(),
             columns,
-            lineage: self.lineage.clone(),
+            lineage: Arc::clone(&self.lineage),
             num_rows: self.num_rows,
         })
     }
@@ -332,7 +334,7 @@ impl Table {
     /// Approximate heap footprint in bytes (columns + lineage).
     pub fn heap_bytes(&self) -> usize {
         let cols: usize = self.columns.iter().map(Column::heap_bytes).sum();
-        let lin: usize = self.lineage.iter().map(|l| l.len() * std::mem::size_of::<RowId>()).sum();
+        let lin = std::mem::size_of_val(self.lineage.ids());
         cols + lin
     }
 
@@ -384,6 +386,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lineage::LineageBuilder;
     use crate::schema::Field;
     use crate::value::DataType;
 
@@ -475,6 +478,49 @@ mod tests {
         assert!(a.concat(&b).is_err());
     }
 
+    /// Whether every column of `a` shares storage with the same column of
+    /// `b`, and the two share one lineage store.
+    fn shares_storage(a: &Table, b: &Table, columns: &[usize]) -> bool {
+        Arc::ptr_eq(&a.lineage, &b.lineage)
+            && columns.iter().enumerate().all(|(j, &i)| a.columns[i].shares_storage(&b.columns[j]))
+    }
+
+    #[test]
+    fn clone_and_project_share_column_and_lineage_storage() {
+        let t = demo().with_table_tag(3);
+        assert!(shares_storage(&t, &t.clone(), &[0, 1]));
+        assert!(shares_storage(&t, &t.project(&[1, 0]).unwrap(), &[1, 0]));
+        assert!(shares_storage(&t, &t.update_cells(&[], &[], &[]).unwrap(), &[0, 1]));
+        assert!(!shares_storage(&t, &t.take(&[0, 1, 2]).unwrap(), &[0, 1]));
+    }
+
+    #[test]
+    fn take_and_filter_of_a_base_table_keep_one_id_per_row() {
+        let t = demo().with_table_tag(3);
+        assert!(t.lineages().is_one_per_row());
+        assert!(t.take(&[2, 2, 0]).unwrap().lineages().is_one_per_row());
+        assert!(t.filter(&[true, false, true]).unwrap().lineages().is_one_per_row());
+        assert!(t.concat(&t).unwrap().lineages().is_one_per_row());
+        let appended = t.append_rows(&[vec![Value::from("BE"), Value::Int(1)]]).unwrap();
+        assert!(appended.lineages().is_one_per_row());
+        assert_eq!(appended.lineage(3).unwrap(), &[RowId::new(0, 3)]);
+    }
+
+    #[test]
+    fn equality_is_logical_over_lineage_storage() {
+        let t = demo().with_table_tag(3);
+        let mut b = LineageBuilder::with_capacity(3);
+        for row in t.lineages().iter() {
+            b.extend_row(row);
+            b.extend_row(row);
+            b.finish_set_row();
+        }
+        let rebuilt = Table::with_lineage(t.schema().clone(), t.columns().to_vec(), b.build());
+        assert_eq!(rebuilt.unwrap(), t);
+        let retagged = t.clone().with_table_tag(4);
+        assert_ne!(retagged, t);
+    }
+
     #[test]
     fn row_access() {
         let t = demo();
@@ -488,7 +534,17 @@ mod tests {
     fn with_lineage_validates_length() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let cols = vec![Column::from_ints(&[1, 2])];
-        assert!(Table::with_lineage(schema, cols, vec![vec![]]).is_err());
+        let one_row = || {
+            let mut b = LineageBuilder::with_capacity(1);
+            b.finish_row();
+            b.build()
+        };
+        assert!(Table::with_lineage(schema.clone(), cols.clone(), one_row()).is_err());
+        let t = Table::from_columns(schema.clone(), cols.clone()).unwrap();
+        assert!(t.with_columns(schema.clone(), vec![Column::from_ints(&[1])]).is_err());
+        assert!(t.with_columns(Schema::new(vec![]), vec![]).is_err());
+        let u = t.with_columns(schema, vec![Column::from_ints(&[5, 6])]).unwrap();
+        assert!(Arc::ptr_eq(&t.lineage, &u.lineage));
     }
 
     #[test]

@@ -116,8 +116,8 @@ fn scanned_tables(plan: &Plan, out: &mut BTreeSet<String>) {
 
 /// Build the catalog the replay runs against: exactly the tables `plan`
 /// scans, each restricted to its cited rows — a scanned table the lineage
-/// never cites keeps its full contents. Tables the plan does not scan are
-/// not looked at.
+/// never cites, or cites in full, keeps its full contents (a shared handle,
+/// not a copy). Tables the plan does not scan are not looked at.
 fn restrict_catalog(catalog: &Catalog, plan: &Plan, lineage: &[RowId]) -> Result<Catalog> {
     let mut by_tag: HashMap<u32, Vec<usize>> = HashMap::new();
     for rid in lineage {
@@ -132,7 +132,13 @@ fn restrict_catalog(catalog: &Catalog, plan: &Plan, lineage: &[RowId]) -> Result
             Some(mut rows) => {
                 rows.sort_unstable();
                 rows.dedup();
-                entry.table.take(&rows).map_err(replay_err)?
+                let every_row = rows.len() == entry.table.num_rows()
+                    && rows.last().is_none_or(|&last| last + 1 == rows.len());
+                if every_row {
+                    entry.table.clone()
+                } else {
+                    entry.table.take(&rows).map_err(replay_err)?
+                }
             }
             None => entry.table.clone(),
         };
@@ -277,7 +283,7 @@ pub fn verification_rates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cda_dataframe::{Column, DataType, Field, Schema, Value};
+    use cda_dataframe::{Column, DataType, Field, LineageStore, Schema, Value};
     use cda_sql::execute;
 
     fn catalog() -> Catalog {
@@ -342,7 +348,7 @@ mod tests {
         let forged = Table::with_lineage(
             r.table.schema().clone(),
             r.table.columns().to_vec(),
-            vec![vec![RowId::new(tag, 4)]; r.table.num_rows()],
+            LineageStore::one_per_row(vec![RowId::new(tag, 4); r.table.num_rows()]),
         )
         .unwrap();
         // the GE row cannot be reproduced from VD's row alone
@@ -364,7 +370,10 @@ mod tests {
         let forged = Table::with_lineage(
             aggregate.schema().clone(),
             aggregate.columns().to_vec(),
-            vec![vec![RowId::new(c.get("emp").unwrap().tag, 4)]; aggregate.num_rows()],
+            LineageStore::one_per_row(vec![
+                RowId::new(c.get("emp").unwrap().tag, 4);
+                aggregate.num_rows()
+            ]),
         )
         .unwrap();
         vec![(AGGREGATE, aggregate), (JOIN, execute(c, JOIN).unwrap().table), (AGGREGATE, forged)]
@@ -406,6 +415,53 @@ mod tests {
         assert_eq!(restricted.table_names(), ["emp", "regions"]);
         assert_eq!(restricted.get("emp").unwrap().table.num_rows(), 1);
         assert_eq!(restricted.get("regions").unwrap().table.num_rows(), 2);
+    }
+
+    const UNFILTERED_SUM: &str = "SELECT SUM(jobs) AS total FROM emp";
+
+    #[test]
+    fn reports_are_pinned_and_a_fully_cited_table_is_shared() {
+        let c = catalog();
+        let sum = execute(&c, UNFILTERED_SUM).unwrap().table;
+        // A forged total that cites every row: the replay must still run.
+        let forged_sum =
+            sum.with_columns(sum.schema().clone(), vec![Column::from_ints(&[461])]).unwrap();
+        let mut all = cases(&c);
+        all.push((UNFILTERED_SUM, sum.clone()));
+        all.push((UNFILTERED_SUM, forged_sum));
+        // (row, lossless, cited_rows, replay_rows) per answer row, in case order.
+        const PINS: &[(usize, bool, usize, usize)] = &[
+            (0, true, 2, 1),
+            (1, true, 1, 1),
+            (2, true, 2, 1),
+            (0, true, 2, 1),
+            (1, true, 2, 1),
+            (2, true, 2, 1),
+            (0, false, 1, 1),
+            (1, true, 1, 1),
+            (2, false, 1, 1),
+            (0, true, 5, 1),
+            (0, false, 5, 1),
+        ];
+        let mut got = Vec::new();
+        for (sql, answer) in all {
+            let plan = optimized_plan(&c, sql).unwrap();
+            for row in 0..answer.num_rows() {
+                let reports = [ExecOptions::default(), ExecOptions::vectorized()]
+                    .map(|o| check_plan_losslessness(&c, &plan, o, &answer, row).unwrap());
+                assert_eq!(reports[0], reports[1], "{sql} row {row}");
+                let r = &reports[0];
+                got.push((row, r.lossless, r.cited_rows, r.replay_rows));
+            }
+        }
+        assert_eq!(got, PINS);
+
+        let plan = optimized_plan(&c, UNFILTERED_SUM).unwrap();
+        let restricted = restrict_catalog(&c, &plan, sum.lineage(0).unwrap()).unwrap();
+        let full = &c.get("emp").unwrap().table;
+        let shared = &restricted.get("emp").unwrap().table;
+        assert_eq!(shared.columns(), full.columns());
+        assert_eq!(shared.num_rows(), 5);
     }
 
     #[test]
@@ -523,9 +579,7 @@ mod tests {
             tampered.push(Value::Int(if i == 0 { v + 1 } else { v })).unwrap();
         }
         cols[1] = tampered;
-        let forged =
-            Table::with_lineage(r.table.schema().clone(), cols, r.table.lineages().to_vec())
-                .unwrap();
+        let forged = r.table.with_columns(r.table.schema().clone(), cols).unwrap();
         let inv = check_invertibility(&c, &forged, 0, 1, AggKind::Sum, "emp", "jobs").unwrap();
         assert!(!inv.invertible);
         assert_eq!(inv.recomputed + 1.0, inv.reported);

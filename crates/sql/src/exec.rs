@@ -20,7 +20,9 @@ use crate::parser::parse;
 use crate::plan::{AggExpr, BoundExpr, Plan, SortSpec};
 use crate::Result;
 use cda_dataframe::kernels::{sort_indices, AggKind, SortKey, SortOrder};
-use cda_dataframe::{Column, DataType, DomainTree, Schema, Table, Value};
+use cda_dataframe::{
+    Column, ColumnBuilder, DataType, DomainTree, LineageBuilder, Schema, Table, Value,
+};
 use std::collections::HashMap;
 
 /// Execution options.
@@ -235,7 +237,7 @@ pub(crate) fn column_from_values(planned: DataType, values: Vec<Value>) -> Resul
             _ => DataType::Str,
         };
     }
-    let mut col = Column::with_capacity(ty, values.len());
+    let mut col = ColumnBuilder::with_capacity(ty, values.len());
     for v in values {
         let coerced = match (ty, &v) {
             (DataType::Str, Value::Null) => Value::Null,
@@ -246,7 +248,7 @@ pub(crate) fn column_from_values(planned: DataType, values: Vec<Value>) -> Resul
         };
         col.push(coerced)?;
     }
-    Ok(col)
+    Ok(col.finish())
 }
 
 fn project(t: &Table, exprs: &[BoundExpr], schema: &Schema) -> Result<Table> {
@@ -265,7 +267,7 @@ fn project(t: &Table, exprs: &[BoundExpr], schema: &Schema) -> Result<Table> {
         fields.push(cda_dataframe::Field::new(field.name(), col.data_type()));
         columns.push(col);
     }
-    Table::with_lineage(Schema::new(fields), columns, t.lineages().to_vec()).map_err(Into::into)
+    t.with_columns(Schema::new(fields), columns).map_err(Into::into)
 }
 
 fn join(
@@ -277,9 +279,9 @@ fn join(
     stats: &mut ExecStats,
 ) -> Result<Table> {
     let schema = l.schema().join(r.schema());
-    let mut columns: Vec<Column> =
-        schema.fields().iter().map(|f| Column::with_capacity(f.data_type(), 0)).collect();
-    let mut lineage: Vec<Vec<cda_dataframe::RowId>> = Vec::new();
+    let mut columns: Vec<ColumnBuilder> =
+        schema.fields().iter().map(|f| ColumnBuilder::with_capacity(f.data_type(), 0)).collect();
+    let mut lineage = LineageBuilder::with_capacity(l.num_rows());
     // Cache right rows to avoid re-extracting values in the inner loop.
     let right_rows: Vec<Vec<Value>> =
         (0..r.num_rows()).map(|i| r.row(i)).collect::<std::result::Result<_, _>>()?;
@@ -296,13 +298,11 @@ fn join(
                     columns[c].push(v)?;
                 }
                 if opts.track_lineage {
-                    let mut lin = l.lineage(li)?.to_vec();
-                    lin.extend_from_slice(r.lineage(ri)?);
-                    lin.sort_unstable();
-                    lin.dedup();
-                    lineage.push(lin);
+                    lineage.extend_row(l.lineage(li)?);
+                    lineage.extend_row(r.lineage(ri)?);
+                    lineage.finish_set_row();
                 } else {
-                    lineage.push(Vec::new());
+                    lineage.finish_row();
                 }
             }
         }
@@ -313,10 +313,14 @@ fn join(
             for col in columns.iter_mut().take(schema.len()).skip(l.num_columns()) {
                 col.push(Value::Null)?;
             }
-            lineage.push(if opts.track_lineage { l.lineage(li)?.to_vec() } else { Vec::new() });
+            if opts.track_lineage {
+                lineage.extend_row(l.lineage(li)?);
+            }
+            lineage.finish_row();
         }
     }
-    Table::with_lineage(schema, columns, lineage).map_err(Into::into)
+    let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
+    Table::with_lineage(schema, columns, lineage.build()).map_err(Into::into)
 }
 
 fn aggregate(
@@ -348,7 +352,7 @@ fn aggregate(
     }
     let out_cols = group_exprs.len() + aggs.len();
     let mut per_col: Vec<Vec<Value>> = vec![Vec::with_capacity(groups.len()); out_cols];
-    let mut lineage = Vec::with_capacity(groups.len());
+    let mut lineage = LineageBuilder::with_capacity(groups.len());
     for (key, rows) in keys.iter().zip(&groups) {
         for (c, kv) in key.iter().enumerate() {
             per_col[c].push(kv.clone());
@@ -358,16 +362,11 @@ fn aggregate(
             per_col[group_exprs.len() + j].push(value);
         }
         if opts.track_lineage {
-            let mut lin = Vec::new();
             for &rix in rows {
-                lin.extend_from_slice(t.lineage(rix)?);
+                lineage.extend_row(t.lineage(rix)?);
             }
-            lin.sort_unstable();
-            lin.dedup();
-            lineage.push(lin);
-        } else {
-            lineage.push(Vec::new());
         }
+        lineage.finish_set_row();
     }
     let mut columns = Vec::with_capacity(out_cols);
     let mut fields = Vec::with_capacity(out_cols);
@@ -376,7 +375,7 @@ fn aggregate(
         fields.push(cda_dataframe::Field::new(field.name(), col.data_type()));
         columns.push(col);
     }
-    Table::with_lineage(Schema::new(fields), columns, lineage).map_err(Into::into)
+    Table::with_lineage(Schema::new(fields), columns, lineage.build()).map_err(Into::into)
 }
 
 fn eval_aggregate(t: &Table, rows: &[usize], agg: &AggExpr) -> Result<Value> {
@@ -469,30 +468,30 @@ pub fn agg_over_values(kind: AggKind, vals: &[Value]) -> Result<Value> {
 
 fn distinct(t: &Table, opts: ExecOptions) -> Result<Table> {
     let mut seen: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut first_rows: Vec<usize> = Vec::new();
-    let mut lineages: Vec<Vec<cda_dataframe::RowId>> = Vec::new();
+    // The rows of each distinct group, first witness first.
+    let mut members: Vec<Vec<usize>> = Vec::new();
     for rix in 0..t.num_rows() {
         let row = t.row(rix)?;
         match seen.get(&row) {
-            Some(&g) => {
-                if opts.track_lineage {
-                    lineages[g].extend_from_slice(t.lineage(rix)?);
-                }
-            }
+            Some(&g) => members[g].push(rix),
             None => {
-                seen.insert(row, first_rows.len());
-                first_rows.push(rix);
-                lineages
-                    .push(if opts.track_lineage { t.lineage(rix)?.to_vec() } else { Vec::new() });
+                seen.insert(row, members.len());
+                members.push(vec![rix]);
             }
         }
     }
-    let taken = t.take(&first_rows)?;
-    for lin in &mut lineages {
-        lin.sort_unstable();
-        lin.dedup();
+    let mut lineage = LineageBuilder::with_capacity(members.len());
+    for rows in &members {
+        if opts.track_lineage {
+            for &rix in rows {
+                lineage.extend_row(t.lineage(rix)?);
+            }
+        }
+        lineage.finish_set_row();
     }
-    Table::with_lineage(taken.schema().clone(), taken.columns().to_vec(), lineages)
+    let first_rows: Vec<usize> = members.iter().map(|rows| rows[0]).collect();
+    let taken = t.take(&first_rows)?;
+    Table::with_lineage(taken.schema().clone(), taken.columns().to_vec(), lineage.build())
         .map_err(Into::into)
 }
 
@@ -793,6 +792,25 @@ mod tests {
         )
         .unwrap();
         assert!(r.table.lineage(0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn lineage_store_shape_follows_the_operator_on_both_engines() {
+        let c = catalog();
+        for options in [ExecOptions::default(), ExecOptions::vectorized()] {
+            let one_per_row = |sql: &str| {
+                execute_with_options(&c, sql, options).unwrap().table.lineages().is_one_per_row()
+            };
+            // Scans, filters, sorts, limits and projections cite one row each.
+            assert!(one_per_row("SELECT canton, jobs * 2 FROM emp WHERE jobs > 60 ORDER BY jobs"));
+            assert!(one_per_row("SELECT canton FROM emp LIMIT 2 OFFSET 1"));
+            // Multi-row groups and join pairs are stored as CSR.
+            assert!(!one_per_row("SELECT canton, SUM(jobs) FROM emp GROUP BY canton"));
+            assert!(!one_per_row("SELECT DISTINCT canton FROM emp"));
+            assert!(!one_per_row(
+                "SELECT e.canton, r.region FROM emp e JOIN regions r ON e.canton = r.canton"
+            ));
+        }
     }
 
     #[test]

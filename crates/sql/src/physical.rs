@@ -47,7 +47,9 @@ use cda_dataframe::kernels::{
     build_join_table, compare, group_rows, join_key_hash, join_keys_match, values_group_hash,
     CmpOp,
 };
-use cda_dataframe::{Column, DomainTree, RowId, Schema, Table, Value};
+use cda_dataframe::{
+    Column, ColumnBuilder, DomainTree, LineageBuilder, LineageStore, Schema, Table, Value,
+};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -707,9 +709,8 @@ fn filter_vec(t: &Table, predicate: &BoundExpr, cfg: MorselConfig, threads: usiz
 
 /// Filter fused over a pruned scan: the predicate (whose column indices are
 /// scan-local) runs against the borrowed base table, then only the kept rows
-/// of the projected columns materialize. Byte-identical to
-/// `project-then-filter` because `Column::take` and `Table::project ∘ filter`
-/// write the same values and canonical NULL placeholders.
+/// of the projected columns materialize: a projection (shared buffers) and
+/// one gather, which is `project-then-filter` exactly.
 fn fused_filter_scan(
     base: &Table,
     projection: &[usize],
@@ -719,16 +720,7 @@ fn fused_filter_scan(
 ) -> Result<Table> {
     let pred = predicate.remap_columns(&|i| projection[i]);
     let indices = filter_indices(base, &pred, cfg, threads)?;
-    let schema = base.schema().project(projection);
-    let columns = projection
-        .iter()
-        .map(|&c| Ok(base.column(c)?.take(&indices)?))
-        .collect::<Result<Vec<_>>>()?;
-    let lineage = indices
-        .iter()
-        .map(|&r| Ok(base.lineage(r)?.to_vec()))
-        .collect::<Result<Vec<_>>>()?;
-    Table::with_lineage(schema, columns, lineage).map_err(Into::into)
+    base.project(projection)?.take(&indices).map_err(Into::into)
 }
 
 fn project_vec(
@@ -761,7 +753,7 @@ fn project_vec(
         fields.push(cda_dataframe::Field::new(field.name(), col.data_type()));
         columns.push(col);
     }
-    Table::with_lineage(Schema::new(fields), columns, t.lineages().to_vec()).map_err(Into::into)
+    t.with_columns(Schema::new(fields), columns).map_err(Into::into)
 }
 
 /// Typed-variant discriminant for the columnar fast path.
@@ -999,7 +991,7 @@ fn aggregate_vec(
 
     let out_cols = group_exprs.len() + aggs.len();
     let mut per_col: Vec<Vec<Value>> = vec![Vec::with_capacity(groups.len()); out_cols];
-    let mut lineage = Vec::with_capacity(groups.len());
+    let mut lineage = LineageBuilder::with_capacity(groups.len());
     for (key, rows) in keys.iter().zip(&groups) {
         for (c, kv) in key.iter().enumerate() {
             per_col[c].push(kv.clone());
@@ -1017,16 +1009,11 @@ fn aggregate_vec(
             per_col[group_exprs.len() + j].push(value);
         }
         if opts.track_lineage {
-            let mut lin = Vec::new();
             for &rix in rows {
-                lin.extend_from_slice(t.lineage(rix)?);
+                lineage.extend_row(t.lineage(rix)?);
             }
-            lin.sort_unstable();
-            lin.dedup();
-            lineage.push(lin);
-        } else {
-            lineage.push(Vec::new());
         }
+        lineage.finish_set_row();
     }
     let mut columns = Vec::with_capacity(out_cols);
     let mut fields = Vec::with_capacity(out_cols);
@@ -1035,7 +1022,7 @@ fn aggregate_vec(
         fields.push(cda_dataframe::Field::new(field.name(), col.data_type()));
         columns.push(col);
     }
-    Table::with_lineage(Schema::new(fields), columns, lineage).map_err(Into::into)
+    Table::with_lineage(Schema::new(fields), columns, lineage.build()).map_err(Into::into)
 }
 
 fn distinct_vec(t: &Table, opts: ExecOptions) -> Result<Table> {
@@ -1043,24 +1030,19 @@ fn distinct_vec(t: &Table, opts: ExecOptions) -> Result<Table> {
         t.columns().iter().map(|c| ColumnWindow::new(c, 0, t.num_rows())).collect();
     let (_, groups) = group_rows(&windows, t.num_rows());
     let mut first_rows = Vec::with_capacity(groups.len());
-    let mut lineages: Vec<Vec<RowId>> = Vec::with_capacity(groups.len());
+    let mut lineage = LineageBuilder::with_capacity(groups.len());
     for g in &groups {
         let Some(&first) = g.first() else { continue };
         first_rows.push(first);
         if opts.track_lineage {
-            let mut lin = Vec::new();
             for &rix in g {
-                lin.extend_from_slice(t.lineage(rix)?);
+                lineage.extend_row(t.lineage(rix)?);
             }
-            lin.sort_unstable();
-            lin.dedup();
-            lineages.push(lin);
-        } else {
-            lineages.push(Vec::new());
         }
+        lineage.finish_set_row();
     }
     let taken = t.take(&first_rows)?;
-    Table::with_lineage(taken.schema().clone(), taken.columns().to_vec(), lineages)
+    Table::with_lineage(taken.schema().clone(), taken.columns().to_vec(), lineage.build())
         .map_err(Into::into)
 }
 
@@ -1270,8 +1252,9 @@ fn hash_join(
     gather_join_output(l, r, &schema, &pairs, opts)
 }
 
-/// Materialize joined pairs column-wise (same `Column::push` coercions as
-/// the reference loop) with reference lineage semantics.
+/// Materialize joined pairs column-wise (left columns gathered, right
+/// columns NULL-padded with the reference loop's `Column::push` coercions)
+/// with reference lineage semantics.
 fn gather_join_output(
     l: &Table,
     r: &Table,
@@ -1279,47 +1262,53 @@ fn gather_join_output(
     pairs: &[(usize, Option<usize>)],
     opts: ExecOptions,
 ) -> Result<Table> {
-    let la = l.num_columns();
-    let mut columns: Vec<Column> = schema
-        .fields()
-        .iter()
-        .map(|f| Column::with_capacity(f.data_type(), pairs.len()))
-        .collect();
-    for (c, out) in columns.iter_mut().enumerate().take(la) {
-        let col = l.column(c)?;
-        for &(li, _) in pairs {
-            out.push(col.value(li)?)?;
-        }
-    }
-    for c in 0..r.num_columns() {
-        let col = r.column(c)?;
+    let left_rows: Vec<usize> = pairs.iter().map(|&(li, _)| li).collect();
+    let mut columns: Vec<Column> =
+        l.columns().iter().map(|c| c.take(&left_rows)).collect::<std::result::Result<_, _>>()?;
+    for (c, field) in r.columns().iter().zip(r.schema().fields()) {
+        let mut out = ColumnBuilder::with_capacity(field.data_type(), pairs.len());
         for &(_, ri) in pairs {
-            columns[la + c].push(match ri {
-                Some(ri) => col.value(ri)?,
+            out.push(match ri {
+                Some(ri) => c.value(ri)?,
                 None => Value::Null,
             })?;
         }
+        columns.push(out.finish());
     }
-    let mut lineage: Vec<Vec<RowId>> = Vec::with_capacity(pairs.len());
+    Table::with_lineage(schema.clone(), columns, join_lineage(l, r, pairs, opts)?)
+        .map_err(Into::into)
+}
+
+/// Join lineage: a matched pair cites the union of both rows' ids (sorted,
+/// deduplicated), a LEFT-padded miss cites its left row's ids as they are.
+fn join_lineage(
+    l: &Table,
+    r: &Table,
+    pairs: &[(usize, Option<usize>)],
+    opts: ExecOptions,
+) -> Result<LineageStore> {
+    let mut lineage = LineageBuilder::with_capacity(pairs.len());
     for &(li, ri) in pairs {
         if !opts.track_lineage {
-            lineage.push(Vec::new());
+            lineage.finish_row();
             continue;
         }
-        let mut lin = l.lineage(li)?.to_vec();
-        if let Some(ri) = ri {
-            lin.extend_from_slice(r.lineage(ri)?);
-            lin.sort_unstable();
-            lin.dedup();
+        lineage.extend_row(l.lineage(li)?);
+        match ri {
+            Some(ri) => {
+                lineage.extend_row(r.lineage(ri)?);
+                lineage.finish_set_row();
+            }
+            None => lineage.finish_row(),
         }
-        lineage.push(lin);
     }
-    Table::with_lineage(schema.clone(), columns, lineage).map_err(Into::into)
+    Ok(lineage.build())
 }
 
 struct NlMorsel {
     per_col: Vec<Vec<Value>>,
-    lineage: Vec<Vec<RowId>>,
+    /// The emitted `(left row, right row)` pairs, `None` for a LEFT miss.
+    emitted: Vec<(usize, Option<usize>)>,
     pairs: usize,
 }
 
@@ -1343,7 +1332,7 @@ fn nl_join(
     let ranges = morsel_ranges(l.num_rows(), cfg.morsel_rows);
     let per: Vec<Result<NlMorsel>> = run_ordered(ranges.len(), threads, |m| {
         let mut per_col: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
-        let mut lineage: Vec<Vec<RowId>> = Vec::new();
+        let mut emitted = Vec::new();
         let mut pairs = 0usize;
         for li in ranges[m].clone() {
             let lrow = l.row(li)?;
@@ -1357,15 +1346,7 @@ fn nl_join(
                     for (c, v) in full.into_iter().enumerate() {
                         per_col[c].push(v);
                     }
-                    if opts.track_lineage {
-                        let mut lin = l.lineage(li)?.to_vec();
-                        lin.extend_from_slice(r.lineage(ri)?);
-                        lin.sort_unstable();
-                        lin.dedup();
-                        lineage.push(lin);
-                    } else {
-                        lineage.push(Vec::new());
-                    }
+                    emitted.push((li, Some(ri)));
                 }
             }
             if !matched && kind == JoinKind::Left {
@@ -1375,15 +1356,15 @@ fn nl_join(
                 for col in per_col.iter_mut().take(schema.len()).skip(l.num_columns()) {
                     col.push(Value::Null);
                 }
-                lineage.push(if opts.track_lineage { l.lineage(li)?.to_vec() } else { Vec::new() });
+                emitted.push((li, None));
             }
         }
-        Ok(NlMorsel { per_col, lineage, pairs })
+        Ok(NlMorsel { per_col, emitted, pairs })
     });
     let outs = first_error(per)?;
-    let mut columns: Vec<Column> =
-        schema.fields().iter().map(|f| Column::with_capacity(f.data_type(), 0)).collect();
-    let mut lineage: Vec<Vec<RowId>> = Vec::new();
+    let mut columns: Vec<ColumnBuilder> =
+        schema.fields().iter().map(|f| ColumnBuilder::with_capacity(f.data_type(), 0)).collect();
+    let mut emitted = Vec::new();
     for out in outs {
         stats.join_pairs += out.pairs;
         for (c, vals) in out.per_col.into_iter().enumerate() {
@@ -1391,7 +1372,9 @@ fn nl_join(
                 columns[c].push(v)?;
             }
         }
-        lineage.extend(out.lineage);
+        emitted.extend(out.emitted);
     }
+    let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
+    let lineage = join_lineage(l, r, &emitted, opts)?;
     Table::with_lineage(schema, columns, lineage).map_err(Into::into)
 }
