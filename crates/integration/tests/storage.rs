@@ -174,45 +174,94 @@ fn exercise_cache_store<C: CacheStore>(cache: &mut C, answer: &CachedAnswer) {
     assert_eq!(stats.write_errors, 0, "{stats:?}");
 }
 
+/// What one cache scope does beyond the shared contract, pinned per scope.
+struct ScopePin {
+    name: &'static str,
+    /// `invalidate` drops the intersecting answers itself (conversation) or
+    /// leaves them to the storage-side reconciliation that runs when the
+    /// successor world is opened (world).
+    invalidate_drops: bool,
+    /// `clear` keeps the stored answers (world) or drops them
+    /// (conversation). Either way it zeroes the hit/miss counters and
+    /// keeps `write_errors`.
+    clear_keeps_entries: bool,
+}
+
+/// Pin one scope: the [`CacheStore`] contract, then `invalidate`, `len`,
+/// `stats().entries` and `clear`. When `faulty` is the scope's file, a
+/// failed write is counted and survives `clear`.
+fn pin_scope<C: CacheStore>(
+    cache: &mut C,
+    answer: &CachedAnswer,
+    pin: ScopePin,
+    faulty: Option<&FileBackend>,
+) {
+    let name = pin.name;
+    exercise_cache_store(cache, answer);
+    assert_eq!((cache.len(), cache.stats().entries), (1, 1), "{name}");
+
+    let expect = usize::from(!pin.invalidate_drops);
+    let dropped = cache.invalidate(&cda_analyzer::EffectSet::schema_change());
+    assert_eq!(dropped, 1 - expect, "{name}: invalidate drop count");
+    assert_eq!((cache.len(), cache.stats().entries), (expect, expect), "{name}");
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1), "{name}: invalidate keeps counters");
+
+    cache.put(0xBEEF, answer.clone());
+    let before = cache.len();
+    CacheStore::clear(cache);
+    let expect = if pin.clear_keeps_entries { before } else { 0 };
+    let stats = cache.stats();
+    assert_eq!((cache.len(), stats.entries), (expect, expect), "{name}: clear");
+    assert_eq!((stats.hits, stats.misses, stats.hit_rate), (0, 0, 0.0), "{name}: {stats:?}");
+    assert_eq!(stats.write_errors, 0, "{name}: {stats:?}");
+
+    if let Some(file) = faulty {
+        file.set_fault_plan(Some(FaultPlan { fail_after_writes: 0, torn_bytes: 0 }));
+        cache.put(0xCAFE, answer.clone());
+        assert_eq!(cache.stats().write_errors, 1, "{name}: a failed write is counted");
+        CacheStore::clear(cache);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.write_errors), (0, 1), "{name}: clear keeps write_errors");
+    }
+}
+
 #[test]
 fn cache_store_contract_holds_for_memory_and_durable_backends() {
     let catalog = demo_catalog(1);
     let sql = "SELECT canton, employees FROM employment_by_type";
     let result = cda_sql::execute(catalog.sql(), sql).unwrap();
     let answer = CachedAnswer { turn: 3, sql: sql.into(), result };
+    let world_over = |backend: Arc<dyn StorageBackend>| {
+        WorldSnapshot::builder()
+            .catalog(demo_catalog(1))
+            .kg(demo_kg())
+            .with_storage(backend)
+            .open_shared()
+            .unwrap()
+    };
 
-    // In-memory backend.
-    let mut mem = SemanticCache::new();
-    exercise_cache_store(&mut mem, &answer);
-    CacheStore::clear(&mut mem);
-    assert_eq!(mem.len(), 0, "mem entries are conversation-scoped");
+    // Conversation scope: entries live and die with the conversation.
+    let mut conversation = SemanticCache::new();
+    let pin = ScopePin { name: "conversation", invalidate_drops: true, clear_keeps_entries: false };
+    pin_scope(&mut conversation, &answer, pin, None);
 
-    // Durable cache over the in-memory storage backend…
-    let world = WorldSnapshot::builder()
-        .catalog(demo_catalog(1))
-        .kg(demo_kg())
-        .with_storage(Arc::new(MemBackend::new()))
-        .open_shared()
-        .unwrap();
+    // World scope over the in-memory storage backend…
+    let world = world_over(Arc::new(MemBackend::new()));
     let backend = Arc::clone(world.storage().unwrap());
     let mut durable = DurableCache::new(Arc::clone(&world), backend);
-    exercise_cache_store(&mut durable, &answer);
-    durable.clear();
-    assert!(durable.len() >= 1, "durable entries are world-scoped and survive clear");
-    assert_eq!(durable.stats().hits, 0, "clear resets the counters");
+    let pin = ScopePin { name: "world/mem", invalidate_drops: false, clear_keeps_entries: true };
+    pin_scope(&mut durable, &answer, pin, None);
 
-    // …and over the file backend, behind the same two interfaces.
+    // …and over the file backend, behind the same interface.
     let path = tmp("swap");
     let _ = std::fs::remove_file(&path);
-    let world = WorldSnapshot::builder()
-        .catalog(demo_catalog(1))
-        .kg(demo_kg())
-        .with_storage(Arc::new(FileBackend::open(&path).unwrap()))
-        .open_shared()
-        .unwrap();
+    let file = Arc::new(FileBackend::open(&path).unwrap());
+    let world = world_over(Arc::clone(&file) as Arc<dyn StorageBackend>);
     let backend = Arc::clone(world.storage().unwrap());
     let mut durable = DurableCache::new(world, backend);
-    exercise_cache_store(&mut durable, &answer);
+    let pin = ScopePin { name: "world/file", invalidate_drops: false, clear_keeps_entries: true };
+    pin_scope(&mut durable, &answer, pin, Some(&file));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -428,4 +477,30 @@ fn durable_server_restart_reuses_verified_answers() {
         .iter()
         .all(|o| matches!(o, cda_server::TurnOutcome::Completed(r) if !r.rendered.is_empty())));
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn server_over_a_built_world_hosts_conversation_scoped_sessions() {
+    use cda_server::{Server, ServerConfig};
+    // A backend attached but never reconciled: `build` performs no I/O, so
+    // the world was not opened over storage and its sessions keep their
+    // answers in memory.
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+    let world = WorldSnapshot::builder()
+        .catalog(demo_catalog(1))
+        .kg(demo_kg())
+        .vocab(demo_vocabulary())
+        .linker(demo_linker())
+        .lm(SimLmConfig { hallucination_rate: 0.15, overconfidence: 0.8, seed: 1 })
+        .with_storage(Arc::clone(&backend))
+        .build_shared();
+    let mut server = Server::new(world, ServerConfig { workers: 2, ..ServerConfig::default() });
+    let id = server.open_session("tenant");
+    for q in QUERIES {
+        server.submit(id, q).unwrap();
+    }
+    let _ = server.drain();
+    let stats = server.session_stats(id).unwrap().cache;
+    assert!(stats.misses >= 2 && stats.entries >= 2, "the conversation holds its answers: {stats:?}");
+    assert_eq!(backend.len(StoreId::SemanticCache).unwrap(), 0, "nothing was persisted");
 }
