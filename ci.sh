@@ -41,10 +41,12 @@ echo "== tier-1, release: transcript pins and the execution-count law with the s
 # the benchmark runs release, where they are off. Same pins, same law, on that path.
 cargo test --release -q -p cda-integration --test once
 
-echo "== tier-1, release: engine differential and determinism suites as the benchmark compiles them"
+echo "== tier-1, release: engine differential, determinism, durable cache and server suites as the benchmark compiles them"
 # Gathers, lineage stores and morsel indexing compile differently in debug
 # and release; the byte-identity laws must hold in the build that is measured.
-cargo test --release -q -p cda-integration --test vectorized --test determinism
+# The world-scoped semantic cache and server session hosting are measured in
+# release too (the `durable_restart` and `server_*` workloads).
+cargo test --release -q -p cda-integration --test vectorized --test determinism --test storage --test server
 
 echo "== lint: rustc + clippy on every target, warnings are errors (DESIGN.md §6)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -200,12 +200,6 @@ impl EquivEngine {
         self
     }
 
-    /// Bound the atom count up to which OR-over-AND is distributed into CNF.
-    pub fn with_max_cnf_atoms(mut self, atoms: usize) -> Self {
-        self.max_cnf_atoms = atoms;
-        self
-    }
-
     /// Canonicalize a plan: the semantics-preserving normal form whose hash
     /// is the plan's fingerprint.
     pub fn canonicalize(&self, plan: &Plan) -> Plan {

@@ -565,7 +565,7 @@ impl<'a> Analyzer<'a> {
             }
         }
         // A013 governor over the affected-row bound.
-        self.cost_pass(&read, report);
+        self.cost_pass(&read, analysis.as_ref(), report);
     }
 
     /// Statically analyze an already-bound logical plan: the plan pass
@@ -580,8 +580,11 @@ impl<'a> Analyzer<'a> {
 
     fn plan_passes(&self, plan: &Plan, report: &mut Report) {
         check_plan(plan, report);
-        self.absint_pass(plan, report);
-        self.cost_pass(plan, report);
+        let analysis = self.absint.then(|| crate::absint::analyze(plan, self.stats));
+        if let Some(analysis) = &analysis {
+            Self::absint_pass(analysis, report);
+        }
+        self.cost_pass(plan, analysis.as_ref(), report);
     }
 
     /// Convenience for gates: does static analysis prove this query cannot
@@ -595,11 +598,7 @@ impl<'a> Analyzer<'a> {
     /// reported by the shallower constant-folding checks (A006/A008/A011)
     /// are not re-reported — the deeper code only fires where the shallow
     /// one is silent.
-    fn absint_pass(&self, plan: &Plan, report: &mut Report) {
-        if !self.absint {
-            return;
-        }
-        let analysis = crate::absint::analyze(plan, self.stats);
+    fn absint_pass(analysis: &crate::absint::Analysis, report: &mut Report) {
         if let Some(why) = &analysis.provably_empty {
             let already = report.findings.iter().any(|f| {
                 matches!(f.code, Code::UnsatisfiablePredicate | Code::LimitZero)
@@ -637,14 +636,20 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Cost pass: estimate output cardinality, make A009 quantitative,
-    /// raise A013 when the estimate exceeds the row budget.
-    fn cost_pass(&self, plan: &Plan, report: &mut Report) {
+    /// raise A013 when the estimate exceeds the row budget. `analysis` is
+    /// the plan's abstract interpretation when that pass is on.
+    fn cost_pass(
+        &self,
+        plan: &Plan,
+        analysis: Option<&crate::absint::Analysis>,
+        report: &mut Report,
+    ) {
         let Some(stats) = self.stats else { return };
         let mut est = estimate(plan, stats);
-        if self.absint {
-            // Intersect with the abstract interpreter's row bounds: both
-            // are sound, so the tighter of each side stays sound.
-            let (alo, ahi) = crate::absint::row_bounds(plan, Some(stats));
+        if let Some(analysis) = analysis {
+            // Intersect with the abstract interpreter's root row bounds:
+            // both are sound, so the tighter of each side stays sound.
+            let (alo, ahi) = (analysis.tree.node.rows_lo, analysis.tree.node.rows_hi);
             est.lo = est.lo.max(alo);
             est.hi = est.hi.min(ahi);
             if est.lo <= est.hi {

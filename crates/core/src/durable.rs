@@ -1,8 +1,8 @@
-//! Durable world state: codecs and the durable semantic cache.
+//! Durable world state: the codecs and the storage-side reconciliation.
 //!
 //! `cda-storage` stores bytes under byte keys; this module is where the
 //! domain types become those bytes. Three stores are persisted, each keyed
-//! by the [`WorldSnapshot`] epoch stamped at
+//! by the [`WorldSnapshot`](crate::world::WorldSnapshot) epoch stamped at
 //! commit:
 //!
 //! * **Datasets** — every registered [`Dataset`] (schema, typed columns,
@@ -17,10 +17,11 @@
 //!   assignment, so the rebuilt store is exactly the original, indexes
 //!   included.
 //! * **Semantic cache** — `(fingerprint → epoch, turn, SQL, result)`
-//!   records. The result *table* and `ExecStats` are serialized; the plan
-//!   is **not** — it is re-derived from the stored SQL against the
-//!   (epoch-matched, hence identical) catalog via [`cda_sql::compile()`],
-//!   because planning is deterministic
+//!   records, read and written by a world-scoped
+//!   [`SemanticCache`](crate::session::SemanticCache). The result *table*
+//!   and `ExecStats` are serialized; the plan is **not** — it is re-derived
+//!   from the stored SQL against the (epoch-matched, hence identical)
+//!   catalog via [`cda_sql::compile()`], because planning is deterministic
 //!   and plan trees are deep recursive structures with no stability
 //!   guarantee across refactors.
 //!
@@ -31,19 +32,17 @@
 //! record whose stamp differs (`purge_stale_cache`), and a `Data` delta
 //! drops exactly the records whose re-derived read set intersects the
 //! committed write's effect set and re-stamps the survivors.
-//! [`DurableCache::get`] re-checks the stamp on every hit as defense in
+//! The world-scoped cache re-checks the stamp on every probe as defense in
 //! depth — a stale entry is *never served*.
 
 use crate::catalog::{Dataset, DatasetCatalog};
 use crate::rot::{Freshness, UpdateCadence};
-use crate::session::{CacheStats, CacheStore, CachedAnswer};
-use crate::world::WorldSnapshot;
+use crate::session::CachedAnswer;
 use crate::{CdaError, Result};
 use cda_dataframe::{ColumnBuilder, DataType, Field, LineageBuilder, Schema, Table, Value};
 use cda_sql::exec::{ExecStats, QueryResult};
 use cda_storage::{ByteReader, ByteWriter, StorageBackend, StoreId};
 use cda_timeseries::TimeSeries;
-use std::sync::Arc;
 
 /// On-disk format version; bumped when any codec changes incompatibly.
 pub const FORMAT_VERSION: u32 = 1;
@@ -312,7 +311,7 @@ const KG_KEY: &[u8] = b"kg";
 
 /// Encode a cache record: epoch stamp, then the answer (turn, SQL, stats,
 /// result table). The plan is intentionally absent — see the module docs.
-fn encode_cached(epoch: u64, answer: &CachedAnswer) -> Vec<u8> {
+pub(crate) fn encode_cached(epoch: u64, answer: &CachedAnswer) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(epoch);
     w.u64(answer.turn as u64);
@@ -353,7 +352,10 @@ fn replan(catalog: &cda_sql::Catalog, sql: &str) -> cda_sql::Result<cda_sql::pla
 /// Decode a cache record, re-deriving the plan from the stored SQL against
 /// `catalog` (which must be the epoch-matched catalog the record was
 /// executed under).
-fn decode_cached(bytes: &[u8], catalog: &cda_sql::Catalog) -> Result<(u64, CachedAnswer)> {
+pub(crate) fn decode_cached(
+    bytes: &[u8],
+    catalog: &cda_sql::Catalog,
+) -> Result<(u64, CachedAnswer)> {
     let mut r = ByteReader::new(bytes);
     let epoch = r.u64().map_err(serr)?;
     let turn = r.u64().map_err(serr)? as usize;
@@ -497,110 +499,6 @@ pub(crate) fn purge_stale_cache(backend: &dyn StorageBackend, epoch: u64) -> Res
         backend.remove(StoreId::SemanticCache, &key).map_err(serr)?;
     }
     Ok(dropped)
-}
-
-// ---------------------------------------------------------- durable cache --
-
-/// The durable semantic cache: a [`CacheStore`] over the world's storage
-/// backend. Entries are shared by every durable session over the same
-/// world — and by future processes: a hit may have been paid for before
-/// this process started, which is exactly the E20 restart scenario.
-///
-/// Storage failures fail *open* (a write error skips persistence, a read
-/// error is a miss) so a sick disk degrades to the in-memory behaviour
-/// instead of taking conversations down; [`CacheStats::write_errors`]
-/// counts the failed writes.
-#[derive(Debug, Clone)]
-pub struct DurableCache {
-    world: Arc<WorldSnapshot>,
-    backend: Arc<dyn StorageBackend>,
-    hits: usize,
-    misses: usize,
-    write_errors: usize,
-}
-
-impl DurableCache {
-    /// A durable cache over `backend`, decoding against `world`'s catalog.
-    /// The usual route is [`Session::open_durable`](crate::session::Session::open_durable),
-    /// which checks that world and backend agree on the epoch; construct
-    /// directly only when that invariant is guaranteed another way (e.g.
-    /// a fresh backend that has never held another world's records).
-    pub fn new(world: Arc<WorldSnapshot>, backend: Arc<dyn StorageBackend>) -> Self {
-        Self { world, backend, hits: 0, misses: 0, write_errors: 0 }
-    }
-
-    /// Re-point the cache at a successor world (same backend). Storage-side
-    /// invalidation already happened when the successor was opened — records
-    /// the write touched are gone, survivors are re-stamped — so the cache
-    /// only has to decode against the successor catalog and epoch from now
-    /// on. Counters carry over: the conversation did not restart.
-    pub(crate) fn set_world(&mut self, world: Arc<WorldSnapshot>) {
-        self.world = world;
-    }
-
-    fn entries(&self) -> usize {
-        self.backend.len(StoreId::SemanticCache).unwrap_or(0)
-    }
-}
-
-impl CacheStore for DurableCache {
-    fn probe(&self, fingerprint: u64) -> Option<CachedAnswer> {
-        let bytes = self.backend.get(StoreId::SemanticCache, &fingerprint.to_be_bytes()).ok()??;
-        match decode_cached(&bytes, self.world.catalog().sql()) {
-            Ok((epoch, answer)) if epoch == self.world.epoch() => Some(answer),
-            // Stale stamp (never served) or undecodable: not held.
-            _ => None,
-        }
-    }
-
-    fn count_hit(&mut self) {
-        self.hits += 1;
-    }
-
-    fn put(&mut self, fingerprint: u64, answer: CachedAnswer) {
-        self.misses += 1;
-        let bytes = encode_cached(self.world.epoch(), &answer);
-        let written = self
-            .backend
-            .put(StoreId::SemanticCache, &fingerprint.to_be_bytes(), &bytes)
-            .and_then(|()| self.backend.commit(self.world.epoch()));
-        if written.is_err() {
-            self.write_errors += 1;
-        }
-    }
-
-    fn invalidate(&mut self, _effects: &cda_analyzer::EffectSet) -> usize {
-        // Durable records are reconciled storage-side when the successor
-        // world is opened (`sync_world_delta`): intersecting readers are
-        // removed there and survivors re-stamped, shared by every durable
-        // session over the backend. Nothing is left for this handle to do —
-        // and the epoch check in `get` keeps any record the reconciliation
-        // missed from ever being served.
-        0
-    }
-
-    fn clear(&mut self) {
-        // Durable entries are world-scoped, not conversation-scoped: a
-        // conversation reset forgets the hit/miss counters, not the executed
-        // work — and not the write failures, which describe the storage.
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    fn len(&self) -> usize {
-        self.entries()
-    }
-
-    fn stats(&self) -> CacheStats {
-        let total = self.hits + self.misses;
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.entries(),
-            hit_rate: if total == 0 { 0.0 } else { self.hits as f64 / total as f64 },
-            write_errors: self.write_errors,
-        }
-    }
 }
 
 #[cfg(test)]

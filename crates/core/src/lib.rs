@@ -39,6 +39,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
 pub mod answer;
 pub mod catalog;
@@ -55,7 +56,6 @@ pub mod world;
 pub use answer::{AnswerTurn, PropertyTag};
 pub use catalog::{Dataset, DatasetCatalog};
 pub use dialogue::Route;
-pub use durable::DurableCache;
 pub use mutation::{WriteDecision, WriteOutcome};
 pub use reliability::CdaConfig;
 pub use session::{CacheStats, CacheStore, Session, SessionStats};

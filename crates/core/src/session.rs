@@ -25,6 +25,7 @@ use cda_guidance::profile::UserProfile;
 use cda_nlmodel::lm::{SimLm, SimLmConfig};
 use cda_provenance::lineage::LineageGraph;
 use cda_sql::exec::QueryResult;
+use cda_storage::{StorageBackend, StoreId};
 use cda_testkit::rng::mix64;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,10 +63,8 @@ impl std::borrow::Borrow<QueryResult> for CachedAnswer {
     }
 }
 
-/// The narrow interface every semantic-cache backend implements — the
-/// in-memory [`SemanticCache`] and the durable
-/// [`DurableCache`](crate::durable::DurableCache) are interchangeable
-/// behind it, and the dialogue layer talks only to this trait.
+/// The semantic-cache interface the dialogue layer talks to; [`SemanticCache`]
+/// implements it.
 ///
 /// Looking an answer up and serving it are two steps, because a turn looks
 /// up more than it serves: consistency UQ [`probe`](Self::probe)s every
@@ -74,8 +73,8 @@ impl std::borrow::Borrow<QueryResult> for CachedAnswer {
 /// [`count_hit`](Self::count_hit). Only the answer a turn executed and
 /// returned is [`put`](Self::put) — a losing candidate's result never is —
 /// so `hits`, `misses` and the stored entries are per *turn*, whatever UQ
-/// looked at on the way. Lookups return an owned answer (a durable backend
-/// decodes it from storage, so there is no stored value to borrow).
+/// looked at on the way. Lookups return an owned answer (a world-scoped
+/// cache decodes it from storage, so there is no stored value to borrow).
 pub trait CacheStore {
     /// Look up a fingerprint without counting anything.
     fn probe(&self, fingerprint: u64) -> Option<CachedAnswer>;
@@ -94,12 +93,12 @@ pub trait CacheStore {
     /// Drop exactly the stored answers a committed write invalidates —
     /// those whose plan read set intersects `effects`
     /// ([`EffectSet::invalidates`](cda_analyzer::EffectSet::invalidates)).
-    /// Returns the number dropped. The durable backend returns 0 here: its
+    /// Returns the number dropped. A world-scoped cache returns 0 here: its
     /// records were already reconciled storage-side when the successor
     /// world was opened.
     fn invalidate(&mut self, effects: &cda_analyzer::EffectSet) -> usize;
-    /// Forget conversation-scoped state (hit/miss counters always; entries
-    /// when the backend is conversation-scoped, i.e. in-memory).
+    /// Forget conversation-scoped state: the hit/miss counters always, the
+    /// entries when the cache is conversation-scoped.
     fn clear(&mut self);
     /// Number of stored answers visible to this store.
     fn len(&self) -> usize;
@@ -115,49 +114,100 @@ pub trait CacheStore {
 /// canonical-plan fingerprint (`cda_analyzer::equiv::PlanFingerprint`) of
 /// the query that produced them. Equal fingerprints certify equal execution
 /// on the deterministic engine, so a hit is byte-identical to re-executing —
-/// E16 verifies exactly that. Only successful executions are stored (errors
-/// always re-execute: canonicalization preserves *whether* an error fires,
-/// not which message it carries). Counters are read through
+/// E16 and E20 verify exactly that. Only successful executions are stored
+/// (errors always re-execute: canonicalization preserves *whether* an error
+/// fires, not which message it carries). Counters are read through
 /// [`CacheStats`] / [`SessionStats`], not fields.
+///
+/// The cache has one of two scopes, fixed at construction:
+///
+/// * **conversation** ([`SemanticCache::new`]): answers live in memory and
+///   die with the conversation;
+/// * **world** ([`SemanticCache::durable`]): answers live in the world's
+///   storage backend, shared by every durable session over it and by later
+///   processes — a hit may have been paid for before this process started,
+///   which is exactly the E20 restart scenario. Storage failures fail
+///   *open* (a write error skips persistence, a read error is a miss), so a
+///   sick disk degrades to the in-memory behaviour instead of taking
+///   conversations down; [`CacheStats::write_errors`] counts the failed
+///   writes.
 #[derive(Debug, Clone, Default)]
 pub struct SemanticCache {
-    entries: HashMap<u64, CachedAnswer>,
+    scope: Scope,
     hits: usize,
     misses: usize,
+    write_errors: usize,
+}
+
+/// Where a [`SemanticCache`] keeps its answers.
+#[derive(Debug, Clone)]
+enum Scope {
+    /// Answers held in memory for the life of the conversation.
+    Conversation(HashMap<u64, CachedAnswer>),
+    /// Records are decoded against `world`'s catalog and epoch.
+    World { world: Arc<WorldSnapshot>, backend: Arc<dyn StorageBackend> },
+}
+
+impl Default for Scope {
+    fn default() -> Self {
+        Self::Conversation(HashMap::new())
+    }
 }
 
 impl SemanticCache {
-    /// An empty cache.
+    /// An empty conversation-scoped cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of stored answers.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// A world-scoped cache over `backend`, decoding against `world`'s
+    /// catalog. The usual route is [`Session::open_durable`], which checks
+    /// that world and backend agree on the epoch; construct directly only
+    /// when that invariant is guaranteed another way (e.g. a fresh backend
+    /// that has never held another world's records).
+    pub fn durable(world: Arc<WorldSnapshot>, backend: Arc<dyn StorageBackend>) -> Self {
+        Self { scope: Scope::World { world, backend }, ..Self::default() }
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        let total = self.hits + self.misses;
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.entries.len(),
-            hit_rate: if total == 0 { 0.0 } else { self.hits as f64 / total as f64 },
-            write_errors: 0,
+    /// Re-point the cache at a successor world. A conversation-scoped cache
+    /// drops the answers the move invalidates: exactly those `effects`
+    /// intersects when the committed write is known, all of them
+    /// otherwise. A world-scoped cache only re-points — its records were
+    /// reconciled storage-side when the successor was opened. Counters carry
+    /// over: the conversation did not restart. Returns the number dropped.
+    pub(crate) fn adopt(
+        &mut self,
+        world: Arc<WorldSnapshot>,
+        effects: Option<&cda_analyzer::EffectSet>,
+    ) -> usize {
+        match (&mut self.scope, effects) {
+            (Scope::World { world: current, .. }, _) => {
+                *current = world;
+                0
+            }
+            (Scope::Conversation(entries), None) => {
+                let n = entries.len();
+                entries.clear();
+                n
+            }
+            (Scope::Conversation(_), Some(effects)) => self.invalidate(effects),
         }
     }
 }
 
 impl CacheStore for SemanticCache {
     fn probe(&self, fingerprint: u64) -> Option<CachedAnswer> {
-        self.entries.get(&fingerprint).cloned()
+        match &self.scope {
+            Scope::Conversation(entries) => entries.get(&fingerprint).cloned(),
+            Scope::World { world, backend } => {
+                let bytes = backend.get(StoreId::SemanticCache, &fingerprint.to_be_bytes()).ok()??;
+                match crate::durable::decode_cached(&bytes, world.catalog().sql()) {
+                    Ok((epoch, answer)) if epoch == world.epoch() => Some(answer),
+                    // Stale stamp (never served) or undecodable: not held.
+                    _ => None,
+                }
+            }
+        }
     }
 
     fn count_hit(&mut self) {
@@ -166,93 +216,68 @@ impl CacheStore for SemanticCache {
 
     fn put(&mut self, fingerprint: u64, answer: CachedAnswer) {
         self.misses += 1;
-        self.entries.insert(fingerprint, answer);
+        match &mut self.scope {
+            Scope::Conversation(entries) => {
+                entries.insert(fingerprint, answer);
+            }
+            Scope::World { world, backend } => {
+                let bytes = crate::durable::encode_cached(world.epoch(), &answer);
+                let written = backend
+                    .put(StoreId::SemanticCache, &fingerprint.to_be_bytes(), &bytes)
+                    .and_then(|()| backend.commit(world.epoch()));
+                if written.is_err() {
+                    self.write_errors += 1;
+                }
+            }
+        }
     }
 
     fn invalidate(&mut self, effects: &cda_analyzer::EffectSet) -> usize {
-        let before = self.entries.len();
-        // Each entry's read set comes from the executed plan it stores, so
-        // the intersection check is exact: a retained answer provably reads
-        // no (table, column) the write touched.
-        self.entries
-            .retain(|_, e| !effects.invalidates(&cda_analyzer::plan_reads(&e.result.plan)));
-        before - self.entries.len()
+        match &mut self.scope {
+            Scope::Conversation(entries) => {
+                let before = entries.len();
+                // Each entry's read set comes from the executed plan it
+                // stores, so the intersection check is exact: a retained
+                // answer provably reads no (table, column) the write touched.
+                entries.retain(|_, e| {
+                    !effects.invalidates(&cda_analyzer::plan_reads(&e.result.plan))
+                });
+                before - entries.len()
+            }
+            // Reconciled storage-side when the successor world is opened
+            // (`sync_world_delta`), once for every durable session over the
+            // backend; the epoch check in `probe` keeps any record the
+            // reconciliation missed from ever being served.
+            Scope::World { .. } => 0,
+        }
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
+        // World-scoped entries are the world's executed work, not the
+        // conversation's, so they stay; `write_errors` describes the
+        // storage and stays too.
+        if let Scope::Conversation(entries) = &mut self.scope {
+            entries.clear();
+        }
         self.hits = 0;
         self.misses = 0;
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn stats(&self) -> CacheStats {
-        SemanticCache::stats(self)
-    }
-}
-
-/// The session's cache slot: one of the two [`CacheStore`] backends.
-/// An enum rather than `Box<dyn CacheStore>` because [`Session`] is
-/// `Clone` (the server clones sessions into its runtime) and trait objects
-/// aren't.
-#[derive(Debug, Clone)]
-pub(crate) enum SessionCache {
-    /// Conversation-scoped in-memory cache (the default).
-    Mem(SemanticCache),
-    /// World-scoped durable cache over the storage backend.
-    Durable(crate::durable::DurableCache),
-}
-
-impl CacheStore for SessionCache {
-    fn probe(&self, fingerprint: u64) -> Option<CachedAnswer> {
-        match self {
-            Self::Mem(c) => c.probe(fingerprint),
-            Self::Durable(c) => c.probe(fingerprint),
-        }
-    }
-
-    fn count_hit(&mut self) {
-        match self {
-            Self::Mem(c) => c.count_hit(),
-            Self::Durable(c) => c.count_hit(),
-        }
-    }
-
-    fn put(&mut self, fingerprint: u64, answer: CachedAnswer) {
-        match self {
-            Self::Mem(c) => c.put(fingerprint, answer),
-            Self::Durable(c) => c.put(fingerprint, answer),
-        }
-    }
-
-    fn invalidate(&mut self, effects: &cda_analyzer::EffectSet) -> usize {
-        match self {
-            Self::Mem(c) => c.invalidate(effects),
-            Self::Durable(c) => c.invalidate(effects),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Mem(c) => CacheStore::clear(c),
-            Self::Durable(c) => c.clear(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Mem(c) => SemanticCache::len(c),
-            Self::Durable(c) => CacheStore::len(c),
+        match &self.scope {
+            Scope::Conversation(entries) => entries.len(),
+            Scope::World { backend, .. } => backend.len(StoreId::SemanticCache).unwrap_or(0),
         }
     }
 
     fn stats(&self) -> CacheStats {
-        match self {
-            Self::Mem(c) => SemanticCache::stats(c),
-            Self::Durable(c) => CacheStore::stats(c),
+        let total = self.hits + self.misses;
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            entries: self.len(),
+            hit_rate: if total == 0 { 0.0 } else { self.hits as f64 / total as f64 },
+            write_errors: self.write_errors,
         }
     }
 }
@@ -268,9 +293,9 @@ pub struct CacheStats {
     pub entries: usize,
     /// Hit rate over all cache-eligible turns so far (0.0 when none).
     pub hit_rate: f64,
-    /// Answers a durable cache failed to persist (its writes fail open, so
-    /// the turn still answers). Always 0 in memory; a conversation reset
-    /// does not zero it.
+    /// Answers a world-scoped cache failed to persist (its writes fail
+    /// open, so the turn still answers). Always 0 for a conversation-scoped
+    /// cache; a conversation reset does not zero it.
     pub write_errors: usize,
 }
 
@@ -327,7 +352,7 @@ pub struct Session {
     pub(crate) query_log: QueryLog,
     /// Semantic answer cache keyed on canonical-plan fingerprints
     /// (active when [`CdaConfig::semantic_cache`] is set).
-    pub(crate) semantic_cache: SessionCache,
+    pub(crate) semantic_cache: SemanticCache,
     /// Query executions so far (see [`SessionStats::executions`]).
     pub(crate) executions: usize,
 }
@@ -370,7 +395,7 @@ impl Session {
             profile: UserProfile::new(),
             state: DialogueState::default(),
             query_log: QueryLog::new(),
-            semantic_cache: SessionCache::Mem(SemanticCache::new()),
+            semantic_cache: SemanticCache::new(),
             executions: 0,
         }
     }
@@ -410,8 +435,7 @@ impl Session {
             )));
         }
         let mut session = Self::open_seeded(Arc::clone(&world), config, session_seed);
-        session.semantic_cache =
-            SessionCache::Durable(crate::durable::DurableCache::new(world, backend));
+        session.semantic_cache = SemanticCache::durable(world, backend);
         Ok(session)
     }
 
@@ -496,13 +520,10 @@ impl Session {
     /// Re-point the session at a successor world snapshot after a write
     /// committed elsewhere (the server's write lane, or another session
     /// over the same durable backend). `effects` is the committed write's
-    /// static effect set when known: the in-memory semantic cache then
-    /// drops exactly the intersecting answers; without it the cache is
-    /// cleared conservatively. The durable cache only re-points — its
-    /// records were reconciled storage-side when the successor was opened.
-    /// Conversation state (lineage, dialogue, log, seed) is untouched: the
-    /// conversation continues, over newer data. Returns the number of
-    /// in-memory cached answers dropped.
+    /// static effect set when known: see [`SemanticCache`] for what each
+    /// cache scope drops. Conversation state (lineage, dialogue, log, seed,
+    /// cache counters) is untouched: the conversation continues, over newer
+    /// data. Returns the number of cached answers dropped.
     pub fn adopt_world(
         &mut self,
         world: Arc<WorldSnapshot>,
@@ -511,18 +532,7 @@ impl Session {
         if Arc::ptr_eq(&self.world, &world) {
             return 0;
         }
-        let dropped = match (&mut self.semantic_cache, effects) {
-            (SessionCache::Mem(c), Some(e)) => c.invalidate(e),
-            (SessionCache::Mem(c), None) => {
-                let n = c.len();
-                CacheStore::clear(c);
-                n
-            }
-            (SessionCache::Durable(c), _) => {
-                c.set_world(Arc::clone(&world));
-                0
-            }
-        };
+        let dropped = self.semantic_cache.adopt(Arc::clone(&world), effects);
         self.world = world;
         dropped
     }
@@ -534,10 +544,8 @@ impl Session {
         self.profile = UserProfile::new();
         self.state = DialogueState::default();
         self.query_log = QueryLog::new();
-        // In-memory cached answers are conversation-scoped (the turn numbers
-        // and transcript references would dangle), so the mem backend drops
-        // its entries; the durable backend keeps its world-scoped entries
-        // and resets only the hit/miss counters.
+        // Conversation-scoped answers go (their turn numbers and transcript
+        // references would dangle); world-scoped answers stay.
         self.semantic_cache.clear();
         self.executions = 0;
     }
@@ -610,14 +618,30 @@ mod tests {
     fn probing_counts_nothing_and_get_is_probe_plus_count_hit() {
         let mut s = demo_session(1);
         let _ = s.process("What is the total employees in employment_by_type per canton?");
-        let SessionCache::Mem(cache) = &mut s.semantic_cache else { unreachable!() };
-        let fp = *cache.entries.keys().next().expect("the answered turn stored its execution");
+        let cache = &mut s.semantic_cache;
+        let Scope::Conversation(entries) = &cache.scope else { unreachable!() };
+        let fp = *entries.keys().next().expect("the answered turn stored its execution");
         let before = cache.stats();
         assert!(cache.probe(fp).is_some() && cache.probe(fp ^ 1).is_none());
         assert_eq!(cache.stats(), before);
         assert!(cache.get(fp).is_some() && cache.get(fp ^ 1).is_none());
         assert_eq!(cache.stats().hits, before.hits + 1);
         assert_eq!(cache.stats().misses, before.misses);
+    }
+
+    #[test]
+    fn adopting_a_world_without_effects_drops_entries_and_keeps_counters() {
+        let mut s = demo_session(1);
+        let q = "What is the total employees in employment_by_type per canton?";
+        let _ = s.process(q);
+        let _ = s.process(q);
+        let before = s.stats().cache;
+        assert!(before.hits >= 1 && before.entries >= 1, "{before:?}");
+        let next = s.world().successor().build_shared();
+        assert_eq!(s.adopt_world(next, None), before.entries);
+        let after = s.stats().cache;
+        assert_eq!(after.entries, 0, "{after:?}");
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses), "{after:?}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary};
 use cda_core::session::{CachedAnswer, SemanticCache};
 use cda_core::storage::{FaultPlan, FileBackend, MemBackend, StorageBackend, StoreId};
-use cda_core::{CacheStore, CdaConfig, DurableCache, Session, WorldSnapshot};
+use cda_core::{CacheStore, CdaConfig, Session, WorldSnapshot};
 use cda_nlmodel::lm::SimLmConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -249,7 +249,7 @@ fn cache_store_contract_holds_for_memory_and_durable_backends() {
     // World scope over the in-memory storage backend…
     let world = world_over(Arc::new(MemBackend::new()));
     let backend = Arc::clone(world.storage().unwrap());
-    let mut durable = DurableCache::new(Arc::clone(&world), backend);
+    let mut durable = SemanticCache::durable(Arc::clone(&world), backend);
     let pin = ScopePin { name: "world/mem", invalidate_drops: false, clear_keeps_entries: true };
     pin_scope(&mut durable, &answer, pin, None);
 
@@ -259,7 +259,7 @@ fn cache_store_contract_holds_for_memory_and_durable_backends() {
     let file = Arc::new(FileBackend::open(&path).unwrap());
     let world = world_over(Arc::clone(&file) as Arc<dyn StorageBackend>);
     let backend = Arc::clone(world.storage().unwrap());
-    let mut durable = DurableCache::new(world, backend);
+    let mut durable = SemanticCache::durable(world, backend);
     let pin = ScopePin { name: "world/file", invalidate_drops: false, clear_keeps_entries: true };
     pin_scope(&mut durable, &answer, pin, Some(&file));
     let _ = std::fs::remove_file(&path);
@@ -449,7 +449,7 @@ fn durable_server_restart_reuses_verified_answers() {
     let path = tmp("server");
     let _ = std::fs::remove_file(&path);
 
-    let config = ServerConfig { workers: 2, durable: true, ..ServerConfig::default() };
+    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
     let world = durable_world(&path, 1);
     let mut server = Server::new(world, config.clone());
     let id = server.open_session("tenant");

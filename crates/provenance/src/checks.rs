@@ -250,7 +250,6 @@ fn source_span(result: &Table, row: usize, tag: u32) -> Result<(Vec<RowId>, HowS
 
 /// Convenience: check every row of a grouped-aggregate result and return the
 /// fraction that is lossless and invertible (the rates experiment E4 plots).
-#[allow(clippy::too_many_arguments)]
 pub fn verification_rates(
     catalog: &Catalog,
     sql: &str,

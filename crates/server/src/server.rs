@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::stats::ServerStats;
+use crate::stats::{percentile, ServerStats};
 
 /// Opaque handle to one conversation hosted by a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,13 +58,6 @@ pub struct ServerConfig {
     pub session_config: CdaConfig,
     /// Quota applied to tenants without an explicit [`Server::set_quota`].
     pub default_quota: TenantQuota,
-    /// Open sessions durably: their semantic caches live in the world's
-    /// storage backend, so verified answers survive a server restart. When
-    /// the installed world has no reconciled backend (it was built rather
-    /// than opened with storage), sessions fall back to the in-memory
-    /// cache — durability is an attachment property of the world, not a
-    /// capability the server can conjure.
-    pub durable: bool,
 }
 
 impl ServerConfig {
@@ -310,21 +303,19 @@ impl Server {
     /// The session's seed is derived from its id (id + 1, so no hosted
     /// session uses the reserved legacy seed 0), which makes every
     /// session's transcript a pure function of its own turn sequence.
+    ///
+    /// The installed world decides the session's cache scope: a world
+    /// opened over storage hosts durable sessions
+    /// ([`Session::open_durable_seeded`]), whose verified answers survive a
+    /// server restart; a world built without reconciling a backend hosts
+    /// sessions with a conversation-scoped cache.
     pub fn open_session(&mut self, tenant: &str) -> SessionId {
         self.tenant_mut(tenant);
         let id = SessionId(self.slots.len() as u64);
         let seed = id.0 + 1;
-        let session = if self.config.durable {
-            Session::open_durable_seeded(self.world.clone(), self.config.session_config, seed)
-                .unwrap_or_else(|_| {
-                    // The world carries no reconciled backend: honor the
-                    // open anyway with the in-memory cache (documented on
-                    // `ServerConfig::durable`).
-                    Session::open_seeded(self.world.clone(), self.config.session_config, seed)
-                })
-        } else {
-            Session::open_seeded(self.world.clone(), self.config.session_config, seed)
-        };
+        let config = self.config.session_config;
+        let session = Session::open_durable_seeded(self.world.clone(), config, seed)
+            .unwrap_or_else(|_| Session::open_seeded(self.world.clone(), config, seed));
         self.slots.push(SessionSlot { session, tenant: tenant.to_owned(), queue: Vec::new() });
         id
     }
@@ -517,16 +508,17 @@ impl Server {
 
     /// Aggregate server statistics.
     pub fn stats(&self) -> ServerStats {
-        ServerStats::compute(
-            self.world.epoch(),
-            self.slots.len(),
-            self.next_seq,
-            self.turns_completed,
-            self.rejected_quota,
-            self.rejected_budget,
-            self.queued,
-            &self.latencies_us,
-        )
+        ServerStats {
+            epoch: self.world.epoch(),
+            sessions: self.slots.len(),
+            turns_submitted: self.next_seq,
+            turns_completed: self.turns_completed,
+            rejected_quota: self.rejected_quota,
+            rejected_budget: self.rejected_budget,
+            queue_depth: self.queued,
+            p50_us: percentile(&self.latencies_us, 50.0),
+            p99_us: percentile(&self.latencies_us, 99.0),
+        }
     }
 }
 

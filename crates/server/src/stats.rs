@@ -30,30 +30,6 @@ impl ServerStats {
     pub fn rejected_total(&self) -> u64 {
         self.rejected_quota + self.rejected_budget
     }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn compute(
-        epoch: u64,
-        sessions: usize,
-        turns_submitted: u64,
-        turns_completed: u64,
-        rejected_quota: u64,
-        rejected_budget: u64,
-        queue_depth: usize,
-        latencies_us: &[u64],
-    ) -> Self {
-        Self {
-            epoch,
-            sessions,
-            turns_submitted,
-            turns_completed,
-            rejected_quota,
-            rejected_budget,
-            queue_depth,
-            p50_us: percentile(latencies_us, 50.0),
-            p99_us: percentile(latencies_us, 99.0),
-        }
-    }
 }
 
 /// Nearest-rank percentile over an unsorted sample (0 when empty).
@@ -83,8 +59,17 @@ mod tests {
 
     #[test]
     fn rejected_total_sums_both_gates() {
-        let s = ServerStats::compute(0, 1, 10, 7, 2, 1, 0, &[5, 6, 7]);
+        let s = ServerStats {
+            epoch: 0,
+            sessions: 1,
+            turns_submitted: 10,
+            turns_completed: 7,
+            rejected_quota: 2,
+            rejected_budget: 1,
+            queue_depth: 0,
+            p50_us: 6,
+            p99_us: 7,
+        };
         assert_eq!(s.rejected_total(), 3);
-        assert_eq!(s.p50_us, 6);
     }
 }

@@ -75,7 +75,6 @@ pub fn run_vectorized(
 /// every operator reads its input immutably) — one of the places the
 /// vectorized speedup comes from. Counters are bumped exactly as the row
 /// path bumps them, so `ExecStats` stays comparable.
-#[allow(clippy::too_many_arguments)]
 fn run_node<'a>(
     catalog: &'a Catalog,
     plan: &Plan,
@@ -237,8 +236,8 @@ pub(crate) fn eval_vector(
         BoundExpr::Literal(v) => Ok(Vector::constant(v.clone(), sel.len())),
         BoundExpr::Column(i) => src.load(*i, sel),
         BoundExpr::Binary { left, op, right } => match op {
-            BinaryOp::And => eval_and_vec(left, right, src, sel),
-            BinaryOp::Or => eval_or_vec(left, right, src, sel),
+            BinaryOp::And => eval_connective_vec(left, right, src, sel, false, "AND"),
+            BinaryOp::Or => eval_connective_vec(left, right, src, sel, true, "OR"),
             _ => {
                 let l = eval_vector(left, src, sel)?;
                 let r = eval_vector(right, src, sel)?;
@@ -445,18 +444,22 @@ fn arith_slots(a: Slot<'_>, op: BinaryOp, b: Slot<'_>) -> Result<Value> {
     }
 }
 
-/// Three-valued AND with the row engine's evaluation set: the right operand
-/// is evaluated only where the left is not FALSE.
-fn eval_and_vec(
+/// Three-valued AND (`absorbing` FALSE) or OR (`absorbing` TRUE) with the
+/// row engine's evaluation set: the right operand is evaluated only where
+/// the left is not the absorbing value. `op` names the connective in type
+/// errors.
+fn eval_connective_vec(
     left: &BoundExpr,
     right: &BoundExpr,
     src: &dyn VectorSource,
     sel: &[usize],
+    absorbing: bool,
+    op: &str,
 ) -> Result<Vector> {
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, PartialEq)]
     enum L {
-        False,
-        True,
+        Absorbing,
+        Identity,
         Null,
     }
     let l = eval_vector(left, src, sel)?;
@@ -464,12 +467,12 @@ fn eval_and_vec(
     for i in 0..sel.len() {
         let s = l.slot(i);
         states.push(match s.as_bool() {
-            Some(false) => L::False,
-            Some(true) => L::True,
+            Some(b) if b == absorbing => L::Absorbing,
+            Some(_) => L::Identity,
             None if s.is_null() => L::Null,
             None => {
                 return Err(SqlError::Eval(format!(
-                    "AND expects BOOL, got {v:?}",
+                    "{op} expects BOOL, got {v:?}",
                     v = s.to_value()
                 )))
             }
@@ -478,7 +481,7 @@ fn eval_and_vec(
     let rsel: Vec<usize> = sel
         .iter()
         .zip(&states)
-        .filter(|(_, st)| !matches!(st, L::False))
+        .filter(|(_, st)| **st != L::Absorbing)
         .map(|(&g, _)| g)
         .collect();
     let r = eval_vector(right, src, &rsel)?;
@@ -486,26 +489,17 @@ fn eval_and_vec(
     let mut validity = Vec::with_capacity(sel.len());
     let mut k = 0;
     for st in &states {
-        match st {
-            L::False => {
-                data.push(false);
-                validity.push(true);
-            }
-            L::True => {
+        let (value, valid) = match st {
+            L::Absorbing => (absorbing, true),
+            L::Identity => {
                 let rs = r.slot(k);
                 k += 1;
                 match rs.as_bool() {
-                    Some(b) => {
-                        data.push(b);
-                        validity.push(true);
-                    }
-                    None if rs.is_null() => {
-                        data.push(false);
-                        validity.push(false);
-                    }
+                    Some(b) => (b, true),
+                    None if rs.is_null() => (false, false),
                     None => {
                         return Err(SqlError::Eval(format!(
-                            "AND expects BOOL, got {v:?}",
+                            "{op} expects BOOL, got {v:?}",
                             v = rs.to_value()
                         )))
                     }
@@ -514,103 +508,15 @@ fn eval_and_vec(
             L::Null => {
                 let rs = r.slot(k);
                 k += 1;
-                match rs.as_bool() {
-                    Some(false) => {
-                        data.push(false);
-                        validity.push(true);
-                    }
-                    _ => {
-                        data.push(false);
-                        validity.push(false);
-                    }
+                if rs.as_bool() == Some(absorbing) {
+                    (absorbing, true)
+                } else {
+                    (false, false)
                 }
             }
-        }
-    }
-    Ok(Vector::Bools { data, validity })
-}
-
-/// Three-valued OR, mirroring [`eval_and_vec`]: the right operand is
-/// evaluated only where the left is not TRUE.
-fn eval_or_vec(
-    left: &BoundExpr,
-    right: &BoundExpr,
-    src: &dyn VectorSource,
-    sel: &[usize],
-) -> Result<Vector> {
-    #[derive(Clone, Copy)]
-    enum L {
-        False,
-        True,
-        Null,
-    }
-    let l = eval_vector(left, src, sel)?;
-    let mut states = Vec::with_capacity(sel.len());
-    for i in 0..sel.len() {
-        let s = l.slot(i);
-        states.push(match s.as_bool() {
-            Some(false) => L::False,
-            Some(true) => L::True,
-            None if s.is_null() => L::Null,
-            None => {
-                return Err(SqlError::Eval(format!(
-                    "OR expects BOOL, got {v:?}",
-                    v = s.to_value()
-                )))
-            }
-        });
-    }
-    let rsel: Vec<usize> = sel
-        .iter()
-        .zip(&states)
-        .filter(|(_, st)| !matches!(st, L::True))
-        .map(|(&g, _)| g)
-        .collect();
-    let r = eval_vector(right, src, &rsel)?;
-    let mut data = Vec::with_capacity(sel.len());
-    let mut validity = Vec::with_capacity(sel.len());
-    let mut k = 0;
-    for st in &states {
-        match st {
-            L::True => {
-                data.push(true);
-                validity.push(true);
-            }
-            L::False => {
-                let rs = r.slot(k);
-                k += 1;
-                match rs.as_bool() {
-                    Some(b) => {
-                        data.push(b);
-                        validity.push(true);
-                    }
-                    None if rs.is_null() => {
-                        data.push(false);
-                        validity.push(false);
-                    }
-                    None => {
-                        return Err(SqlError::Eval(format!(
-                            "OR expects BOOL, got {v:?}",
-                            v = rs.to_value()
-                        )))
-                    }
-                }
-            }
-            L::Null => {
-                let rs = r.slot(k);
-                k += 1;
-                match rs.as_bool() {
-                    Some(true) => {
-                        data.push(true);
-                        validity.push(true);
-                    }
-                    _ => {
-                        data.push(false);
-                        validity.push(false);
-                    }
-                }
-            }
-        }
+        };
+        data.push(value);
+        validity.push(valid);
     }
     Ok(Vector::Bools { data, validity })
 }
@@ -922,7 +828,6 @@ struct MorselGroups {
     args: Vec<Option<Vector>>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn aggregate_vec(
     t: &Table,
     group_exprs: &[BoundExpr],
@@ -1146,7 +1051,10 @@ fn on_bool_shaped(e: &BoundExpr) -> bool {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the Join node's fields plus the morsel execution context"
+)]
 fn join_vec(
     l: &Table,
     r: &Table,
@@ -1168,7 +1076,10 @@ struct MorselPairs {
     candidates: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the Join node's fields plus the morsel execution context"
+)]
 fn hash_join(
     l: &Table,
     r: &Table,
@@ -1315,7 +1226,10 @@ struct NlMorsel {
 /// Morsel-partitioned replica of the reference nested loop (used when the ON
 /// condition is fallible or has no equi-key): byte-identical to `exec::join`
 /// including `join_pairs` and error order.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the Join node's fields plus the morsel execution context"
+)]
 fn nl_join(
     l: &Table,
     r: &Table,

@@ -302,7 +302,10 @@ impl Planner<'_> {
 
     /// Resolve one ORDER BY key to a column index in the projected output,
     /// appending a hidden projection column when necessary.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the key, its SELECT scope and the projection being built"
+    )]
     fn resolve_order_key(
         &self,
         expr: &Expr,

@@ -47,8 +47,15 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
-// The one crate that owns the file system: clippy.toml bans `std::fs` everywhere else.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![cfg_attr(not(test), deny(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one crate that owns the file system: clippy.toml bans `std::fs` everywhere else"
+)]
+#![cfg_attr(
+    test,
+    expect(clippy::disallowed_methods, reason = "unit tests remove their scratch files")
+)]
 
 pub mod backend;
 pub mod buffer;

@@ -187,7 +187,7 @@ impl HnswIndex {
 
     /// Beam search with an external termination policy. The policy is called
     /// after each expansion; returning `true` stops the search early.
-    #[allow(clippy::too_many_arguments)] // public API: each knob is load-bearing
+    #[expect(clippy::too_many_arguments, reason = "public API: each knob is load-bearing")]
     pub fn search_layer_with_policy(
         &self,
         data: &VectorSet,
