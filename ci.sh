@@ -55,8 +55,10 @@ echo "== lint coverage: every crate inherits [workspace.lints]"
 missing=$(grep -L '^\[lints\]' crates/*/Cargo.toml || true)
 if [ -n "$missing" ]; then echo "FAIL: no [lints] table in: $missing" >&2; exit 1; fi
 
-echo "== docs (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "== docs (rustdoc warnings are errors, private items included)"
+# Most product items are `pub(crate)` (DESIGN.md §6), so the broken-link
+# check must cover private items too.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --document-private-items
 
 echo "== perf/: the benchmark builds against the product's public API and smoke-runs all five workloads"
 # perf/ is its own package (not a workspace member): a refactor that breaks

@@ -29,7 +29,7 @@
 //! One bottom-up pass computes a [`DomainTree`] mirroring the plan. `Scan`
 //! seeds from catalog statistics (min/max/null-count/row-count; string
 //! min/max contribute their common prefix — every value between two strings
-//! shares it). `Filter` evaluates the predicate to an [`AbsTruth`] and
+//! shares it). `Filter` evaluates the predicate to an `AbsTruth` and
 //! *refines* the surviving rows' domains conjunct-by-conjunct to a bounded
 //! local fixpoint (column↔literal and column↔column comparisons, `IS
 //! [NOT] NULL`, literal `IN` lists, `BETWEEN`, `LIKE` prefixes). `Project`
@@ -85,7 +85,7 @@ const REFINE_ROUNDS: usize = 4;
 /// is selected iff the predicate evaluates to TRUE, so `NeverTrue` covers
 /// both FALSE and NULL outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbsTruth {
+pub(crate) enum AbsTruth {
     /// Evaluates to TRUE on every possible input row.
     AlwaysTrue,
     /// Never evaluates to TRUE (FALSE or NULL on every row).
@@ -190,7 +190,7 @@ fn mark_unsat(d: &mut ColDomain) {
 /// Abstract evaluation of a bound expression over the input columns'
 /// domains. The result over-approximates every value the expression can
 /// produce on any row drawn from `cols`.
-pub fn abs_eval(expr: &BoundExpr, cols: &[ColDomain]) -> ColDomain {
+pub(crate) fn abs_eval(expr: &BoundExpr, cols: &[ColDomain]) -> ColDomain {
     match expr {
         BoundExpr::Literal(v) => ColDomain::from_value(v),
         BoundExpr::Column(i) => cols.get(*i).cloned().unwrap_or_else(ColDomain::top),
@@ -320,7 +320,7 @@ fn abs_arith(l: &ColDomain, op: BinaryOp, r: &ColDomain) -> ColDomain {
 // ---------------------------------------------------------- abstract truth
 
 /// Abstract truth of a predicate over the input columns' domains.
-pub fn abs_truth(pred: &BoundExpr, cols: &[ColDomain]) -> AbsTruth {
+pub(crate) fn abs_truth(pred: &BoundExpr, cols: &[ColDomain]) -> AbsTruth {
     use AbsTruth::*;
     match pred {
         BoundExpr::Literal(Value::Bool(true)) => AlwaysTrue,
@@ -1377,7 +1377,7 @@ fn render_expr_op(l: &BoundExpr, op: BinaryOp, r: &BoundExpr, names: &[String]) 
 
 /// Compact SQL-ish rendering of a bound expression with column names, for
 /// finding messages.
-pub fn render_expr(e: &BoundExpr, names: &[String]) -> String {
+pub(crate) fn render_expr(e: &BoundExpr, names: &[String]) -> String {
     match e {
         BoundExpr::Literal(Value::Str(s)) => format!("'{s}'"),
         BoundExpr::Literal(v) => v.to_string(),

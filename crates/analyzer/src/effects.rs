@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// `table → columns`, all lowercased; the carrier of read and write sets.
-pub type ColumnSet = BTreeMap<String, BTreeSet<String>>;
+pub(crate) type ColumnSet = BTreeMap<String, BTreeSet<String>>;
 
 /// The statically-derived effects of one statement.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -187,7 +187,7 @@ fn collect_reads(plan: &Plan, out: &mut ColumnSet) {
 }
 
 /// The effects of a read-only plan.
-pub fn plan_effects(plan: &Plan) -> EffectSet {
+pub(crate) fn plan_effects(plan: &Plan) -> EffectSet {
     EffectSet::read_only(plan_reads(plan))
 }
 

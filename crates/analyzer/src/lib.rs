@@ -75,14 +75,9 @@ pub mod equiv;
 pub mod repair;
 pub mod sqlcheck;
 
-pub use absint::{abs_eval, abs_truth, analyze, domain_tree, row_bounds, AbsTruth, Analysis};
-pub use effects::{
-    compiled_effects, dml_effects, plan_effects, plan_reads, statement_effects, ColumnSet, EffectSet,
-};
-pub use cardest::{estimate, q_error, CardEstimate, Statistics, TableStatistics};
-pub use equiv::{
-    certify_optimizer, Counterexample, EquivEngine, EquivReport, EquivResult, PlanFingerprint,
-    RuleCheck,
-};
-pub use repair::{apply_hints, edit_distance, nearest_name, repair_hints, Gated, RepairHint};
-pub use sqlcheck::{Analyzer, Code, Finding, RenderOpts, Report, Severity};
+pub use absint::{analyze, domain_tree, row_bounds, Analysis};
+pub use effects::{compiled_effects, dml_effects, plan_reads, statement_effects, EffectSet};
+pub use cardest::{estimate, q_error, CardEstimate, Statistics};
+pub use equiv::{certify_optimizer, EquivEngine, EquivResult, PlanFingerprint};
+pub use repair::{apply_hints, edit_distance, nearest_name, repair_hints, RepairHint};
+pub use sqlcheck::{Analyzer, Code, Finding, RenderOpts, Report};

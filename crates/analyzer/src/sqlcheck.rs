@@ -315,7 +315,7 @@ impl Report {
     }
 
     /// Add a finding unless an identical one is already present.
-    pub fn push_finding(&mut self, f: Finding) {
+    pub(crate) fn push_finding(&mut self, f: Finding) {
         if !self.findings.contains(&f) {
             self.findings.push(f);
         }
@@ -327,12 +327,12 @@ impl Report {
     }
 
     /// The worst severity present, if any.
-    pub fn max_severity(&self) -> Option<Severity> {
+    pub(crate) fn max_severity(&self) -> Option<Severity> {
         self.findings.iter().map(|f| f.severity).max()
     }
 
     /// True when any finding has `Reject` severity.
-    pub fn is_rejected(&self) -> bool {
+    pub(crate) fn is_rejected(&self) -> bool {
         self.max_severity() == Some(Severity::Reject)
     }
 
@@ -566,16 +566,6 @@ impl<'a> Analyzer<'a> {
         }
         // A013 governor over the affected-row bound.
         self.cost_pass(&read, analysis.as_ref(), report);
-    }
-
-    /// Statically analyze an already-bound logical plan: the plan pass
-    /// (constant-folded predicates, cartesian joins, division by literal
-    /// zero, out-of-range columns, `LIMIT 0`), the abstract-interpretation
-    /// pass, plus the cost pass when statistics are configured.
-    pub fn analyze_plan(&self, plan: &Plan) -> Report {
-        let mut report = Report { row_budget: self.row_budget, ..Report::default() };
-        self.plan_passes(plan, &mut report);
-        report
     }
 
     fn plan_passes(&self, plan: &Plan, report: &mut Report) {
@@ -1545,21 +1535,24 @@ mod tests {
     fn a010_out_of_range_columns_in_hand_built_plans() {
         let c = Catalog::new();
         let a = Analyzer::new(&c);
+        let plan_report = |plan: &Plan| {
+            let mut report = Report::default();
+            a.plan_passes(plan, &mut report);
+            report
+        };
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let scan = Plan::Scan { table: "t".into(), schema, projection: None };
         let bad_sort = Plan::Sort {
             input: Box::new(scan.clone()),
             keys: vec![SortSpec { column: 7, descending: false }],
         };
-        assert!(a
-            .analyze_plan(&bad_sort)
+        assert!(plan_report(&bad_sort)
             .findings
             .iter()
             .any(|f| f.code == Code::ColumnOutOfRange));
         let bad_filter =
             Plan::Filter { input: Box::new(scan), predicate: BoundExpr::Column(3) };
-        assert!(a
-            .analyze_plan(&bad_filter)
+        assert!(plan_report(&bad_filter)
             .findings
             .iter()
             .any(|f| f.code == Code::ColumnOutOfRange));

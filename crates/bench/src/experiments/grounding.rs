@@ -3,8 +3,7 @@
 //!
 //! Expected shape: lexical-only linking falls for popular-but-wrong senses;
 //! adding embeddings recovers them; disambiguation accuracy rises with
-//! context length. Metrics: precision/recall/F1 and top-1 accuracy — the
-//! paper's named metrics for grounding quality.
+//! context length. Metrics: top-1 accuracy and MRR.
 
 use crate::{row, Budget, Experiment, Table};
 use cda_kg::linking::{Entity, Linker, LinkerConfig};

@@ -129,14 +129,14 @@ impl AnswerTurn {
     }
 
     /// Builder: attach an explanation and tag P3.
-    pub fn with_explanation(mut self, explanation: Explanation) -> Self {
+    pub(crate) fn with_explanation(mut self, explanation: Explanation) -> Self {
         self.explanation = Some(explanation);
         self.tag(PropertyTag::Explainability);
         self
     }
 
     /// Builder: attach suggestions and tag P5.
-    pub fn with_suggestions(mut self, suggestions: Vec<String>) -> Self {
+    pub(crate) fn with_suggestions(mut self, suggestions: Vec<String>) -> Self {
         if !suggestions.is_empty() {
             self.tag(PropertyTag::Guidance);
         }

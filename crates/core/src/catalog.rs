@@ -16,7 +16,7 @@ use cda_vector::progressive::{GuaranteeMode, ProgressiveIndex};
 use cda_vector::{VectorIndex, VectorSet};
 
 /// Embedding dimensionality for dataset descriptions.
-pub const EMBED_DIM: usize = 128;
+pub(crate) const EMBED_DIM: usize = 128;
 
 /// One registered dataset.
 #[derive(Debug, Clone)]
@@ -332,6 +332,20 @@ mod tests {
             a.iter().map(|h| &h.name).collect::<Vec<_>>(),
             b.iter().map(|h| &h.name).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn threshold_discovery_drops_weak_hits_and_can_answer_nothing() {
+        let c = catalog();
+        let q = "labour market employment overview";
+        let names = |hits: Vec<DiscoveryHit>| hits.into_iter().map(|h| h.name).collect::<Vec<_>>();
+        let all = c.discover(q, 3, true);
+        let tau = all[1].score;
+        let strong: Vec<DiscoveryHit> = all.iter().filter(|h| h.score >= tau).cloned().collect();
+        assert_eq!(names(c.discover_with_threshold(q, 3, true, tau)), names(strong));
+        assert_eq!(names(c.discover_with_threshold(q, 3, true, 0.0)), names(all));
+        // no hit scores above 1: the answer is the empty set, not the best miss
+        assert!(c.discover_with_threshold(q, 3, true, 1.01).is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub const CANTONS: [&str; 6] = ["ZH", "GE", "VD", "BE", "TI", "SG"];
 pub const EMPLOYMENT_TYPES: [&str; 3] = ["full_time", "part_time", "self_employed"];
 
 /// Economic sectors of the wage table.
-pub const SECTORS: [&str; 4] = ["it", "finance", "health", "construction"];
+pub(crate) const SECTORS: [&str; 4] = ["it", "finance", "health", "construction"];
 
 /// Build the employment-type distribution table (`canton, type, year,
 /// employees`).
@@ -126,7 +126,7 @@ pub fn barometer_series(seed: u64) -> TimeSeries {
 
 /// The barometer as a SQL-visible table (`month, value`).
 #[expect(clippy::expect_used, reason = "literal data: the static schema matches its columns")]
-pub fn barometer_table(series: &TimeSeries) -> Table {
+pub(crate) fn barometer_table(series: &TimeSeries) -> Table {
     Table::from_columns(
         Schema::new(vec![
             Field::new("month", DataType::Timestamp).with_description("month index"),

@@ -45,7 +45,7 @@ use cda_storage::{ByteReader, ByteWriter, StorageBackend, StoreId};
 use cda_timeseries::TimeSeries;
 
 /// On-disk format version; bumped when any codec changes incompatibly.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 fn serr(e: cda_storage::StorageError) -> CdaError {
     CdaError::Substrate(format!("storage: {e}"))
@@ -81,7 +81,7 @@ fn dtype_from_tag(tag: u8) -> Result<DataType> {
 /// Serialize a table: schema (name/type/nullability/description per field),
 /// typed column values (null-tagged), and per-row provenance lineage.
 #[expect(clippy::unreachable, reason = "the inner match runs on non-null values only")]
-pub fn encode_table(w: &mut ByteWriter, table: &Table) {
+pub(crate) fn encode_table(w: &mut ByteWriter, table: &Table) {
     let schema = table.schema();
     w.u32(schema.fields().len() as u32);
     for f in schema.fields() {
@@ -121,9 +121,13 @@ pub fn encode_table(w: &mut ByteWriter, table: &Table) {
 
 /// Inverse of [`encode_table`]; the round trip is value-exact (canonical
 /// placeholders are re-established under null slots).
-pub fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
+///
+/// Counts come off disk unchecked, and every element they count takes at
+/// least one byte, so no reservation here exceeds the bytes left to decode:
+/// a forged count fails on the first missing element instead of allocating.
+pub(crate) fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
     let nfields = r.u32().map_err(serr)? as usize;
-    let mut fields = Vec::with_capacity(nfields);
+    let mut fields = Vec::with_capacity(nfields.min(r.remaining()));
     for _ in 0..nfields {
         let name = r.str().map_err(serr)?;
         let dt = dtype_from_tag(r.u8().map_err(serr)?)?;
@@ -139,9 +143,9 @@ pub fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
         fields.push(f);
     }
     let rows = r.u64().map_err(serr)? as usize;
-    let mut columns = Vec::with_capacity(nfields);
+    let mut columns = Vec::with_capacity(fields.len());
     for f in &fields {
-        let mut col = ColumnBuilder::with_capacity(f.data_type(), rows);
+        let mut col = ColumnBuilder::with_capacity(f.data_type(), rows.min(r.remaining()));
         for _ in 0..rows {
             let valid = r.bool().map_err(serr)?;
             let v = if !valid {
@@ -160,7 +164,7 @@ pub fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
         columns.push(col.finish());
     }
     let nlin = r.u64().map_err(serr)? as usize;
-    let mut lineage = LineageBuilder::with_capacity(nlin);
+    let mut lineage = LineageBuilder::with_capacity(nlin.min(r.remaining()));
     for _ in 0..nlin {
         let n = r.u32().map_err(serr)? as usize;
         for _ in 0..n {
@@ -219,13 +223,14 @@ fn encode_dataset(ds: &Dataset) -> Vec<u8> {
     w.finish()
 }
 
+/// Inverse of `encode_dataset`; counts are capped like [`decode_table`]'s.
 fn decode_dataset(bytes: &[u8]) -> Result<Dataset> {
     let mut r = ByteReader::new(bytes);
     let name = r.str().map_err(serr)?;
     let description = r.str().map_err(serr)?;
     let source_url = r.str().map_err(serr)?;
     let nkw = r.u32().map_err(serr)? as usize;
-    let mut keywords = Vec::with_capacity(nkw);
+    let mut keywords = Vec::with_capacity(nkw.min(r.remaining()));
     for _ in 0..nkw {
         keywords.push(r.str().map_err(serr)?);
     }
@@ -238,11 +243,11 @@ fn decode_dataset(bytes: &[u8]) -> Result<Dataset> {
     let table = if r.bool().map_err(serr)? { Some(decode_table(&mut r)?) } else { None };
     let series = if r.bool().map_err(serr)? {
         let n = r.u64().map_err(serr)? as usize;
-        let mut ts = Vec::with_capacity(n);
+        let mut ts = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             ts.push(r.i64().map_err(serr)?);
         }
-        let mut vals = Vec::with_capacity(n);
+        let mut vals = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             vals.push(r.f64().map_err(serr)?);
         }
@@ -598,6 +603,56 @@ mod tests {
         }
         let got: Vec<(&str, u64)> = got.iter().map(|(n, h)| (n.as_str(), *h)).collect();
         assert_eq!(got, PINS, "encode_table output drifted");
+    }
+
+    #[test]
+    fn forged_counts_are_errors_not_allocations() {
+        // Each blob declares far more elements than the bytes that follow.
+        const HUGE: u64 = 1 << 62;
+        let table = |w: ByteWriter| decode_table(&mut ByteReader::new(&w.finish())).is_err();
+        let field_header = |w: &mut ByteWriter| {
+            w.u32(1);
+            w.str("x");
+            w.u8(dtype_tag(DataType::Int));
+            w.bool(true);
+            w.opt_str(None);
+        };
+        let dataset_header = |w: &mut ByteWriter| {
+            for s in ["ds", "", ""] {
+                w.str(s);
+            }
+        };
+
+        let mut fields = ByteWriter::new();
+        fields.u32(u32::MAX);
+        assert!(table(fields), "field count");
+
+        let mut rows = ByteWriter::new();
+        field_header(&mut rows);
+        rows.u64(HUGE);
+        assert!(table(rows), "row count");
+
+        let mut lineage = ByteWriter::new();
+        lineage.u32(0);
+        lineage.u64(0);
+        lineage.u64(HUGE);
+        assert!(table(lineage), "lineage row count");
+
+        let mut keywords = ByteWriter::new();
+        dataset_header(&mut keywords);
+        keywords.u32(u32::MAX);
+        assert!(decode_dataset(&keywords.finish()).is_err(), "keyword count");
+
+        let mut series = ByteWriter::new();
+        dataset_header(&mut series);
+        series.u32(0); // keywords
+        series.u64(0); // last updated
+        series.u8(0); // static cadence
+        series.u64(0);
+        series.bool(false); // no table
+        series.bool(true);
+        series.u64(HUGE);
+        assert!(decode_dataset(&series.finish()).is_err(), "series length");
     }
 
     #[test]

@@ -56,9 +56,9 @@ pub mod world;
 pub use answer::{AnswerTurn, PropertyTag};
 pub use catalog::{Dataset, DatasetCatalog};
 pub use dialogue::Route;
-pub use mutation::{WriteDecision, WriteOutcome};
+pub use mutation::WriteDecision;
 pub use reliability::CdaConfig;
-pub use session::{CacheStats, CacheStore, Session, SessionStats};
+pub use session::{CacheStore, Session, SessionStats};
 pub use world::{WorldDelta, WorldSnapshot};
 
 /// The storage layer, re-exported so callers assembling a durable world

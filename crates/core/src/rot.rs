@@ -44,7 +44,7 @@ impl Freshness {
     /// Staleness at time `now` in `[0, 1]`: 0 while within one cadence
     /// period, then saturating linearly so that a dataset `k` periods
     /// overdue scores `1 − 1/k` (→ 1).
-    pub fn staleness(&self, now: u64) -> f64 {
+    pub(crate) fn staleness(&self, now: u64) -> f64 {
         match self.cadence {
             UpdateCadence::Static => 0.0,
             UpdateCadence::Every(every) => {
@@ -61,7 +61,7 @@ impl Freshness {
 
     /// Whether the dataset should be considered rotten at `now` (staleness
     /// above `threshold`).
-    pub fn is_rotten(&self, now: u64, threshold: f64) -> bool {
+    pub(crate) fn is_rotten(&self, now: u64, threshold: f64) -> bool {
         self.staleness(now) > threshold
     }
 
@@ -81,7 +81,7 @@ impl Freshness {
 }
 
 /// Discovery-score demotion: multiply a similarity score by `1 − staleness·w`.
-pub fn demote_score(score: f64, staleness: f64, weight: f64) -> f64 {
+pub(crate) fn demote_score(score: f64, staleness: f64, weight: f64) -> f64 {
     (score * (1.0 - staleness * weight.clamp(0.0, 1.0))).max(0.0)
 }
 

@@ -110,11 +110,6 @@ impl WorldSnapshot {
         &self.linker
     }
 
-    /// The LM configuration sessions derive their seeded model from.
-    pub fn lm_config(&self) -> SimLmConfig {
-        self.lm_config.clone()
-    }
-
     /// Schemas + example string values of all SQL tables, for the NL2SQL
     /// parser and the admission governor. Precomputed at build time.
     pub fn workload_tables(&self) -> &[WorkloadTable] {
@@ -153,7 +148,7 @@ impl WorldSnapshot {
     }
 
     /// Wrap the snapshot for sharing across sessions.
-    pub fn into_shared(self) -> Arc<Self> {
+    pub(crate) fn into_shared(self) -> Arc<Self> {
         Arc::new(self)
     }
 }
@@ -381,7 +376,7 @@ mod tests {
         assert_eq!(w.catalog().len(), 4);
         assert!(!w.kg().is_empty());
         assert!(!w.vocab().is_empty());
-        assert_eq!(w.lm_config().seed, 1);
+        assert_eq!(w.lm_config.seed, 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Columnar batches: typed column vectors decoupled from [`Table`] storage.
+//! Columnar batches: typed column vectors decoupled from [`Table`](crate::Table) storage.
 //!
 //! A [`Vector`] is one evaluated column over a *selection* of rows — the unit
 //! the vectorized kernels in [`crate::kernels`] operate on. A [`Batch`] is a
@@ -14,7 +14,6 @@
 //! through [`Vector::slot`] / [`Vector::value`].
 
 use crate::column::Column;
-use crate::table::Table;
 use crate::value::{DataType, Value};
 use crate::{DataFrameError, Result};
 
@@ -322,7 +321,7 @@ impl SlotAccess for Vector {
 
 /// Borrowed slot view of column row `i` (NULL when the slot is invalid or
 /// out of range) — the zero-copy counterpart of [`Column::value`].
-pub fn column_slot(col: &Column, i: usize) -> Slot<'_> {
+pub(crate) fn column_slot(col: &Column, i: usize) -> Slot<'_> {
     if !col.is_valid(i) {
         return Slot::Null;
     }
@@ -388,24 +387,9 @@ impl Batch {
         Ok(Self { vectors, rows })
     }
 
-    /// Gather `rows` of every column of `table` into a batch.
-    pub fn from_table(table: &Table, rows: &[usize]) -> Result<Self> {
-        let vectors = table
-            .columns()
-            .iter()
-            .map(|c| Vector::from_column(c, rows))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { vectors, rows: rows.len() })
-    }
-
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of vectors (columns).
-    pub fn num_vectors(&self) -> usize {
-        self.vectors.len()
     }
 
     /// Access vector `i`.
@@ -416,22 +400,6 @@ impl Batch {
     /// Consume the batch into its vectors.
     pub fn into_vectors(self) -> Vec<Vector> {
         self.vectors
-    }
-
-    /// Concatenate batches **in the given order** (the scheduler passes them
-    /// in morsel order, which is what makes merged results deterministic).
-    /// Produces one `Values` vector per column.
-    pub fn concat_values(batches: Vec<Batch>, num_cols: usize) -> Vec<Vec<Value>> {
-        let total: usize = batches.iter().map(Batch::num_rows).sum();
-        let mut out: Vec<Vec<Value>> = (0..num_cols).map(|_| Vec::with_capacity(total)).collect();
-        for b in batches {
-            for (c, v) in b.into_vectors().into_iter().enumerate() {
-                if let Some(col) = out.get_mut(c) {
-                    col.extend(v.into_values());
-                }
-            }
-        }
-        out
     }
 }
 
@@ -484,7 +452,7 @@ mod tests {
         let s = Column::from_strs(&["a", "b"]);
         let v = Vector::from_column(&s, &[0, 1]).unwrap();
         assert_eq!(v.into_values(), vec![Value::from("a"), Value::from("b")]);
-        let b = Column::from_bools(&[true]);
+        let b = Column::from_bool_parts(vec![true], vec![true]).unwrap();
         assert_eq!(
             Vector::from_column(&b, &[0]).unwrap().into_values(),
             vec![Value::Bool(true)]
@@ -497,29 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_checks_lengths_and_concats_in_order() {
+    fn batch_checks_lengths() {
         let a = Vector::from_values(vec![Value::Int(1), Value::Int(2)]);
         let b = Vector::from_values(vec![Value::Int(3)]);
-        assert!(Batch::new(vec![a.clone(), b.clone()]).is_err());
-        let b1 = Batch::new(vec![a]).unwrap();
-        let b2 = Batch::new(vec![b]).unwrap();
-        let merged = Batch::concat_values(vec![b1, b2], 1);
-        assert_eq!(merged, vec![vec![Value::Int(1), Value::Int(2), Value::Int(3)]]);
-    }
-
-    #[test]
-    fn batch_from_table_gathers_all_columns() {
-        let t = Table::from_columns(
-            crate::Schema::new(vec![
-                crate::Field::new("g", DataType::Str),
-                crate::Field::new("x", DataType::Int),
-            ]),
-            vec![Column::from_strs(&["a", "b"]), Column::from_ints(&[1, 2])],
-        )
-        .unwrap();
-        let b = Batch::from_table(&t, &[1]).unwrap();
-        assert_eq!(b.num_rows(), 1);
-        assert_eq!(b.num_vectors(), 2);
-        assert_eq!(b.vector(0).unwrap().value(0), Value::from("b"));
+        assert!(Batch::new(vec![a.clone(), b]).is_err());
+        assert_eq!(Batch::new(vec![a]).unwrap().num_rows(), 2);
     }
 }

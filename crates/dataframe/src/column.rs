@@ -197,11 +197,6 @@ impl Column {
         Self::new(Buffer::Str(values), vec![true; n])
     }
 
-    /// Build a BOOL column with no nulls.
-    pub fn from_bools(values: &[bool]) -> Self {
-        Self::new(Buffer::Bool(values.to_vec()), vec![true; values.len()])
-    }
-
     /// Build a TIMESTAMP column with no nulls.
     pub fn from_timestamps(values: &[i64]) -> Self {
         Self::new(Buffer::Timestamp(values.to_vec()), vec![true; values.len()])
@@ -301,7 +296,7 @@ impl Column {
     }
 
     /// Whether slot `i` holds a non-null value.
-    pub fn is_valid(&self, i: usize) -> bool {
+    pub(crate) fn is_valid(&self, i: usize) -> bool {
         self.0.validity.get(i).copied().unwrap_or(false)
     }
 
@@ -323,7 +318,7 @@ impl Column {
     }
 
     /// Typed view of the INT buffer (valid and null slots interleaved; use
-    /// [`Column::is_valid`] to mask).
+    /// `Column::is_valid` to mask).
     pub fn ints(&self) -> Option<&[i64]> {
         match &self.0.buffer {
             Buffer::Int(v) | Buffer::Timestamp(v) => Some(v),
@@ -479,7 +474,8 @@ mod tests {
     #[test]
     fn typed_views() {
         assert_eq!(Column::from_ints(&[5]).ints().unwrap(), &[5]);
-        assert_eq!(Column::from_bools(&[true]).bools().unwrap(), &[true]);
+        let bools = Column::from_bool_parts(vec![true], vec![true]).unwrap();
+        assert_eq!(bools.bools().unwrap(), &[true]);
         assert!(Column::from_ints(&[5]).floats().is_none());
         assert_eq!(Column::from_timestamps(&[7]).ints().unwrap(), &[7]);
     }

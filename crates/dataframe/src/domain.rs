@@ -6,23 +6,22 @@
 //! bounds, an optional small finite value set, and row-count bounds. Those
 //! descriptions are *data*, not analysis — they live here, next to the
 //! columnar storage they describe, so that both executors in `cda-sql` can
-//! cross-check every materialized [`Table`] and [`Batch`] against its static
-//! domain without depending on the analyzer crate (the dependency points the
+//! cross-check every materialized [`Table`] against its static domain
+//! without depending on the analyzer crate (the dependency points the
 //! other way: analyzer → sql → dataframe).
 //!
 //! The contract is strictly one-sided. The analyzer promises that every
 //! value a node can *actually* produce is contained in the node's
-//! [`ColDomain`]; the kernels here ([`NodeDomain::check_table`],
-//! [`NodeDomain::check_batch`]) verify that promise at runtime and report a
-//! [`DomainViolation`] when it breaks. A violation always means an analyzer
-//! bug (an unsound transfer function), never a data bug — which is exactly
-//! what makes the sanitizer a differential certifier of the analysis itself.
+//! [`ColDomain`]; the kernel here ([`NodeDomain::check_table`]) verifies
+//! that promise at runtime and reports a [`DomainViolation`] when it
+//! breaks. A violation always means an analyzer bug (an unsound transfer
+//! function), never a data bug — which is exactly what makes the sanitizer
+//! a differential certifier of the analysis itself.
 //!
 //! Everything here degrades soundly to ⊤: [`ColDomain::top`] contains every
 //! value, `rows_hi == u64::MAX` means "unbounded", and the check kernels
 //! skip ⊤ columns entirely so a vacuous analysis costs almost nothing.
 
-use crate::batch::Batch;
 use crate::column::Column;
 use crate::table::Table;
 use crate::value::{DataType, Value};
@@ -63,7 +62,7 @@ impl Nullness {
     }
 
     /// True if any non-NULL value is admissible.
-    pub fn admits_non_null(self) -> bool {
+    pub(crate) fn admits_non_null(self) -> bool {
         !matches!(self, Nullness::AlwaysNull)
     }
 }
@@ -101,7 +100,7 @@ impl Interval {
     }
 
     /// True for the full line.
-    pub fn is_top(&self) -> bool {
+    pub(crate) fn is_top(&self) -> bool {
         self.lo == f64::NEG_INFINITY && self.hi == f64::INFINITY
     }
 
@@ -203,7 +202,7 @@ impl StrDomain {
     }
 
     /// True for ⊤.
-    pub fn is_top(&self) -> bool {
+    pub(crate) fn is_top(&self) -> bool {
         self.len_lo == 0 && self.len_hi == usize::MAX && self.prefix.is_empty()
     }
 
@@ -321,7 +320,7 @@ impl ColDomain {
     }
 
     /// True for ⊤ (check kernels skip such columns).
-    pub fn is_top(&self) -> bool {
+    pub(crate) fn is_top(&self) -> bool {
         self.dtype.is_none()
             && self.nullness == Nullness::MaybeNull
             && self.range.is_top()
@@ -387,7 +386,7 @@ impl ColDomain {
     /// buffers directly — the sanitizer's hot path builds no per-row `Value`
     /// (string slots are checked by reference, numeric slots from the dense
     /// buffer), keeping the runtime cross-check cheap relative to execution.
-    pub fn first_violation(&self, col: &Column) -> Option<usize> {
+    pub(crate) fn first_violation(&self, col: &Column) -> Option<usize> {
         // A finite value set needs full `Value` equality; sets only arise
         // from literal/constant expressions, so the row path is fine there.
         if self.values.is_some() {
@@ -595,42 +594,6 @@ impl NodeDomain {
         }
         Ok(())
     }
-
-    /// Check one batch (values only — row-count bounds are a whole-node
-    /// property and cannot be judged per-morsel).
-    pub fn check_batch(&self, label: &str, b: &Batch) -> Result<(), DomainViolation> {
-        if b.num_vectors() != self.cols.len() {
-            return Err(DomainViolation {
-                node: label.to_string(),
-                detail: format!(
-                    "vector count mismatch: batch has {}, domain has {}",
-                    b.num_vectors(),
-                    self.cols.len()
-                ),
-            });
-        }
-        for (ci, dom) in self.cols.iter().enumerate() {
-            if dom.is_top() {
-                continue;
-            }
-            let vec = match b.vector(ci) {
-                Some(v) => v,
-                None => continue,
-            };
-            for ri in 0..vec.len() {
-                let v = vec.slot(ri).to_value();
-                if !dom.contains(&v) {
-                    return Err(DomainViolation {
-                        node: label.to_string(),
-                        detail: format!(
-                            "row {ri} col {ci}: value {v:?} outside abstract domain {dom:?}"
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 fn render_hi(hi: u64) -> String {
@@ -817,24 +780,6 @@ mod tests {
         let mut rows = ok;
         rows.rows_hi = 2;
         assert!(rows.check_table("scan emp", &t).is_err(), "row bound must bind");
-    }
-
-    #[test]
-    fn check_batch_checks_values_not_rowcounts() {
-        let t = Table::from_columns(
-            Schema::new(vec![Field::new("jobs", DataType::Int)]),
-            vec![Column::from_ints(&[10, 20, 30])],
-        )
-        .unwrap();
-        let b = Batch::from_table(&t, &[0, 1, 2]).unwrap();
-        let dom = NodeDomain {
-            cols: vec![dom_int(0.0, 100.0)],
-            rows_lo: 100, // would fail a table check; batches don't see it
-            rows_hi: 100,
-        };
-        assert!(dom.check_batch("scan emp", &b).is_ok());
-        let narrow = NodeDomain { cols: vec![dom_int(0.0, 15.0)], rows_lo: 0, rows_hi: 3 };
-        assert!(narrow.check_batch("scan emp", &b).is_err());
     }
 
     #[test]

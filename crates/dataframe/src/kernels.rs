@@ -57,35 +57,9 @@ pub fn sort_indices(table: &Table, keys: &[SortKey]) -> Result<Vec<usize>> {
 }
 
 /// Distinct key tuples in first-seen order, one per group.
-pub type GroupKeys = Vec<Vec<Value>>;
+pub(crate) type GroupKeys = Vec<Vec<Value>>;
 /// Row indices belonging to each group, parallel to [`GroupKeys`].
-pub type GroupRows = Vec<Vec<usize>>;
-
-/// Hash-partition rows by the values of `key_columns`.
-///
-/// Returns `(group_keys, group_rows)` where `group_rows[g]` lists the row
-/// indices belonging to group `g`, in first-seen order (deterministic).
-pub fn group_indices(
-    table: &Table,
-    key_columns: &[usize],
-) -> Result<(GroupKeys, GroupRows)> {
-    let mut map: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut keys: Vec<Vec<Value>> = Vec::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for row in 0..table.num_rows() {
-        let mut key = Vec::with_capacity(key_columns.len());
-        for &c in key_columns {
-            key.push(table.value(row, c)?);
-        }
-        let g = *map.entry(key.clone()).or_insert_with(|| {
-            keys.push(key);
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(row);
-    }
-    Ok((keys, groups))
-}
+pub(crate) type GroupRows = Vec<Vec<usize>>;
 
 /// Aggregate function kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,12 +192,6 @@ pub fn aggregate(table: &Table, rows: &[usize], kind: AggKind, col: Option<usize
     }
 }
 
-/// Distinct row indices of `table` over `key_columns` (first occurrence kept).
-pub fn distinct_indices(table: &Table, key_columns: &[usize]) -> Result<Vec<usize>> {
-    let (_, groups) = group_indices(table, key_columns)?;
-    Ok(groups.into_iter().map(|g| g[0]).collect())
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized kernels over `batch::Vector` (columnar batch execution engine).
 //
@@ -284,7 +252,7 @@ fn slot_rank(s: Slot<'_>) -> u8 {
 /// Total order over slots mirroring [`Value::total_cmp`]: NULL first, type
 /// rank `Null < Bool < numeric < Str`, numerics by `f64::total_cmp` (NaN
 /// last, `-0.0 < 0.0`).
-pub fn slot_total_cmp(a: Slot<'_>, b: Slot<'_>) -> Ordering {
+pub(crate) fn slot_total_cmp(a: Slot<'_>, b: Slot<'_>) -> Ordering {
     let rank = slot_rank(a).cmp(&slot_rank(b));
     if rank != Ordering::Equal {
         return rank;
@@ -304,7 +272,7 @@ pub fn slot_total_cmp(a: Slot<'_>, b: Slot<'_>) -> Ordering {
 /// Structural (group-by key) equality, mirroring `Value::eq`: `NULL = NULL`,
 /// numerics equal when their `f64` images are bit-identical, no cross-class
 /// equality outside the numeric family.
-pub fn slot_group_eq(a: Slot<'_>, b: Slot<'_>) -> bool {
+pub(crate) fn slot_group_eq(a: Slot<'_>, b: Slot<'_>) -> bool {
     slot_total_cmp(a, b) == Ordering::Equal
         && match (a, b) {
             (Slot::Str(_), Slot::Str(_))
@@ -335,7 +303,7 @@ fn hash_slot_group<H: Hasher>(s: Slot<'_>, state: &mut H) {
 
 /// Hash of a group key (`keys[k].slot(row)` for every key vector), consistent
 /// with [`slot_group_eq`] and with [`values_group_hash`].
-pub fn group_key_hash<S: SlotAccess>(keys: &[S], row: usize) -> u64 {
+pub(crate) fn group_key_hash<S: SlotAccess>(keys: &[S], row: usize) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for k in keys {
         hash_slot_group(k.slot_at(row), &mut h);
@@ -343,7 +311,7 @@ pub fn group_key_hash<S: SlotAccess>(keys: &[S], row: usize) -> u64 {
     h.finish()
 }
 
-/// Hash of a materialized group key, consistent with [`group_key_hash`]
+/// Hash of a materialized group key, consistent with `group_key_hash`
 /// (used when merging per-morsel group tables into the global one).
 pub fn values_group_hash(key: &[Value]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -355,7 +323,7 @@ pub fn values_group_hash(key: &[Value]) -> u64 {
 
 /// True when the materialized key equals row `row` of the key vectors under
 /// [`slot_group_eq`].
-pub fn group_key_matches<S: SlotAccess>(key: &[Value], keys: &[S], row: usize) -> bool {
+pub(crate) fn group_key_matches<S: SlotAccess>(key: &[Value], keys: &[S], row: usize) -> bool {
     key.len() == keys.len()
         && key.iter().zip(keys).all(|(v, k)| slot_group_eq(Slot::from_value(v), k.slot_at(row)))
 }
@@ -389,9 +357,9 @@ pub fn compare(l: &Vector, r: &Vector, op: CmpOp) -> Vector {
     Vector::Bools { data, validity }
 }
 
-/// Hash-partition `len` rows by their key slots, first-seen order (the same
-/// deterministic order `group_indices` produces row-at-a-time). Group keys
-/// are materialized once per group, not once per row.
+/// Hash-partition `len` rows by their key slots, in deterministic
+/// first-seen order. Group keys are materialized once per group, not once
+/// per row.
 pub fn group_rows<S: SlotAccess>(keys: &[S], len: usize) -> (GroupKeys, GroupRows) {
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     let mut out_keys: GroupKeys = Vec::new();
@@ -565,14 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn grouping_is_deterministic_first_seen() {
-        let t = demo();
-        let (keys, groups) = group_indices(&t, &[0]).unwrap();
-        assert_eq!(keys, vec![vec![Value::from("a")], vec![Value::from("b")]]);
-        assert_eq!(groups, vec![vec![0, 2, 4], vec![1, 3]]);
-    }
-
-    #[test]
     fn count_star_vs_count_col() {
         let t = demo();
         assert_eq!(aggregate(&t, &[0, 1, 2, 3, 4], AggKind::Count, None).unwrap(), Value::Int(5));
@@ -627,13 +587,6 @@ mod tests {
         // y has nulls at rows 1 and 4; distinct over {1.0, 3.0, 2.0} = 3
         assert_eq!(aggregate(&t, &all, AggKind::CountDistinct, Some(2)).unwrap(), Value::Int(3));
         assert_eq!(aggregate(&t, &[], AggKind::CountDistinct, Some(0)).unwrap(), Value::Int(0));
-    }
-
-    #[test]
-    fn distinct_keeps_first_occurrence() {
-        let t = demo();
-        let idx = distinct_indices(&t, &[0]).unwrap();
-        assert_eq!(idx, vec![0, 1]);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod value;
 
 pub use batch::{Batch, Slot, Vector};
 pub use column::{Column, ColumnBuilder};
-pub use domain::{ColDomain, DomainTree, DomainViolation, Interval, NodeDomain, Nullness, StrDomain};
+pub use domain::{ColDomain, DomainTree, Interval, NodeDomain, Nullness, StrDomain};
 pub use error::DataFrameError;
 pub use lineage::{LineageBuilder, LineageStore};
 pub use schema::{Field, Schema};

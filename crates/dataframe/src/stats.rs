@@ -82,11 +82,6 @@ impl ColumnStats {
             1.0 - self.null_count as f64 / self.count as f64
         }
     }
-
-    /// Data-sufficiency check used by P4: at least `min_rows` non-null values.
-    pub fn is_sufficient(&self, min_rows: usize) -> bool {
-        self.count - self.null_count >= min_rows
-    }
 }
 
 /// Statistics for every column of a table, in schema order.
@@ -131,7 +126,6 @@ mod tests {
         assert_eq!(s.min, None);
         assert_eq!(s.mean, None);
         assert_eq!(s.completeness(), 0.0);
-        assert!(!s.is_sufficient(1));
     }
 
     #[test]
@@ -139,8 +133,7 @@ mod tests {
         let c = Column::from_ints(&[]);
         let s = ColumnStats::compute(&c);
         assert_eq!(s.completeness(), 1.0);
-        assert!(s.is_sufficient(0));
-        assert!(!s.is_sufficient(1));
+        assert_eq!(s.count - s.null_count, 0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl GoalBelief {
     }
 
     /// The maximum-probability goal.
-    pub fn map_goal(&self) -> &str {
+    pub(crate) fn map_goal(&self) -> &str {
         self.probs
             .iter()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
@@ -106,12 +106,12 @@ impl ClarificationQuestion {
     }
 
     /// The answer a user with `goal` would give.
-    pub fn answer_for(&self, goal: &str) -> Option<&str> {
+    pub(crate) fn answer_for(&self, goal: &str) -> Option<&str> {
         self.answers.get(goal).map(String::as_str)
     }
 
     /// Expected information gain of asking this question under `belief`.
-    pub fn information_gain(&self, belief: &GoalBelief) -> f64 {
+    pub(crate) fn information_gain(&self, belief: &GoalBelief) -> f64 {
         // P(answer) = Σ_goals with that answer P(goal)
         let mut by_answer: HashMap<&str, f64> = HashMap::new();
         for (goal, p) in &belief.probs {

@@ -65,7 +65,7 @@ pub struct ConvNode {
 
 /// An edge in the conversation graph.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ConvEdge {
+pub(crate) struct ConvEdge {
     /// Source node.
     pub from: usize,
     /// Target node.
@@ -122,11 +122,6 @@ impl ConversationGraph {
         self.nodes.is_empty()
     }
 
-    /// Outgoing edges of a node.
-    pub fn outgoing(&self, id: usize) -> Vec<&ConvEdge> {
-        self.edges.iter().filter(|e| e.from == id).collect()
-    }
-
     /// The alternative branches recorded at a node, ranked by confidence —
     /// the "where-to" options shown to the user.
     pub fn alternatives(&self, id: usize) -> Vec<(&ConvNode, f64)> {
@@ -138,44 +133,6 @@ impl ConversationGraph {
             .collect();
         alts.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         alts
-    }
-
-    /// The realized path (Utterance/Action edges only) from node `start`.
-    pub fn realized_path(&self, start: usize) -> Vec<usize> {
-        let mut path = vec![start];
-        let mut cur = start;
-        loop {
-            let next = self
-                .edges
-                .iter()
-                .find(|e| {
-                    e.from == cur && matches!(e.kind, EdgeKind::Utterance | EdgeKind::Action)
-                })
-                .map(|e| e.to);
-            match next {
-                Some(n) if !path.contains(&n) => {
-                    path.push(n);
-                    cur = n;
-                }
-                _ => return path,
-            }
-        }
-    }
-
-    /// Mean confidence of feedback edges pointing at `id` (None without
-    /// feedback) — how the user judged this step.
-    pub fn feedback_score(&self, id: usize) -> Option<f64> {
-        let scores: Vec<f64> = self
-            .edges
-            .iter()
-            .filter(|e| e.to == id && e.kind == EdgeKind::Feedback)
-            .map(|e| e.confidence)
-            .collect();
-        if scores.is_empty() {
-            None
-        } else {
-            Some(scores.iter().sum::<f64>() / scores.len() as f64)
-        }
     }
 }
 
@@ -212,7 +169,7 @@ mod tests {
     fn nodes_and_edges_connect() {
         let (g, s) = sample();
         assert_eq!(g.len(), 4);
-        assert_eq!(g.outgoing(s).len(), 2);
+        assert_eq!(g.edges.iter().filter(|e| e.from == s).count(), 2);
         assert_eq!(g.node(0).unwrap().role, NodeRole::User);
         assert!(g.node(99).is_err());
     }
@@ -235,26 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn realized_path_follows_actions_only() {
-        let (g, _) = sample();
-        // from the user node the only realized edge is the utterance to system
-        assert_eq!(g.realized_path(0), vec![0, 1]);
-    }
-
-    #[test]
-    fn feedback_scores_aggregate() {
-        let (g, _) = sample();
-        assert_eq!(g.feedback_score(3), Some(1.0));
-        assert_eq!(g.feedback_score(2), None);
-    }
-
-    #[test]
     fn confidence_clamped() {
         let mut g = ConversationGraph::new();
         let a = g.add_node(NodeRole::User, "a", 0);
         let b = g.add_node(NodeRole::System, "b", 0);
         g.add_edge(a, b, EdgeKind::Action, 7.0).unwrap();
-        assert_eq!(g.outgoing(a)[0].confidence, 1.0);
+        assert_eq!(g.edges[0].confidence, 1.0);
     }
 
     #[test]

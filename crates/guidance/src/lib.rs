@@ -33,7 +33,7 @@ pub mod profile;
 pub use clarify::{ClarificationQuestion, GoalBelief};
 pub use graph::{ConversationGraph, EdgeKind, NodeRole};
 pub use planner::{Action, SpeculativePlanner};
-pub use profile::{ExpertiseLevel, UserProfile};
+pub use profile::UserProfile;
 
 use std::fmt;
 

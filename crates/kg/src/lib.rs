@@ -52,7 +52,7 @@ pub mod reason;
 pub mod store;
 pub mod vocab;
 
-pub use error::KgError;
+use error::KgError;
 pub use store::TripleStore;
 
 /// Crate-wide result alias.

@@ -118,7 +118,7 @@ fn trigrams(s: &str) -> HashSet<[u8; 3]> {
 }
 
 /// Jaccard similarity of trigram sets.
-pub fn lexical_similarity(a: &str, b: &str) -> f64 {
+pub(crate) fn lexical_similarity(a: &str, b: &str) -> f64 {
     let ta = trigrams(a);
     let tb = trigrams(b);
     if ta.is_empty() && tb.is_empty() {

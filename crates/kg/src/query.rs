@@ -29,7 +29,7 @@ impl Term {
     }
 
     /// The variable name, if this is a variable.
-    pub fn as_var(&self) -> Option<&str> {
+    pub(crate) fn as_var(&self) -> Option<&str> {
         match self {
             Term::Var(v) => Some(v),
             Term::Iri(_) => None,
@@ -82,11 +82,6 @@ impl Row {
     /// The value bound to `var`, if any.
     pub fn get(&self, var: &str) -> Option<&str> {
         self.bindings.iter().find(|(k, _)| k == var).map(|(_, v)| v.as_str())
-    }
-
-    /// All bindings in insertion order.
-    pub fn bindings(&self) -> &[(String, String)] {
-        &self.bindings
     }
 }
 
@@ -317,7 +312,7 @@ mod tests {
         let rows = bgp.evaluate(&kg);
         assert_eq!(rows[0].get("what"), Some("economy"));
         assert_eq!(rows[0].get("missing"), None);
-        assert_eq!(rows[0].bindings().len(), 1);
+        assert_eq!(rows[0].bindings.len(), 1);
     }
 
     #[test]

@@ -21,13 +21,13 @@ pub mod terms {
     /// `rdf:type`.
     pub const TYPE: &str = "type";
     /// `rdfs:subClassOf`.
-    pub const SUBCLASS: &str = "subClassOf";
+    pub(crate) const SUBCLASS: &str = "subClassOf";
     /// `rdfs:subPropertyOf`.
-    pub const SUBPROP: &str = "subPropertyOf";
+    pub(crate) const SUBPROP: &str = "subPropertyOf";
     /// `rdfs:domain`.
-    pub const DOMAIN: &str = "domain";
+    pub(crate) const DOMAIN: &str = "domain";
     /// `rdfs:range`.
-    pub const RANGE: &str = "range";
+    pub(crate) const RANGE: &str = "range";
 }
 
 /// Compute the transitive closure of a `child -> parents` relation.

@@ -9,7 +9,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 
 /// Interned identifier.
-pub type Id = u32;
+pub(crate) type Id = u32;
 
 /// A string dictionary with stable ids.
 #[derive(Debug, Clone, Default)]
@@ -60,7 +60,7 @@ impl Dictionary {
 }
 
 /// An encoded triple.
-pub type Triple = (Id, Id, Id);
+pub(crate) type Triple = (Id, Id, Id);
 
 /// The triple store.
 #[derive(Debug, Clone, Default)]
@@ -195,7 +195,13 @@ impl TripleStore {
     /// needs *relative* selectivity, so a small cap keeps estimation O(cap)
     /// instead of O(matches) — without it, re-estimating per backtrack node
     /// is quadratic on large stores.
-    pub fn count_capped(&self, s: Option<Id>, p: Option<Id>, o: Option<Id>, cap: usize) -> usize {
+    pub(crate) fn count_capped(
+        &self,
+        s: Option<Id>,
+        p: Option<Id>,
+        o: Option<Id>,
+        cap: usize,
+    ) -> usize {
         match (s, p, o) {
             (Some(s), Some(p), Some(o)) => usize::from(self.spo.contains(&(s, p, o))),
             (Some(s), Some(p), None) => self.range(&self.spo, (s, p)).take(cap).count(),
@@ -255,7 +261,7 @@ impl TripleStore {
     }
 
     /// All subjects that reach `o` via `p` (one hop, inverse).
-    pub fn subjects(&self, p: &str, o: &str) -> Vec<String> {
+    pub(crate) fn subjects(&self, p: &str, o: &str) -> Vec<String> {
         self.scan_str(None, Some(p), Some(o)).into_iter().map(|(s, _, _)| s).collect()
     }
 }

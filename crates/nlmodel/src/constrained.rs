@@ -138,19 +138,6 @@ pub struct DecodeResult {
 }
 
 impl DecodeResult {
-    /// The hints behind the accepted candidate (empty unless `repaired`).
-    /// These are what the dialogue layer renders as "repaired: …" notes.
-    pub fn applied_hints(&self) -> Vec<&RepairHint> {
-        if !self.repaired {
-            return Vec::new();
-        }
-        let sample = self.attempts - 1;
-        self.repairs
-            .iter()
-            .filter(|a| a.sample == sample)
-            .flat_map(|a| a.hints.iter())
-            .collect()
-    }
 
     /// Repair rounds spent on the accepted candidate (0 unless `repaired`).
     pub fn accepted_rounds(&self) -> usize {
@@ -626,8 +613,10 @@ mod tests {
         assert!(execute(&c, &r.generation.sql).is_ok());
         assert_eq!(r.accepted_rounds(), 1);
         assert!(r
-            .applied_hints()
+            .repairs
             .iter()
+            .filter(|a| a.sample == r.attempts - 1)
+            .flat_map(|a| &a.hints)
             .any(|h| matches!(h, RepairHint::ReplaceTable { .. })));
         assert_eq!(r.repairs[0].verdict, RepairVerdict::Accepted);
     }

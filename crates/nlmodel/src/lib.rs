@@ -46,11 +46,9 @@ pub mod intent;
 pub mod lm;
 pub mod nl2sql;
 
-pub use constrained::{
-    DecodeResult, Decoder, DecodingStrategy, RepairAttempt, RepairVerdict,
-};
+pub use constrained::{Decoder, DecodingStrategy};
 pub use intent::{classify_intent, Intent};
-pub use lm::{Generation, HallucinationKind, SimLm, SimLmConfig};
+pub use lm::{Generation, SimLm, SimLmConfig};
 pub use nl2sql::{AnalyticTask, Nl2SqlTask, Workload};
 
 use std::fmt;

@@ -33,7 +33,7 @@ pub enum HallucinationKind {
 }
 
 /// All hallucination kinds (sampling support).
-pub const ALL_KINDS: [HallucinationKind; 7] = [
+pub(crate) const ALL_KINDS: [HallucinationKind; 7] = [
     HallucinationKind::WrongColumn,
     HallucinationKind::WrongTable,
     HallucinationKind::WrongAggregate,

@@ -34,7 +34,7 @@ impl CmpOp {
     }
 
     /// NL rendering.
-    pub fn phrase(self) -> &'static str {
+    pub(crate) fn phrase(self) -> &'static str {
         match self {
             CmpOp::Eq => "is",
             CmpOp::Gt => "is above",

@@ -32,14 +32,12 @@
 pub mod checks;
 pub mod explain;
 pub mod lineage;
-pub mod mitigate;
 pub mod semiring;
 
 pub use checks::{check_invertibility, check_losslessness, check_plan_losslessness};
-pub use mitigate::recalibrate;
 pub use explain::Explanation;
 pub use lineage::{LineageGraph, NodeKind};
-pub use semiring::{HowPolynomial, Monomial};
+pub use semiring::HowPolynomial;
 
 use std::fmt;
 

@@ -29,7 +29,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// Human label of the node kind.
-    pub fn kind_label(&self) -> &'static str {
+    pub(crate) fn kind_label(&self) -> &'static str {
         match self {
             NodeKind::Dataset(_) => "dataset",
             NodeKind::Utterance(_) => "utterance",
@@ -54,7 +54,7 @@ impl NodeKind {
 }
 
 /// Node identifier within one graph.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -105,39 +105,6 @@ impl LineageGraph {
     /// Direct parents of a node.
     pub fn parents(&self, id: NodeId) -> Result<&[NodeId]> {
         self.nodes.get(id).map(|n| n.parents.as_slice()).ok_or(ProvenanceError::UnknownNode(id))
-    }
-
-    /// All ancestors of a node (transitive `derivedFrom`), deduplicated, in
-    /// BFS order — the "where-from" trace of an answer.
-    pub fn ancestors(&self, id: NodeId) -> Result<Vec<NodeId>> {
-        if id >= self.nodes.len() {
-            return Err(ProvenanceError::UnknownNode(id));
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue = std::collections::VecDeque::from([id]);
-        let mut out = Vec::new();
-        while let Some(cur) = queue.pop_front() {
-            for &p in &self.nodes[cur].parents {
-                if !seen[p] {
-                    seen[p] = true;
-                    out.push(p);
-                    queue.push_back(p);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// All datasets an answer transitively depends on.
-    pub fn source_datasets(&self, id: NodeId) -> Result<Vec<String>> {
-        Ok(self
-            .ancestors(id)?
-            .into_iter()
-            .filter_map(|a| match &self.nodes[a].kind {
-                NodeKind::Dataset(name) => Some(name.clone()),
-                _ => None,
-            })
-            .collect())
     }
 
     /// Render the derivation of `id` as an indented trace ("where-from").
@@ -217,24 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_reach_all_layers() {
-        let (g, ans) = session();
-        let anc = g.ancestors(ans).unwrap();
-        assert_eq!(anc.len(), 5);
-        let kinds: Vec<&str> =
-            anc.iter().map(|&a| g.kind(a).unwrap().kind_label()).collect();
-        assert!(kinds.contains(&"utterance"));
-        assert!(kinds.contains(&"dataset"));
-        assert!(kinds.contains(&"model-call"));
-    }
-
-    #[test]
-    fn source_datasets_found_transitively() {
-        let (g, ans) = session();
-        assert_eq!(g.source_datasets(ans).unwrap(), vec!["barometer".to_owned()]);
-    }
-
-    #[test]
     fn unknown_parent_rejected() {
         let mut g = LineageGraph::new();
         assert!(matches!(
@@ -274,7 +223,6 @@ mod tests {
         let (g, _) = session();
         assert!(g.kind(99).is_err());
         assert!(g.parents(99).is_err());
-        assert!(g.ancestors(99).is_err());
         assert_eq!(g.parents(0).unwrap(), &[] as &[usize]);
     }
 }

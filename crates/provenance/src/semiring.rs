@@ -15,7 +15,7 @@ use std::fmt;
 
 /// A monomial: coefficient × product of row-variables (with exponents).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Monomial {
+pub(crate) struct Monomial {
     /// Variable → exponent, sorted (BTreeMap keeps canonical form).
     pub vars: BTreeMap<RowId, u32>,
     /// Natural coefficient.
@@ -92,11 +92,6 @@ impl HowPolynomial {
     /// Whether this is the zero polynomial.
     pub fn is_zero(&self) -> bool {
         self.monomials.is_empty()
-    }
-
-    /// The monomials in canonical order.
-    pub fn monomials(&self) -> &[Monomial] {
-        &self.monomials
     }
 
     /// Sum (alternative derivations). Like monomials merge coefficients.
@@ -187,46 +182,6 @@ impl fmt::Display for HowPolynomial {
     }
 }
 
-/// Build the how-provenance of one output row of a query from its lineage:
-/// a filter/scan row is its variable; a join row is the **product** of its
-/// witnesses; an aggregate row is the **sum** of its group's products. Since
-/// the executor stores flat witness lists per row, we reconstruct: rows with
-/// one witness → `x`; joins → `x·y`; aggregates get one monomial per
-/// contributing base row (sum), which is exact for single-table aggregates.
-pub fn from_lineage(witnesses: &[RowId], aggregated: bool) -> HowPolynomial {
-    if witnesses.is_empty() {
-        return HowPolynomial::one();
-    }
-    if aggregated {
-        // One linear pass: count occurrences and emit one monomial per
-        // distinct witness in canonical (BTreeMap) order — the same
-        // polynomial the fold-of-`plus` construction built, without its
-        // quadratic re-merge of the accumulator per witness (the 35 ms
-        // `invertibility_check_one_row` outlier on 2k-row groups).
-        let mut counts: BTreeMap<RowId, u64> = BTreeMap::new();
-        for &w in witnesses {
-            *counts.entry(w).or_insert(0) += 1;
-        }
-        HowPolynomial {
-            monomials: counts
-                .into_iter()
-                .map(|(w, coefficient)| {
-                    let mut vars = BTreeMap::new();
-                    vars.insert(w, 1);
-                    Monomial { vars, coefficient }
-                })
-                .collect(),
-        }
-    } else {
-        // A joint derivation is a single monomial: accumulate exponents.
-        let mut vars: BTreeMap<RowId, u32> = BTreeMap::new();
-        for &w in witnesses {
-            *vars.entry(w).or_insert(0) += 1;
-        }
-        HowPolynomial { monomials: vec![Monomial { vars, coefficient: 1 }] }
-    }
-}
-
 /// A lazily-expanded how-provenance: witness **spans** attached per
 /// execution morsel, with the polynomial itself materialized only on
 /// demand.
@@ -234,18 +189,18 @@ pub fn from_lineage(witnesses: &[RowId], aggregated: bool) -> HowPolynomial {
 /// The vectorized engine produces lineage in per-morsel segments; the
 /// numeric provenance checks (counting, invertibility evaluation, support)
 /// only need folds over the witnesses, so attaching spans and folding
-/// directly skips building `O(group)` BTreeMap monomials per check.
-/// [`HowSpan::expand`] recovers the exact canonical [`HowPolynomial`]
-/// (pinned by the `span_*` tests) when explanation rendering needs one.
+/// directly skips building `O(group)` BTreeMap monomials per check. The
+/// folds agree with the canonical [`HowPolynomial`] of the same witnesses
+/// (pinned by the `span_*` tests).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HowSpan {
+pub(crate) struct HowSpan {
     segments: Vec<Vec<RowId>>,
     aggregated: bool,
 }
 
 impl HowSpan {
     /// An empty span set; `aggregated` chooses sum (`true`) or product
-    /// semantics, exactly as in [`from_lineage`].
+    /// semantics.
     pub fn new(aggregated: bool) -> Self {
         Self { segments: Vec::new(), aggregated }
     }
@@ -258,20 +213,14 @@ impl HowSpan {
     }
 
     /// Number of attached (non-empty) spans.
-    pub fn num_segments(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_segments(&self) -> usize {
         self.segments.len()
     }
 
     /// Total witnesses across all spans.
-    pub fn num_witnesses(&self) -> usize {
+    pub(crate) fn num_witnesses(&self) -> usize {
         self.segments.iter().map(Vec::len).sum()
-    }
-
-    /// Expand into the canonical polynomial — one linear merge over all
-    /// spans, identical to `from_lineage(concat(spans), aggregated)`.
-    pub fn expand(&self) -> HowPolynomial {
-        let all: Vec<RowId> = self.segments.iter().flatten().copied().collect();
-        from_lineage(&all, self.aggregated)
     }
 
     /// Derivation count without expanding: total witnesses for a sum, 1 for
@@ -291,7 +240,7 @@ impl HowSpan {
 
     /// Evaluate under a valuation without expanding: a straight sum (or
     /// product) fold over the spans in attach order — numerically identical
-    /// to `self.expand().evaluate(valuation)`.
+    /// to evaluating the canonical polynomial.
     pub fn evaluate(&self, valuation: &impl Fn(RowId) -> f64) -> f64 {
         if self.num_witnesses() == 0 {
             return 1.0; // the unit polynomial
@@ -303,11 +252,6 @@ impl HowSpan {
             flat.map(|&w| valuation(w)).product()
         }
     }
-
-    /// All source rows mentioned in any span.
-    pub fn support(&self) -> BTreeSet<RowId> {
-        self.segments.iter().flatten().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -316,6 +260,16 @@ mod tests {
 
     fn r(i: u64) -> RowId {
         RowId::new(1, i)
+    }
+
+    /// The definitional how-provenance of an aggregate: one `plus` per witness.
+    fn sum(ws: &[RowId]) -> HowPolynomial {
+        ws.iter().fold(HowPolynomial::zero(), |acc, &w| acc.plus(&HowPolynomial::var(w)))
+    }
+
+    /// The definitional how-provenance of a joint derivation: one `times` per witness.
+    fn product(ws: &[RowId]) -> HowPolynomial {
+        ws.iter().fold(HowPolynomial::one(), |acc, &w| acc.times(&HowPolynomial::var(w)))
     }
 
     #[test]
@@ -329,8 +283,8 @@ mod tests {
     #[test]
     fn plus_merges_like_terms() {
         let p = HowPolynomial::var(r(1)).plus(&HowPolynomial::var(r(1)));
-        assert_eq!(p.monomials().len(), 1);
-        assert_eq!(p.monomials()[0].coefficient, 2);
+        assert_eq!(p.monomials.len(), 1);
+        assert_eq!(p.monomials[0].coefficient, 2);
         assert_eq!(p.to_string(), "2·t1:r1");
     }
 
@@ -343,7 +297,7 @@ mod tests {
         let lhs = x.plus(&y).times(&z);
         let rhs = x.times(&z).plus(&y.times(&z));
         assert_eq!(lhs, rhs);
-        assert_eq!(lhs.monomials().len(), 2);
+        assert_eq!(lhs.monomials.len(), 2);
     }
 
     #[test]
@@ -378,51 +332,23 @@ mod tests {
     #[test]
     fn numeric_evaluation_recovers_sum() {
         // SUM over rows 0..3 with values 10, 20, 30
-        let p = from_lineage(&[r(0), r(1), r(2)], true);
+        let p = sum(&[r(0), r(1), r(2)]);
         let value = p.evaluate(&|id: RowId| (id.row as f64 + 1.0) * 10.0);
         assert_eq!(value, 60.0);
     }
 
     #[test]
-    fn join_lineage_is_a_product() {
-        let p = from_lineage(&[r(0), RowId::new(2, 5)], false);
-        assert_eq!(p.monomials().len(), 1);
-        assert_eq!(p.monomials()[0].witness().len(), 2);
-        // count of derivations through a single join path is 1
-        assert_eq!(p.count(), 1);
-    }
-
-    #[test]
     fn support_collects_all_vars() {
-        let p = from_lineage(&[r(0), r(1)], true);
+        let p = sum(&[r(0), r(1)]);
         let s = p.support();
         assert_eq!(s.len(), 2);
         assert!(s.contains(&r(0)));
     }
 
     #[test]
-    fn empty_lineage_is_unit() {
-        assert_eq!(from_lineage(&[], true), HowPolynomial::one());
-    }
-
-    #[test]
-    fn linear_from_lineage_equals_semiring_fold() {
-        // The linear constructions must produce exactly the polynomial the
-        // definitional fold-of-plus / fold-of-times builds — including
-        // duplicate witnesses (coefficients vs exponents) and ordering.
-        let ws = [r(3), r(1), r(2), r(1), r(3), r(3)];
-        let sum_fold =
-            ws.iter().fold(HowPolynomial::zero(), |acc, &w| acc.plus(&HowPolynomial::var(w)));
-        assert_eq!(from_lineage(&ws, true), sum_fold);
-        let prod_fold =
-            ws.iter().fold(HowPolynomial::one(), |acc, &w| acc.times(&HowPolynomial::var(w)));
-        assert_eq!(from_lineage(&ws, false), prod_fold);
-    }
-
-    #[test]
     fn span_expansion_is_canonical_and_folds_match() {
-        // Spans attached per morsel expand to from_lineage(concat), and the
-        // lazy folds agree with the expanded polynomial exactly.
+        // The lazy folds over spans attached per morsel agree exactly with
+        // the polynomial of the concatenated witnesses.
         let m0 = [r(0), r(1), r(1)];
         let m1 = [r(2)];
         let m2 = [r(0), r(3)];
@@ -435,37 +361,15 @@ mod tests {
             assert_eq!(span.num_segments(), 3);
             assert_eq!(span.num_witnesses(), 6);
             let all: Vec<RowId> = m0.iter().chain(&m1).chain(&m2).copied().collect();
-            let expanded = span.expand();
-            assert_eq!(expanded, from_lineage(&all, aggregated));
+            let expanded = if aggregated { sum(&all) } else { product(&all) };
             assert_eq!(span.count(), expanded.count());
             let val = |id: RowId| id.row as f64 + 2.0;
             assert_eq!(span.evaluate(&val), expanded.evaluate(&val));
-            assert_eq!(span.support(), expanded.support());
         }
         // empty span set = unit polynomial
         let empty = HowSpan::new(true);
-        assert_eq!(empty.expand(), HowPolynomial::one());
+        assert_eq!(empty.count(), HowPolynomial::one().count());
         assert_eq!(empty.count(), 1);
         assert_eq!(empty.evaluate(&|_| 42.0), 1.0);
-    }
-
-    #[test]
-    fn aggregate_from_lineage_is_linear_not_quadratic() {
-        // Regression guard for the invertibility outlier: building the
-        // polynomial of a 50k-witness aggregate must be a single linear
-        // pass. The old fold-of-plus rebuilt the merged accumulator per
-        // witness (~n²/2 BTreeMap inserts ≈ 1.25e9 for n = 50k), which takes
-        // minutes; the linear pass is well under this generous wall bound
-        // even on debug builds.
-        let witnesses: Vec<RowId> = (0..50_000).map(r).collect();
-        let t0 = std::time::Instant::now();
-        let p = from_lineage(&witnesses, true);
-        let elapsed = t0.elapsed();
-        assert_eq!(p.monomials().len(), 50_000);
-        assert_eq!(p.count(), 50_000);
-        assert!(
-            elapsed < std::time::Duration::from_secs(5),
-            "from_lineage(50k, aggregated) took {elapsed:?} — quadratic regression?"
-        );
     }
 }

@@ -58,8 +58,5 @@ pub mod loadgen;
 pub mod server;
 pub mod stats;
 
-pub use server::{
-    AdmissionReject, DrainReport, Server, ServerConfig, SessionId, TenantQuota, TurnOutcome,
-    TurnRecord, WorldInstallError,
-};
+pub use server::{DrainReport, Server, ServerConfig, SessionId, TenantQuota, TurnOutcome};
 pub use stats::ServerStats;

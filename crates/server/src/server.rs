@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::stats::{percentile, ServerStats};
+use crate::stats::ServerStats;
 
 /// Opaque handle to one conversation hosted by a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,7 +62,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// The worker count a drain will actually use.
-    pub fn effective_workers(&self) -> usize {
+    pub(crate) fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
         } else {
@@ -245,7 +245,6 @@ pub struct Server {
     turns_completed: u64,
     rejected_quota: u64,
     rejected_budget: u64,
-    latencies_us: Vec<u64>,
 }
 
 impl Server {
@@ -261,7 +260,6 @@ impl Server {
             turns_completed: 0,
             rejected_quota: 0,
             rejected_budget: 0,
-            latencies_us: Vec::new(),
         }
     }
 
@@ -325,11 +323,6 @@ impl Server {
         (0..n).map(|_| self.open_session(tenant)).collect()
     }
 
-    /// Number of sessions in the registry.
-    pub fn session_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Read-only access to a hosted session.
     pub fn session(&self, id: SessionId) -> Option<&Session> {
         self.slots.get(id.index()).map(|s| &s.session)
@@ -338,11 +331,6 @@ impl Server {
     /// Stats snapshot for one hosted session.
     pub fn session_stats(&self, id: SessionId) -> Option<SessionStats> {
         self.session(id).map(Session::stats)
-    }
-
-    /// Turns queued and not yet drained.
-    pub fn queue_depth(&self) -> usize {
-        self.queued
     }
 
     /// Queue a turn for a session. The **quota gate** runs here: a tenant
@@ -494,10 +482,7 @@ impl Server {
         let mut outcomes = Vec::with_capacity(sequenced.len());
         for (_, outcome) in sequenced {
             match &outcome {
-                TurnOutcome::Completed(record) => {
-                    self.turns_completed += 1;
-                    self.latencies_us.push(record.latency.as_micros() as u64);
-                }
+                TurnOutcome::Completed(_) => self.turns_completed += 1,
                 TurnOutcome::Rejected { .. } => self.rejected_budget += 1,
             }
             outcomes.push(outcome);
@@ -516,8 +501,6 @@ impl Server {
             rejected_quota: self.rejected_quota,
             rejected_budget: self.rejected_budget,
             queue_depth: self.queued,
-            p50_us: percentile(&self.latencies_us, 50.0),
-            p99_us: percentile(&self.latencies_us, 99.0),
         }
     }
 }
@@ -713,7 +696,7 @@ mod tests {
         let sb = s.session(b).unwrap().seed();
         assert_ne!(sa, 0, "seed 0 is reserved for the legacy stream");
         assert_ne!(sa, sb);
-        assert_eq!(s.session_count(), 2);
+        assert_eq!(s.stats().sessions, 2);
     }
 
     #[test]
@@ -773,9 +756,9 @@ mod tests {
                 expected.push((*id, turn));
             }
         }
-        assert_eq!(s.queue_depth(), 12);
+        assert_eq!(s.stats().queue_depth, 12);
         let report = s.drain();
-        assert_eq!(s.queue_depth(), 0);
+        assert_eq!(s.stats().queue_depth, 0);
         let got: Vec<(SessionId, String)> = report
             .outcomes
             .iter()
@@ -797,7 +780,7 @@ mod tests {
         let err = s.submit(id, "turn three").unwrap_err();
         assert!(matches!(err, AdmissionReject::QuotaExhausted { max_turns: 2, .. }));
         // nothing extra was queued and the rejection is counted
-        assert_eq!(s.queue_depth(), 2);
+        assert_eq!(s.stats().queue_depth, 2);
         assert_eq!(s.stats().rejected_quota, 1);
     }
 
@@ -889,7 +872,6 @@ mod tests {
         assert_eq!(st.turns_submitted, 2);
         assert_eq!(st.turns_completed, 2);
         assert_eq!(st.queue_depth, 0);
-        assert!(st.p50_us > 0 && st.p99_us >= st.p50_us);
     }
 
     const DML: &str = "INSERT INTO employment_by_type (canton, type, year, employees) \

@@ -9,7 +9,7 @@ use crate::{Result, SoundnessError};
 
 /// One bin of a reliability diagram.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReliabilityBin {
+pub(crate) struct ReliabilityBin {
     /// Inclusive lower edge of the confidence bin.
     pub lower: f64,
     /// Exclusive upper edge (inclusive for the last bin).
@@ -23,7 +23,7 @@ pub struct ReliabilityBin {
 }
 
 /// Build an equal-width reliability diagram with `bins` bins.
-pub fn reliability_diagram(
+pub(crate) fn reliability_diagram(
     confidences: &[f64],
     correct: &[bool],
     bins: usize,
@@ -93,37 +93,6 @@ pub fn brier_score(confidences: &[f64], correct: &[bool]) -> Result<f64> {
         })
         .sum::<f64>()
         / confidences.len() as f64)
-}
-
-/// Negative log-likelihood (log loss) of the confidences against the 0/1
-/// outcomes, with probabilities clamped away from {0, 1} for finiteness.
-pub fn log_loss(confidences: &[f64], correct: &[bool]) -> Result<f64> {
-    if confidences.len() != correct.len() {
-        return Err(SoundnessError::LengthMismatch);
-    }
-    if confidences.is_empty() {
-        return Ok(0.0);
-    }
-    let eps = 1e-12;
-    Ok(-confidences
-        .iter()
-        .zip(correct)
-        .map(|(&c, &ok)| {
-            let p = c.clamp(eps, 1.0 - eps);
-            if ok {
-                p.ln()
-            } else {
-                (1.0 - p).ln()
-            }
-        })
-        .sum::<f64>()
-        / confidences.len() as f64)
-}
-
-/// Perplexity — `exp(log loss)` — one of the prediction metrics the paper's
-/// Evaluation paragraph names. 1.0 is perfect; 2.0 matches coin-flipping.
-pub fn perplexity(confidences: &[f64], correct: &[bool]) -> Result<f64> {
-    Ok(log_loss(confidences, correct)?.exp())
 }
 
 /// Area under the ROC curve of "confidence predicts correctness"
@@ -222,23 +191,5 @@ mod tests {
         assert!(brier_score(&[0.5], &[]).is_err());
         assert!(auroc(&[0.5], &[]).is_err());
         assert!(reliability_diagram(&[0.5], &[], 5).is_err());
-        assert!(log_loss(&[0.5], &[]).is_err());
-    }
-
-    #[test]
-    fn log_loss_and_perplexity() {
-        // coin-flip confidence on a balanced outcome: log loss = ln 2,
-        // perplexity = 2
-        let conf = vec![0.5, 0.5];
-        let correct = vec![true, false];
-        assert!((log_loss(&conf, &correct).unwrap() - std::f64::consts::LN_2).abs() < 1e-12);
-        assert!((perplexity(&conf, &correct).unwrap() - 2.0).abs() < 1e-12);
-        // confident and right: near-perfect perplexity
-        let p = perplexity(&[0.999], &[true]).unwrap();
-        assert!(p < 1.01);
-        // confident and wrong: blows up but stays finite
-        let p = perplexity(&[1.0], &[false]).unwrap();
-        assert!(p.is_finite() && p > 1000.0);
-        assert_eq!(log_loss(&[], &[]).unwrap(), 0.0);
     }
 }

@@ -30,12 +30,10 @@ pub mod consistency;
 pub mod selective;
 pub mod verify;
 
-pub use calibration::{auroc, brier_score, expected_calibration_error, log_loss, perplexity, ReliabilityBin};
-pub use consistency::{
-    consistency_confidence, ConsistencyReport, ConsistencyUq, Execution, UqRound, Winner,
-};
-pub use selective::{risk_coverage_curve, SelectivePolicy};
-pub use verify::{execution_accuracy, tables_equal_unordered};
+pub use calibration::{auroc, brier_score, expected_calibration_error};
+pub use consistency::{consistency_confidence, ConsistencyUq, Execution, UqRound};
+pub use selective::risk_coverage_curve;
+pub use verify::execution_accuracy;
 
 use std::fmt;
 

@@ -1,30 +1,11 @@
 //! Selective answering (abstention) and risk–coverage analysis.
 //!
 //! The paper: the system "should be able to refrain from producing answers
-//! when unable to produce any answer with sufficient certainty". A
-//! [`SelectivePolicy`] answers only above a confidence threshold; the
-//! risk–coverage curve shows, for every threshold, what fraction of
+//! when unable to produce any answer with sufficient certainty". A policy
+//! that answers only above a confidence threshold trades coverage for risk;
+//! the risk–coverage curve shows, for every threshold, what fraction of
 //! questions is answered (coverage) and how often those answers are wrong
 //! (risk). Experiment E6 sweeps this trade-off for both confidence signals.
-
-/// A confidence-thresholded answering policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelectivePolicy {
-    /// Minimum confidence required to answer.
-    pub threshold: f64,
-}
-
-impl SelectivePolicy {
-    /// Construct a policy.
-    pub fn new(threshold: f64) -> Self {
-        Self { threshold }
-    }
-
-    /// Whether the system should answer at this confidence.
-    pub fn should_answer(&self, confidence: f64) -> bool {
-        confidence >= self.threshold
-    }
-}
 
 /// One point on the risk–coverage curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,14 +100,6 @@ pub fn aurc(confidences: &[f64], correct: &[bool]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_thresholding() {
-        let p = SelectivePolicy::new(0.7);
-        assert!(p.should_answer(0.7));
-        assert!(p.should_answer(0.9));
-        assert!(!p.should_answer(0.69));
-    }
 
     #[test]
     fn curve_endpoints() {

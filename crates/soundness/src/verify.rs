@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 /// Compare two tables as multisets of rows (schema arity must match; column
 /// names are ignored, as aliases differ between equivalent programs).
-pub fn tables_equal_unordered(a: &Table, b: &Table) -> bool {
+pub(crate) fn tables_equal_unordered(a: &Table, b: &Table) -> bool {
     if a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns() {
         return false;
     }
@@ -49,7 +49,7 @@ pub fn execution_accuracy(catalog: &Catalog, candidate_sql: &str, gold_sql: &str
 /// execution-equivalent — the clustering key of consistency-based UQ. It is
 /// independent of the engine that produced the table (both engine paths are
 /// differentially certified byte-identical).
-pub fn result_signature(t: &Table) -> String {
+pub(crate) fn result_signature(t: &Table) -> String {
     let mut rows: Vec<String> = (0..t.num_rows())
         .map(|i| {
             let cells: Vec<String> =

@@ -90,11 +90,6 @@ impl Catalog {
             .ok_or_else(|| SqlError::Binding(format!("unknown table {name:?}")))
     }
 
-    /// Resolve a provenance tag back to the table name it belongs to.
-    pub fn name_of_tag(&self, tag: u32) -> Option<&str> {
-        self.entries.iter().find(|(_, e)| e.tag == tag).map(|(n, _)| n.as_str())
-    }
-
     /// Iterate `(name, entry)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &CatalogEntry)> {
         self.entries.iter().map(|(n, e)| (n.as_str(), e))
@@ -155,14 +150,6 @@ mod tests {
         let mut c = Catalog::new();
         c.register("a", t()).unwrap();
         assert!(c.register("A", t()).is_err());
-    }
-
-    #[test]
-    fn tag_reverse_lookup() {
-        let mut c = Catalog::new();
-        let tag = c.register("emp", t()).unwrap();
-        assert_eq!(c.name_of_tag(tag), Some("emp"));
-        assert_eq!(c.name_of_tag(99), None);
     }
 
     #[test]

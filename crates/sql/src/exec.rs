@@ -391,7 +391,7 @@ fn eval_aggregate(t: &Table, rows: &[usize], agg: &AggExpr) -> Result<Value> {
 }
 
 /// Apply an aggregate over already-evaluated argument values (nulls skipped).
-pub fn agg_over_values(kind: AggKind, vals: &[Value]) -> Result<Value> {
+pub(crate) fn agg_over_values(kind: AggKind, vals: &[Value]) -> Result<Value> {
     match kind {
         AggKind::Count => Ok(Value::Int(vals.iter().filter(|v| !v.is_null()).count() as i64)),
         AggKind::CountDistinct => {

@@ -39,7 +39,7 @@ impl fmt::Display for Token {
 }
 
 /// All recognized SQL keywords of the supported subset.
-pub const KEYWORDS: &[&str] = &[
+pub(crate) const KEYWORDS: &[&str] = &[
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT", "OFFSET",
     "AS", "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE", "IS", "NULL", "TRUE", "FALSE", "JOIN",
     "INNER", "LEFT", "ON", "ASC", "DESC", "CASE", "WHEN", "THEN", "ELSE", "END", "COUNT", "SUM",

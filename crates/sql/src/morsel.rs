@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Configuration of the vectorized morsel-parallel executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MorselConfig {
-    /// Rows per morsel (minimum 1; fed to [`morsel_ranges`]).
+    /// Rows per morsel (minimum 1; fed to `morsel_ranges`).
     pub morsel_rows: usize,
     /// Worker threads. `0` means auto (available parallelism, capped at 8).
     pub threads: usize,
@@ -45,7 +45,7 @@ impl MorselConfig {
     }
 
     /// The worker count actually used: explicit, or detected and capped at 8.
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
@@ -56,7 +56,7 @@ impl MorselConfig {
 
 /// Split `rows` into contiguous ranges of at most `morsel_rows` rows.
 /// Zero rows → no morsels.
-pub fn morsel_ranges(rows: usize, morsel_rows: usize) -> Vec<Range<usize>> {
+pub(crate) fn morsel_ranges(rows: usize, morsel_rows: usize) -> Vec<Range<usize>> {
     let step = morsel_rows.max(1);
     let mut out = Vec::with_capacity(rows.div_ceil(step));
     let mut start = 0;
@@ -124,7 +124,7 @@ where
 /// Merge per-morsel fallible results in morsel order: the error of the
 /// smallest morsel index wins, matching row-at-a-time error order across
 /// morsel boundaries.
-pub fn first_error<T, E>(results: Vec<Result<T, E>>) -> Result<Vec<T>, E> {
+pub(crate) fn first_error<T, E>(results: Vec<Result<T, E>>) -> Result<Vec<T>, E> {
     let mut out = Vec::with_capacity(results.len());
     for r in results {
         out.push(r?);

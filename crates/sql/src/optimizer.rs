@@ -300,7 +300,7 @@ fn bool_shaped(e: &BoundExpr) -> bool {
 }
 
 /// Split an AND tree into its conjuncts.
-pub fn split_conjuncts(expr: BoundExpr) -> Vec<BoundExpr> {
+pub(crate) fn split_conjuncts(expr: BoundExpr) -> Vec<BoundExpr> {
     match expr {
         BoundExpr::Binary { left, op: BinaryOp::And, right } => {
             let mut out = split_conjuncts(*left);

@@ -58,7 +58,7 @@ use std::collections::HashMap;
 /// (and byte-for-byte) equivalent to `exec::run`; `stats` is filled with the
 /// same `rows_scanned` / `rows_materialized` counters (`join_pairs` differs
 /// on the hash-join path, see the module docs).
-pub fn run_vectorized(
+pub(crate) fn run_vectorized(
     catalog: &Catalog,
     plan: &Plan,
     opts: ExecOptions,

@@ -53,7 +53,7 @@ impl StoreId {
     }
 
     /// Inverse of [`StoreId::tag`].
-    pub fn from_tag(tag: u8) -> Result<Self> {
+    pub(crate) fn from_tag(tag: u8) -> Result<Self> {
         StoreId::ALL
             .get(tag as usize)
             .copied()

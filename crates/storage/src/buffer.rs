@@ -52,7 +52,7 @@ struct Frame {
 
 /// A fixed-capacity page cache with clock replacement.
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     frames: Vec<Option<Frame>>,
     map: HashMap<PageId, usize>,
     hand: usize,
@@ -72,12 +72,6 @@ impl BufferPool {
         }
     }
 
-    /// Number of frames.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Counters since construction.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
@@ -86,7 +80,7 @@ impl BufferPool {
 
     /// Pin page `pid`, reading (and checksum-verifying) it from disk on a
     /// miss. Returns the frame index.
-    pub fn fetch(&mut self, disk: &mut DiskManager, pid: PageId) -> Result<usize> {
+    pub(crate) fn fetch(&mut self, disk: &mut DiskManager, pid: PageId) -> Result<usize> {
         if let Some(&idx) = self.map.get(&pid) {
             self.stats.hits += 1;
             if let Some(f) = self.frames[idx].as_mut() {
@@ -167,7 +161,7 @@ impl BufferPool {
 
     /// Mutable view of a pinned frame's page. Callers seal the page and
     /// pass `dirty = true` to [`BufferPool::unpin`].
-    pub fn page_mut(&mut self, idx: usize) -> &mut Page {
+    pub(crate) fn page_mut(&mut self, idx: usize) -> &mut Page {
         match self.frames[idx].as_mut() {
             Some(f) => &mut f.page,
             None => unreachable_page_mut(),
@@ -175,7 +169,7 @@ impl BufferPool {
     }
 
     /// Release a pin, optionally marking the frame dirty.
-    pub fn unpin(&mut self, idx: usize, dirty: bool) {
+    pub(crate) fn unpin(&mut self, idx: usize, dirty: bool) {
         if let Some(f) = self.frames[idx].as_mut() {
             f.pins = f.pins.saturating_sub(1);
             f.dirty |= dirty;
@@ -184,7 +178,7 @@ impl BufferPool {
 
     /// Discard any frame caching `pid` without writing it back. Used when a
     /// page is logically freed: its bytes are garbage by definition.
-    pub fn drop_page(&mut self, pid: PageId) {
+    pub(crate) fn drop_page(&mut self, pid: PageId) {
         if let Some(idx) = self.map.remove(&pid) {
             self.frames[idx] = None;
         }
@@ -192,7 +186,7 @@ impl BufferPool {
 
     /// Write every dirty frame back, in ascending page order (deterministic
     /// physical write sequence), leaving all frames resident and clean.
-    pub fn flush_all(&mut self, disk: &mut DiskManager) -> Result<()> {
+    pub(crate) fn flush_all(&mut self, disk: &mut DiskManager) -> Result<()> {
         let mut dirty: Vec<usize> = self
             .frames
             .iter()

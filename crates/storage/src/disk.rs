@@ -3,7 +3,7 @@
 //! The disk manager is the only code in the workspace that touches the
 //! filesystem on a product path (clippy's `disallowed_types` /
 //! `disallowed_methods`, configured in `clippy.toml`, enforce this). It reads and
-//! writes whole [`Page`]s at `page_id * PAGE_SIZE` offsets and exposes a
+//! writes whole `Page`s at `page_id * PAGE_SIZE` offsets and exposes a
 //! [`FaultPlan`] hook that kills a chosen physical page write — optionally
 //! leaving a torn prefix — so the crash-recovery suite can simulate a power
 //! cut at every page boundary of a commit.
@@ -29,12 +29,11 @@ pub struct FaultPlan {
 
 /// Page-granular file I/O with write accounting.
 #[derive(Debug)]
-pub struct DiskManager {
+pub(crate) struct DiskManager {
     file: File,
     pages: u64,
     fault: Option<FaultPlan>,
     writes_done: u64,
-    reads_done: u64,
 }
 
 impl DiskManager {
@@ -48,14 +47,13 @@ impl DiskManager {
             pages: len / PAGE_SIZE as u64,
             fault: None,
             writes_done: 0,
-            reads_done: 0,
         })
     }
 
     /// Whole pages currently in the file (a torn trailing fragment does not
     /// count; it is overwritten when its page is next allocated).
     #[must_use]
-    pub fn num_pages(&self) -> u64 {
+    pub(crate) fn num_pages(&self) -> u64 {
         self.pages
     }
 
@@ -63,12 +61,6 @@ impl DiskManager {
     #[must_use]
     pub fn writes_done(&self) -> u64 {
         self.writes_done
-    }
-
-    /// Physical page reads performed so far.
-    #[must_use]
-    pub fn reads_done(&self) -> u64 {
-        self.reads_done
     }
 
     /// Arm (or disarm) the crash simulation. Write counting for the plan
@@ -81,17 +73,16 @@ impl DiskManager {
     /// Read page `pid`. The image is returned unverified — callers decide
     /// whether a bad checksum is corruption (data page) or merely a stale
     /// shadow slot (meta page).
-    pub fn read_page(&mut self, pid: PageId) -> Result<Page> {
+    pub(crate) fn read_page(&mut self, pid: PageId) -> Result<Page> {
         let mut buf = vec![0u8; PAGE_SIZE];
         self.file
             .read_exact_at(&mut buf, pid * PAGE_SIZE as u64)
             .map_err(|e| StorageError::Io(format!("read page {pid}: {e}")))?;
-        self.reads_done += 1;
         Page::from_bytes(buf)
     }
 
     /// Write page `pid`, honouring the armed [`FaultPlan`].
-    pub fn write_page(&mut self, pid: PageId, page: &Page) -> Result<()> {
+    pub(crate) fn write_page(&mut self, pid: PageId, page: &Page) -> Result<()> {
         if let Some(plan) = self.fault {
             if self.writes_done >= plan.fail_after_writes {
                 let torn = plan.torn_bytes.min(PAGE_SIZE);

@@ -47,7 +47,7 @@ const CHAIN_HDR: usize = 12;
 /// Payload bytes of one blob or directory page after the chain header.
 const SEG_CAP: usize = PAGE_PAYLOAD - CHAIN_HDR;
 /// Default buffer-pool capacity in frames.
-pub const DEFAULT_POOL_FRAMES: usize = 64;
+pub(crate) const DEFAULT_POOL_FRAMES: usize = 64;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Meta {
@@ -150,7 +150,7 @@ impl FileBackend {
     }
 
     /// Open with an explicit buffer-pool capacity (frames).
-    pub fn open_with_pool(path: impl AsRef<Path>, pool_frames: usize) -> Result<Self> {
+    pub(crate) fn open_with_pool(path: impl AsRef<Path>, pool_frames: usize) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut disk = DiskManager::open(&path)?;
         let mut pool = BufferPool::new(pool_frames);
@@ -331,9 +331,13 @@ impl FileInner {
     }
 
     fn read_blob(&mut self, blob: BlobRef) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(blob.len as usize);
-        let mut pid = blob.head;
         let limit = self.next_page + 2;
+        // `blob.len` comes off disk: reserve no more than a chain of at most
+        // `limit` pages can hold, so a forged length fails the check below
+        // instead of allocating.
+        let chain_cap = limit.saturating_mul(SEG_CAP as u64);
+        let mut out = Vec::with_capacity(blob.len.min(chain_cap) as usize);
+        let mut pid = blob.head;
         let mut steps = 0u64;
         while pid != 0 {
             steps += 1;

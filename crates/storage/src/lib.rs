@@ -65,11 +65,10 @@ pub mod file;
 pub mod page;
 
 pub use backend::{MemBackend, StorageBackend, StorageStats, StoreId};
-pub use buffer::{BufferPool, PoolStats};
 pub use codec::{ByteReader, ByteWriter};
 pub use disk::FaultPlan;
 pub use file::FileBackend;
-pub use page::{Page, PageId, PAGE_SIZE};
+pub use page::PAGE_SIZE;
 
 use std::fmt;
 

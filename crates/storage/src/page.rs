@@ -14,17 +14,17 @@ use crate::{fnv1a, Result, StorageError};
 pub const PAGE_SIZE: usize = 4096;
 
 /// Bytes of each page reserved for the checksum header.
-pub const PAGE_HEADER: usize = 8;
+pub(crate) const PAGE_HEADER: usize = 8;
 
 /// Payload capacity of one page.
-pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_HEADER;
+pub(crate) const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_HEADER;
 
 /// Identifier of a page: its index in the backing file.
-pub type PageId = u64;
+pub(crate) type PageId = u64;
 
 /// One in-memory page image.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Page {
+pub(crate) struct Page {
     bytes: Vec<u8>,
 }
 
@@ -42,7 +42,7 @@ impl Page {
     }
 
     /// Wrap raw bytes read from disk. Length must be exactly [`PAGE_SIZE`].
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
+    pub(crate) fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
         if bytes.len() != PAGE_SIZE {
             return Err(StorageError::Corrupt(format!(
                 "page image of {} bytes (want {PAGE_SIZE})",
@@ -54,7 +54,7 @@ impl Page {
 
     /// Build a page around a payload (at most [`PAGE_PAYLOAD`] bytes) and
     /// seal it.
-    pub fn from_payload(payload: &[u8]) -> Result<Self> {
+    pub(crate) fn from_payload(payload: &[u8]) -> Result<Self> {
         if payload.len() > PAGE_PAYLOAD {
             return Err(StorageError::Corrupt(format!(
                 "payload of {} bytes exceeds page capacity {PAGE_PAYLOAD}",
@@ -81,19 +81,19 @@ impl Page {
 
     /// Mutable payload region. Callers must [`Page::seal`] before the page
     /// is written out.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn payload_mut(&mut self) -> &mut [u8] {
         &mut self.bytes[PAGE_HEADER..]
     }
 
     /// Stamp the checksum header from the current payload.
-    pub fn seal(&mut self) {
+    pub(crate) fn seal(&mut self) {
         let sum = fnv1a(&self.bytes[PAGE_HEADER..]);
         self.bytes[..PAGE_HEADER].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// True if the checksum header matches the payload.
     #[must_use]
-    pub fn is_sealed(&self) -> bool {
+    pub(crate) fn is_sealed(&self) -> bool {
         let mut hdr = [0u8; PAGE_HEADER];
         hdr.copy_from_slice(&self.bytes[..PAGE_HEADER]);
         u64::from_le_bytes(hdr) == fnv1a(&self.bytes[PAGE_HEADER..])

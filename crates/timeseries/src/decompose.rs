@@ -23,26 +23,6 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-    /// Fraction of variance explained by trend + seasonal (R², clamped ≥ 0).
-    pub fn variance_explained(&self, series: &TimeSeries) -> f64 {
-        let values = series.values();
-        let mean = series.mean();
-        let total: f64 = values.iter().map(|v| (v - mean) * (v - mean)).sum();
-        if total == 0.0 {
-            return 1.0;
-        }
-        let resid: f64 = self.residual.iter().map(|r| r * r).sum();
-        (1.0 - resid / total).max(0.0)
-    }
-
-    /// Mean absolute seasonal amplitude.
-    pub fn seasonal_strength(&self) -> f64 {
-        if self.seasonal.is_empty() {
-            return 0.0;
-        }
-        self.seasonal.iter().map(|s| s.abs()).sum::<f64>() / self.seasonal.len() as f64
-    }
-
     /// Direction of the trend: slope of a least-squares line through the
     /// trend component (per observation).
     pub fn trend_slope(&self) -> f64 {
@@ -51,7 +31,7 @@ impl Decomposition {
 }
 
 /// Least-squares slope of `y` against `0..n`.
-pub fn least_squares_slope(y: &[f64]) -> f64 {
+pub(crate) fn least_squares_slope(y: &[f64]) -> f64 {
     let n = y.len();
     if n < 2 {
         return 0.0;
@@ -75,7 +55,7 @@ pub fn least_squares_slope(y: &[f64]) -> f64 {
 
 /// Centered moving average with the 2×m correction for even windows.
 /// Edges are filled by extending the first/last computable value.
-pub fn centered_moving_average(values: &[f64], window: usize) -> Result<Vec<f64>> {
+pub(crate) fn centered_moving_average(values: &[f64], window: usize) -> Result<Vec<f64>> {
     if window == 0 {
         return Err(TsError::InvalidParameter("window must be ≥ 1".into()));
     }
@@ -152,6 +132,23 @@ pub fn decompose(series: &TimeSeries, period: usize) -> Result<Decomposition> {
 mod tests {
     use super::*;
 
+    /// Fraction of variance explained by trend + seasonal (R², clamped ≥ 0).
+    fn variance_explained(d: &Decomposition, series: &TimeSeries) -> f64 {
+        let values = series.values();
+        let mean = series.mean();
+        let total: f64 = values.iter().map(|v| (v - mean) * (v - mean)).sum();
+        if total == 0.0 {
+            return 1.0;
+        }
+        let resid: f64 = d.residual.iter().map(|r| r * r).sum();
+        (1.0 - resid / total).max(0.0)
+    }
+
+    /// Mean absolute seasonal amplitude.
+    fn seasonal_strength(d: &Decomposition) -> f64 {
+        d.seasonal.iter().map(|s| s.abs()).sum::<f64>() / d.seasonal.len() as f64
+    }
+
     #[test]
     fn moving_average_odd_window() {
         let ma = centered_moving_average(&[1.0, 2.0, 3.0, 4.0, 5.0], 3).unwrap();
@@ -188,9 +185,9 @@ mod tests {
         // trend slope ≈ 0.2
         assert!((d.trend_slope() - 0.2).abs() < 0.05, "slope {}", d.trend_slope());
         // seasonal strength ≈ mean |8 sin| = 16/π ≈ 5.09
-        assert!((d.seasonal_strength() - 16.0 / std::f64::consts::PI).abs() < 0.6);
+        assert!((seasonal_strength(&d) - 16.0 / std::f64::consts::PI).abs() < 0.6);
         // explains nearly everything
-        assert!(d.variance_explained(&ts) > 0.98);
+        assert!(variance_explained(&d, &ts) > 0.98);
     }
 
     #[test]
@@ -213,8 +210,8 @@ mod tests {
     fn constant_series_fully_explained() {
         let ts = TimeSeries::from_values(vec![7.0; 30]);
         let d = decompose(&ts, 5).unwrap();
-        assert_eq!(d.variance_explained(&ts), 1.0);
-        assert_eq!(d.seasonal_strength(), 0.0);
+        assert_eq!(variance_explained(&d, &ts), 1.0);
+        assert_eq!(seasonal_strength(&d), 0.0);
         assert_eq!(d.trend_slope(), 0.0);
     }
 

@@ -37,15 +37,6 @@ pub fn mae(forecast: &[f64], actual: &[f64]) -> f64 {
     forecast.iter().zip(actual).take(n).map(|(f, a)| (f - a).abs()).sum::<f64>() / n as f64
 }
 
-/// Mean squared error (one of the paper's named prediction metrics).
-pub fn mse(forecast: &[f64], actual: &[f64]) -> f64 {
-    let n = forecast.len().min(actual.len());
-    if n == 0 {
-        return 0.0;
-    }
-    forecast.iter().zip(actual).take(n).map(|(f, a)| (f - a) * (f - a)).sum::<f64>() / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +66,6 @@ mod tests {
     #[test]
     fn error_metrics() {
         assert_eq!(mae(&[1.0, 2.0], &[2.0, 4.0]), 1.5);
-        assert_eq!(mse(&[1.0, 2.0], &[2.0, 4.0]), 2.5);
         assert_eq!(mae(&[], &[]), 0.0);
     }
 

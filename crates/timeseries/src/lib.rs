@@ -27,8 +27,6 @@ pub mod forecast;
 pub mod seasonality;
 pub mod series;
 
-pub use decompose::Decomposition;
-pub use seasonality::SeasonalityResult;
 pub use series::TimeSeries;
 
 use std::fmt;

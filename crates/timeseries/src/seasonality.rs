@@ -111,7 +111,7 @@ pub fn detect_seasonality(series: &TimeSeries, min_obs: usize) -> Result<Seasona
 
 /// Fraction of the *detrended* variance explained by the seasonal component
 /// of a decomposition at `period` (clamped to `[0, 1]`).
-pub fn seasonal_fit(series: &TimeSeries, period: usize) -> Result<f64> {
+pub(crate) fn seasonal_fit(series: &TimeSeries, period: usize) -> Result<f64> {
     let d = decompose(series, period)?;
     let values = series.values();
     let detrended: Vec<f64> = values.iter().zip(&d.trend).map(|(&v, &t)| v - t).collect();

@@ -36,20 +36,6 @@ impl VectorSet {
         Ok(Self { dim, data })
     }
 
-    /// Build from a flat buffer of `len * dim` floats.
-    pub fn from_flat(dim: usize, data: Vec<f32>) -> Result<Self> {
-        if dim == 0 {
-            return Err(VectorError::EmptyInput("dimension"));
-        }
-        if data.is_empty() {
-            return Err(VectorError::EmptyInput("data"));
-        }
-        if !data.len().is_multiple_of(dim) {
-            return Err(VectorError::DimensionMismatch { expected: dim, actual: data.len() % dim });
-        }
-        Ok(Self { dim, data })
-    }
-
     /// Number of vectors.
     pub fn len(&self) -> usize {
         self.data.len() / self.dim
@@ -164,14 +150,6 @@ mod tests {
         assert!(VectorSet::from_rows(vec![]).is_err());
         assert!(VectorSet::from_rows(vec![vec![]]).is_err());
         assert!(VectorSet::from_rows(vec![vec![1.0], vec![1.0, 2.0]]).is_err());
-    }
-
-    #[test]
-    fn from_flat_validates() {
-        assert!(VectorSet::from_flat(2, vec![1.0, 2.0, 3.0]).is_err());
-        assert!(VectorSet::from_flat(0, vec![1.0]).is_err());
-        let s = VectorSet::from_flat(2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.len(), 2);
     }
 
     #[test]

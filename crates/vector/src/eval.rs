@@ -1,7 +1,7 @@
 //! Evaluation helpers: ground truth, recall, and ranking metrics.
 //!
 //! Implements the metrics the paper's Evaluation paragraph names for
-//! retrieval/ranking quality: recall@k, precision@k, MRR, and NDCG.
+//! retrieval/ranking quality: recall@k, MRR, and NDCG.
 
 use crate::exact::ExactIndex;
 use crate::{Neighbor, VectorIndex, VectorSet};
@@ -71,35 +71,10 @@ pub fn ndcg_at_k(gains: &[f64], k: usize) -> f64 {
     }
 }
 
-/// Precision / recall / F1 of a predicted set against a gold set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Prf {
-    /// Fraction of predictions that are correct.
-    pub precision: f64,
-    /// Fraction of gold items that were predicted.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall.
-    pub f1: f64,
-}
-
-/// Compute precision/recall/F1 over id sets.
-pub fn prf(gold: &[usize], predicted: &[usize]) -> Prf {
-    let gold_set: std::collections::HashSet<usize> = gold.iter().copied().collect();
-    let pred_set: std::collections::HashSet<usize> = predicted.iter().copied().collect();
-    let tp = pred_set.intersection(&gold_set).count() as f64;
-    let precision = if pred_set.is_empty() { 0.0 } else { tp / pred_set.len() as f64 };
-    let recall = if gold_set.is_empty() { 0.0 } else { tp / gold_set.len() as f64 };
-    let f1 = if precision + recall == 0.0 {
-        0.0
-    } else {
-        2.0 * precision * recall / (precision + recall)
-    };
-    Prf { precision, recall, f1 }
-}
-
-/// Convenience: run an index over queries and compute mean recall@k against
+/// Test helper: run an index over queries and compute mean recall@k against
 /// exact ground truth.
-pub fn evaluate_index(
+#[cfg(test)]
+pub(crate) fn evaluate_index(
     index: &dyn VectorIndex,
     data: &VectorSet,
     queries: &[Vec<f32>],
@@ -147,17 +122,6 @@ mod tests {
         let worse = ndcg_at_k(&[1.0, 2.0, 3.0], 3);
         assert!(worse < 1.0 && worse > 0.0);
         assert_eq!(ndcg_at_k(&[0.0, 0.0], 2), 0.0);
-    }
-
-    #[test]
-    fn prf_cases() {
-        let p = prf(&[1, 2, 3], &[2, 3, 4]);
-        assert!((p.precision - 2.0 / 3.0).abs() < 1e-12);
-        assert!((p.recall - 2.0 / 3.0).abs() < 1e-12);
-        assert!((p.f1 - 2.0 / 3.0).abs() < 1e-12);
-        let p = prf(&[1], &[]);
-        assert_eq!(p.precision, 0.0);
-        assert_eq!(p.f1, 0.0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl TopK {
     }
 
     /// Current k-th (worst retained) distance, or `INFINITY` while unfilled.
-    pub fn kth_dist(&self) -> f32 {
+    pub(crate) fn kth_dist(&self) -> f32 {
         if self.heap.len() < self.k {
             f32::INFINITY
         } else {
@@ -90,11 +90,6 @@ impl ExactIndex {
     /// Build (trivially) over a dataset with the default metric.
     pub fn build(_data: &VectorSet) -> Self {
         Self { metric: Distance::default() }
-    }
-
-    /// Build with an explicit metric.
-    pub fn with_metric(metric: Distance) -> Self {
-        Self { metric }
     }
 
     /// Search with statistics.
@@ -169,8 +164,8 @@ mod tests {
     #[test]
     fn cosine_metric_changes_ranking() {
         let d = VectorSet::from_rows(vec![vec![10.0, 0.0], vec![0.2, 0.2]]).unwrap();
-        let l2 = ExactIndex::with_metric(Distance::SquaredEuclidean);
-        let cos = ExactIndex::with_metric(Distance::Cosine);
+        let l2 = ExactIndex { metric: Distance::SquaredEuclidean };
+        let cos = ExactIndex { metric: Distance::Cosine };
         let q = [1.0, 1.0];
         assert_eq!(l2.search(&d, &q, 1)[0].id, 1);
         assert_eq!(cos.search(&d, &q, 1)[0].id, 1);

@@ -44,15 +44,11 @@ impl Ord for MaxEntry {
 
 /// State handed to a termination policy after every node expansion.
 #[derive(Debug, Clone, Copy)]
-pub struct TerminationState {
+pub(crate) struct TerminationState {
     /// Nodes expanded so far in this layer-0 search.
     pub expansions: usize,
     /// Expansions since the result set last improved.
     pub since_improvement: usize,
-    /// Current worst distance in the result set (INFINITY while unfilled).
-    pub worst_dist: f32,
-    /// Distance of the best unexpanded candidate.
-    pub next_candidate_dist: f32,
 }
 
 /// Construction/search parameters.
@@ -187,8 +183,8 @@ impl HnswIndex {
 
     /// Beam search with an external termination policy. The policy is called
     /// after each expansion; returning `true` stops the search early.
-    #[expect(clippy::too_many_arguments, reason = "public API: each knob is load-bearing")]
-    pub fn search_layer_with_policy(
+    #[expect(clippy::too_many_arguments, reason = "the learned termination policies set each knob")]
+    pub(crate) fn search_layer_with_policy(
         &self,
         data: &VectorSet,
         q: &[f32],
@@ -239,8 +235,6 @@ impl HnswIndex {
             let state = TerminationState {
                 expansions,
                 since_improvement,
-                worst_dist: results.peek().map_or(f32::INFINITY, |e| e.0.dist),
-                next_candidate_dist: candidates.peek().map_or(f32::INFINITY, |e| e.0.dist),
             };
             if stop(&state) {
                 stats.early_stop = true;
@@ -277,7 +271,7 @@ impl HnswIndex {
 
     /// Entry point id after descending the upper layers (used by the learned
     /// termination search which drives layer 0 itself).
-    pub fn layer0_entry(&self, data: &VectorSet, query: &[f32]) -> usize {
+    pub(crate) fn layer0_entry(&self, data: &VectorSet, query: &[f32]) -> usize {
         let mut ep = self.entry;
         for l in (1..=self.max_level).rev() {
             ep = self.greedy_closest(data, query, ep, l);

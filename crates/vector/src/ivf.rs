@@ -13,7 +13,7 @@ use cda_testkit::rng::StdRng;
 
 /// k-means clustering result.
 #[derive(Debug, Clone)]
-pub struct KMeans {
+pub(crate) struct KMeans {
     /// Flattened centroids (`k * dim`).
     pub centroids: Vec<f32>,
     /// Dimensionality.
@@ -111,22 +111,8 @@ impl KMeans {
     }
 
     /// Centroid `c` as a slice.
-    pub fn centroid(&self, c: usize) -> &[f32] {
+    pub(crate) fn centroid(&self, c: usize) -> &[f32] {
         &self.centroids[c * self.dim..(c + 1) * self.dim]
-    }
-
-    /// Index of the centroid nearest to `v`.
-    pub fn nearest_centroid(&self, v: &[f32]) -> usize {
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for c in 0..self.k() {
-            let d = squared_euclidean(v, self.centroid(c));
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        best
     }
 }
 
@@ -157,11 +143,6 @@ impl IvfIndex {
     pub fn with_nprobe(mut self, nprobe: usize) -> Self {
         self.nprobe = nprobe.clamp(1, self.lists.len());
         self
-    }
-
-    /// The underlying k-means model (used by the progressive search).
-    pub fn kmeans(&self) -> &KMeans {
-        &self.kmeans
     }
 
     /// The inverted lists.
@@ -245,7 +226,10 @@ mod tests {
         let (data, _) = VectorSet::gaussian_clusters(90, 4, 3, 0.01, 3).unwrap();
         let km = KMeans::fit(&data, 3, 20, 1);
         for i in 0..data.len() {
-            assert_eq!(km.nearest_centroid(data.vector(i)), km.assignments[i]);
+            let v = data.vector(i);
+            let dist = |c: usize| squared_euclidean(v, km.centroid(c));
+            let nearest = (0..km.k()).min_by(|&a, &b| dist(a).total_cmp(&dist(b))).unwrap();
+            assert_eq!(nearest, km.assignments[i]);
         }
     }
 

@@ -234,41 +234,6 @@ impl StagnationPolicy {
     }
 }
 
-/// An HNSW index paired with a learned termination model, exposed through
-/// the common [`VectorIndex`] trait for the experiment sweeps.
-#[derive(Debug, Clone)]
-pub struct LearnedHnsw {
-    /// The underlying graph.
-    pub index: HnswIndex,
-    /// The trained termination model.
-    pub model: LearnedTermination,
-}
-
-impl LearnedHnsw {
-    /// Build the graph and train the termination model.
-    pub fn build(
-        data: &VectorSet,
-        params: crate::hnsw::HnswParams,
-        k: usize,
-        n_train: usize,
-        target_recall: f64,
-    ) -> Self {
-        let index = HnswIndex::build(data, params);
-        let model = LearnedTermination::train(&index, data, k, n_train, target_recall, params.seed ^ 0xabcd);
-        Self { index, model }
-    }
-}
-
-impl VectorIndex for LearnedHnsw {
-    fn search(&self, data: &VectorSet, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.model.search_with_stats(&self.index, data, query, k).0
-    }
-
-    fn name(&self) -> &'static str {
-        "hnsw-learned"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,14 +244,22 @@ mod tests {
         VectorSet::gaussian_clusters(2000, 16, 10, 0.1, 3).unwrap().0
     }
 
+    /// The graph and a termination model trained on it for top-10 at 0.9 recall.
+    fn build(data: &VectorSet) -> (HnswIndex, LearnedTermination) {
+        let params = HnswParams { seed: 2, ..Default::default() };
+        let index = HnswIndex::build(data, params);
+        let model = LearnedTermination::train(&index, data, 10, 60, 0.9, params.seed ^ 0xabcd);
+        (index, model)
+    }
+
     #[test]
     fn model_hits_target_recall_on_holdout() {
         let data = data();
-        let learned = LearnedHnsw::build(&data, HnswParams { seed: 2, ..Default::default() }, 10, 60, 0.9);
+        let (index, model) = build(&data);
         let queries = data.queries_near(40, 0.05, 777);
         let truth = ground_truth(&data, &queries, 10);
         let results: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| learned.search(&data, q, 10)).collect();
+            queries.iter().map(|q| model.search_with_stats(&index, &data, q, 10).0).collect();
         let r = recall_at_k(&truth, &results, 10);
         assert!(r > 0.75, "holdout recall {r}");
     }
@@ -294,14 +267,13 @@ mod tests {
     #[test]
     fn learned_termination_saves_work_vs_fixed_large_ef() {
         let data = data();
-        let learned =
-            LearnedHnsw::build(&data, HnswParams { seed: 2, ..Default::default() }, 10, 60, 0.9);
+        let (index, model) = build(&data);
         let queries = data.queries_near(20, 0.05, 11);
         let (mut fixed_cost, mut learned_cost) = (0usize, 0usize);
         for q in &queries {
-            let (_, s_fixed) = learned.index.search_with_stats(&data, q, 10, 160);
+            let (_, s_fixed) = index.search_with_stats(&data, q, 10, 160);
             fixed_cost += s_fixed.distance_evals;
-            let (_, s_learned) = learned.model.search_with_stats(&learned.index, &data, q, 10);
+            let (_, s_learned) = model.search_with_stats(&index, &data, q, 10);
             learned_cost += s_learned.distance_evals;
         }
         assert!(

@@ -54,8 +54,8 @@ pub mod metrics;
 pub mod progressive;
 
 pub use dataset::VectorSet;
-pub use error::VectorError;
 pub use metrics::Distance;
+use error::VectorError;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, VectorError>;

@@ -102,12 +102,6 @@ impl LshIndex {
                 .map(|v| v.len() * 8 + 48)
                 .sum::<usize>()
     }
-
-    /// Expected per-table collision probability of two vectors at angular
-    /// distance `theta` radians: `(1 - θ/π)^bits`.
-    pub fn collision_probability(&self, theta: f32) -> f64 {
-        (1.0 - f64::from(theta) / std::f64::consts::PI).powi(self.params.bits as i32)
-    }
 }
 
 fn hash_key(v: &[f32], planes: &[f32], bits: usize, dim: usize) -> u32 {
@@ -166,16 +160,6 @@ mod tests {
         let idx = LshIndex::build(&data, LshParams { bits: 14, tables: 4, seed: 0 });
         let (_, stats) = idx.search_with_stats(&data, data.vector(0), 5);
         assert!(stats.distance_evals < 2500, "evaluated {}", stats.distance_evals);
-    }
-
-    #[test]
-    fn collision_probability_monotone() {
-        let data = VectorSet::uniform(10, 4, 0).unwrap();
-        let idx = LshIndex::build(&data, LshParams { bits: 8, tables: 1, seed: 0 });
-        let close = idx.collision_probability(0.1);
-        let far = idx.collision_probability(1.5);
-        assert!(close > far);
-        assert!((idx.collision_probability(0.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

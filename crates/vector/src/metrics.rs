@@ -42,7 +42,7 @@ impl Distance {
 }
 
 /// Squared Euclidean distance.
-pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
     let chunks = n / 4;
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
@@ -90,7 +90,7 @@ pub fn norm(a: &[f32]) -> f32 {
 }
 
 /// Cosine distance `1 - cos(a, b)`; zero vectors are treated as maximally far.
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
     let na = norm(a);
     let nb = norm(b);
     if na == 0.0 || nb == 0.0 {

@@ -1,8 +1,9 @@
 //! Progressive kNN search with quality guarantees (ProS-style \[13\]).
 //!
 //! This is the paper's P1 centerpiece: an index that is *faster than exact
-//! scan* while still saying something precise about answer quality, and that
-//! can *return an empty set* when nothing meets a relevance threshold.
+//! scan* while still saying something precise about answer quality. (The
+//! paper's "return an empty set" under a relevance threshold is
+//! `cda-core`'s `DatasetCatalog::discover_with_threshold`.)
 //!
 //! Layout: a k-means partition of the dataset with, per cluster, its radius
 //! and the sorted distances of members to their centroid. Query processing
@@ -66,7 +67,6 @@ pub struct ProgressiveIndex {
     stable_freq: Vec<f64>,
     /// Mode used by the `VectorIndex` impl.
     pub mode: GuaranteeMode,
-    calibration_k: usize,
 }
 
 impl ProgressiveIndex {
@@ -103,18 +103,10 @@ impl ProgressiveIndex {
             radii,
             stable_freq: Vec::new(),
             mode: GuaranteeMode::Deterministic,
-            calibration_k: calib_k,
         };
         index.calibrate(data, calib_queries, calib_k, seed ^ 0x5eed);
         index
     }
-
-    /// Select the probabilistic mode with risk `delta`.
-    pub fn with_mode(mut self, mode: GuaranteeMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     fn calibrate(&mut self, data: &VectorSet, queries: usize, k: usize, seed: u64) {
         let nlist = self.lists.len();
         let mut stable_counts = vec![0usize; nlist];
@@ -226,124 +218,12 @@ impl ProgressiveIndex {
         }
         (top.into_sorted(), stats)
     }
-
-    /// Search with a relevance threshold `tau` (L2 distance): results farther
-    /// than `tau` are dropped; the result may be **empty**, which under the
-    /// deterministic mode is a *certificate* that no point lies within `tau`.
-    pub fn search_with_threshold(
-        &self,
-        data: &VectorSet,
-        query: &[f32],
-        k: usize,
-        tau: f32,
-        mode: GuaranteeMode,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let (hits, stats) = self.search_mode(data, query, k, mode);
-        let filtered = hits.into_iter().filter(|n| n.dist.sqrt() <= tau).collect();
-        (filtered, stats)
-    }
-
     /// Approximate heap footprint in bytes (centroids + lists + distances).
     pub fn heap_bytes(&self) -> usize {
         self.kmeans.centroids.len() * 4
             + self.lists.iter().map(|l| l.len() * 8 + 24).sum::<usize>()
             + self.member_dists.iter().map(|d| d.len() * 4 + 24).sum::<usize>()
             + self.stable_freq.len() * 8
-    }
-
-    /// The calibrated stabilization curve (`P(top-k stable after j+1 clusters)`).
-    pub fn stabilization_curve(&self) -> &[f64] {
-        &self.stable_freq
-    }
-
-    /// k used during calibration (probabilistic guarantees are tightest for
-    /// searches with this k).
-    pub fn calibration_k(&self) -> usize {
-        self.calibration_k
-    }
-}
-
-/// One snapshot of an anytime ("progressive", per ProS) search: the current
-/// top-k plus a certified lower bound on any unseen point's distance, from
-/// which the caller can derive the current worst-case approximation factor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressiveSnapshot {
-    /// Current top-k (ascending distance; distances are squared L2).
-    pub neighbors: Vec<Neighbor>,
-    /// Certified L2 lower bound on the distance of every unseen point
-    /// (INFINITY once everything has been scanned or pruned).
-    pub unseen_lower_bound: f32,
-    /// Clusters scanned so far.
-    pub clusters_scanned: usize,
-    /// Whether the snapshot is provably the exact final answer.
-    pub is_final: bool,
-}
-
-impl ProgressiveSnapshot {
-    /// Current worst-case ratio `kth / max(lb, 0)` as a quality certificate:
-    /// 1.0 means provably exact; `f` means the k-th distance is at most `f`
-    /// times the true k-th distance. INFINITY while nothing is certified.
-    pub fn approximation_factor(&self) -> f64 {
-        let Some(last) = self.neighbors.last() else {
-            return f64::INFINITY;
-        };
-        let kth = f64::from(last.dist).sqrt();
-        let lb = f64::from(self.unseen_lower_bound);
-        if lb <= 0.0 {
-            f64::INFINITY
-        } else if lb >= kth {
-            1.0
-        } else {
-            kth / lb
-        }
-    }
-}
-
-impl ProgressiveIndex {
-    /// Anytime search: returns one snapshot per scanned cluster, each with a
-    /// certified bound — the "progressive" interface of ProS, letting an
-    /// interactive caller show improving answers with live quality
-    /// certificates and stop whenever the certificate is good enough.
-    pub fn search_trace(&self, data: &VectorSet, query: &[f32], k: usize) -> Vec<ProgressiveSnapshot> {
-        let order = self.cluster_order(query);
-        let mut top = TopK::new(k);
-        let mut snapshots = Vec::new();
-        let mut collected: Vec<Neighbor> = Vec::new();
-        for (rank, &(c, d_qc)) in order.iter().enumerate() {
-            let kth_l2 = top.kth_dist().sqrt();
-            if d_qc - self.radii[c] > kth_l2 {
-                continue; // provably cannot improve; no snapshot emitted
-            }
-            let cutoff = d_qc - kth_l2;
-            let start = self.member_dists[c].partition_point(|&d| d < cutoff);
-            for &id in &self.lists[c][start..] {
-                let n = Neighbor::new(id, squared_euclidean(query, data.vector(id)));
-                top.push(n);
-                collected.push(n);
-            }
-            let mut current: Vec<Neighbor> = collected.clone();
-            current.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            current.truncate(k);
-            let unseen_lower_bound = order[rank + 1..]
-                .iter()
-                .map(|&(rc, rd)| (rd - self.radii[rc]).max(0.0))
-                .fold(f32::INFINITY, f32::min);
-            let kth_l2 = top.kth_dist().sqrt();
-            let is_final = unseen_lower_bound > kth_l2;
-            snapshots.push(ProgressiveSnapshot {
-                neighbors: current,
-                unseen_lower_bound,
-                clusters_scanned: rank + 1,
-                is_final,
-            });
-            if is_final {
-                break;
-            }
-        }
-        if let Some(last) = snapshots.last_mut() {
-            last.is_final = true; // scanned or pruned everything
-        }
-        snapshots
     }
 }
 
@@ -437,33 +317,12 @@ mod tests {
     fn stabilization_curve_is_monotone_and_ends_at_one() {
         let data = clustered();
         let idx = ProgressiveIndex::build(&data, 10, 30, 5, 2);
-        let curve = idx.stabilization_curve();
+        let curve = &idx.stable_freq;
         assert_eq!(curve.len(), 10);
         for w in curve.windows(2) {
             assert!(w[1] >= w[0]);
         }
         assert!((curve.last().unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn threshold_returns_empty_set_with_certificate() {
-        let data = clustered();
-        let idx = ProgressiveIndex::build(&data, 20, 0, 5, 1);
-        // A query very far from everything: no hit within tau=0.1
-        let far = vec![100.0f32; 16];
-        let (hits, _) =
-            idx.search_with_threshold(&data, &far, 5, 0.1, GuaranteeMode::Deterministic);
-        assert!(hits.is_empty());
-        // A query at a data point: itself within any positive tau
-        let (hits, _) = idx.search_with_threshold(
-            &data,
-            data.vector(3),
-            5,
-            0.5,
-            GuaranteeMode::Deterministic,
-        );
-        assert!(!hits.is_empty());
-        assert_eq!(hits[0].id, 3);
     }
 
     #[test]
@@ -508,48 +367,13 @@ mod tests {
     }
 
     #[test]
-    fn search_trace_is_anytime_with_valid_certificates() {
-        let data = clustered();
-        let idx = ProgressiveIndex::build(&data, 20, 0, 10, 1);
-        let exact = ExactIndex::build(&data);
-        for q in data.queries_near(10, 0.05, 19) {
-            let trace = idx.search_trace(&data, &q, 10);
-            assert!(!trace.is_empty());
-            // the final snapshot is exact
-            let last = trace.last().unwrap();
-            assert!(last.is_final);
-            let want: Vec<usize> = exact.search(&data, &q, 10).iter().map(|n| n.id).collect();
-            let got: Vec<usize> = last.neighbors.iter().map(|n| n.id).collect();
-            assert_eq!(got, want);
-            // approximation factors are monotonically non-increasing and end at 1
-            let factors: Vec<f64> = trace.iter().map(|s| s.approximation_factor()).collect();
-            assert!((factors.last().unwrap() - 1.0).abs() < 1e-9, "{factors:?}");
-            // every snapshot's certificate is truthful: kth <= factor * true kth
-            let true_kth = f64::from(exact.search(&data, &q, 10).last().unwrap().dist).sqrt();
-            for s in &trace {
-                if s.neighbors.len() == 10 {
-                    let kth = f64::from(s.neighbors.last().unwrap().dist).sqrt();
-                    let f = s.approximation_factor();
-                    if f.is_finite() {
-                        assert!(kth <= f * true_kth + 1e-5, "kth {kth} factor {f} true {true_kth}");
-                    }
-                }
-            }
-            // clusters_scanned strictly increases
-            for w in trace.windows(2) {
-                assert!(w[1].clusters_scanned > w[0].clusters_scanned);
-            }
-        }
-    }
-
-    #[test]
     fn index_names_reflect_mode() {
         let data = VectorSet::uniform(50, 4, 0).unwrap();
-        let idx = ProgressiveIndex::build(&data, 4, 0, 5, 1);
+        let mut idx = ProgressiveIndex::build(&data, 4, 0, 5, 1);
         assert_eq!(idx.name(), "progressive-exact");
-        let idx = idx.with_mode(GuaranteeMode::Probabilistic { delta: 0.1 });
+        idx.mode = GuaranteeMode::Probabilistic { delta: 0.1 };
         assert_eq!(idx.name(), "progressive-delta");
-        let idx = idx.with_mode(GuaranteeMode::Approximate { epsilon: 0.2 });
+        idx.mode = GuaranteeMode::Approximate { epsilon: 0.2 };
         assert_eq!(idx.name(), "progressive-eps");
     }
 }
