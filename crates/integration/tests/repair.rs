@@ -3,12 +3,14 @@
 //! repair-free `Decoder` pins (the default decoder never repairs, so an
 //! explicit `.with_repair(0)` is byte-identical to the default).
 
-use cda_analyzer::{apply_hints, edit_distance, nearest_name, Analyzer};
+use cda_analyzer::{apply_hints, edit_distance, nearest_name, Analyzer, Statistics};
+use cda_core::storage::fnv1a;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::constrained::{Decoder, DecodingStrategy};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
-use cda_sql::Catalog;
+use cda_soundness::consistency::ConsistencyUq;
+use cda_sql::{Catalog, QueryResult};
 use cda_testkit::prelude::*;
 use cda_testkit::prop as proptest;
 
@@ -308,5 +310,122 @@ fn analyzer_decoder_matches_explicit_repair_free_decoder() {
                 (a, b) => panic!("repair-free pin outcome mismatch: {a:?} vs {b:?}"),
             }
         }
+    }
+}
+
+// ------------------------------------------------------- UQ repair pin
+
+/// Tight enough that every `GROUP BY` over the generated tables (three
+/// string values per column) and every plain row set (four rows) is over
+/// budget, while single-row aggregates are within it.
+const PIN_ROW_BUDGET: u64 = 2;
+
+/// `name` with its middle character dropped — a misspelled table.
+fn misspell(name: &str) -> String {
+    let mut chars: Vec<char> = name.chars().collect();
+    chars.remove(chars.len() / 2);
+    chars.into_iter().collect()
+}
+
+/// The UQ repair pin's cases, recomputed on this build, grouped by
+/// workload task as written (`t/as-is`) and with its table misspelled
+/// (`t/misspelled`): per hallucination rate and repair-round count, every
+/// field of the consistency round's report and the winner's SQL, over one
+/// analyzer with statistics and a tight row budget.
+fn uq_repair_cases() -> Vec<(String, Vec<String>)> {
+    let gc = GenCatalog {
+        tables: vec![
+            (
+                "employment".into(),
+                vec![
+                    ("canton".into(), DataType::Str),
+                    ("jobs".into(), DataType::Int),
+                    ("rate".into(), DataType::Float),
+                ],
+            ),
+            (
+                "wages".into(),
+                vec![
+                    ("sector".into(), DataType::Str),
+                    ("wage".into(), DataType::Int),
+                    ("index".into(), DataType::Float),
+                ],
+            ),
+        ],
+    };
+    let catalog = gc.build();
+    let stats = Statistics::from_catalog(&catalog);
+    let analyzer = Analyzer::new(&catalog).with_stats(&stats).with_row_budget(PIN_ROW_BUDGET);
+    let w = Workload::generate(&gc.workload_tables(), 12, 31);
+    let mut groups = Vec::new();
+    for (t, task) in w.tasks.iter().enumerate() {
+        let table = &task.task.table;
+        let schema = catalog.get(table).unwrap().table.schema().clone();
+        let other: Vec<String> =
+            catalog.table_names().into_iter().filter(|n| n != table).collect();
+        for (variant, prompt_table) in [("as-is", table.clone()), ("misspelled", misspell(table))] {
+            let mut task = task.task.clone();
+            task.table = prompt_table;
+            let prompt = Nl2SqlPrompt { task, schema: schema.clone(), other_tables: other.clone() };
+            let mut cases = Vec::new();
+            for pct in [20u32, 40, 60, 80] {
+                let lm = SimLm::new(SimLmConfig {
+                    hallucination_rate: f64::from(pct) / 100.0,
+                    overconfidence: 0.9,
+                    seed: t as u64 * 100 + u64::from(pct),
+                });
+                for rounds in 0..3 {
+                    let round = ConsistencyUq::new(&lm, &analyzer)
+                        .with_samples(5)
+                        .with_repair(rounds)
+                        .with_equivalence(true)
+                        .run_with(&prompt, |_| None::<QueryResult>)
+                        .unwrap();
+                    let winner = round.winner.map_or_else(|| "-".to_owned(), |w| w.sql);
+                    cases.push(format!("{pct}/{rounds}\t{:?}\t{winner}", round.report));
+                }
+            }
+            groups.push((format!("{t}/{variant}"), cases));
+        }
+    }
+    groups
+}
+
+/// One line of `uq_repair_pins.tsv`: a group and the FNV-1a of its cases.
+fn pin_line(group: &str, cases: &[String]) -> String {
+    format!("{group}\t{:016x}", fnv1a(cases.join("\n").as_bytes()))
+}
+
+/// Prints `uq_repair_pins.tsv`. Run it at the commit whose behaviour is to
+/// be pinned: `cargo test -p cda-integration --test repair -- --ignored
+/// --nocapture print_uq_repair_pins | grep -P '\t' > …/uq_repair_pins.tsv`.
+#[test]
+#[ignore = "generator for uq_repair_pins.tsv, not a check"]
+fn print_uq_repair_pins() {
+    for (group, cases) in uq_repair_cases() {
+        println!("{}", pin_line(&group, &cases));
+    }
+}
+
+/// Consistency UQ's repair of doomed samples — including the second round
+/// that caps a repaired, over-budget sample with `LIMIT`, and the failure
+/// of a sample repair leaves over budget — reproduces the pinned reports
+/// and winners byte for byte.
+#[test]
+fn uq_repair_reports_and_winners_reproduce() {
+    let pinned: Vec<&str> = include_str!("uq_repair_pins.tsv").lines().collect();
+    let now = uq_repair_cases();
+    assert_eq!(pinned.len(), now.len());
+    // The corpus must reach the paths the pin is for.
+    let cases: Vec<&String> = now.iter().flat_map(|(_, cases)| cases).collect();
+    let salvaged = cases.iter().filter(|c| !c.contains("repaired: 0,")).count();
+    assert!(salvaged > 20, "too few cases with a salvaged sample ({salvaged})");
+    assert!(
+        cases.iter().any(|c| c.contains("unknown table") && c.contains("LIMIT 2\"")),
+        "no sample was repaired and then capped"
+    );
+    for (pin, (group, cases)) in pinned.iter().zip(&now) {
+        let rendered = cases.join("\n");
+        assert_eq!(*pin, pin_line(group, cases), "drifted; {group} now reads\n{rendered}");
     }
 }
