@@ -66,6 +66,19 @@ echo "== perf/: the benchmark builds against the product's public API and smoke-
 cargo build --release --offline --manifest-path perf/Cargo.toml
 cargo test --offline --manifest-path perf/Cargo.toml
 
+echo "== perf/: every workload at full size, untraced, scored the way the benchmark scores it"
+# The smoke run above is traced, and a traced chat pass skips the
+# transcript-reproduction and row-engine oracles. This untraced pass runs
+# them. An untraced run reports a wrong answer or a failed operation only in
+# its result line (its exit status stays 0), so every workload's result line
+# must read "correct":true with 0 failed operations.
+perf_results=$(cargo run --release --offline --manifest-path perf/Cargo.toml -- --trace 0 --seconds 1 \
+  | tee /dev/stderr | grep '^{"attempted"' || true)
+if [ "$(grep -c '"correct":true,"failed":0,' <<<"$perf_results")" -ne 5 ]; then
+  echo "FAIL: a perf/ workload answered wrongly, failed an operation or reported no result" >&2
+  exit 1
+fi
+
 echo "== experiments: all 21 (DESIGN.md §4) at CI sizes; every gate holds and stdout equals the golden"
 # `exp` exits non-zero iff a gate fails; `diff` fails iff any deterministic
 # number moved. Wall-clock readings go to stderr and are never compared. A

@@ -13,10 +13,12 @@
 //! * **A013** over-budget → inject `LIMIT row_budget` to cap the result.
 //!
 //! [`apply_hints`] then rewrites the candidate's AST accordingly and
-//! re-renders it to SQL, so the decoder (`cda-nlmodel`'s repair loop) and
-//! the dialogue layer can re-gate the repaired candidate instead of paying
-//! another full decode. Hints are deterministic: candidate names are sorted
-//! and distance ties break lexicographically.
+//! re-renders it to SQL, and [`Analyzer::gate_with_repair`] — the one
+//! hint-apply-regate loop, which consistency UQ runs on every doomed sample
+//! and the dialogue, mutation and server layers run on their statements —
+//! re-gates the repaired candidate instead of paying another full decode.
+//! Hints are deterministic: candidate names are sorted and distance ties
+//! break lexicographically.
 
 use crate::sqlcheck::{Analyzer, Code, Report};
 use cda_dataframe::DataType;
@@ -744,32 +746,38 @@ pub struct Gated {
 
 impl<'a> Analyzer<'a> {
     /// Derive repair hints for a candidate from its gate report (the
-    /// hint-extraction half of the diagnosis→generation loop; the decoder
-    /// applies them with [`apply_hints`] and re-gates).
+    /// hint-extraction half of the diagnosis→generation loop;
+    /// [`gate_with_repair`](Self::gate_with_repair) applies them with
+    /// [`apply_hints`] and re-gates).
     pub fn repair_hints(&self, sql: &str, report: &Report) -> Vec<RepairHint> {
         repair_hints(self.catalog(), sql, report)
     }
 
-    /// The gate-and-repair loop of the dialogue layer, for queries and
-    /// writes alike: [`gate`](Self::gate) the statement and, while it is
-    /// doomed, apply the analyzer's own hints and re-gate — at most `rounds`
-    /// times, stopping early when no hint applies.
+    /// The one gate-and-repair loop, for queries and writes alike:
+    /// [`gate`](Self::gate) the statement and, only if the gate dooms it,
+    /// apply the analyzer's own hints and re-gate — at most `rounds` times,
+    /// until a round's result is neither doomed nor over the row budget, or
+    /// no hint applies. A statement sampled over budget is not doomed and is
+    /// left alone; one that repair made executable but left over budget gets
+    /// the next round's `LIMIT`.
     pub fn gate_with_repair(&self, sql: &str, rounds: usize) -> Gated {
         let mut sql = sql.to_owned();
         let (mut report, mut compiled) = self.gate(&sql);
         let mut applied = Vec::new();
-        for _ in 0..rounds {
-            if !report.dooms_execution() {
-                break;
+        if report.dooms_execution() {
+            for _ in 0..rounds {
+                let hints = self.repair_hints(&sql, &report);
+                if hints.is_empty() {
+                    break;
+                }
+                let Some(fixed) = apply_hints(&sql, &hints) else { break };
+                applied.extend(hints);
+                sql = fixed;
+                (report, compiled) = self.gate(&sql);
+                if !report.dooms_execution() && !report.exceeds_budget() {
+                    break;
+                }
             }
-            let hints = self.repair_hints(&sql, &report);
-            if hints.is_empty() {
-                break;
-            }
-            let Some(fixed) = apply_hints(&sql, &hints) else { break };
-            applied.extend(hints);
-            sql = fixed;
-            (report, compiled) = self.gate(&sql);
         }
         Gated { sql, report, compiled, hints: applied }
     }
@@ -1102,6 +1110,33 @@ mod tests {
         let gated = a.gate_with_repair("UPDATE employment SET jbs = 1", 2);
         assert!(gated.sql.contains("jobs"), "{}", gated.sql);
         assert!(gated.compiled.is_some_and(|c| c.write().is_some()));
+    }
+
+    #[test]
+    fn gate_with_repair_caps_a_repaired_statement_that_is_over_budget() {
+        let c = catalog();
+        let stats = crate::Statistics::from_catalog(&c);
+        let a = Analyzer::new(&c).with_stats(&stats).with_row_budget(1);
+        // Round one repairs the table; the repaired statement is no longer
+        // doomed but reads two rows against a budget of one, so round two
+        // caps it.
+        let gated = a.gate_with_repair("SELECT * FROM employmet", 2);
+        assert_eq!(gated.sql, "SELECT * FROM employment LIMIT 1");
+        assert_eq!(
+            gated.hints,
+            vec![
+                RepairHint::ReplaceTable { from: "employmet".into(), to: "employment".into() },
+                RepairHint::InjectLimit { rows: 1 },
+            ]
+        );
+        assert!(!gated.report.dooms_execution() && !gated.report.exceeds_budget());
+        // One round leaves it repaired but over budget.
+        let gated = a.gate_with_repair("SELECT * FROM employmet", 1);
+        assert_eq!(gated.sql, "SELECT * FROM employment");
+        assert!(!gated.report.dooms_execution() && gated.report.exceeds_budget());
+        // A statement sampled over budget is not doomed: it is not repaired.
+        let gated = a.gate_with_repair("SELECT * FROM employment", 2);
+        assert!(gated.hints.is_empty() && gated.report.exceeds_budget());
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! the risk–coverage curve) summarizes: consistency ≪ naive.
 
 use crate::{row, Budget, Experiment};
+use cda_analyzer::Analyzer;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
-use cda_soundness::consistency::consistency_confidence;
+use cda_soundness::consistency::ConsistencyUq;
 use cda_soundness::selective::{aurc, risk_coverage_curve, threshold_for_risk};
 use cda_soundness::verify::execution_accuracy;
 use cda_sql::Catalog;
@@ -45,6 +46,7 @@ pub fn run(_: &Budget) -> Experiment {
     let workload = Workload::generate(&tables, 100, 31);
     let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.55, overconfidence: 1.0, seed: 23 });
 
+    let analyzer = Analyzer::new(&catalog);
     let mut cons = Vec::new();
     let mut naive = Vec::new();
     let mut correct = Vec::new();
@@ -54,7 +56,11 @@ pub fn run(_: &Budget) -> Experiment {
             schema: schema.clone(),
             other_tables: vec![],
         };
-        let report = consistency_confidence(&lm, &prompt, &catalog, 5, 1.0).unwrap();
+        let report = ConsistencyUq::new(&lm, &analyzer)
+            .with_samples(5)
+            .with_temperature(1.0)
+            .run(&prompt)
+            .unwrap();
         let ok = report
             .chosen_sql
             .as_deref()

@@ -9,10 +9,11 @@
 //! stays well above 0.5.
 
 use crate::{mean, row, Budget, Experiment};
+use cda_analyzer::Analyzer;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
-use cda_soundness::consistency::consistency_confidence;
+use cda_soundness::consistency::ConsistencyUq;
 use cda_soundness::verify::execution_accuracy;
 use cda_soundness::{auroc, brier_score, expected_calibration_error};
 use cda_sql::Catalog;
@@ -66,13 +67,18 @@ pub fn run(_: &Budget) -> Experiment {
         &["halluc rate", "accuracy", "naive conf", "naive ECE", "naive AUROC", "cons conf",
           "cons ECE", "cons AUROC", "cons Brier"],
     );
+    let analyzer = Analyzer::new(&catalog);
     for h in [0.0f64, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8] {
         let lm = SimLm::new(SimLmConfig { hallucination_rate: h, overconfidence: 1.0, seed: 17 });
         let mut cons = Vec::new();
         let mut naive = Vec::new();
         let mut correct = Vec::new();
         for t in &workload.tasks {
-            let report = consistency_confidence(&lm, &prompt(t), &catalog, K, 1.0).unwrap();
+            let report = ConsistencyUq::new(&lm, &analyzer)
+                .with_samples(K)
+                .with_temperature(1.0)
+                .run(&prompt(t))
+                .unwrap();
             naive.push(report.naive_confidence);
             let Some(sql) = report.chosen_sql else {
                 cons.push(0.0);
@@ -101,7 +107,11 @@ pub fn run(_: &Budget) -> Experiment {
         let mut cons = Vec::new();
         let mut correct = Vec::new();
         for t in &workload.tasks {
-            let report = consistency_confidence(&lm, &prompt(t), &catalog, k, 1.0).unwrap();
+            let report = ConsistencyUq::new(&lm, &analyzer)
+                .with_samples(k)
+                .with_temperature(1.0)
+                .run(&prompt(t))
+                .unwrap();
             let Some(sql) = report.chosen_sql else {
                 cons.push(0.0);
                 correct.push(false);

@@ -683,9 +683,7 @@ impl Session {
         // rest of the turn reads the record instead of redoing the work.
         // Equivalence-aware clustering is provably confidence-neutral (equal
         // fingerprints ⇒ identical execution), so it is always on here.
-        let analyzer = Analyzer::new(self.world.catalog.sql())
-            .with_stats(self.world.catalog.stats())
-            .with_row_budget(self.config.row_budget);
+        let analyzer = self.analyzer();
         let use_cache = self.config.semantic_cache;
         let t_sound = Instant::now();
         let chosen = if self.config.soundness {

@@ -93,13 +93,10 @@ impl Session {
     pub fn apply_sql(&mut self, sql: &str) -> crate::Result<WriteDecision> {
         let (effects, result, executed_sql, repairs) = {
             let catalog = self.world.catalog();
-            let analyzer = cda_analyzer::Analyzer::new(catalog.sql())
-                .with_stats(catalog.stats())
-                .with_row_budget(self.config.row_budget);
             // Diagnosis→generation feedback, same loop as the query path.
             // The DML pass stops at an unknown table, so a misspelled table
             // *and* column takes two rounds to converge.
-            let gated = analyzer.gate_with_repair(sql, self.config.repair_rounds);
+            let gated = self.analyzer().gate_with_repair(sql, self.config.repair_rounds);
             if gated.report.dooms_execution() {
                 return Ok(WriteDecision::Rejected {
                     annotations: gated.report.annotations(),

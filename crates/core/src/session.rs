@@ -20,6 +20,7 @@
 use crate::log::QueryLog;
 use crate::reliability::CdaConfig;
 use crate::world::WorldSnapshot;
+use cda_analyzer::Analyzer;
 use cda_guidance::graph::ConversationGraph;
 use cda_guidance::profile::UserProfile;
 use cda_nlmodel::lm::{SimLm, SimLmConfig};
@@ -458,6 +459,16 @@ impl Session {
     /// The dataset catalog (through the world snapshot).
     pub fn catalog(&self) -> &crate::catalog::DatasetCatalog {
         self.world.catalog()
+    }
+
+    /// The session's static gate: the analyzer over the world's catalog and
+    /// statistics with the configured row budget. Analysis turns, writes and
+    /// the server's effect prelude all gate (and repair) through it.
+    pub fn analyzer(&self) -> Analyzer<'_> {
+        let catalog = self.world.catalog();
+        Analyzer::new(catalog.sql())
+            .with_stats(catalog.stats())
+            .with_row_budget(self.config.row_budget)
     }
 
     /// The session's deterministic seed.

@@ -22,7 +22,6 @@
 // Scratch database files under the temp dir.
 #![allow(clippy::disallowed_methods)]
 
-use cda_analyzer::Analyzer;
 use cda_core::catalog::DatasetCatalog;
 use cda_core::demo::{
     demo_catalog, demo_kg, demo_linker, demo_vocabulary, demo_world, CANTONS, EMPLOYMENT_TYPES,
@@ -251,9 +250,7 @@ fn round_outside(
     let other_tables =
         catalog.sql().table_names().into_iter().filter(|n| *n != task.table).collect();
     let prompt = Nl2SqlPrompt { task, schema, other_tables };
-    let analyzer = Analyzer::new(catalog.sql())
-        .with_stats(catalog.stats())
-        .with_row_budget(config.row_budget);
+    let analyzer = session.analyzer();
     let executing = RefCell::new(BTreeSet::new());
     let round = ConsistencyUq::new(&session.lm, &analyzer)
         .with_samples(config.uq_samples)

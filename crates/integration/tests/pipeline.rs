@@ -1,13 +1,14 @@
 //! Cross-crate pipeline tests: the full NL→SQL→execution→provenance→
 //! soundness path, exercised outside the dialogue loop.
 
+use cda_analyzer::Analyzer;
 use cda_dataframe::kernels::AggKind;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::constrained::{Decoder, DecodingStrategy};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{parse_question, Workload, WorkloadTable};
 use cda_provenance::checks::{check_invertibility, check_losslessness};
-use cda_soundness::consistency::consistency_confidence;
+use cda_soundness::consistency::ConsistencyUq;
 use cda_soundness::verify::execution_accuracy;
 use cda_soundness::{auroc, expected_calibration_error};
 use cda_sql::{execute, Catalog};
@@ -78,6 +79,7 @@ fn consistency_uq_tracks_true_correctness_better_than_naive_confidence() {
     let workload = Workload::generate(&tables, 60, 9);
     // a badly unreliable model: small sample count so wrong majorities occur
     let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.85, overconfidence: 1.0, seed: 4 });
+    let analyzer = Analyzer::new(&catalog);
     let mut consistency = Vec::new();
     let mut naive = Vec::new();
     let mut correct = Vec::new();
@@ -87,7 +89,11 @@ fn consistency_uq_tracks_true_correctness_better_than_naive_confidence() {
             schema: tables[0].schema.clone(),
             other_tables: vec![],
         };
-        let report = consistency_confidence(&lm, &prompt, &catalog, 5, 1.0).unwrap();
+        let report = ConsistencyUq::new(&lm, &analyzer)
+            .with_samples(5)
+            .with_temperature(1.0)
+            .run(&prompt)
+            .unwrap();
         let Some(sql) = report.chosen_sql else { continue };
         consistency.push(report.confidence);
         naive.push(report.naive_confidence);

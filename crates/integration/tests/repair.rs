@@ -1,12 +1,10 @@
-//! Properties of the diagnosis→generation repair loop (PR 4): hint
-//! extraction over testkit-generated catalogs, repair soundness, and the
-//! repair-free `Decoder` pins (the default decoder never repairs, so an
-//! explicit `.with_repair(0)` is byte-identical to the default).
+//! Properties of the diagnosis→generation repair loop: hint extraction over
+//! testkit-generated catalogs, repair soundness, and the byte-identity pin
+//! of consistency UQ's repair of doomed samples (`uq_repair_pins.tsv`).
 
 use cda_analyzer::{apply_hints, edit_distance, nearest_name, Analyzer, Statistics};
 use cda_core::storage::fnv1a;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
-use cda_nlmodel::constrained::{Decoder, DecodingStrategy};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
 use cda_soundness::consistency::ConsistencyUq;
@@ -161,14 +159,14 @@ proptest! {
 
     #[test]
     fn repaired_decodes_always_execute(gc in catalog_strategy(), seed in 0u64..300) {
-        // any generation the repairing decoder accepts must execute and
+        // any winner a repairing consistency round returns must execute and
         // pass the gate, corrupted or not
         let catalog = gc.build();
         let tables = gc.workload_tables();
         let w = Workload::generate(&tables, 3, seed);
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.6, overconfidence: 0.9, seed });
-        let decoder = Decoder::new(&lm, &catalog).with_budget(10).with_repair(2);
         let analyzer = Analyzer::new(&catalog);
+        let uq = ConsistencyUq::new(&lm, &analyzer).with_samples(5).with_repair(2);
         for task in &w.tasks {
             let table = &task.task.table;
             let schema = catalog.get(table).unwrap().table.schema().clone();
@@ -178,136 +176,12 @@ proptest! {
                 .filter(|n| n != table)
                 .collect();
             let prompt = Nl2SqlPrompt { task: task.task.clone(), schema, other_tables: other };
-            if let Ok(r) = decoder.decode(&prompt) {
+            if let Some(sql) = uq.run(&prompt).unwrap().chosen_sql {
+                prop_assert!(!analyzer.execution_doomed(&sql), "accepted but doomed: {sql}");
                 prop_assert!(
-                    !analyzer.execution_doomed(&r.generation.sql),
-                    "accepted but doomed: {}",
-                    r.generation.sql
+                    cda_sql::execute(&catalog, &sql).is_ok(),
+                    "accepted but failed to execute: {sql}"
                 );
-                prop_assert!(
-                    cda_sql::execute(&catalog, &r.generation.sql).is_ok(),
-                    "accepted but failed to execute: {}",
-                    r.generation.sql
-                );
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------- repair-free pins
-
-/// The default `Decoder` must stay byte-identical to an explicit
-/// `.with_repair(0)` — the regression pin the deleted `decode` shim carried:
-/// callers who migrated from the free function get exactly its behavior.
-#[test]
-fn default_decoder_matches_explicit_repair_free_decoder() {
-    let gc = GenCatalog {
-        tables: vec![
-            (
-                "employment".into(),
-                vec![
-                    ("canton".into(), DataType::Str),
-                    ("jobs".into(), DataType::Int),
-                    ("rate".into(), DataType::Float),
-                ],
-            ),
-            (
-                "wages".into(),
-                vec![
-                    ("sector".into(), DataType::Str),
-                    ("wage".into(), DataType::Int),
-                    ("index".into(), DataType::Float),
-                ],
-            ),
-        ],
-    };
-    let catalog = gc.build();
-    let tables = gc.workload_tables();
-    let w = Workload::generate(&tables, 6, 17);
-    for strategy in [
-        DecodingStrategy::Free,
-        DecodingStrategy::Constrained,
-        DecodingStrategy::Rejection,
-        DecodingStrategy::Reranked,
-    ] {
-        for seed in 0..8 {
-            let lm =
-                SimLm::new(SimLmConfig { hallucination_rate: 0.5, overconfidence: 0.9, seed });
-            for task in &w.tasks {
-                let table = &task.task.table;
-                let schema = catalog.get(table).unwrap().table.schema().clone();
-                let other: Vec<String> =
-                    catalog.table_names().into_iter().filter(|n| n != table).collect();
-                let prompt =
-                    Nl2SqlPrompt { task: task.task.clone(), schema, other_tables: other };
-                let implicit = Decoder::new(&lm, &catalog)
-                    .with_strategy(strategy)
-                    .with_temperature(1.0)
-                    .with_budget(10)
-                    .decode(&prompt);
-                let explicit = Decoder::new(&lm, &catalog)
-                    .with_strategy(strategy)
-                    .with_temperature(1.0)
-                    .with_budget(10)
-                    .with_repair(0)
-                    .decode(&prompt);
-                match (implicit, explicit) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b, "repair-free pin diverged ({strategy:?})");
-                        assert!(a.repairs.is_empty() && !a.repaired);
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                    (a, b) => panic!("repair-free pin outcome mismatch: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-}
-
-/// Same pin when an analyzer is routed through (the deleted `decode_with`
-/// shim's contract).
-#[test]
-fn analyzer_decoder_matches_explicit_repair_free_decoder() {
-    let gc = GenCatalog {
-        tables: vec![(
-            "emp".into(),
-            vec![
-                ("canton".into(), DataType::Str),
-                ("jobs".into(), DataType::Int),
-                ("rate".into(), DataType::Float),
-            ],
-        )],
-    };
-    let catalog = gc.build();
-    let analyzer = Analyzer::new(&catalog).with_row_budget(100);
-    let tables = gc.workload_tables();
-    let w = Workload::generate(&tables, 5, 23);
-    for seed in 0..6 {
-        let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.4, overconfidence: 0.9, seed });
-        for task in &w.tasks {
-            let schema = catalog.get(&task.task.table).unwrap().table.schema().clone();
-            let prompt =
-                Nl2SqlPrompt { task: task.task.clone(), schema, other_tables: vec![] };
-            let implicit = Decoder::new(&lm, &catalog)
-                .with_analyzer(analyzer)
-                .with_strategy(DecodingStrategy::Rejection)
-                .with_temperature(1.0)
-                .with_budget(10)
-                .decode(&prompt);
-            let explicit = Decoder::new(&lm, &catalog)
-                .with_analyzer(analyzer)
-                .with_strategy(DecodingStrategy::Rejection)
-                .with_temperature(1.0)
-                .with_budget(10)
-                .with_repair(0)
-                .decode(&prompt);
-            match (implicit, explicit) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b);
-                    assert!(a.repairs.is_empty() && !a.repaired);
-                }
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                (a, b) => panic!("repair-free pin outcome mismatch: {a:?} vs {b:?}"),
             }
         }
     }

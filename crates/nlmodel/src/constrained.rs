@@ -1,5 +1,5 @@
-//! Inference-time output control: constrained decoding, rejection sampling,
-//! reward-guided reranking, and analyzer-guided **repair**.
+//! Inference-time output control: constrained decoding, rejection sampling
+//! and reward-guided reranking.
 //!
 //! The paper (Sec. 3.2, Soundness): "Structured outputs can also be obtained
 //! through a combination of rejection sampling, constrained decoding and
@@ -25,31 +25,24 @@
 //! # let catalog = Catalog::new();
 //! let decoder = Decoder::new(&lm, &catalog)
 //!     .with_strategy(DecodingStrategy::Rejection)
-//!     .with_budget(12)
-//!     .with_repair(2);
+//!     .with_budget(12);
 //! ```
 //!
-//! Candidates that the static gate ([`cda_analyzer::Analyzer`]) proves
-//! doomed (unknown tables/columns, GROUP BY violations, type misuse, …) are
-//! handled **before** execution-based verification. Without repair the gate
-//! merely skips the implied execution failure (experiment E13 measures the
-//! saving; [`DecodeResult::static_rejects`] counts the skips), and
-//! candidates whose *estimated* result size exceeds the analyzer's row
-//! budget are skipped too ([`DecodeResult::budget_rejects`], experiment
-//! E14). With [`Decoder::with_repair`] the gate's findings feed *back* into
-//! generation: each rejection is translated into structured
-//! [`RepairHint`]s (nearest schema name by edit distance, expected type,
-//! `LIMIT` injection), the hints are applied to the candidate's AST, and the
-//! repaired candidate is re-gated — for a bounded number of rounds before
-//! falling back to skip-and-resample. This closes the diagnosis→generation
-//! loop of the paper's P4/P5 interplay; experiment E15 measures the decode
-//! attempts saved. Every round is recorded in [`DecodeResult::repairs`] so
-//! the dialogue layer can annotate answers and fold repair effort into
-//! confidence.
+//! Under [`DecodingStrategy::Rejection`], candidates that the static gate
+//! ([`cda_analyzer::Analyzer`]) proves doomed (unknown tables/columns,
+//! GROUP BY violations, type misuse, …) are skipped **before**
+//! execution-based verification: the gate only skips the implied execution
+//! failure (experiment E13 measures the saving;
+//! [`DecodeResult::static_rejects`] counts the skips), and candidates whose
+//! *estimated* result size exceeds the analyzer's row budget are skipped too
+//! ([`DecodeResult::budget_rejects`], experiment E14). The decoder does not
+//! repair: the one hint-apply-regate loop is
+//! `cda_analyzer::Analyzer::gate_with_repair`, which consistency UQ runs on
+//! every sample the product draws (experiment E15).
 
 use crate::lm::{Generation, Nl2SqlPrompt, SimLm};
 use crate::{NlError, Result};
-use cda_analyzer::{apply_hints, Analyzer, RepairHint, Report};
+use cda_analyzer::Analyzer;
 use cda_sql::{Catalog, execute};
 
 /// Decoding strategies of increasing control.
@@ -77,76 +70,19 @@ impl DecodingStrategy {
     }
 }
 
-/// The gate's verdict on one repaired candidate (one repair round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairVerdict {
-    /// The repaired candidate passed the gate and executed: accepted.
-    Accepted,
-    /// Still statically doomed after this round; another round may help.
-    StillDoomed,
-    /// No longer doomed but its estimated result still exceeds the budget.
-    OverBudget,
-    /// Passed the gate but failed execution — repair abandoned (resample).
-    ExecutionFailed,
-}
-
-impl RepairVerdict {
-    /// Label for annotations and experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RepairVerdict::Accepted => "accepted",
-            RepairVerdict::StillDoomed => "still-doomed",
-            RepairVerdict::OverBudget => "over-budget",
-            RepairVerdict::ExecutionFailed => "execution-failed",
-        }
-    }
-}
-
-/// One repair round on one rejected candidate: which hints were applied and
-/// what the gate said about the result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairAttempt {
-    /// Zero-based index of the sample this round repaired.
-    pub sample: usize,
-    /// One-based repair round within that sample.
-    pub round: usize,
-    /// The hints applied this round.
-    pub hints: Vec<RepairHint>,
-    /// The gate's verdict on the repaired candidate.
-    pub verdict: RepairVerdict,
-}
-
 /// The outcome of a controlled decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeResult {
-    /// The chosen generation (post-repair SQL when `repaired`).
+    /// The chosen generation.
     pub generation: Generation,
     /// Samples drawn before acceptance.
     pub attempts: usize,
-    /// Candidates discarded by the static soundness gate without executing
-    /// (after any repair rounds failed to save them).
+    /// Candidates discarded by the static soundness gate without executing.
     pub static_rejects: usize,
     /// Candidates discarded because their estimated result size exceeded
     /// the analyzer's row budget (requires stats + budget on the bound
     /// [`Analyzer`]).
     pub budget_rejects: usize,
-    /// Every repair round attempted, across all samples, in order.
-    pub repairs: Vec<RepairAttempt>,
-    /// True when the accepted generation is a repaired candidate rather
-    /// than a raw sample.
-    pub repaired: bool,
-}
-
-impl DecodeResult {
-
-    /// Repair rounds spent on the accepted candidate (0 unless `repaired`).
-    pub fn accepted_rounds(&self) -> usize {
-        if !self.repaired {
-            return 0;
-        }
-        let sample = self.attempts - 1;
-        self.repairs.iter().filter(|a| a.sample == sample).count()
-    }
 }
 
 /// A transparent reward model for candidate SQL: parses (+1), executes (+2),
@@ -173,8 +109,8 @@ pub fn reward(catalog: &Catalog, sql: &str) -> f64 {
     r
 }
 
-/// Builder-style decoder binding an LM, an [`Analyzer`] gate, a strategy,
-/// and a repair policy. Mirrors `Analyzer::new(..).with_*(..)`.
+/// Builder-style decoder binding an LM, an [`Analyzer`] gate and a
+/// strategy. Mirrors `Analyzer::new(..).with_*(..)`.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     lm: &'a SimLm,
@@ -182,13 +118,12 @@ pub struct Decoder<'a> {
     strategy: DecodingStrategy,
     temperature: f64,
     budget: usize,
-    repair_rounds: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder over `lm` gated by a plain analyzer on `catalog`.
     /// Defaults: [`DecodingStrategy::Rejection`], temperature 1.0, sample
-    /// budget 8, repair disabled.
+    /// budget 8.
     pub fn new(lm: &'a SimLm, catalog: &'a Catalog) -> Self {
         Self {
             lm,
@@ -196,7 +131,6 @@ impl<'a> Decoder<'a> {
             strategy: DecodingStrategy::Rejection,
             temperature: 1.0,
             budget: 8,
-            repair_rounds: 0,
         }
     }
 
@@ -225,21 +159,6 @@ impl<'a> Decoder<'a> {
         self
     }
 
-    /// Enable analyzer-guided repair: up to `rounds` hint-apply-regate
-    /// rounds per rejected candidate before falling back to resampling.
-    /// 0 (the default) reproduces skip-only gating exactly. Repair applies
-    /// to the [`DecodingStrategy::Rejection`] strategy — the only one with
-    /// a gate in its accept path.
-    pub fn with_repair(mut self, rounds: usize) -> Self {
-        self.repair_rounds = rounds;
-        self
-    }
-
-    /// The analyzer gating this decoder.
-    pub fn analyzer(&self) -> &Analyzer<'a> {
-        &self.analyzer
-    }
-
     /// Run one decode for `prompt` under the configured policy.
     pub fn decode(&self, prompt: &Nl2SqlPrompt) -> Result<DecodeResult> {
         let budget = self.budget.max(1);
@@ -251,8 +170,6 @@ impl<'a> Decoder<'a> {
                 attempts: 1,
                 static_rejects: 0,
                 budget_rejects: 0,
-                repairs: Vec::new(),
-                repaired: false,
             }),
             DecodingStrategy::Constrained => {
                 for s in 0..budget as u64 {
@@ -263,8 +180,6 @@ impl<'a> Decoder<'a> {
                             attempts: s as usize + 1,
                             static_rejects: 0,
                             budget_rejects: 0,
-                            repairs: Vec::new(),
-                            repaired: false,
                         });
                     }
                 }
@@ -291,104 +206,36 @@ impl<'a> Decoder<'a> {
                     attempts: budget,
                     static_rejects: 0,
                     budget_rejects: 0,
-                    repairs: Vec::new(),
-                    repaired: false,
                 })
             }
         }
     }
 
-    /// Rejection sampling with the pre-execution gate and (optionally) the
-    /// repair loop. With `repair_rounds == 0` this is byte-for-byte the
-    /// skip-only behavior: a statically-doomed candidate cannot pass the
-    /// `execute()` check, so skipping it unexecuted cannot change which
-    /// candidate is accepted — it only skips the execution cost.
+    /// Rejection sampling with the pre-execution gate. A statically-doomed
+    /// candidate cannot pass the `execute()` check, so skipping it
+    /// unexecuted cannot change which candidate is accepted — it only skips
+    /// the execution cost.
     fn decode_rejection(&self, prompt: &Nl2SqlPrompt, budget: usize) -> Result<DecodeResult> {
         let catalog = self.analyzer.catalog();
         let mut static_rejects = 0usize;
         let mut budget_rejects = 0usize;
-        let mut repairs: Vec<RepairAttempt> = Vec::new();
         for s in 0..budget as u64 {
             let g = self.lm.generate_sql(prompt, self.temperature, s);
             let report = self.analyzer.analyze(&g.sql);
-            let doomed = report.dooms_execution();
-            let over = report.exceeds_budget();
-            if !doomed && !over {
-                if execute(catalog, &g.sql).is_ok() {
-                    return Ok(DecodeResult {
-                        generation: g,
-                        attempts: s as usize + 1,
-                        static_rejects,
-                        budget_rejects,
-                        repairs,
-                        repaired: false,
-                    });
-                }
-                continue;
-            }
-            // Rejected: try to repair before burning another sample.
-            if self.repair_rounds > 0 {
-                if let Some(fixed) =
-                    self.try_repair(&g, report, s as usize, &mut repairs)
-                {
-                    return Ok(DecodeResult {
-                        generation: fixed,
-                        attempts: s as usize + 1,
-                        static_rejects,
-                        budget_rejects,
-                        repairs,
-                        repaired: true,
-                    });
-                }
-            }
-            if doomed {
+            if report.dooms_execution() {
                 static_rejects += 1;
-            } else {
+            } else if report.exceeds_budget() {
                 budget_rejects += 1;
+            } else if execute(catalog, &g.sql).is_ok() {
+                return Ok(DecodeResult {
+                    generation: g,
+                    attempts: s as usize + 1,
+                    static_rejects,
+                    budget_rejects,
+                });
             }
         }
         Err(NlError::BudgetExhausted { attempts: budget })
-    }
-
-    /// Run up to `repair_rounds` hint-apply-regate rounds on one rejected
-    /// candidate. Returns the accepted repaired generation, or `None` when
-    /// repair gave up (no hints, no change, still rejected after the last
-    /// round, or the repaired SQL failed execution).
-    fn try_repair(
-        &self,
-        g: &Generation,
-        mut report: Report,
-        sample: usize,
-        repairs: &mut Vec<RepairAttempt>,
-    ) -> Option<Generation> {
-        let catalog = self.analyzer.catalog();
-        let mut sql = g.sql.clone();
-        for round in 1..=self.repair_rounds {
-            let hints = self.analyzer.repair_hints(&sql, &report);
-            if hints.is_empty() {
-                return None; // nothing actionable (e.g. A001: no AST)
-            }
-            let fixed = apply_hints(&sql, &hints)?;
-            report = self.analyzer.analyze(&fixed);
-            let verdict = if report.dooms_execution() {
-                RepairVerdict::StillDoomed
-            } else if report.exceeds_budget() {
-                RepairVerdict::OverBudget
-            } else if execute(catalog, &fixed).is_ok() {
-                RepairVerdict::Accepted
-            } else {
-                RepairVerdict::ExecutionFailed
-            };
-            repairs.push(RepairAttempt { sample, round, hints, verdict });
-            match verdict {
-                RepairVerdict::Accepted => {
-                    return Some(Generation { sql: fixed, ..g.clone() });
-                }
-                RepairVerdict::ExecutionFailed => return None,
-                RepairVerdict::StillDoomed | RepairVerdict::OverBudget => sql = fixed,
-            }
-        }
-        None
     }
 }
 
@@ -589,133 +436,8 @@ mod tests {
     }
 
     #[test]
-    fn repair_salvages_a_misspelled_table() {
-        // Force a candidate over a phantom table; repair must map it back to
-        // the real one instead of burning samples.
-        let mut p = prompt();
-        p.task.table = "employmet".into(); // the LM renders the task's table verbatim
-        let c = catalog();
-        let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
-        // Skip-only: every sample is doomed.
-        let skip = decoder(&lm, &c, DecodingStrategy::Rejection, 4)
-            .with_temperature(0.0)
-            .decode(&p);
-        assert!(skip.is_err());
-        // With repair: the first sample is salvaged in one round.
-        let r = decoder(&lm, &c, DecodingStrategy::Rejection, 4)
-            .with_temperature(0.0)
-            .with_repair(2)
-            .decode(&p)
-            .unwrap();
-        assert!(r.repaired);
-        assert_eq!(r.attempts, 1);
-        assert!(r.generation.sql.contains("employment"), "{}", r.generation.sql);
-        assert!(execute(&c, &r.generation.sql).is_ok());
-        assert_eq!(r.accepted_rounds(), 1);
-        assert!(r
-            .repairs
-            .iter()
-            .filter(|a| a.sample == r.attempts - 1)
-            .flat_map(|a| &a.hints)
-            .any(|h| matches!(h, RepairHint::ReplaceTable { .. })));
-        assert_eq!(r.repairs[0].verdict, RepairVerdict::Accepted);
-    }
-
-    #[test]
-    fn repair_zero_rounds_is_identical_to_skip_only() {
-        let c = catalog();
-        for seed in 0..20 {
-            let lm =
-                SimLm::new(SimLmConfig { hallucination_rate: 0.9, seed, ..Default::default() });
-            let skip = decoder(&lm, &c, DecodingStrategy::Rejection, 16).decode(&prompt());
-            let zero = decoder(&lm, &c, DecodingStrategy::Rejection, 16)
-                .with_repair(0)
-                .decode(&prompt());
-            match (skip, zero) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "seed {seed}"),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("repair(0) diverged at seed {seed}: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn repaired_candidates_always_execute() {
-        let c = catalog();
-        for seed in 0..40 {
-            let lm =
-                SimLm::new(SimLmConfig { hallucination_rate: 0.9, seed, ..Default::default() });
-            if let Ok(r) = decoder(&lm, &c, DecodingStrategy::Rejection, 8)
-                .with_repair(2)
-                .decode(&prompt())
-            {
-                assert!(execute(&c, &r.generation.sql).is_ok(), "seed {seed}");
-                assert!(
-                    !Analyzer::new(&c).execution_doomed(&r.generation.sql),
-                    "repair produced a doomed candidate at seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn verdict_labels() {
-        assert_eq!(RepairVerdict::Accepted.label(), "accepted");
-        assert_eq!(RepairVerdict::StillDoomed.label(), "still-doomed");
-        assert_eq!(RepairVerdict::OverBudget.label(), "over-budget");
-        assert_eq!(RepairVerdict::ExecutionFailed.label(), "execution-failed");
-    }
-
-    #[test]
     fn strategy_labels() {
         assert_eq!(DecodingStrategy::Free.label(), "free");
         assert_eq!(DecodingStrategy::Reranked.label(), "reranked");
-    }
-
-    /// The pin the removed `decode`/`decode_with` shims used to carry: the
-    /// default `Decoder` stays repair-free, so an explicit `.with_repair(0)`
-    /// is byte-identical to saying nothing at all.
-    #[test]
-    fn default_decoder_is_byte_identical_to_explicit_repair_free() {
-        let c = catalog();
-        let stats = cda_analyzer::Statistics::from_catalog(&c);
-        for seed in 0..10 {
-            let lm =
-                SimLm::new(SimLmConfig { hallucination_rate: 0.7, seed, ..Default::default() });
-            for strategy in [
-                DecodingStrategy::Free,
-                DecodingStrategy::Constrained,
-                DecodingStrategy::Rejection,
-                DecodingStrategy::Reranked,
-            ] {
-                let implicit = decoder(&lm, &c, strategy, 8).decode(&prompt());
-                let explicit = decoder(&lm, &c, strategy, 8).with_repair(0).decode(&prompt());
-                match (implicit, explicit) {
-                    (Ok(a), Ok(b)) => {
-                        assert!(a.repairs.is_empty() && !a.repaired, "seed {seed} {strategy:?}");
-                        assert_eq!(a, b, "seed {seed} {strategy:?}");
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!("repair-free pin diverged: {a:?} vs {b:?}"),
-                }
-            }
-            let a = Analyzer::new(&c).with_stats(&stats).with_row_budget(1_000);
-            let implicit = Decoder::new(&lm, &c)
-                .with_analyzer(a)
-                .with_strategy(DecodingStrategy::Rejection)
-                .with_budget(8)
-                .decode(&prompt());
-            let explicit = Decoder::new(&lm, &c)
-                .with_analyzer(a)
-                .with_strategy(DecodingStrategy::Rejection)
-                .with_budget(8)
-                .with_repair(0)
-                .decode(&prompt());
-            match (implicit, explicit) {
-                (Ok(x), Ok(y)) => assert_eq!(x, y, "seed {seed}"),
-                (Err(_), Err(_)) => {}
-                (x, y) => panic!("repair-free pin diverged with analyzer: {x:?} vs {y:?}"),
-            }
-        }
     }
 }

@@ -10,7 +10,6 @@
 //! and reinstalled afterwards, so no mutable state is ever shared between
 //! workers.
 
-use cda_analyzer::sqlcheck::Analyzer;
 use cda_analyzer::EffectSet;
 use cda_core::{CdaConfig, Route, Session, SessionStats, WorldSnapshot};
 use std::collections::HashMap;
@@ -581,9 +580,8 @@ fn turn_effects(session: &Session, utterance: &str) -> EffectSet {
     let catalog = world.catalog();
     let compiled = match session.route(utterance) {
         Route::Write => {
-            let gated = Analyzer::new(catalog.sql())
-                .with_stats(catalog.stats())
-                .gate_with_repair(utterance, session.config.repair_rounds);
+            let gated =
+                session.analyzer().gate_with_repair(utterance, session.config.repair_rounds);
             if gated.report.dooms_execution() {
                 return EffectSet::default();
             }
@@ -662,11 +660,7 @@ fn run_admitted_turn(
 /// always pass.
 fn governor_overrun(session: &Session, utterance: &str, budget: u64) -> Option<u64> {
     let Route::Analysis(task) = session.route(utterance) else { return None };
-    let catalog = session.world().catalog();
-    let report = Analyzer::new(catalog.sql())
-        .with_stats(catalog.stats())
-        .with_row_budget(budget)
-        .analyze(&task.to_sql());
+    let report = session.analyzer().with_row_budget(budget).analyze(&task.to_sql());
     report
         .exceeds_budget()
         .then(|| report.estimate.map(|e| e.est.round() as u64).unwrap_or(u64::MAX))

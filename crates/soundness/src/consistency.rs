@@ -15,11 +15,13 @@
 //!
 //! * **Gate and repair.** Every sample goes through the analyzer's gate,
 //!   which also compiles it. With [`ConsistencyUq::with_repair`],
-//!   statically-doomed samples are first run through the hint-apply-regate
-//!   loop of `cda_analyzer::repair`; a salvaged sample clusters under its
-//!   **post-repair** SQL, so the UQ signal sees the candidates the decoder
-//!   would actually return, and the report records how many samples repair
-//!   rescued.
+//!   statically-doomed samples are run through
+//!   `cda_analyzer::Analyzer::gate_with_repair`, the one hint-apply-regate
+//!   loop; a sample still doomed, or repaired but still over the row budget,
+//!   fails without executing. A salvaged sample clusters under its
+//!   **post-repair** SQL, so the UQ signal sees the candidates the answer
+//!   would actually be drawn from, and the report records how many samples
+//!   repair rescued.
 //! * **Fingerprint.** With
 //!   [`with_equivalence`](ConsistencyUq::with_equivalence), post-repair
 //!   candidate plans are fingerprinted by `cda_analyzer::equiv`, and samples
@@ -45,7 +47,8 @@
 use crate::verify::result_signature;
 use crate::{Result, SoundnessError};
 use cda_analyzer::equiv::EquivEngine;
-use cda_analyzer::{apply_hints, Analyzer, Report, Statistics};
+use cda_analyzer::repair::Gated;
+use cda_analyzer::{Analyzer, Report, Statistics};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm};
 use cda_sql::plan::Plan;
 use cda_sql::{Compiled, QueryResult};
@@ -145,23 +148,6 @@ pub struct UqRound<K> {
     pub winner: Option<Winner<K>>,
 }
 
-/// Run consistency-based UQ: sample `k` candidates at `temperature`, cluster
-/// by execution signature, return the majority representative + confidence.
-/// Statically-doomed samples count as failed without executing; repair and
-/// equivalence-aware clustering are off (see [`ConsistencyUq`]).
-pub fn consistency_confidence(
-    lm: &SimLm,
-    prompt: &Nl2SqlPrompt,
-    catalog: &cda_sql::Catalog,
-    k: usize,
-    temperature: f64,
-) -> Result<ConsistencyReport> {
-    ConsistencyUq::new(lm, &Analyzer::new(catalog))
-        .with_samples(k)
-        .with_temperature(temperature)
-        .run(prompt)
-}
-
 /// Builder-style consistency UQ.
 ///
 /// ```
@@ -226,7 +212,8 @@ impl<'a> ConsistencyUq<'a> {
         self
     }
 
-    /// Hint-apply-regate rounds per statically-doomed sample (0 = off).
+    /// Rounds of `Analyzer::gate_with_repair` per statically-doomed sample
+    /// (0 = off).
     pub fn with_repair(mut self, rounds: usize) -> Self {
         self.repair_rounds = rounds;
         self
@@ -302,27 +289,18 @@ impl<'a> ConsistencyUq<'a> {
         let mut sample_hints: Vec<Vec<String>> = vec![Vec::new(); k];
         for (i, g) in gens.iter().enumerate() {
             // Pre-execution gate, which also compiles the candidate — once,
-            // for the gate, the fingerprint, the execution and the caller.
-            // Statically-doomed candidates cannot produce an execution
-            // signature. Try to repair them first; still-doomed ones count
-            // failed without executing, exactly as with repair disabled.
-            let mut sql = g.sql.clone();
-            let (mut report, mut compiled) = analyzer.gate(&sql);
-            if report.dooms_execution() {
-                match repair_sample(analyzer, &sql, report, self.repair_rounds) {
-                    Some((fixed_sql, hints, fixed_report, fixed)) => {
-                        sql = fixed_sql;
-                        sample_hints[i] = hints;
-                        report = fixed_report;
-                        compiled = Some(fixed);
-                    }
-                    None => {
-                        failed += 1;
-                        static_rejects += 1;
-                        continue;
-                    }
-                }
+            // for the gate, the fingerprint, the execution and the caller —
+            // and repairs it if the gate dooms it. A sample still doomed, or
+            // repaired but still over budget, cannot produce an execution
+            // signature: it counts failed without executing.
+            let Gated { sql, report, compiled, hints } =
+                analyzer.gate_with_repair(&g.sql, self.repair_rounds);
+            if report.dooms_execution() || (!hints.is_empty() && report.exceeds_budget()) {
+                failed += 1;
+                static_rejects += 1;
+                continue;
             }
+            sample_hints[i] = hints.iter().map(ToString::to_string).collect();
             // Only a query has a result to sign (the LM emits nothing else).
             let Some(compiled) = compiled else {
                 failed += 1;
@@ -426,36 +404,6 @@ impl<'a> ConsistencyUq<'a> {
     }
 }
 
-/// Hint-apply-regate loop for one doomed sample, starting from its gate
-/// `report`. Returns the repaired SQL, the rendered hints, and the gate's
-/// report and compiled statement for it when some round clears the gate (not
-/// doomed and within budget), `None` otherwise.
-fn repair_sample(
-    analyzer: &Analyzer<'_>,
-    sql: &str,
-    mut report: Report,
-    rounds: usize,
-) -> Option<(String, Vec<String>, Report, Compiled)> {
-    let mut sql = sql.to_owned();
-    let mut rendered: Vec<String> = Vec::new();
-    for _ in 0..rounds {
-        let hints = analyzer.repair_hints(&sql, &report);
-        if hints.is_empty() {
-            return None;
-        }
-        sql = apply_hints(&sql, &hints)?;
-        rendered.extend(hints.iter().map(ToString::to_string));
-        let (next, compiled) = analyzer.gate(&sql);
-        match compiled {
-            Some(compiled) if !next.dooms_execution() && !next.exceeds_budget() => {
-                return Some((sql, rendered, next, compiled))
-            }
-            _ => report = next,
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,8 +454,9 @@ mod tests {
 
     #[test]
     fn clean_model_yields_full_confidence() {
+        let c = catalog();
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
-        let r = consistency_confidence(&lm, &prompt(), &catalog(), 8, 1.0).unwrap();
+        let r = ConsistencyUq::new(&lm, &Analyzer::new(&c)).with_samples(8).run(&prompt()).unwrap();
         assert_eq!(r.confidence, 1.0);
         assert_eq!(r.clusters, 1);
         assert_eq!(r.failed, 0);
@@ -516,10 +465,12 @@ mod tests {
 
     #[test]
     fn noisy_model_reduces_consistency_confidence() {
+        let c = catalog();
+        let a = Analyzer::new(&c);
         let clean = SimLm::new(SimLmConfig { hallucination_rate: 0.0, seed: 1, ..Default::default() });
         let noisy = SimLm::new(SimLmConfig { hallucination_rate: 0.7, seed: 1, ..Default::default() });
-        let rc = consistency_confidence(&clean, &prompt(), &catalog(), 10, 1.0).unwrap();
-        let rn = consistency_confidence(&noisy, &prompt(), &catalog(), 10, 1.0).unwrap();
+        let rc = ConsistencyUq::new(&clean, &a).with_samples(10).run(&prompt()).unwrap();
+        let rn = ConsistencyUq::new(&noisy, &a).with_samples(10).run(&prompt()).unwrap();
         assert!(rn.confidence < rc.confidence, "{} vs {}", rn.confidence, rc.confidence);
         assert!(rn.clusters > 1);
     }
@@ -532,16 +483,19 @@ mod tests {
             overconfidence: 1.0,
             seed: 2,
         });
-        let r = consistency_confidence(&noisy, &prompt(), &catalog(), 12, 1.0).unwrap();
+        let c = catalog();
+        let a = Analyzer::new(&c);
+        let r = ConsistencyUq::new(&noisy, &a).with_samples(12).run(&prompt()).unwrap();
         assert!(r.naive_confidence > 0.7, "naive {}", r.naive_confidence);
         assert!(r.confidence < r.naive_confidence, "consistency should be lower");
     }
 
     #[test]
     fn zero_samples_is_an_error() {
+        let c = catalog();
         let lm = SimLm::new(SimLmConfig::default());
         assert!(matches!(
-            consistency_confidence(&lm, &prompt(), &catalog(), 0, 1.0),
+            ConsistencyUq::new(&lm, &Analyzer::new(&c)).with_samples(0).run(&prompt()),
             Err(SoundnessError::NoSamples)
         ));
     }
@@ -551,8 +505,9 @@ mod tests {
         // a prompt against a missing table never executes
         let mut p = prompt();
         p.task.table = "missing".into();
+        let c = catalog();
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
-        let r = consistency_confidence(&lm, &p, &catalog(), 5, 1.0).unwrap();
+        let r = ConsistencyUq::new(&lm, &Analyzer::new(&c)).with_samples(5).run(&p).unwrap();
         assert_eq!(r.chosen_sql, None);
         assert_eq!(r.confidence, 0.0);
         assert_eq!(r.failed, 5);
@@ -565,13 +520,15 @@ mod tests {
         // accounting for every skip.
         let mut p = prompt();
         p.task.table = "missing".into();
+        let c = catalog();
+        let a = Analyzer::new(&c);
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
-        let r = consistency_confidence(&lm, &p, &catalog(), 5, 1.0).unwrap();
+        let r = ConsistencyUq::new(&lm, &a).with_samples(5).run(&p).unwrap();
         assert_eq!(r.failed, 5);
         assert_eq!(r.static_rejects, 5);
         assert_eq!(r.confidence, 0.0);
         // A clean prompt never trips the gate (zero false rejects).
-        let clean = consistency_confidence(&lm, &prompt(), &catalog(), 8, 1.0).unwrap();
+        let clean = ConsistencyUq::new(&lm, &a).with_samples(8).run(&prompt()).unwrap();
         assert_eq!(clean.static_rejects, 0);
         assert_eq!(clean.confidence, 1.0);
     }
@@ -579,13 +536,11 @@ mod tests {
     #[test]
     fn repair_zero_rounds_matches_plain_entry_point() {
         let c = catalog();
+        let a = Analyzer::new(&c);
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.6, seed: 5, ..Default::default() });
-        let plain = consistency_confidence(&lm, &prompt(), &c, 9, 1.0).unwrap();
-        let with = ConsistencyUq::new(&lm, &Analyzer::new(&c))
-            .with_samples(9)
-            .with_repair(0)
-            .run(&prompt())
-            .unwrap();
+        let plain = ConsistencyUq::new(&lm, &a).with_samples(9).run(&prompt()).unwrap();
+        let with =
+            ConsistencyUq::new(&lm, &a).with_samples(9).with_repair(0).run(&prompt()).unwrap();
         assert_eq!(plain, with);
         assert_eq!(with.repaired, 0);
         assert!(with.repair_hints.is_empty());
@@ -600,7 +555,7 @@ mod tests {
         p.task.table = "employmet".into();
         let c = catalog();
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
-        let plain = consistency_confidence(&lm, &p, &c, 6, 1.0).unwrap();
+        let plain = ConsistencyUq::new(&lm, &Analyzer::new(&c)).with_samples(6).run(&p).unwrap();
         assert_eq!(plain.confidence, 0.0);
         assert_eq!(plain.static_rejects, 6);
         let repaired = ConsistencyUq::new(&lm, &Analyzer::new(&c))
@@ -768,9 +723,11 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
+        let c = catalog();
+        let a = Analyzer::new(&c);
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.5, seed: 7, ..Default::default() });
-        let a = consistency_confidence(&lm, &prompt(), &catalog(), 9, 1.0).unwrap();
-        let b = consistency_confidence(&lm, &prompt(), &catalog(), 9, 1.0).unwrap();
-        assert_eq!(a, b);
+        let first = ConsistencyUq::new(&lm, &a).with_samples(9).run(&prompt()).unwrap();
+        let second = ConsistencyUq::new(&lm, &a).with_samples(9).run(&prompt()).unwrap();
+        assert_eq!(first, second);
     }
 }

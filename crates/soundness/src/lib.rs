@@ -31,7 +31,7 @@ pub mod selective;
 pub mod verify;
 
 pub use calibration::{auroc, brier_score, expected_calibration_error};
-pub use consistency::{consistency_confidence, ConsistencyUq, Execution, UqRound};
+pub use consistency::{ConsistencyUq, Execution, UqRound};
 pub use selective::risk_coverage_curve;
 pub use verify::execution_accuracy;
 
