@@ -23,12 +23,22 @@ if cargo metadata --format-version 1 2>/dev/null | grep -q '"source":"registry';
   exit 1
 fi
 
+echo "== deps: the NL layer stays below the static analyzer (DESIGN.md §6)"
+# cda-nlmodel generates candidates; the gate that judges them must not be a
+# dependency of the generator.
+if cargo tree --offline -e normal -p cda-nlmodel | grep -q 'cda-analyzer'; then
+  echo "FAIL: cda-nlmodel depends on cda-analyzer" >&2
+  exit 1
+fi
+
 echo "== tier-1: release build"
 cargo build --release --workspace
 
 echo "== tier-1: full test suite (unit + doc + integration), one run"
 # Covers, among others: the integration suites (figure1, pipeline, compile,
-# properties, session, edge_cases, determinism, server, storage), the testkit
+# properties, session, edge_cases, determinism, server, storage), cda-bench's
+# lab unit tests and its own `edge_cases` and `pipeline` suites (the baseline
+# indexes, consistency UQ's calibration, the decoding ablation), the testkit
 # self-tests, the static analyzer suite (sqlcheck codes, gate consistency,
 # absint soundness laws), optimizer certification (a refuted rewrite fails
 # here and prints its counterexample tables), the vectorized differential

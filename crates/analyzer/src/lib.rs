@@ -18,13 +18,14 @@
 //!   stable code (`A001`…), a severity, and an NL rendering for the answer
 //!   annotation layer. The paper's Soundness property (P4) names parsing and
 //!   constrained decoding as inference-time controls; `sqlcheck` is the
-//!   static half of that control, wired in as a pre-execution gate for the
-//!   rejection sampler and the dialogue loop (experiment E13 measures the
+//!   static half of that control, wired in as a pre-execution gate for
+//!   consistency UQ and the dialogue loop (experiment E13 measures the
 //!   catch rate and the wall-clock saved).
 //! * [`repair`] closes the diagnosis→generation loop: it translates gate
 //!   findings into structured [`RepairHint`]s (nearest schema name by edit
-//!   distance, expected type, `LIMIT` injection) that the constrained
-//!   decoder in `cda-nlmodel` applies before resampling.
+//!   distance, expected type, `LIMIT` injection) that
+//!   `Analyzer::gate_with_repair` applies to each sample consistency UQ
+//!   draws.
 //!
 //! **Bound plans: facts about what a query returns.**
 //!

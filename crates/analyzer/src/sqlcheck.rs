@@ -26,8 +26,8 @@
 //! the estimated row-count bounds. The subset of findings for which
 //! [`Code::dooms_execution`] holds proves that executing the query would
 //! fail (assuming rows actually flow through the offending operator), which
-//! is what lets the rejection sampler and consistency UQ skip the execution
-//! entirely — the wall-clock saving experiment E13 measures, while E14
+//! is what lets consistency UQ skip the execution entirely — the
+//! wall-clock saving experiment E13 measures, while E14
 //! measures the cost pass's accuracy (q-error) and overhead.
 
 use crate::cardest::{estimate, CardEstimate, Statistics};

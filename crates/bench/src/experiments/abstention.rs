@@ -5,13 +5,13 @@
 //! the uninformative naive signal the risk barely moves. AURC (area under
 //! the risk–coverage curve) summarizes: consistency ≪ naive.
 
+use crate::selective::{aurc, risk_coverage_curve, threshold_for_risk};
 use crate::{row, Budget, Experiment};
 use cda_analyzer::Analyzer;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
 use cda_soundness::consistency::ConsistencyUq;
-use cda_soundness::selective::{aurc, risk_coverage_curve, threshold_for_risk};
 use cda_soundness::verify::execution_accuracy;
 use cda_sql::Catalog;
 

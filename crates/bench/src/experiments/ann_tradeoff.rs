@@ -8,12 +8,12 @@
 //! recall 1.0 with (often far) fewer distance evaluations; progressive-δ =
 //! recall ≥ 1−δ, cheaper still.
 
+use crate::eval::{ground_truth, recall_at_k};
+use crate::hnsw::{HnswIndex, HnswParams};
+use crate::ivf::IvfIndex;
+use crate::lsh::{LshIndex, LshParams};
 use crate::{clock, mean, row, Budget, Experiment, Table};
-use cda_vector::eval::{ground_truth, recall_at_k};
 use cda_vector::exact::ExactIndex;
-use cda_vector::hnsw::{HnswIndex, HnswParams};
-use cda_vector::ivf::IvfIndex;
-use cda_vector::lsh::{LshIndex, LshParams};
 use cda_vector::progressive::{GuaranteeMode, ProgressiveIndex};
 use cda_vector::{Neighbor, SearchStats, VectorSet};
 

@@ -8,6 +8,7 @@
 //! grows; consistency confidence tracks accuracy → ECE stays low and AUROC
 //! stays well above 0.5.
 
+use crate::calibration::{auroc, brier_score, expected_calibration_error};
 use crate::{mean, row, Budget, Experiment};
 use cda_analyzer::Analyzer;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
@@ -15,7 +16,6 @@ use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
 use cda_soundness::consistency::ConsistencyUq;
 use cda_soundness::verify::execution_accuracy;
-use cda_soundness::{auroc, brier_score, expected_calibration_error};
 use cda_sql::Catalog;
 
 fn catalog() -> (Catalog, Vec<WorkloadTable>) {

@@ -6,9 +6,9 @@
 //! Expected shape: validity and accuracy increase monotonically along the
 //! strategy ladder, at the cost of more LM samples.
 
+use crate::constrained::{Decoder, DecodingStrategy};
 use crate::{row, Budget, Experiment};
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
-use cda_nlmodel::constrained::{Decoder, DecodingStrategy};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
 use cda_soundness::verify::execution_accuracy;

@@ -23,12 +23,12 @@
 // Scratch database files under the temp dir.
 #![allow(clippy::disallowed_methods)]
 
+use crate::loadgen::{session_scripts, LoadSpec};
 use crate::{clock, row, Budget, Experiment, Table};
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary};
 use cda_core::storage::{FaultPlan, FileBackend, StorageBackend, StoreId, PAGE_SIZE};
 use cda_core::{CdaConfig, Session, WorldSnapshot};
 use cda_nlmodel::lm::SimLmConfig;
-use cda_server::loadgen::{session_scripts, LoadSpec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

@@ -5,6 +5,7 @@
 //! adding embeddings recovers them; disambiguation accuracy rises with
 //! context length. Metrics: top-1 accuracy and MRR.
 
+use crate::eval::mrr;
 use crate::{row, Budget, Experiment, Table};
 use cda_kg::linking::{Entity, Linker, LinkerConfig};
 use cda_kg::vocab::{Concept, Vocabulary};
@@ -88,17 +89,17 @@ pub fn run(_: &Budget) -> Experiment {
         ("all signals", LinkerConfig::default()),
     ] {
         let mut correct = 0usize;
-        let mut mrr_total = 0.0;
+        let mut rankings = Vec::new();
         for (mention, context, gold) in &cases {
-            let ranked = linker.link(mention, context, config);
-            if ranked.first().map(|c| c.entity_id.as_str()) == Some(*gold) {
+            let ranked: Vec<String> =
+                linker.link(mention, context, config).into_iter().map(|c| c.entity_id).collect();
+            if ranked.first().map(String::as_str) == Some(*gold) {
                 correct += 1;
             }
-            if let Some(pos) = ranked.iter().position(|c| c.entity_id == *gold) {
-                mrr_total += 1.0 / (pos + 1) as f64;
-            }
+            rankings.push(ranked);
         }
-        row!(linking; label, correct as f64 / cases.len() as f64, mrr_total / cases.len() as f64);
+        let golds: Vec<&str> = cases.iter().map(|(_, _, gold)| *gold).collect();
+        row!(linking; label, correct as f64 / cases.len() as f64, mrr(&golds, &rankings));
     }
 
     let mut vocab = Vocabulary::new();

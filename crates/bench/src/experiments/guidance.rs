@@ -5,10 +5,10 @@
 //! fixed-order needs more, and random more still; planner rankings with
 //! lookahead reach higher MRR than myopic rankings.
 
+use crate::eval::{mrr, ndcg_at_k};
 use crate::{mean, row, Budget, Experiment, Table};
 use cda_guidance::clarify::{simulate_dialogue, ClarificationQuestion, GoalBelief};
 use cda_guidance::planner::{Action, SpeculativePlanner};
-use cda_vector::eval::ndcg_at_k;
 use cda_testkit::rng::StdRng;
 
 /// Build a goal universe of size 2^bits with one binary question per bit
@@ -126,11 +126,10 @@ pub fn run(_: &Budget) -> Experiment {
                 .map(|r| if r.action.id == *progress { 1.0 } else { 0.0 })
                 .collect();
             ndcgs.push(ndcg_at_k(&gains, 4));
-            rankings.push(ranked);
+            rankings.push(ranked.into_iter().map(|r| r.action.id).collect::<Vec<_>>());
             progress_ids.push(*progress);
         }
-        let mrr = SpeculativePlanner::mrr(&rankings, &progress_ids);
-        row!(ranking; label, mrr, mean(&ndcgs));
+        row!(ranking; label, mrr(&progress_ids, &rankings), mean(&ndcgs));
     }
     e.tables.push(ranking);
     e

@@ -15,6 +15,7 @@
 //! * P1 off → same answers, more work (efficiency "enables" the rest at
 //!   interactive speed).
 
+use crate::calibration::expected_calibration_error;
 use crate::{row, Budget, Experiment, Table};
 use cda_core::answer::{AnswerStatus, PropertyTag};
 use cda_core::demo::{demo_catalog, demo_kg, demo_linker, demo_vocabulary, FIGURE1_TURNS};
@@ -22,7 +23,6 @@ use cda_core::reliability::SessionOutcome;
 use cda_core::{CdaConfig, Session, WorldSnapshot};
 use cda_nlmodel::lm::SimLmConfig;
 use cda_nlmodel::nl2sql::Workload;
-use cda_soundness::expected_calibration_error;
 use cda_soundness::verify::execution_accuracy;
 
 fn build(config: CdaConfig) -> Session {

@@ -6,8 +6,8 @@
 //! cost and extra triples but answers `type?` lookups fastest; the
 //! query-time reasoner trades per-query overhead for zero storage.
 
+use crate::query::{Bgp, Pattern, Term};
 use crate::{clock, row, Budget, Experiment, Table};
-use cda_kg::query::{Bgp, Pattern, Term};
 use cda_kg::reason::{materialize, Reasoner};
 use cda_kg::TripleStore;
 use cda_testkit::rng::StdRng;

@@ -9,10 +9,10 @@
 //! fewer distance evaluations on the easy majority and more on the hard
 //! tail, beating every fixed setting on the cost/recall frontier.
 
+use crate::eval::{ground_truth, recall_at_k};
+use crate::hnsw::{HnswIndex, HnswParams};
+use crate::learned::{LearnedTermination, StagnationPolicy};
 use crate::{mean, row, Budget, Experiment, Table};
-use cda_vector::eval::{ground_truth, recall_at_k};
-use cda_vector::hnsw::{HnswIndex, HnswParams};
-use cda_vector::learned::{LearnedTermination, StagnationPolicy};
 use cda_vector::{Neighbor, SearchStats, VectorSet};
 
 const K: usize = 10;

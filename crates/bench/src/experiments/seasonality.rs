@@ -7,8 +7,8 @@
 //! series shorter than the sufficiency gate are refused, never guessed; the
 //! claimed period beats the drift baseline in held-out forecasting.
 
+use crate::forecast::{drift, mae, seasonal_naive};
 use crate::{mean, row, Budget, Experiment, Table};
-use cda_timeseries::forecast::{drift, mae, seasonal_naive};
 use cda_timeseries::seasonality::detect_seasonality;
 use cda_timeseries::TimeSeries;
 

@@ -17,10 +17,10 @@
 //! Worker-pool throughput is not measured here: the `perf/` benchmark's
 //! `server_read` / `server_rw` workloads report it (`server.w1_ratio`).
 
+use crate::loadgen::{interleave, session_scripts, LoadSpec};
 use crate::{row, Budget, Experiment};
 use cda_core::demo::demo_world;
 use cda_core::{CdaConfig, Session};
-use cda_server::loadgen::{interleave, session_scripts, LoadSpec};
 use cda_server::{Server, ServerConfig, TenantQuota, TurnOutcome};
 use std::hash::{DefaultHasher, Hasher};
 

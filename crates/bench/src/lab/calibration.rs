@@ -5,7 +5,11 @@
 //! the standard instruments. Inputs are parallel vectors of predicted
 //! confidences in `[0, 1]` and boolean correctness outcomes.
 
-use crate::{Result, SoundnessError};
+/// The confidence and correctness vectors differ in length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LengthMismatch;
+
+type Result<T> = std::result::Result<T, LengthMismatch>;
 
 /// One bin of a reliability diagram.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +33,7 @@ pub(crate) fn reliability_diagram(
     bins: usize,
 ) -> Result<Vec<ReliabilityBin>> {
     if confidences.len() != correct.len() {
-        return Err(SoundnessError::LengthMismatch);
+        return Err(LengthMismatch);
     }
     let bins = bins.max(1);
     let mut out: Vec<ReliabilityBin> = (0..bins)
@@ -79,7 +83,7 @@ pub fn expected_calibration_error(
 /// Brier score: mean squared error of confidence against the 0/1 outcome.
 pub fn brier_score(confidences: &[f64], correct: &[bool]) -> Result<f64> {
     if confidences.len() != correct.len() {
-        return Err(SoundnessError::LengthMismatch);
+        return Err(LengthMismatch);
     }
     if confidences.is_empty() {
         return Ok(0.0);
@@ -100,7 +104,7 @@ pub fn brier_score(confidences: &[f64], correct: &[bool]) -> Result<f64> {
 /// is absent.
 pub fn auroc(confidences: &[f64], correct: &[bool]) -> Result<f64> {
     if confidences.len() != correct.len() {
-        return Err(SoundnessError::LengthMismatch);
+        return Err(LengthMismatch);
     }
     let pos: Vec<f64> = confidences
         .iter()

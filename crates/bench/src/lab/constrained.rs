@@ -18,7 +18,7 @@
 //! analyzer's own builder:
 //!
 //! ```
-//! # use cda_nlmodel::constrained::{Decoder, DecodingStrategy};
+//! # use cda_bench::constrained::{Decoder, DecodingStrategy};
 //! # use cda_nlmodel::lm::{SimLm, SimLmConfig};
 //! # use cda_sql::Catalog;
 //! # let lm = SimLm::new(SimLmConfig::default());
@@ -28,21 +28,13 @@
 //!     .with_budget(12);
 //! ```
 //!
-//! Under [`DecodingStrategy::Rejection`], candidates that the static gate
-//! ([`cda_analyzer::Analyzer`]) proves doomed (unknown tables/columns,
-//! GROUP BY violations, type misuse, …) are skipped **before**
-//! execution-based verification: the gate only skips the implied execution
-//! failure (experiment E13 measures the saving;
-//! [`DecodeResult::static_rejects`] counts the skips), and candidates whose
-//! *estimated* result size exceeds the analyzer's row budget are skipped too
-//! ([`DecodeResult::budget_rejects`], experiment E14). The decoder does not
-//! repair: the one hint-apply-regate loop is
-//! `cda_analyzer::Analyzer::gate_with_repair`, which consistency UQ runs on
-//! every sample the product draws (experiment E15).
+//! This is ablation apparatus: only E7 builds a [`Decoder`]. The product
+//! draws its candidates through consistency UQ, which gates every sample
+//! with `cda_analyzer::Analyzer::gate_with_repair` (experiments E13–E15).
+//! The decoder neither gates nor repairs: a candidate is checked by parsing
+//! and executing it.
 
-use crate::lm::{Generation, Nl2SqlPrompt, SimLm};
-use crate::{NlError, Result};
-use cda_analyzer::Analyzer;
+use cda_nlmodel::lm::{Generation, Nl2SqlPrompt, SimLm};
 use cda_sql::{Catalog, execute};
 
 /// Decoding strategies of increasing control.
@@ -77,12 +69,13 @@ pub struct DecodeResult {
     pub generation: Generation,
     /// Samples drawn before acceptance.
     pub attempts: usize,
-    /// Candidates discarded by the static soundness gate without executing.
-    pub static_rejects: usize,
-    /// Candidates discarded because their estimated result size exceeded
-    /// the analyzer's row budget (requires stats + budget on the bound
-    /// [`Analyzer`]).
-    pub budget_rejects: usize,
+}
+
+/// A decode exhausted its sampling budget without an accepted output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetExhausted {
+    /// Samples drawn.
+    pub attempts: usize,
 }
 
 /// A transparent reward model for candidate SQL: parses (+1), executes (+2),
@@ -95,11 +88,6 @@ pub fn reward(catalog: &Catalog, sql: &str) -> f64 {
         return r;
     }
     r += 1.0;
-    // Statically-doomed candidates would fail execution anyway; skip the
-    // execution cost without changing the score.
-    if Analyzer::new(catalog).execution_doomed(sql) {
-        return r;
-    }
     if let Ok(result) = execute(catalog, sql) {
         r += 2.0;
         if result.table.num_rows() > 0 {
@@ -109,36 +97,23 @@ pub fn reward(catalog: &Catalog, sql: &str) -> f64 {
     r
 }
 
-/// Builder-style decoder binding an LM, an [`Analyzer`] gate and a
-/// strategy. Mirrors `Analyzer::new(..).with_*(..)`.
+/// Builder-style decoder binding an LM, a catalog and a strategy.
+/// Mirrors `Analyzer::new(..).with_*(..)`.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     lm: &'a SimLm,
-    analyzer: Analyzer<'a>,
+    catalog: &'a Catalog,
     strategy: DecodingStrategy,
     temperature: f64,
     budget: usize,
 }
 
 impl<'a> Decoder<'a> {
-    /// A decoder over `lm` gated by a plain analyzer on `catalog`.
+    /// A decoder over `lm` that checks candidates against `catalog`.
     /// Defaults: [`DecodingStrategy::Rejection`], temperature 1.0, sample
     /// budget 8.
     pub fn new(lm: &'a SimLm, catalog: &'a Catalog) -> Self {
-        Self {
-            lm,
-            analyzer: Analyzer::new(catalog),
-            strategy: DecodingStrategy::Rejection,
-            temperature: 1.0,
-            budget: 8,
-        }
-    }
-
-    /// Replace the gate with a configured analyzer (stats, row budget,
-    /// pass toggles).
-    pub fn with_analyzer(mut self, analyzer: Analyzer<'a>) -> Self {
-        self.analyzer = analyzer;
-        self
+        Self { lm, catalog, strategy: DecodingStrategy::Rejection, temperature: 1.0, budget: 8 }
     }
 
     /// Set the decoding strategy.
@@ -160,90 +135,61 @@ impl<'a> Decoder<'a> {
     }
 
     /// Run one decode for `prompt` under the configured policy.
-    pub fn decode(&self, prompt: &Nl2SqlPrompt) -> Result<DecodeResult> {
+    pub fn decode(&self, prompt: &Nl2SqlPrompt) -> Result<DecodeResult, BudgetExhausted> {
         let budget = self.budget.max(1);
-        let catalog = self.analyzer.catalog();
         let temperature = self.temperature;
         match self.strategy {
             DecodingStrategy::Free => Ok(DecodeResult {
                 generation: self.lm.generate_sql(prompt, temperature, 0),
                 attempts: 1,
-                static_rejects: 0,
-                budget_rejects: 0,
             }),
             DecodingStrategy::Constrained => {
-                for s in 0..budget as u64 {
-                    let g = self.lm.generate_sql(prompt, temperature, s);
-                    if cda_sql::parser::parse(&g.sql).is_ok() {
-                        return Ok(DecodeResult {
-                            generation: g,
-                            attempts: s as usize + 1,
-                            static_rejects: 0,
-                            budget_rejects: 0,
-                        });
-                    }
-                }
-                Err(NlError::BudgetExhausted { attempts: budget })
+                self.first_accepted(prompt, budget, |sql| cda_sql::parser::parse(sql).is_ok())
             }
-            DecodingStrategy::Rejection => self.decode_rejection(prompt, budget),
+            DecodingStrategy::Rejection => {
+                self.first_accepted(prompt, budget, |sql| execute(self.catalog, sql).is_ok())
+            }
             DecodingStrategy::Reranked => {
                 let gens = self.lm.sample_k(prompt, temperature, budget);
                 let mut best: Option<(f64, usize)> = None;
                 for (i, g) in gens.iter().enumerate() {
-                    let score = reward(catalog, &g.sql) + g.mean_logprob.exp() * 0.1;
+                    let score = reward(self.catalog, &g.sql) + g.mean_logprob.exp() * 0.1;
                     if best.is_none_or(|(b, _)| score > b) {
                         best = Some((score, i));
                     }
                 }
-                let Some((score, i)) = best else {
-                    return Err(NlError::BudgetExhausted { attempts: budget });
-                };
-                if score <= 0.0 {
-                    return Err(NlError::BudgetExhausted { attempts: budget });
+                match best {
+                    Some((score, i)) if score > 0.0 => {
+                        Ok(DecodeResult { generation: gens[i].clone(), attempts: budget })
+                    }
+                    _ => Err(BudgetExhausted { attempts: budget }),
                 }
-                Ok(DecodeResult {
-                    generation: gens[i].clone(),
-                    attempts: budget,
-                    static_rejects: 0,
-                    budget_rejects: 0,
-                })
             }
         }
     }
 
-    /// Rejection sampling with the pre-execution gate. A statically-doomed
-    /// candidate cannot pass the `execute()` check, so skipping it
-    /// unexecuted cannot change which candidate is accepted — it only skips
-    /// the execution cost.
-    fn decode_rejection(&self, prompt: &Nl2SqlPrompt, budget: usize) -> Result<DecodeResult> {
-        let catalog = self.analyzer.catalog();
-        let mut static_rejects = 0usize;
-        let mut budget_rejects = 0usize;
+    /// The first of `budget` samples whose SQL `accept` admits.
+    fn first_accepted(
+        &self,
+        prompt: &Nl2SqlPrompt,
+        budget: usize,
+        accept: impl Fn(&str) -> bool,
+    ) -> Result<DecodeResult, BudgetExhausted> {
         for s in 0..budget as u64 {
-            let g = self.lm.generate_sql(prompt, self.temperature, s);
-            let report = self.analyzer.analyze(&g.sql);
-            if report.dooms_execution() {
-                static_rejects += 1;
-            } else if report.exceeds_budget() {
-                budget_rejects += 1;
-            } else if execute(catalog, &g.sql).is_ok() {
-                return Ok(DecodeResult {
-                    generation: g,
-                    attempts: s as usize + 1,
-                    static_rejects,
-                    budget_rejects,
-                });
+            let generation = self.lm.generate_sql(prompt, self.temperature, s);
+            if accept(&generation.sql) {
+                return Ok(DecodeResult { generation, attempts: s as usize + 1 });
             }
         }
-        Err(NlError::BudgetExhausted { attempts: budget })
+        Err(BudgetExhausted { attempts: budget })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lm::SimLmConfig;
-    use crate::nl2sql::AnalyticTask;
+    use cda_nlmodel::lm::SimLmConfig;
+    use cda_nlmodel::nl2sql::AnalyticTask;
     use cda_dataframe::kernels::AggKind;
     use cda_dataframe::{Column, DataType, Field, Schema, Table};
 
@@ -359,80 +305,7 @@ mod tests {
         let e = decoder(&lm, &c, DecodingStrategy::Rejection, 4)
             .with_temperature(0.0)
             .decode(&p);
-        assert!(matches!(e, Err(NlError::BudgetExhausted { attempts: 4 })));
-    }
-
-    #[test]
-    fn static_gate_preserves_rejection_outcomes() {
-        // With and without the gate, rejection decoding must accept the same
-        // candidate: the gate only skips executions that would have failed.
-        let c = catalog();
-        for seed in 0..20 {
-            let lm =
-                SimLm::new(SimLmConfig { hallucination_rate: 0.9, seed, ..Default::default() });
-            let gated = decoder(&lm, &c, DecodingStrategy::Rejection, 16).decode(&prompt());
-            // Reference: replay the same sample stream with execute() alone.
-            let mut reference = None;
-            for s in 0..16u64 {
-                let g = lm.generate_sql(&prompt(), 1.0, s);
-                if execute(&c, &g.sql).is_ok() {
-                    reference = Some((g.sql, s as usize + 1));
-                    break;
-                }
-            }
-            match (gated, reference) {
-                (Ok(r), Some((sql, attempts))) => {
-                    assert_eq!(r.generation.sql, sql, "seed {seed}");
-                    assert_eq!(r.attempts, attempts, "seed {seed}");
-                }
-                (Err(_), None) => {}
-                (g, r) => panic!("gate changed the outcome at seed {seed}: {g:?} vs {r:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn static_gate_counts_skipped_candidates() {
-        // A prompt over a missing table is statically doomed every time.
-        let mut p = prompt();
-        p.task.table = "missing".into();
-        let c = catalog();
-        let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
-        let e = decoder(&lm, &c, DecodingStrategy::Rejection, 4)
-            .with_temperature(0.0)
-            .decode(&p);
-        assert!(matches!(e, Err(NlError::BudgetExhausted { attempts: 4 })));
-        let ok = decoder(&lm, &c, DecodingStrategy::Rejection, 4)
-            .with_temperature(0.0)
-            .decode(&prompt())
-            .unwrap();
-        assert_eq!(ok.static_rejects, 0);
-    }
-
-    #[test]
-    fn row_budget_skips_oversized_candidates() {
-        let c = catalog();
-        let stats = cda_analyzer::Statistics::from_catalog(&c);
-        let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
-        // A zero row budget flags every candidate as over-budget: the
-        // sampler must skip them all and exhaust its budget.
-        let strict = Analyzer::new(&c).with_stats(&stats).with_row_budget(0);
-        let e = Decoder::new(&lm, &c)
-            .with_analyzer(strict)
-            .with_temperature(0.0)
-            .with_budget(4)
-            .decode(&prompt());
-        assert!(matches!(e, Err(NlError::BudgetExhausted { attempts: 4 })));
-        // A generous budget changes nothing relative to the plain gate.
-        let lax = Analyzer::new(&c).with_stats(&stats).with_row_budget(1_000_000);
-        let r = Decoder::new(&lm, &c)
-            .with_analyzer(lax)
-            .with_temperature(0.0)
-            .with_budget(4)
-            .decode(&prompt())
-            .unwrap();
-        assert_eq!(r.budget_rejects, 0);
-        assert!(execute(&c, &r.generation.sql).is_ok());
+        assert!(matches!(e, Err(BudgetExhausted { attempts: 4 })));
     }
 
     #[test]

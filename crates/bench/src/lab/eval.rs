@@ -1,10 +1,12 @@
 //! Evaluation helpers: ground truth, recall, and ranking metrics.
 //!
 //! Implements the metrics the paper's Evaluation paragraph names for
-//! retrieval/ranking quality: recall@k, MRR, and NDCG.
+//! retrieval/ranking quality: recall@k (E1, E2), MRR (E3, E8) and NDCG (E8).
+//! The calibration and abstention metrics are in [`crate::calibration`] and
+//! [`crate::selective`], forecast error in [`crate::forecast`].
 
-use crate::exact::ExactIndex;
-use crate::{Neighbor, VectorIndex, VectorSet};
+use cda_vector::exact::ExactIndex;
+use cda_vector::{Neighbor, VectorIndex, VectorSet};
 
 /// Exact ground-truth top-k for a batch of queries.
 pub fn ground_truth(data: &VectorSet, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
@@ -32,15 +34,16 @@ pub fn recall_at_k(truth: &[Vec<Neighbor>], results: &[Vec<Neighbor>], k: usize)
     total / truth.len() as f64
 }
 
-/// Mean reciprocal rank of the first relevant id.
-pub fn mrr(relevant: &[usize], rankings: &[Vec<usize>]) -> f64 {
+/// Mean reciprocal rank of the first relevant item: `relevant[i]` is the
+/// item wanted in `rankings[i]`; a ranking without it scores 0.
+pub fn mrr<T, U: PartialEq<T>>(relevant: &[T], rankings: &[Vec<U>]) -> f64 {
     assert_eq!(relevant.len(), rankings.len());
     if relevant.is_empty() {
         return 0.0;
     }
     let mut total = 0.0;
-    for (&rel, ranking) in relevant.iter().zip(rankings) {
-        if let Some(pos) = ranking.iter().position(|&r| r == rel) {
+    for (rel, ranking) in relevant.iter().zip(rankings) {
+        if let Some(pos) = ranking.iter().position(|r| *r == *rel) {
             total += 1.0 / (pos + 1) as f64;
         }
     }
@@ -114,6 +117,7 @@ mod tests {
         assert_eq!(mrr(&[5], &[vec![1, 2, 3]]), 0.0);
         let m = mrr(&[5, 7], &[vec![5], vec![1, 7]]);
         assert!((m - 0.75).abs() < 1e-12);
+        assert_eq!(mrr::<usize, usize>(&[], &[]), 0.0);
     }
 
     #[test]

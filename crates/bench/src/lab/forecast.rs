@@ -5,8 +5,7 @@
 //! drift baseline when forecasting held-out data — a cheap, quantitative
 //! *verification* of the claimed insight (P4 verification-by-execution).
 
-use crate::series::TimeSeries;
-use crate::{Result, TsError};
+use cda_timeseries::{Result, TimeSeries, TsError};
 
 /// Seasonal-naive forecast: `ŷ[t] = y[t − period]` continued for `horizon`.
 pub fn seasonal_naive(series: &TimeSeries, period: usize, horizon: usize) -> Result<Vec<f64>> {

@@ -6,8 +6,8 @@
 //! pluggable policy — the hook used by [`crate::learned`] to implement
 //! learned adaptive early termination (Li et al., SIGMOD 2020 \[34\]).
 
-use crate::metrics::squared_euclidean;
-use crate::{Neighbor, SearchStats, VectorIndex, VectorSet};
+use cda_vector::metrics::squared_euclidean;
+use cda_vector::{Neighbor, SearchStats, VectorIndex, VectorSet};
 use cda_testkit::rng::StdRng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

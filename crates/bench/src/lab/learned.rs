@@ -13,10 +13,10 @@
 //! 3. Inflate the prediction by the residual quantile matching the target
 //!    recall, so the budget covers that fraction of training queries.
 
-use crate::exact::ExactIndex;
 use crate::hnsw::HnswIndex;
-use crate::{Neighbor, SearchStats, VectorIndex, VectorSet};
-use crate::metrics::squared_euclidean;
+use cda_vector::exact::ExactIndex;
+use cda_vector::metrics::squared_euclidean;
+use cda_vector::{Neighbor, SearchStats, VectorIndex, VectorSet};
 
 /// A learned termination model wrapping an HNSW index.
 #[derive(Debug, Clone)]

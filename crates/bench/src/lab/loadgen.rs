@@ -1,5 +1,6 @@
 //! Deterministic load generator: synthetic Figure-1-style turn mixes for
-//! driving a [`Server`](crate::Server) at scale.
+//! driving a `cda_server::Server` at scale (experiments E19 and E20, and the
+//! `once` and `server` integration suites).
 //!
 //! Scripts are generated from the world's own workload tables (the same
 //! generator the NL2SQL workload uses), mixed with discovery/seasonality

@@ -5,11 +5,11 @@
 //! the union of the query's buckets; candidates are re-ranked exactly.
 //! Collision probability for two vectors at angle θ is `(1 - θ/π)^bits` per
 //! table — a *distributional* guarantee, contrasted in experiment E1 with
-//! the per-query deterministic guarantee of [`crate::progressive`].
+//! the per-query deterministic guarantee of `cda_vector::progressive`.
 
-use crate::exact::TopK;
-use crate::metrics::{squared_euclidean, dot};
-use crate::{Neighbor, SearchStats, VectorIndex, VectorSet};
+use cda_vector::exact::TopK;
+use cda_vector::metrics::{squared_euclidean, dot};
+use cda_vector::{Neighbor, SearchStats, VectorIndex, VectorSet};
 use cda_testkit::rng::StdRng;
 use std::collections::HashMap;
 
@@ -50,7 +50,7 @@ impl LshIndex {
         for _ in 0..params.tables {
             let mut planes = Vec::with_capacity(bits * dim);
             for _ in 0..bits * dim {
-                planes.push(crate::dataset::gaussian(&mut rng));
+                planes.push(cda_vector::dataset::gaussian(&mut rng));
             }
             hyperplanes.push(planes);
         }

@@ -3,9 +3,26 @@
 //! A [`Bgp`] is a conjunction of triple patterns over variables and IRIs.
 //! Evaluation orders patterns greedily by estimated selectivity given the
 //! bindings accumulated so far (the standard heuristic of native RDF
-//! engines), then backtracks.
+//! engines), then backtracks. Experiment E12 runs it over `cda_kg`'s
+//! [`TripleStore`], with and without materialized inference.
+//!
+//! ```
+//! use cda_bench::query::{Bgp, Pattern, Term};
+//! use cda_kg::store::TripleStore;
+//!
+//! let mut kg = TripleStore::new();
+//! kg.insert("barometer", "type", "Indicator");
+//! kg.insert("barometer", "measures", "labour_market");
+//! let bgp = Bgp::new(vec![
+//!     Pattern::new(Term::var("x"), Term::iri("type"), Term::iri("Indicator")),
+//!     Pattern::new(Term::var("x"), Term::iri("measures"), Term::var("what")),
+//! ]);
+//! let rows = bgp.evaluate(&kg);
+//! assert_eq!(rows.len(), 1);
+//! assert_eq!(rows[0].get("what"), Some("labour_market"));
+//! ```
 
-use crate::store::{Id, TripleStore};
+use cda_kg::store::{Id, TripleStore};
 use std::collections::HashMap;
 
 /// A term in a pattern: either a variable or a concrete IRI/literal.
@@ -299,6 +316,9 @@ mod tests {
     fn empty_bgp_is_empty() {
         let kg = sample();
         assert!(Bgp::new(vec![]).evaluate(&kg).is_empty());
+        // an all-variable pattern over an empty store matches nothing
+        let any = Bgp::new(vec![Pattern::new(Term::var("s"), Term::var("p"), Term::var("o"))]);
+        assert!(any.evaluate(&TripleStore::new()).is_empty());
     }
 
     #[test]

@@ -10,6 +10,25 @@
 //! and the budget: `crates/bench/golden_fast.txt` pins `exp --all --fast`,
 //! and CI diffs against it. No gate reads a clock; `exp` exits non-zero iff
 //! a gate fails. Speed is the `perf/` benchmark's job.
+//!
+//! ## The lab
+//!
+//! The experiments' apparatus — code that neither `Session` nor `Server`
+//! reaches — lives here too, in `src/lab/`, and not in the product crates
+//! (DESIGN.md §6). Each lab module keeps the name it had when it lived in a
+//! product crate:
+//!
+//! | Module | What | Used by |
+//! |---|---|---|
+//! | [`ivf`], [`hnsw`], [`lsh`] | IVF-Flat, HNSW and LSH baseline indexes | E1 |
+//! | [`learned`] | learned early termination on HNSW | E2 |
+//! | [`eval`] | ground truth, recall@k, MRR, NDCG | E1–E3, E8 |
+//! | [`calibration`] | ECE, Brier score, AUROC | F2, E5 |
+//! | [`selective`] | risk–coverage analysis of abstention | E6 |
+//! | [`constrained`] | the decoding ablation's [`constrained::Decoder`] | E7 |
+//! | [`forecast`] | seasonal-naive and drift baselines, MAE | E10 |
+//! | [`query`] | the basic-graph-pattern (BGP) engine | E12 |
+//! | [`loadgen`] | deterministic multi-session turn scripts | E19, E20 |
 
 use std::fmt;
 use std::io::{self, Write};
@@ -40,6 +59,31 @@ mod experiments {
     pub mod vectorized;
 }
 
+// The lab (crate docs above): declared at the crate root, so each module
+// keeps the path it had in its product crate, unit tests included.
+#[path = "lab/calibration.rs"]
+pub mod calibration;
+#[path = "lab/constrained.rs"]
+pub mod constrained;
+#[path = "lab/eval.rs"]
+pub mod eval;
+#[path = "lab/forecast.rs"]
+pub mod forecast;
+#[path = "lab/hnsw.rs"]
+pub mod hnsw;
+#[path = "lab/ivf.rs"]
+pub mod ivf;
+#[path = "lab/learned.rs"]
+pub mod learned;
+#[path = "lab/loadgen.rs"]
+pub mod loadgen;
+#[path = "lab/lsh.rs"]
+pub mod lsh;
+#[path = "lab/query.rs"]
+pub mod query;
+#[path = "lab/selective.rs"]
+pub mod selective;
+
 use experiments::*;
 
 /// How large to make each experiment: the one knob `exp` takes.
@@ -61,7 +105,7 @@ pub const REGISTRY: &[(&str, Run)] = &[
     ("E2", learned_termination::run),
     ("E3", grounding::run),
     ("E4", provenance::run),
-    ("E5", calibration::run),
+    ("E5", experiments::calibration::run),
     ("E6", abstention::run),
     ("E7", decoding::run),
     ("E8", guidance::run),

@@ -11,7 +11,8 @@
 //!   branches with confidence metadata;
 //! * [`planner`] — speculative planning: score alternative next actions by
 //!   simulating them ("running alternative scenarios behind the scenes")
-//!   and rank recommendations (evaluated with MRR/NDCG in E8);
+//!   and rank recommendations (E8 scores the rankings with the lab's
+//!   MRR/NDCG in `cda-bench`);
 //! * [`clarify`] — active clarification: choose the question with maximal
 //!   expected information gain over the latent user goal (the paper's
 //!   "active learning or active search component \[29\] … actively probe the

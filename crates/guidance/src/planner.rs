@@ -89,22 +89,6 @@ impl SpeculativePlanner {
         out.sort_by(|a, b| b.total.partial_cmp(&a.total).unwrap_or(std::cmp::Ordering::Equal));
         Ok(out)
     }
-
-    /// Mean reciprocal rank of `wanted` action ids within ranked
-    /// recommendations (experiment E8's ranking metric).
-    pub fn mrr(rankings: &[Vec<Recommendation>], wanted: &[&str]) -> f64 {
-        assert_eq!(rankings.len(), wanted.len());
-        if rankings.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for (ranking, want) in rankings.iter().zip(wanted) {
-            if let Some(pos) = ranking.iter().position(|r| r.action.id == *want) {
-                total += 1.0 / (pos + 1) as f64;
-            }
-        }
-        total / rankings.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -160,17 +144,5 @@ mod tests {
     fn empty_candidates_error() {
         let planner = SpeculativePlanner::default();
         assert!(planner.rank(&[], &|_| 0.0).is_err());
-    }
-
-    #[test]
-    fn mrr_over_sessions() {
-        let planner = SpeculativePlanner::default();
-        let score = |a: &Action| if a.id == "seasonality" { 1.0 } else { 0.5 };
-        let r1 = planner.rank(&candidates(), &score).unwrap();
-        let r2 = planner.rank(&candidates(), &score).unwrap();
-        // wanted is top in session 1, second in session 2's view
-        let m = SpeculativePlanner::mrr(&[r1, r2], &["seasonality", "drill_down"]);
-        assert!((m - (1.0 + 0.5) / 2.0).abs() < 1e-12);
-        assert_eq!(SpeculativePlanner::mrr(&[], &[]), 0.0);
     }
 }

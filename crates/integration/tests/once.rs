@@ -6,7 +6,7 @@
 //!   status, executed SQL, analyzer / `[cache]` / `[repair]` annotations and
 //!   the full explanation bundle) plus the semantic-cache counters, recorded
 //!   at the commit *before* the reuse landed. Sessions: 32 × 20 turns of the
-//!   server load generator over `demo_world`, and 8 × 20 turns over a
+//!   load generator (`cda-bench`'s lab `loadgen`) over `demo_world`, and 8 × 20 turns over a
 //!   4 096-row `employment_by_type` in which half the turns re-ask an earlier
 //!   question (verbatim or as a fingerprint-equal rephrasing) and one new
 //!   question in five reads the small `wage_stats` — once on in-memory
@@ -22,6 +22,7 @@
 // Scratch database files under the temp dir.
 #![allow(clippy::disallowed_methods)]
 
+use cda_bench::loadgen::{session_scripts, LoadSpec};
 use cda_core::catalog::DatasetCatalog;
 use cda_core::demo::{
     demo_catalog, demo_kg, demo_linker, demo_vocabulary, demo_world, CANTONS, EMPLOYMENT_TYPES,
@@ -33,7 +34,6 @@ use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::intent::{classify_intent, Intent};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLmConfig};
 use cda_nlmodel::nl2sql::{parse_question, Nl2SqlTask, Workload};
-use cda_server::loadgen::{session_scripts, LoadSpec};
 use cda_soundness::consistency::{ConsistencyUq, UqRound};
 use cda_sql::{ExecOptions, QueryResult};
 use cda_testkit::rng::StdRng;

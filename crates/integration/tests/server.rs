@@ -7,9 +7,9 @@
 //! control must reject over-quota work *before* execution, never after a
 //! session has been touched.
 
+use cda_bench::loadgen::{interleave, session_scripts, LoadSpec};
 use cda_core::demo::demo_world;
 use cda_core::{CdaConfig, Session};
-use cda_server::loadgen::{interleave, session_scripts, LoadSpec};
 use cda_server::{Server, ServerConfig, TenantQuota, TurnOutcome};
 
 /// Serial reference: replay each session's script on a bare `Session` with

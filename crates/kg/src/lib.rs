@@ -9,8 +9,6 @@
 //!
 //! * [`store`] — a dictionary-encoded triple store with SPO/POS/OSP indexes
 //!   supporting pattern scans over any bound/unbound combination;
-//! * [`query`] — basic-graph-pattern (BGP) queries with variables, evaluated
-//!   by selectivity-ordered backtracking joins (a small SPARQL core);
 //! * [`reason`] — RDFS-style inference (`subClassOf` / `subPropertyOf`
 //!   transitivity, type inheritance, domain/range typing), available both as
 //!   up-front materialization and as query-time expansion (experiment E12
@@ -21,22 +19,22 @@
 //!   linking that combines lexical, embedding, and popularity evidence
 //!   (experiment E3 ablates these signals).
 //!
+//! The basic-graph-pattern (BGP) engine that experiment E12 runs over this
+//! store is experiment apparatus and lives in `cda-bench`'s lab (`query`).
+//!
 //! ## Example
 //!
 //! ```
+//! use cda_kg::reason::Reasoner;
 //! use cda_kg::store::TripleStore;
-//! use cda_kg::query::{Bgp, Pattern, Term};
 //!
 //! let mut kg = TripleStore::new();
-//! kg.insert("barometer", "type", "Indicator");
+//! kg.insert("barometer", "type", "LeadingIndicator");
+//! kg.insert("LeadingIndicator", "subClassOf", "Indicator");
 //! kg.insert("barometer", "measures", "labour_market");
-//! let bgp = Bgp::new(vec![
-//!     Pattern::new(Term::var("x"), Term::iri("type"), Term::iri("Indicator")),
-//!     Pattern::new(Term::var("x"), Term::iri("measures"), Term::var("what")),
-//! ]);
-//! let rows = bgp.evaluate(&kg);
-//! assert_eq!(rows.len(), 1);
-//! assert_eq!(rows[0].get("what"), Some("labour_market"));
+//! assert_eq!(kg.objects("barometer", "measures"), vec!["labour_market"]);
+//! // the subclass chain types the barometer as an indicator at query time
+//! assert!(Reasoner::new(&kg).is_a("barometer", "Indicator"));
 //! ```
 
 // DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
@@ -47,7 +45,6 @@
 
 pub mod error;
 pub mod linking;
-pub mod query;
 pub mod reason;
 pub mod store;
 pub mod vocab;

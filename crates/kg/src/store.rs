@@ -9,7 +9,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 
 /// Interned identifier.
-pub(crate) type Id = u32;
+pub type Id = u32;
 
 /// A string dictionary with stable ids.
 #[derive(Debug, Clone, Default)]
@@ -195,7 +195,7 @@ impl TripleStore {
     /// needs *relative* selectivity, so a small cap keeps estimation O(cap)
     /// instead of O(matches) — without it, re-estimating per backtrack node
     /// is quadratic on large stores.
-    pub(crate) fn count_capped(
+    pub fn count_capped(
         &self,
         s: Option<Id>,
         p: Option<Id>,

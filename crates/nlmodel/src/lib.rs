@@ -1,10 +1,9 @@
 //! # cda-nlmodel
 //!
 //! The **NL Model layer** (ⓒ in Figure 1-right): intent understanding,
-//! NL→SQL translation, natural-language answer generation, and the
-//! inference-time *output-control* machinery the paper's Soundness section
-//! prescribes (rejection sampling, grammar-constrained decoding, reward-
-//! guided reranking).
+//! NL→SQL translation and natural-language answer generation. The layer
+//! does not depend on the static analyzer (`ci.sh` checks it): it only
+//! generates candidates, and consistency UQ in `cda-soundness` gates them.
 //!
 //! ## The simulated language model (documented substitution)
 //!
@@ -27,11 +26,13 @@
 //! * [`intent`] — rule-scored intent classification with confidence;
 //! * [`nl2sql`] — the analytic-task IR, NL phrasing generator, oracle
 //!   parser, and SQL rendering (the workload generator of E5/E7);
-//! * [`constrained`] — the builder-style [`Decoder`]: grammar-constrained
-//!   decoding, rejection sampling, reward-model reranking, and
-//!   analyzer-guided repair of gate-rejected candidates;
 //! * [`generation`] — template-based NL answer/summary generation with
 //!   provenance citations.
+//!
+//! The output-control ablation the paper's Soundness section prescribes —
+//! free, grammar-constrained, rejection-sampled and reward-reranked decoding
+//! (experiment E7) — is experiment apparatus and lives in `cda-bench`'s lab
+//! (`constrained`). The product draws its candidates through consistency UQ.
 
 // DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -40,13 +41,11 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
 pub mod bias;
-pub mod constrained;
 pub mod generation;
 pub mod intent;
 pub mod lm;
 pub mod nl2sql;
 
-pub use constrained::{Decoder, DecodingStrategy};
 pub use intent::{classify_intent, Intent};
 pub use lm::{Generation, SimLm, SimLmConfig};
 pub use nl2sql::{AnalyticTask, Nl2SqlTask, Workload};
@@ -58,11 +57,6 @@ use std::fmt;
 pub enum NlError {
     /// The request could not be mapped to a known task shape.
     Unparseable(String),
-    /// Generation exhausted its sampling budget without an accepted output.
-    BudgetExhausted {
-        /// Samples drawn.
-        attempts: usize,
-    },
     /// A referenced schema element does not exist.
     UnknownSchemaElement(String),
 }
@@ -71,9 +65,6 @@ impl fmt::Display for NlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Unparseable(q) => write!(f, "could not parse request: {q:?}"),
-            Self::BudgetExhausted { attempts } => {
-                write!(f, "no acceptable output after {attempts} samples")
-            }
             Self::UnknownSchemaElement(e) => write!(f, "unknown schema element {e:?}"),
         }
     }
@@ -90,7 +81,6 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(NlError::BudgetExhausted { attempts: 5 }.to_string().contains('5'));
         assert!(NlError::Unparseable("hm".into()).to_string().contains("hm"));
     }
 }

@@ -54,7 +54,6 @@
 #![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
-pub mod loadgen;
 pub mod server;
 pub mod stats;
 

@@ -12,9 +12,11 @@
 //! * [`decompose`] — classical additive decomposition (centered moving-
 //!   average trend, seasonal means, residual);
 //! * [`seasonality`] — autocorrelation-based period detection **with a
-//!   confidence score**, the quantity the paper's P4 property surfaces;
-//! * [`forecast`] — seasonal-naive and drift baselines (sanity baselines for
-//!   the insight quality experiment).
+//!   confidence score**, the quantity the paper's P4 property surfaces.
+//!
+//! The seasonal-naive and drift forecast baselines that experiment E10 uses
+//! to check a claimed period are experiment apparatus and live in
+//! `cda-bench`'s lab (`forecast`).
 
 // DESIGN.md §6: no panic and no stdio on product paths; `#[cfg(test)]` code is exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -23,7 +25,6 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
 pub mod decompose;
-pub mod forecast;
 pub mod seasonality;
 pub mod series;
 

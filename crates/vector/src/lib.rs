@@ -10,19 +10,19 @@
 //! query answering times", including the ability to "return an empty set
 //! when no answer exists with a given expected relevance", plus
 //! "learning-augmented algorithms \[that\] make smart pruning decisions".
-//! This crate implements that whole spectrum from scratch:
+//! This crate implements the guaranteed end of that spectrum from scratch:
 //!
 //! | Module | Method | Guarantee |
 //! |---|---|---|
 //! | [`exact`] | brute-force scan | exact |
-//! | [`ivf`] | IVF-Flat (k-means coarse quantizer + inverted lists) | none (recall depends on `nprobe`) |
-//! | [`hnsw`] | hierarchical navigable small-world graph | none (recall depends on `ef`) |
-//! | [`lsh`] | random-hyperplane LSH | probabilistic, collision-based |
-//! | [`progressive`] | cluster-ordered progressive scan (ProS-style) | **deterministic or (δ)-probabilistic early stop** |
-//! | [`learned`] | learned adaptive early termination on HNSW (Li et al.) | calibrated to a target recall |
+//! | [`progressive`] | cluster-ordered progressive scan (ProS-style) over [`ivf`]'s k-means partitions | **deterministic or (δ)-probabilistic early stop** |
 //!
-//! All indexes answer through the common [`VectorIndex`] trait so the bench
-//! harness (experiment E1/E2) can sweep them uniformly.
+//! The baselines the paper contrasts these with — IVF-Flat, HNSW,
+//! random-hyperplane LSH and learned early termination on HNSW (Li et al.) —
+//! and the recall@k / MRR / NDCG instruments are experiment apparatus: they
+//! live in `cda-bench`'s lab (`ivf`, `hnsw`, `lsh`, `learned`, `eval`) and
+//! answer through the same [`VectorIndex`] trait, so experiments E1/E2 sweep
+//! every index uniformly.
 //!
 //! ## Example
 //!
@@ -44,12 +44,8 @@
 
 pub mod dataset;
 pub mod error;
-pub mod eval;
 pub mod exact;
-pub mod hnsw;
 pub mod ivf;
-pub mod learned;
-pub mod lsh;
 pub mod metrics;
 pub mod progressive;
 

@@ -42,7 +42,7 @@ impl Distance {
 }
 
 /// Squared Euclidean distance.
-pub(crate) fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
+pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
     let chunks = n / 4;
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);

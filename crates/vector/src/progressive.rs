@@ -244,8 +244,28 @@ impl VectorIndex for ProgressiveIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{ground_truth, recall_at_k};
     use crate::exact::ExactIndex;
+
+    /// Mean recall@k of `results` against the exact top-k of each query.
+    fn recall_at_k(
+        data: &VectorSet,
+        queries: &[Vec<f32>],
+        results: &[Vec<Neighbor>],
+        k: usize,
+    ) -> f64 {
+        let exact = ExactIndex::build(data);
+        let total: f64 = queries
+            .iter()
+            .zip(results)
+            .map(|(q, got)| {
+                let truth: std::collections::HashSet<usize> =
+                    exact.search(data, q, k).iter().map(|n| n.id).collect();
+                let hits = got.iter().take(k).filter(|n| truth.contains(&n.id)).count();
+                hits as f64 / truth.len() as f64
+            })
+            .sum();
+        total / queries.len() as f64
+    }
 
     fn clustered() -> VectorSet {
         VectorSet::gaussian_clusters(2000, 16, 20, 0.05, 42).unwrap().0
@@ -285,13 +305,12 @@ mod tests {
         let data = clustered();
         let idx = ProgressiveIndex::build(&data, 20, 50, 10, 1);
         let queries = data.queries_near(50, 0.05, 99);
-        let truth = ground_truth(&data, &queries, 10);
         let delta = 0.2;
         let results: Vec<Vec<Neighbor>> = queries
             .iter()
             .map(|q| idx.search_mode(&data, q, 10, GuaranteeMode::Probabilistic { delta }).0)
             .collect();
-        let r = recall_at_k(&truth, &results, 10);
+        let r = recall_at_k(&data, &queries, &results, 10);
         // exact-set mismatch prob ≤ δ ⇒ recall ≥ 1 − δ in expectation; allow
         // sampling slack
         assert!(r >= 1.0 - delta - 0.1, "recall {r}");
