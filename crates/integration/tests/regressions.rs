@@ -1,9 +1,11 @@
-//! Pinned regressions for inputs that previously panicked.
+//! Pinned regressions: inputs that previously panicked, and statements the
+//! static gate judged wrongly.
 //!
-//! Each test exercises a user-input-reachable path that used to hit an
-//! `unwrap`/`expect`/`unreachable!` and now returns a structured error (or a
+//! The first group exercises user-input-reachable paths that used to hit an
+//! `unwrap`/`expect`/`unreachable!` and now return a structured error (or a
 //! graceful empty result). If one of these starts panicking again, the
-//! hardening from the static-analysis PR has regressed.
+//! hardening from the static-analysis PR has regressed. The second group
+//! pins statements whose gate verdict the engines contradicted.
 
 use cda_core::catalog::DatasetCatalog;
 use cda_sql::execute;
@@ -63,4 +65,117 @@ fn dialogue_survives_malformed_analytical_phrasing() {
         let turn = sys.process(utterance);
         assert!(!turn.text.is_empty(), "turn must carry a message for {utterance:?}");
     }
+}
+
+// ------------------------------------------------ unsound gate verdicts
+//
+// Statements the static gate used to pass (or certify as provably empty or
+// a provable no-op) while both engines rejected them or answered wrongly:
+// the gate's own name-and-type pass and the binder each assumed the other
+// enforced the types. Each must now be an A004 reject with nothing
+// compiled, refused by the binder before either engine runs.
+
+/// Gate, compile and both engines on `demo_world(7)`: an A004 reject,
+/// `compiled = None`, and a bind-time error on both engines.
+fn assert_refused_at_bind(sql: &str) {
+    use cda_analyzer::Code;
+    use cda_sql::{execute_with_options, ExecOptions};
+    let world = cda_core::demo::demo_world(7);
+    let catalog = world.catalog();
+    let analyzer = cda_analyzer::Analyzer::new(catalog.sql()).with_stats(catalog.stats());
+    let (report, compiled) = analyzer.gate(sql);
+    assert!(
+        report.findings.iter().any(|f| f.code == Code::TypeMismatch),
+        "{sql}: {}",
+        report.summary()
+    );
+    assert!(report.dooms_execution(), "{sql}");
+    assert!(compiled.is_none(), "{sql}: compiled despite a bind fault");
+    let bound = cda_sql::compile(catalog.sql(), sql);
+    assert!(bound.is_err(), "{sql}: the binder accepted it");
+    let stmt = cda_sql::parser::parse_statement(sql).unwrap();
+    if stmt.is_write() {
+        assert!(cda_sql::plan_dml(catalog.sql(), &stmt).is_err(), "{sql}");
+        let mut session = cda_core::demo::demo_session(7);
+        let decision = session.apply_sql(sql).unwrap();
+        assert!(
+            matches!(decision, cda_core::mutation::WriteDecision::Rejected { .. }),
+            "{sql}: {decision:?}"
+        );
+    } else {
+        for opts in [ExecOptions::default(), ExecOptions::vectorized()] {
+            let err = execute_with_options(catalog.sql(), sql, opts);
+            assert_eq!(err.err(), bound.clone().err(), "{sql}: not refused at bind");
+        }
+    }
+}
+
+/// Gated A015 "provably empty"; both engines fail `LIKE expects STR`.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn like_over_a_float_column_is_a_bind_fault() {
+    assert_refused_at_bind("SELECT canton FROM wage_stats WHERE median_wage LIKE 'a%'");
+}
+
+/// Gated A021 with `provable_noop = true`; `apply_sql` errored.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn like_over_a_float_column_in_a_delete_is_a_bind_fault() {
+    assert_refused_at_bind("DELETE FROM wage_stats WHERE median_wage LIKE 'a%'");
+}
+
+/// Gated A021 with `provable_noop = true`; `apply_sql` errored.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn like_over_a_float_column_in_an_update_is_a_bind_fault() {
+    assert_refused_at_bind("UPDATE wage_stats SET median_wage = 1 WHERE median_wage LIKE 'a%'");
+}
+
+/// Gate-clean; both engines fail `NOT expects BOOL`.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn not_over_a_str_column_is_a_bind_fault() {
+    assert_refused_at_bind("SELECT NOT canton FROM wage_stats");
+}
+
+/// Gate-clean; both engines fail `AND expects BOOL`.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn and_over_a_str_column_is_a_bind_fault() {
+    assert_refused_at_bind("SELECT canton FROM wage_stats WHERE canton AND median_wage > 0");
+}
+
+/// Gate-clean; both engines answered 0.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn a_str_where_clause_is_a_bind_fault() {
+    assert_refused_at_bind("SELECT COUNT(*) FROM wage_stats WHERE canton");
+}
+
+/// Gate-clean; both engines answered 0 rows.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn a_float_where_clause_is_a_bind_fault() {
+    assert_refused_at_bind("SELECT canton FROM wage_stats WHERE median_wage");
+}
+
+/// Gate-clean; both engines answered 0 rows.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn a_str_having_clause_is_a_bind_fault() {
+    assert_refused_at_bind("SELECT canton FROM wage_stats GROUP BY canton HAVING MAX(canton)");
+}
+
+/// Gate-clean; both engines took the ELSE arm on all 24 rows.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn a_str_case_condition_is_a_bind_fault() {
+    assert_refused_at_bind("SELECT CASE WHEN canton THEN 1 ELSE 2 END FROM wage_stats");
+}
+
+/// Gate-clean; `apply_sql` "applied" with 0 rows affected.
+#[test]
+#[ignore = "unsound gate verdict; fixed by the typed binder"]
+fn a_str_delete_predicate_is_a_bind_fault() {
+    assert_refused_at_bind("DELETE FROM wage_stats WHERE canton");
 }
