@@ -40,16 +40,17 @@ echo "== tier-1: full test suite (unit + doc + integration), one run"
 # lab unit tests and its own `edge_cases` and `pipeline` suites (the baseline
 # indexes, consistency UQ's calibration, the decoding ablation), the testkit
 # self-tests, the static analyzer suite (sqlcheck codes, gate consistency,
-# absint soundness laws), optimizer certification (a refuted rewrite fails
+# absint soundness laws), the gate's verdict laws and bind pins over the
+# typed-expression corpus (`verdicts`), optimizer certification (a refuted rewrite fails
 # here and prints its counterexample tables), the vectorized differential
 # certification, the server runtime suite and the storage fault sweep. It also
 # compiles the examples (`[[example]]` targets of cda-core).
 cargo test -q --workspace
 
-echo "== tier-1, release: transcript pins and the execution-count law with the sanitizers off"
+echo "== tier-1, release: transcript pins, the execution-count law and the gate's verdict laws with the sanitizers off"
 # The debug run above has absint_check / effect_check on (cfg!(debug_assertions));
-# the benchmark runs release, where they are off. Same pins, same law, on that path.
-cargo test --release -q -p cda-integration --test once
+# the benchmark runs release, where they are off. Same pins, same laws, on that path.
+cargo test --release -q -p cda-integration --test once --test verdicts
 
 echo "== tier-1, release: engine differential, determinism, durable cache and server suites as the benchmark compiles them"
 # Gathers, lineage stores and morsel indexing compile differently in debug

@@ -5,13 +5,15 @@
 //!
 //! **SQL text → compiled statement: the gate.**
 //!
-//! * [`sqlcheck`] — a semantic lint/typecheck over parsed SQL ASTs and bound
-//!   logical plans (`cda_sql::plan::Plan`), and the one place SQL text is
-//!   compiled: [`Analyzer::gate`] returns the compiled statement next to its
-//!   report, and every layer above reuses it. It detects, without touching a
-//!   single row, the query shapes that execution-based verification
-//!   (`cda-soundness`) would only discover after paying full execution cost:
-//!   unknown tables/columns, type misuse, GROUP BY violations, predicates
+//! * [`sqlcheck`] — the one place SQL text is compiled: [`Analyzer::gate`]
+//!   binds the statement through `cda_sql`'s binder, which resolves its
+//!   names and types and returns every fault, gives each fault its finding,
+//!   then analyzes the bound logical plan (`cda_sql::plan::Plan`); it
+//!   returns the compiled statement next to its report, and every layer
+//!   above reuses it. It detects, without touching a single row, the query
+//!   shapes that execution-based verification (`cda-soundness`) would only
+//!   discover after paying full execution cost: unknown tables/columns,
+//!   type misuse, GROUP BY violations (all from the binder), predicates
 //!   that constant-fold to FALSE (provably-empty results), tautological
 //!   filters, division by a literal zero, accidental cartesian joins,
 //!   out-of-range column references, and `LIMIT 0`. Each finding carries a
@@ -81,4 +83,4 @@ pub use effects::{compiled_effects, dml_effects, plan_reads, statement_effects, 
 pub use cardest::{estimate, q_error, CardEstimate, Statistics};
 pub use equiv::{certify_optimizer, EquivEngine, EquivResult, PlanFingerprint};
 pub use repair::{apply_hints, edit_distance, nearest_name, repair_hints, RepairHint};
-pub use sqlcheck::{Analyzer, Code, Finding, RenderOpts, Report};
+pub use sqlcheck::{Analyzer, Code, Finding, Report};

@@ -23,7 +23,7 @@
 use crate::sqlcheck::{Analyzer, Code, Report};
 use cda_dataframe::DataType;
 use cda_sql::ast::{Expr, Select, Statement};
-use cda_sql::{Catalog, Compiled};
+use cda_sql::{BindFault, Catalog, Compiled};
 use std::fmt;
 
 /// One structured, applicable repair derived from a gate finding.
@@ -207,7 +207,7 @@ pub fn repair_hints(catalog: &Catalog, sql: &str, report: &Report) -> Vec<Repair
             .filter(|(_, dt)| dt.is_numeric())
             .map(|(n, _)| n.clone())
             .collect();
-        for from in misused_numeric_columns(&select, &scope) {
+        for from in misused_numeric_columns(catalog, &select) {
             let Some(to) = nearest_name(&from, &numeric) else { continue };
             let expected = scope
                 .iter()
@@ -321,41 +321,15 @@ fn dml_hints(catalog: &Catalog, stmt: &Statement, report: &Report) -> Vec<Repair
         }
     }
 
-    // A020 type faults with literal values: the written column is probably
-    // the wrong one — point at the nearest column whose type fits the value.
+    // A020 type faults: the written column is probably the wrong one —
+    // point at the nearest column whose type fits the value.
     if report.findings.iter().any(|f| f.code == Code::WriteShapeMismatch) {
-        let mut typed: Vec<(&str, DataType)> = Vec::new();
-        match stmt {
-            Statement::Update(u) => {
-                for (c, e) in &u.sets {
-                    if let Expr::Literal(v) = e {
-                        if let (Some(vt), Some(f)) = (v.data_type(), schema.index_of(c)) {
-                            if let Some(field) = schema.field_at(f) {
-                                if field.data_type() != vt {
-                                    typed.push((c.as_str(), vt));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Statement::Insert(i) if !i.columns.is_empty() => {
-                for row in &i.rows {
-                    for (c, e) in i.columns.iter().zip(row) {
-                        if let Expr::Literal(v) = e {
-                            if let (Some(vt), Some(f)) = (v.data_type(), schema.index_of(c)) {
-                                if let Some(field) = schema.field_at(f) {
-                                    if field.data_type() != vt {
-                                        typed.push((c.as_str(), vt));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
+        let faults = cda_sql::bind_statement(catalog, stmt).err().unwrap_or_default();
+        let typed = faults.into_iter().filter_map(|f| match f {
+            BindFault::WriteType { column, value, .. } => Some((column, value)),
+            BindFault::FractionalInt { column, .. } => Some((column, DataType::Float)),
+            _ => None,
+        });
         for (from, expected) in typed {
             let fitting: Vec<String> = schema
                 .fields()
@@ -363,8 +337,8 @@ fn dml_hints(catalog: &Catalog, stmt: &Statement, report: &Report) -> Vec<Repair
                 .filter(|f| f.data_type() == expected)
                 .map(|f| f.name().to_owned())
                 .collect();
-            let Some(to) = nearest_name(from, &fitting) else { continue };
-            let h = RepairHint::RetypeColumn { from: from.to_owned(), to: to.to_owned(), expected };
+            let Some(to) = nearest_name(&from, &fitting) else { continue };
+            let h = RepairHint::RetypeColumn { from, to: to.to_owned(), expected };
             if !hints.contains(&h) {
                 hints.push(h);
             }
@@ -420,124 +394,25 @@ fn scope_columns(
     out
 }
 
-/// Resolve a column's type in the (name, type) scope, case-insensitively.
-fn column_type(scope: &[(String, DataType)], name: &str) -> Option<DataType> {
-    scope
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, dt)| *dt)
-}
-
-/// Columns used where a numeric value is required but whose resolved type is
-/// non-numeric: arguments of `SUM`/`AVG`/`STDDEV`, operands of arithmetic
-/// (except string `+` concatenation), and unary-minus arguments.
-fn misused_numeric_columns(select: &Select, scope: &[(String, DataType)]) -> Vec<String> {
-    use cda_dataframe::kernels::AggKind;
-    use cda_sql::ast::{BinaryOp, SelectItem};
+/// The columns the binder blames for a fault that wants a number: the
+/// non-numeric column operands of arithmetic (other than `STR + STR`), of
+/// unary minus and of `SUM`/`AVG`/`STDDEV`.
+fn misused_numeric_columns(catalog: &Catalog, select: &Select) -> Vec<String> {
+    let Err(faults) = cda_sql::planner::bind_select(catalog, select) else { return Vec::new() };
     let mut out: Vec<String> = Vec::new();
-    let mut push = |out: &mut Vec<String>, name: &str| {
-        if !out.iter().any(|n| n.eq_ignore_ascii_case(name)) {
-            out.push(name.to_owned());
-        }
-    };
-    fn non_numeric_column<'e>(
-        e: &'e Expr,
-        scope: &[(String, DataType)],
-    ) -> Option<&'e str> {
-        if let Expr::Column { name, .. } = e {
-            if column_type(scope, name).is_some_and(|dt| !dt.is_numeric()) {
-                return Some(name);
+    for fault in faults {
+        let blamed = match fault {
+            BindFault::Arithmetic { columns, .. } => columns,
+            BindFault::Negation { column, .. } | BindFault::NonNumericAggregate { column, .. } => {
+                column.into_iter().collect()
+            }
+            _ => Vec::new(),
+        };
+        for name in blamed {
+            if !out.iter().any(|n| n.eq_ignore_ascii_case(&name)) {
+                out.push(name);
             }
         }
-        None
-    }
-    fn walk(
-        e: &Expr,
-        scope: &[(String, DataType)],
-        push: &mut impl FnMut(&mut Vec<String>, &str),
-        out: &mut Vec<String>,
-    ) {
-        match e {
-            Expr::Aggregate { kind, arg } => {
-                if let Some(a) = arg {
-                    if matches!(kind, AggKind::Sum | AggKind::Avg | AggKind::StdDev) {
-                        if let Some(name) = non_numeric_column(a, scope) {
-                            push(out, name);
-                        }
-                    }
-                    walk(a, scope, push, out);
-                }
-            }
-            Expr::Binary { left, op, right } => {
-                let arithmetic = matches!(
-                    op,
-                    BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod
-                );
-                let concat = *op == BinaryOp::Add
-                    && [left, right].iter().all(|side| {
-                        non_numeric_column(side, scope).is_some()
-                            || matches!(&***side, Expr::Literal(v) if v.data_type() == Some(DataType::Str))
-                    });
-                if arithmetic && !concat {
-                    for side in [left, right] {
-                        if let Some(name) = non_numeric_column(side, scope) {
-                            push(out, name);
-                        }
-                    }
-                }
-                walk(left, scope, push, out);
-                walk(right, scope, push, out);
-            }
-            Expr::Neg(inner) => {
-                if let Some(name) = non_numeric_column(inner, scope) {
-                    push(out, name);
-                }
-                walk(inner, scope, push, out);
-            }
-            Expr::Not(inner) => walk(inner, scope, push, out),
-            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => walk(expr, scope, push, out),
-            Expr::InList { expr, list, .. } => {
-                walk(expr, scope, push, out);
-                for v in list {
-                    walk(v, scope, push, out);
-                }
-            }
-            Expr::Between { expr, low, high, .. } => {
-                walk(expr, scope, push, out);
-                walk(low, scope, push, out);
-                walk(high, scope, push, out);
-            }
-            Expr::Case { branches, else_expr } => {
-                for (c, v) in branches {
-                    walk(c, scope, push, out);
-                    walk(v, scope, push, out);
-                }
-                if let Some(e) = else_expr {
-                    walk(e, scope, push, out);
-                }
-            }
-            Expr::Literal(_) | Expr::Column { .. } => {}
-        }
-    }
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, scope, &mut push, &mut out);
-        }
-    }
-    for j in &select.joins {
-        walk(&j.on, scope, &mut push, &mut out);
-    }
-    if let Some(w) = &select.where_clause {
-        walk(w, scope, &mut push, &mut out);
-    }
-    for g in &select.group_by {
-        walk(g, scope, &mut push, &mut out);
-    }
-    if let Some(h) = &select.having {
-        walk(h, scope, &mut push, &mut out);
-    }
-    for o in &select.order_by {
-        walk(&o.expr, scope, &mut push, &mut out);
     }
     out
 }

@@ -1,44 +1,52 @@
 //! `sqlcheck` — the pre-execution static soundness gate for generated SQL.
 //!
 //! The configurable [`Analyzer`] compiles a candidate statement once
-//! ([`Analyzer::gate`]) and runs up to three passes over it, without
-//! executing it:
+//! ([`Analyzer::gate`]) and judges it without executing it:
 //!
-//! 1. an **AST pass** against the catalog: unknown tables and columns,
-//!    ambiguous references, type misuse (arithmetic on text, `SUM` over a
-//!    text column, comparisons that can never hold), and bare non-aggregated
-//!    columns outside `GROUP BY`;
+//! 1. **binding**, by `cda_sql`'s binder ([`cda_sql::bind_statement`]), the
+//!    one place names and types are resolved. It returns every
+//!    [`BindFault`] — unknown tables and columns, ambiguous references,
+//!    type misuse (arithmetic on text, `SUM` over a text column, `LIKE`
+//!    over a number, a non-BOOL condition), bare non-aggregated columns
+//!    outside `GROUP BY`, write-target and write-type faults, and the
+//!    comparisons that can never hold — and the gate maps each to its code
+//!    and message in one exhaustive `match`;
 //! 2. a **plan pass** over the bound logical plan: predicates that
 //!    constant-fold to `FALSE`/`NULL` (provably-empty results), tautological
 //!    filters, division by a literal zero, joins with no usable join
 //!    predicate (accidental cartesian products), out-of-range column
 //!    references, and `LIMIT 0`;
-//! 3. a **cost pass** (when the analyzer is built
+//! 3. the **abstract-interpretation** pass (A015–A018, [`crate::absint`]);
+//! 4. a **cost pass** (when the analyzer is built
 //!    [`with_stats`](Analyzer::with_stats)): the [`crate::cardest`]
 //!    cardinality estimator bounds the output row count, upgrades the A009
 //!    cartesian-join warning to a quantitative one, and — given a
 //!    [`with_row_budget`](Analyzer::with_row_budget) — raises A013 when the
 //!    estimated result size exceeds the budget.
 //!
+//! A statement with a binding fault that is more than a warning has no
+//! plan, so the later passes do not run on it and both engines refuse it
+//! at bind time too.
+//!
 //! Each finding carries a stable code (`A001`…), a [`Severity`], an NL
-//! message suitable for the answer annotation layer, and (where available)
-//! a structured payload: the source span of the offending identifier and
-//! the estimated row-count bounds. The subset of findings for which
+//! message suitable for the answer annotation layer, and (from the cost
+//! pass) the estimated row-count bounds. The subset of findings for which
 //! [`Code::dooms_execution`] holds proves that executing the query would
-//! fail (assuming rows actually flow through the offending operator), which
-//! is what lets consistency UQ skip the execution entirely — the
-//! wall-clock saving experiment E13 measures, while E14
-//! measures the cost pass's accuracy (q-error) and overhead.
+//! fail — at bind time for a binding fault; for the plan and absint
+//! codes, once rows flow through the offending operator — which is what
+//! lets consistency UQ skip the execution entirely: the wall-clock saving
+//! experiment E13 measures, while E14 measures the cost pass's accuracy
+//! (q-error) and overhead.
 
 use crate::cardest::{estimate, CardEstimate, Statistics};
-use cda_dataframe::kernels::AggKind;
-use cda_dataframe::{DataType, Field, Schema, Value};
-use cda_sql::ast::{BinaryOp, Expr, Select, SelectItem, Statement};
+use cda_dataframe::Value;
+use cda_sql::ast::{BinaryOp, Statement};
 use cda_sql::optimizer::fold_expr;
 use cda_sql::plan::{BoundExpr, Plan};
-use cda_sql::{Catalog, Compiled, DmlKind, DmlPlan, SqlError, StatementPlan};
+use cda_sql::{
+    BindFault, Catalog, Clause, Comparison, Compiled, DmlKind, DmlPlan, SqlError, StatementPlan,
+};
 use std::fmt;
-use std::ops::Range;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,8 +79,9 @@ pub enum Code {
     UnknownTable,
     /// A003 — unknown or ambiguous column reference.
     UnknownColumn,
-    /// A004 — type misuse that fails at runtime (arithmetic on text,
-    /// `SUM`/`AVG`/`STDDEV` over a non-numeric column).
+    /// A004 — type misuse the binder refuses (arithmetic on text,
+    /// `SUM`/`AVG`/`STDDEV` over a non-numeric column, `LIKE` over a
+    /// non-STR value, `NOT`/`AND`/`OR` or a condition over a non-BOOL one).
     TypeMismatch,
     /// A005 — bare non-aggregated column outside `GROUP BY`.
     BareColumn,
@@ -227,9 +236,6 @@ pub struct Finding {
     pub severity: Severity,
     /// NL rendering for the answer annotation layer.
     pub message: String,
-    /// Byte range of the offending identifier in the analyzed SQL text,
-    /// when it could be located (best-effort; never affects rendering).
-    pub span: Option<Range<usize>>,
     /// Estimated `[lo, hi]` output row bounds attached by the cost pass
     /// (`u64::MAX` = unbounded above).
     pub estimated_rows: Option<(u64, u64)>,
@@ -242,15 +248,8 @@ impl Finding {
             code,
             severity: code.severity(),
             message: message.into(),
-            span: None,
             estimated_rows: None,
         }
-    }
-
-    /// Attach the source span of the offending identifier.
-    pub fn with_span(mut self, span: Range<usize>) -> Self {
-        self.span = Some(span);
-        self
     }
 
     /// Attach estimated output row bounds from the cost pass.
@@ -259,41 +258,17 @@ impl Finding {
         self
     }
 
-    /// Render as `[A00x reject] message`, with optional payloads selected
-    /// by `opts`. With `RenderOpts::default()` the output is byte-identical
-    /// to earlier releases: row bounds appended, span omitted. This is the
-    /// single rendering entry point — every consumer (annotations, summary,
+    /// Render as `[A00x reject] message`, with the estimated row bounds
+    /// appended when the cost pass attached them. This is the single
+    /// rendering entry point — every consumer (annotations, summary,
     /// dialogue, benches) goes through it rather than formatting ad hoc.
-    pub fn render(&self, opts: &RenderOpts) -> String {
+    pub fn render(&self) -> String {
         let mut out = format!("[{} {}] {}", self.code, self.severity, self.message);
-        if opts.with_estimated_rows {
-            if let Some((lo, hi)) = self.estimated_rows {
-                let hi = if hi == u64::MAX { "inf".to_owned() } else { hi.to_string() };
-                out.push_str(&format!(" (estimated rows {lo}..{hi})"));
-            }
-        }
-        if opts.with_span {
-            if let Some(span) = &self.span {
-                out.push_str(&format!(" (span {}..{})", span.start, span.end));
-            }
+        if let Some((lo, hi)) = self.estimated_rows {
+            let hi = if hi == u64::MAX { "inf".to_owned() } else { hi.to_string() };
+            out.push_str(&format!(" (estimated rows {lo}..{hi})"));
         }
         out
-    }
-}
-
-/// Options for [`Finding::render`]: which payloads to append to the NL text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RenderOpts {
-    /// Append ` (span start..end)` when the finding carries a source span.
-    pub with_span: bool,
-    /// Append ` (estimated rows lo..hi)` when the cost pass attached bounds.
-    pub with_estimated_rows: bool,
-}
-
-impl Default for RenderOpts {
-    /// The historical rendering: row bounds shown, spans omitted.
-    fn default() -> Self {
-        Self { with_span: false, with_estimated_rows: true }
     }
 }
 
@@ -344,8 +319,7 @@ impl Report {
 
     /// The NL renderings of all findings, for answer annotations.
     pub fn annotations(&self) -> Vec<String> {
-        let opts = RenderOpts::default();
-        self.findings.iter().map(|f| f.render(&opts)).collect()
+        self.findings.iter().map(Finding::render).collect()
     }
 
     /// One-line NL summary of the findings (empty string when clean).
@@ -441,7 +415,7 @@ impl<'a> Analyzer<'a> {
     /// error here). Never executes.
     pub fn analyze(&self, sql: &str) -> Report {
         let parsed = cda_sql::parser::parse(sql).map(Statement::Select);
-        self.gate_parsed(sql, parsed, "query").0
+        self.gate_parsed(parsed, "query").0
     }
 
     /// Statically analyze any supported statement: the report of
@@ -452,8 +426,9 @@ impl<'a> Analyzer<'a> {
 
     /// The static soundness gate — and the one place SQL text is compiled.
     ///
-    /// Parses `sql`, runs the AST pass, binds and optimizes the statement
-    /// ([`cda_sql::plan_statement`]), then runs the plan, abstract-
+    /// Parses `sql`, binds and optimizes the statement
+    /// ([`cda_sql::bind_statement`]) and reports its binding faults, then
+    /// runs the plan, abstract-
     /// interpretation and cost passes over the logical plan (a SELECT) or
     /// the write gate A019–A023 over the bound DML statement and its read
     /// side. A statement that parses and binds comes back compiled next to
@@ -461,12 +436,11 @@ impl<'a> Analyzer<'a> {
     /// this one parse and bind; whether it may run is the caller's question
     /// to [`Report::dooms_execution`]. Never executes.
     pub fn gate(&self, sql: &str) -> (Report, Option<Compiled>) {
-        self.gate_parsed(sql, cda_sql::parser::parse_statement(sql), "statement")
+        self.gate_parsed(cda_sql::parser::parse_statement(sql), "statement")
     }
 
     fn gate_parsed(
         &self,
-        sql: &str,
         parsed: cda_sql::Result<Statement>,
         noun: &str,
     ) -> (Report, Option<Compiled>) {
@@ -478,44 +452,148 @@ impl<'a> Analyzer<'a> {
                 return (report, None);
             }
         };
-        match &statement {
-            Statement::Select(select) => {
-                check_select(self.catalog, select, &mut report);
-                attach_spans(&mut report, sql);
-            }
-            write => check_write(self.catalog, write, &mut report),
-        }
-        // A statement the AST pass dooms gets no further findings: binding
-        // would fail for the same reasons, and the deep passes have no
-        // signal to add.
-        let doomed = report.dooms_execution();
-        let plan = match cda_sql::plan_statement(self.catalog, &statement) {
-            Ok(plan) => plan,
-            Err(_) if doomed => return (report, None),
-            Err(e) => {
-                // Residual DML binding errors (non-constant INSERT values,
-                // values that can never be stored) are shape faults.
-                if statement.is_write() {
-                    report.push(
-                        Code::WriteShapeMismatch,
-                        format!("the write cannot be bound to a plan ({e})"),
-                    );
-                } else {
-                    report.push(
-                        map_plan_error(&e),
-                        format!("the query cannot be bound to a plan ({e})"),
-                    );
-                }
-                return (report, None);
-            }
+        let write = statement.is_write();
+        let bound = cda_sql::bind_statement(self.catalog, &statement);
+        let faults = match &bound {
+            Ok((_, warnings)) => warnings,
+            Err(faults) => faults,
         };
-        if !doomed {
-            match &plan {
-                StatementPlan::Query { logical, .. } => self.plan_passes(logical, &mut report),
-                StatementPlan::Write(dml) => self.write_passes(&statement, dml, &mut report),
-            }
+        for fault in faults {
+            report.push_finding(self.bind_finding(fault, write));
+        }
+        let Ok((plan, _)) = bound else { return (report, None) };
+        match &plan {
+            StatementPlan::Query { logical, .. } => self.plan_passes(logical, &mut report),
+            StatementPlan::Write(dml) => self.write_passes(&statement, dml, &mut report),
         }
         (report, Some(Compiled { statement, plan }))
+    }
+
+    /// The finding a binding fault reports: the binder resolved the names
+    /// and types, and this is the one place its faults get codes (A002–A005,
+    /// A012, A019, A020, A023) and NL messages.
+    fn bind_finding(&self, fault: &BindFault, write: bool) -> Finding {
+        let unbound = |noun: &str| {
+            format!("the {noun} cannot be bound to a plan ({})", SqlError::from(fault.clone()))
+        };
+        let (code, message) = match fault {
+            BindFault::UnknownTable(table) if write => (
+                Code::UnknownWriteTarget,
+                format!(
+                    "the write targets table {table:?}, which does not exist (available: {})",
+                    self.catalog.table_names().join(", ")
+                ),
+            ),
+            BindFault::UnknownTable(table) => (
+                Code::UnknownTable,
+                format!(
+                    "the query reads from table {table:?}, which does not exist (available: {})",
+                    self.catalog.table_names().join(", ")
+                ),
+            ),
+            BindFault::DuplicateAlias(_) => (Code::UnknownTable, unbound("query")),
+            BindFault::UnknownColumn { column, known } => (
+                Code::UnknownColumn,
+                format!(
+                    "the query references column {column:?}, which does not exist in the tables \
+                     in scope (known columns: {})",
+                    known.join(", ")
+                ),
+            ),
+            BindFault::AmbiguousColumn(name) => (
+                Code::UnknownColumn,
+                format!(
+                    "the column reference {name:?} is ambiguous — qualify it with a table name"
+                ),
+            ),
+            BindFault::Arithmetic { op, left, right, .. } => (
+                Code::TypeMismatch,
+                format!("arithmetic {op:?} over a {left} and a {right} fails at runtime"),
+            ),
+            BindFault::Negation { found, .. } => {
+                (Code::TypeMismatch, format!("unary minus over a {found} value fails at runtime"))
+            }
+            BindFault::NotBool { context, found } => {
+                let message =
+                    format!("{context} needs a BOOL but is given a value of type {found}");
+                (Code::TypeMismatch, message)
+            }
+            BindFault::LikeNotStr(t) => {
+                (Code::TypeMismatch, format!("LIKE needs a STR but is given a value of type {t}"))
+            }
+            BindFault::NonNumericAggregate { kind, found, .. } => (
+                Code::TypeMismatch,
+                format!(
+                    "{}() over a {found} column fails at runtime — it needs numeric values",
+                    kind.name()
+                ),
+            ),
+            BindFault::BareColumn { name, clause, .. } => (
+                Code::BareColumn,
+                match clause {
+                    Clause::Having => {
+                        format!("HAVING references column {name:?}, which is not grouped")
+                    }
+                    Clause::OrderBy => {
+                        format!("ORDER BY references column {name:?}, which is not grouped")
+                    }
+                    Clause::Select | Clause::On | Clause::Where | Clause::GroupBy => format!(
+                        "column {name:?} is selected bare but is neither in GROUP BY nor inside an \
+                         aggregate"
+                    ),
+                },
+            ),
+            BindFault::GroupedWildcard => (
+                Code::BareColumn,
+                "SELECT * cannot be combined with GROUP BY or aggregates — every output column \
+                 must be grouped or aggregated"
+                    .to_owned(),
+            ),
+            BindFault::IncompatibleComparison { left, right, site } => (
+                Code::SuspiciousComparison,
+                format!(
+                    "comparing a {left} with a {right} always yields NULL — {}",
+                    match site {
+                        Comparison::Operator => "this condition can never hold",
+                        Comparison::InItem => "this IN list item can never match",
+                        Comparison::BetweenBound => "this BETWEEN bound can never hold",
+                    }
+                ),
+            ),
+            BindFault::UnknownWriteColumn { insert: true, table, column } => (
+                Code::UnknownWriteTarget,
+                format!("INSERT into {table:?} names unknown column {column:?}"),
+            ),
+            BindFault::UnknownWriteColumn { insert: false, table, column } => (
+                Code::UnknownWriteTarget,
+                format!("UPDATE {table:?} SET names unknown column {column:?}"),
+            ),
+            BindFault::InsertArity { values, columns } => (
+                Code::WriteShapeMismatch,
+                format!("an INSERT row supplies {values} values for {columns} columns"),
+            ),
+            BindFault::WriteType { table, column, value, target } => (
+                Code::WriteShapeMismatch,
+                format!(
+                    "a {value} value cannot be written into column {table}.{column} of type \
+                     {target}"
+                ),
+            ),
+            BindFault::FractionalInt { table, column, value } => (
+                Code::WriteShapeMismatch,
+                format!("value {value} can never be stored into INT column {table}.{column}"),
+            ),
+            BindFault::NarrowingWrite { table, column } => (
+                Code::NarrowingWrite,
+                format!(
+                    "writing a FLOAT value into INT column {table}.{column} narrows the stored \
+                     type and aborts on any fractional value"
+                ),
+            ),
+            BindFault::Unplannable(_) if write => (Code::WriteShapeMismatch, unbound("write")),
+            BindFault::Unplannable(_) => (Code::TypeMismatch, unbound("query")),
+        };
+        Finding::new(code, message)
     }
 
     /// The deep half of the DML gate, over the bound statement: A008 over
@@ -663,583 +741,6 @@ impl<'a> Analyzer<'a> {
                 );
             }
         }
-    }
-}
-
-/// Best-effort span recovery: locate the identifier quoted in an unknown
-/// table/column message inside the SQL text.
-fn attach_spans(report: &mut Report, sql: &str) {
-    let lower = sql.to_ascii_lowercase();
-    for f in report.findings.iter_mut() {
-        if f.span.is_some() || !matches!(f.code, Code::UnknownTable | Code::UnknownColumn) {
-            continue;
-        }
-        let Some(ident) = f.message.split('"').nth(1) else { continue };
-        if ident.is_empty() {
-            continue;
-        }
-        if let Some(pos) = lower.find(&ident.to_ascii_lowercase()) {
-            f.span = Some(pos..pos + ident.len());
-        }
-    }
-}
-
-/// The AST half of the DML gate: unknown write targets (A019), INSERT
-/// arity and value types (A020/A023), and the column/type checks of every
-/// expression position. An unknown target table ends the pass — nothing
-/// else can be resolved against it.
-fn check_write(catalog: &Catalog, stmt: &Statement, report: &mut Report) {
-    let Some(target) = stmt.write_target() else { return };
-    let Ok(entry) = catalog.get(target) else {
-        report.push(
-            Code::UnknownWriteTarget,
-            format!(
-                "the write targets table {target:?}, which does not exist (available: {})",
-                catalog.table_names().join(", ")
-            ),
-        );
-        return;
-    };
-    let schema = entry.table.schema();
-    let scope = TableScope { entries: vec![(target.to_owned(), schema.clone())] };
-    let no_aliases: [String; 0] = [];
-    match stmt {
-        Statement::Select(_) => {}
-        Statement::Insert(i) => {
-            for c in &i.columns {
-                if schema.index_of(c).is_none() {
-                    report.push(
-                        Code::UnknownWriteTarget,
-                        format!("INSERT into {target:?} names unknown column {c:?}"),
-                    );
-                }
-            }
-            let width = if i.columns.is_empty() { schema.len() } else { i.columns.len() };
-            for row in &i.rows {
-                if row.len() != width {
-                    report.push(
-                        Code::WriteShapeMismatch,
-                        format!(
-                            "an INSERT row supplies {} values for {} columns",
-                            row.len(),
-                            width
-                        ),
-                    );
-                    continue;
-                }
-                for (k, expr) in row.iter().enumerate() {
-                    check_expr(expr, &scope, &no_aliases, report);
-                    let idx = if i.columns.is_empty() {
-                        Some(k)
-                    } else {
-                        i.columns.get(k).and_then(|c| schema.index_of(c))
-                    };
-                    if let (Some(field), Some(vt)) =
-                        (idx.and_then(|i| schema.field_at(i)), infer_type(expr, &scope))
-                    {
-                        check_write_type(target, field, vt, expr, report);
-                    }
-                }
-            }
-        }
-        Statement::Update(u) => {
-            for (c, expr) in &u.sets {
-                check_expr(expr, &scope, &no_aliases, report);
-                match schema.index_of(c) {
-                    None => report.push(
-                        Code::UnknownWriteTarget,
-                        format!("UPDATE {target:?} SET names unknown column {c:?}"),
-                    ),
-                    Some(idx) => {
-                        if let (Some(field), Some(vt)) =
-                            (schema.field_at(idx), infer_type(expr, &scope))
-                        {
-                            check_write_type(target, field, vt, expr, report);
-                        }
-                    }
-                }
-            }
-            if let Some(w) = &u.filter {
-                check_expr(w, &scope, &no_aliases, report);
-            }
-        }
-        Statement::Delete(d) => {
-            if let Some(w) = &d.filter {
-                check_expr(w, &scope, &no_aliases, report);
-            }
-        }
-    }
-}
-
-/// A020/A023: can a value of inferred type `vt` be stored into `field`?
-/// Mirrors the runtime coercion rules of `cda_sql::dml` (NULL is universal,
-/// INT widens to FLOAT/TIMESTAMP, FLOAT narrows to INT only when lossless).
-fn check_write_type(target: &str, field: &Field, vt: DataType, expr: &Expr, report: &mut Report) {
-    let col = field.name();
-    let ct = field.data_type();
-    let compatible = ct == vt
-        || (ct == DataType::Float && vt == DataType::Int)
-        || (ct == DataType::Timestamp && vt == DataType::Int);
-    if compatible {
-        return;
-    }
-    if ct == DataType::Int && vt == DataType::Float {
-        if let Expr::Literal(Value::Float(x)) = expr {
-            if x.fract() != 0.0 {
-                report.push(
-                    Code::WriteShapeMismatch,
-                    format!("value {x} can never be stored into INT column {target}.{col}"),
-                );
-                return;
-            }
-        }
-        report.push(
-            Code::NarrowingWrite,
-            format!(
-                "writing a FLOAT value into INT column {target}.{col} narrows the stored \
-                 type and aborts on any fractional value"
-            ),
-        );
-        return;
-    }
-    report.push(
-        Code::WriteShapeMismatch,
-        format!("a {vt} value cannot be written into column {target}.{col} of type {ct}"),
-    );
-}
-
-fn map_plan_error(e: &SqlError) -> Code {
-    match e {
-        SqlError::Binding(m) if m.contains("table") => Code::UnknownTable,
-        SqlError::Binding(_) => Code::UnknownColumn,
-        SqlError::Semantic(m) if m.contains("GROUP BY") => Code::BareColumn,
-        _ => Code::TypeMismatch,
-    }
-}
-
-// ------------------------------------------------------------- AST pass
-
-/// Tables in scope: (scope name, schema).
-struct TableScope {
-    entries: Vec<(String, Schema)>,
-}
-
-enum Resolution {
-    Found(DataType),
-    Unknown,
-    Ambiguous,
-}
-
-impl TableScope {
-    fn resolve(&self, table: Option<&str>, name: &str) -> Resolution {
-        let mut found: Option<DataType> = None;
-        for (scope_name, schema) in &self.entries {
-            if let Some(t) = table {
-                if !scope_name.eq_ignore_ascii_case(t) {
-                    continue;
-                }
-            }
-            if let Some(i) = schema.index_of(name) {
-                if found.is_some() {
-                    return Resolution::Ambiguous;
-                }
-                found = schema.field_at(i).map(|f| f.data_type());
-            }
-        }
-        match found {
-            Some(dt) => Resolution::Found(dt),
-            None => Resolution::Unknown,
-        }
-    }
-}
-
-fn check_select(catalog: &Catalog, select: &Select, report: &mut Report) {
-    // Resolve tables.
-    let mut scope = TableScope { entries: Vec::new() };
-    let mut refs = vec![&select.from];
-    refs.extend(select.joins.iter().map(|j| &j.table));
-    for r in refs {
-        match catalog.get(&r.name) {
-            Ok(entry) => {
-                let scope_name = r.alias.clone().unwrap_or_else(|| r.name.clone());
-                scope.entries.push((scope_name, entry.table.schema().clone()));
-            }
-            Err(_) => {
-                let mut names = catalog.table_names();
-                names.sort();
-                report.push(
-                    Code::UnknownTable,
-                    format!(
-                        "the query reads from table {:?}, which does not exist (available: {})",
-                        r.name,
-                        names.join(", ")
-                    ),
-                );
-            }
-        }
-    }
-
-    // Output aliases usable in ORDER BY.
-    let mut aliases: Vec<String> = Vec::new();
-    for item in &select.items {
-        if let SelectItem::Expr { expr, alias } = item {
-            match alias {
-                Some(a) => aliases.push(a.clone()),
-                None => {
-                    if let Expr::Column { name, .. } = expr {
-                        aliases.push(name.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    // Column + type checks over every expression position.
-    let no_aliases: [String; 0] = [];
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            check_expr(expr, &scope, &no_aliases, report);
-        }
-    }
-    for j in &select.joins {
-        check_expr(&j.on, &scope, &no_aliases, report);
-    }
-    if let Some(w) = &select.where_clause {
-        check_expr(w, &scope, &no_aliases, report);
-    }
-    for g in &select.group_by {
-        check_expr(g, &scope, &no_aliases, report);
-    }
-    if let Some(h) = &select.having {
-        check_expr(h, &scope, &no_aliases, report);
-    }
-    for o in &select.order_by {
-        // Ordinals (`ORDER BY 2`) and output aliases are resolved against
-        // the SELECT list, not the input scope.
-        if matches!(o.expr, Expr::Literal(_)) {
-            continue;
-        }
-        check_expr(&o.expr, &scope, &aliases, report);
-    }
-
-    check_grouping(select, &scope, &aliases, report);
-}
-
-/// A005: bare non-aggregated columns outside GROUP BY.
-fn check_grouping(select: &Select, scope: &TableScope, aliases: &[String], report: &mut Report) {
-    let has_aggregate = select
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-        || select.having.as_ref().is_some_and(Expr::contains_aggregate)
-        || select.order_by.iter().any(|o| o.expr.contains_aggregate());
-    if select.group_by.is_empty() && !has_aggregate {
-        return;
-    }
-    let grouped = |table: &Option<String>, name: &str| {
-        select.group_by.iter().any(|g| match g {
-            Expr::Column { table: gt, name: gn } => {
-                gn.eq_ignore_ascii_case(name)
-                    && match (gt, table) {
-                        (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
-                        _ => true,
-                    }
-            }
-            other => other == &Expr::Column { table: table.clone(), name: name.to_owned() },
-        })
-    };
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => report.push(
-                Code::BareColumn,
-                "SELECT * cannot be combined with GROUP BY or aggregates — every output \
-                 column must be grouped or aggregated",
-            ),
-            SelectItem::Expr { expr, .. } => {
-                for (table, name) in bare_columns(expr) {
-                    if !grouped(table, name) {
-                        report.push(
-                            Code::BareColumn,
-                            format!(
-                                "column {name:?} is selected bare but is neither in GROUP BY \
-                                 nor inside an aggregate"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    if let Some(h) = &select.having {
-        for (table, name) in bare_columns(h) {
-            if !grouped(table, name) {
-                report.push(
-                    Code::BareColumn,
-                    format!("HAVING references column {name:?}, which is not grouped"),
-                );
-            }
-        }
-    }
-    for o in &select.order_by {
-        if matches!(o.expr, Expr::Literal(_)) {
-            continue;
-        }
-        for (table, name) in bare_columns(&o.expr) {
-            let is_alias =
-                table.is_none() && aliases.iter().any(|a| a.eq_ignore_ascii_case(name));
-            // An alias may point at an aggregate item; resolving that is the
-            // planner's job. Only flag columns that resolve in the input
-            // scope and are not grouped.
-            if is_alias || !matches!(scope.resolve(table.as_deref(), name), Resolution::Found(_))
-            {
-                continue;
-            }
-            if !grouped(table, name) {
-                report.push(
-                    Code::BareColumn,
-                    format!("ORDER BY references column {name:?}, which is not grouped"),
-                );
-            }
-        }
-    }
-}
-
-/// Column references not nested inside an aggregate call.
-fn bare_columns(expr: &Expr) -> Vec<(&Option<String>, &str)> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<(&'a Option<String>, &'a str)>) {
-        match e {
-            Expr::Aggregate { .. } | Expr::Literal(_) => {}
-            Expr::Column { table, name } => out.push((table, name)),
-            Expr::Binary { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::Neg(e) | Expr::Not(e) => walk(e, out),
-            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => walk(expr, out),
-            Expr::InList { expr, list, .. } => {
-                walk(expr, out);
-                for v in list {
-                    walk(v, out);
-                }
-            }
-            Expr::Between { expr, low, high, .. } => {
-                walk(expr, out);
-                walk(low, out);
-                walk(high, out);
-            }
-            Expr::Case { branches, else_expr } => {
-                for (c, v) in branches {
-                    walk(c, out);
-                    walk(v, out);
-                }
-                if let Some(e) = else_expr {
-                    walk(e, out);
-                }
-            }
-        }
-    }
-    walk(expr, &mut out);
-    out
-}
-
-/// Recursive column/type checks for one expression position.
-fn check_expr(expr: &Expr, scope: &TableScope, aliases: &[String], report: &mut Report) {
-    match expr {
-        Expr::Literal(_) => {}
-        Expr::Column { table, name } => {
-            if table.is_none() && aliases.iter().any(|a| a.eq_ignore_ascii_case(name)) {
-                return;
-            }
-            match scope.resolve(table.as_deref(), name) {
-                Resolution::Found(_) => {}
-                Resolution::Unknown => {
-                    let qualified = table
-                        .as_ref()
-                        .map_or_else(|| name.clone(), |t| format!("{t}.{name}"));
-                    let known: Vec<String> = scope
-                        .entries
-                        .iter()
-                        .flat_map(|(_, s)| s.fields().iter().map(|f| f.name().to_owned()))
-                        .collect();
-                    report.push(
-                        Code::UnknownColumn,
-                        format!(
-                            "the query references column {qualified:?}, which does not exist \
-                             in the tables in scope (known columns: {})",
-                            known.join(", ")
-                        ),
-                    );
-                }
-                Resolution::Ambiguous => report.push(
-                    Code::UnknownColumn,
-                    format!(
-                        "the column reference {name:?} is ambiguous — qualify it with a \
-                         table name"
-                    ),
-                ),
-            }
-        }
-        Expr::Binary { left, op, right } => {
-            check_expr(left, scope, aliases, report);
-            check_expr(right, scope, aliases, report);
-            let lt = infer_type(left, scope);
-            let rt = infer_type(right, scope);
-            if let (Some(a), Some(b)) = (lt, rt) {
-                if op.is_comparison() && comparison_never_holds(a, b) {
-                    report.push(
-                        Code::SuspiciousComparison,
-                        format!(
-                            "comparing a {a} with a {b} always yields NULL — this condition \
-                             can never hold"
-                        ),
-                    );
-                }
-                let arithmetic = matches!(
-                    op,
-                    BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod
-                );
-                let concat = *op == BinaryOp::Add && a == DataType::Str && b == DataType::Str;
-                if arithmetic && !concat && (!a.is_numeric() || !b.is_numeric()) {
-                    report.push(
-                        Code::TypeMismatch,
-                        format!("arithmetic {op:?} over a {a} and a {b} fails at runtime"),
-                    );
-                }
-            }
-        }
-        Expr::Neg(e) => {
-            check_expr(e, scope, aliases, report);
-            if let Some(t) = infer_type(e, scope) {
-                if !t.is_numeric() {
-                    report.push(
-                        Code::TypeMismatch,
-                        format!("unary minus over a {t} value fails at runtime"),
-                    );
-                }
-            }
-        }
-        Expr::Not(e) => check_expr(e, scope, aliases, report),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-            check_expr(expr, scope, aliases, report);
-        }
-        Expr::InList { expr, list, .. } => {
-            check_expr(expr, scope, aliases, report);
-            // IN is sugar for a chain of equalities: each subject↔item pair
-            // is a comparison and gets the same A012 check as `=`.
-            let et = infer_type(expr, scope);
-            for v in list {
-                check_expr(v, scope, aliases, report);
-                if let (Some(a), Some(b)) = (et, infer_type(v, scope)) {
-                    if comparison_never_holds(a, b) {
-                        report.push(
-                            Code::SuspiciousComparison,
-                            format!(
-                                "comparing a {a} with a {b} always yields NULL — this IN \
-                                 list item can never match"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        Expr::Between { expr, low, high, .. } => {
-            check_expr(expr, scope, aliases, report);
-            check_expr(low, scope, aliases, report);
-            check_expr(high, scope, aliases, report);
-            // BETWEEN is sugar for two comparisons: subject↔low, subject↔high.
-            let et = infer_type(expr, scope);
-            for bound in [low, high] {
-                if let (Some(a), Some(b)) = (et, infer_type(bound, scope)) {
-                    if comparison_never_holds(a, b) {
-                        report.push(
-                            Code::SuspiciousComparison,
-                            format!(
-                                "comparing a {a} with a {b} always yields NULL — this \
-                                 BETWEEN bound can never hold"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        Expr::Case { branches, else_expr } => {
-            for (c, v) in branches {
-                check_expr(c, scope, aliases, report);
-                check_expr(v, scope, aliases, report);
-            }
-            if let Some(e) = else_expr {
-                check_expr(e, scope, aliases, report);
-            }
-        }
-        Expr::Aggregate { kind, arg } => {
-            if let Some(a) = arg {
-                check_expr(a, scope, aliases, report);
-                if matches!(kind, AggKind::Sum | AggKind::Avg | AggKind::StdDev) {
-                    if let Some(t) = infer_type(a, scope) {
-                        if !t.is_numeric() {
-                            report.push(
-                                Code::TypeMismatch,
-                                format!(
-                                    "{}() over a {t} column fails at runtime — it needs \
-                                     numeric values",
-                                    kind.name()
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Two value types whose SQL comparison is always NULL (`sql_cmp == None`):
-/// text vs anything non-text, bool vs numeric.
-fn comparison_never_holds(a: DataType, b: DataType) -> bool {
-    let classes = |t: DataType| match t {
-        DataType::Str => 0u8,
-        DataType::Bool => 1,
-        _ => 2, // Int / Float / Timestamp compare cross-type
-    };
-    classes(a) != classes(b)
-}
-
-/// Best-effort static type of an AST expression (`None` when unresolvable).
-fn infer_type(expr: &Expr, scope: &TableScope) -> Option<DataType> {
-    match expr {
-        Expr::Literal(v) => v.data_type(),
-        Expr::Column { table, name } => match scope.resolve(table.as_deref(), name) {
-            Resolution::Found(dt) => Some(dt),
-            _ => None,
-        },
-        Expr::Binary { left, op, right } => {
-            if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
-                return Some(DataType::Bool);
-            }
-            let (a, b) = (infer_type(left, scope)?, infer_type(right, scope)?);
-            if *op == BinaryOp::Add && a == DataType::Str && b == DataType::Str {
-                Some(DataType::Str)
-            } else if a == DataType::Int && b == DataType::Int && *op != BinaryOp::Div {
-                Some(DataType::Int)
-            } else {
-                Some(DataType::Float)
-            }
-        }
-        Expr::Neg(e) => infer_type(e, scope),
-        Expr::Not(_) | Expr::IsNull { .. } | Expr::InList { .. } | Expr::Between { .. }
-        | Expr::Like { .. } => Some(DataType::Bool),
-        Expr::Case { branches, else_expr } => branches
-            .first()
-            .and_then(|(_, v)| infer_type(v, scope))
-            .or_else(|| else_expr.as_ref().and_then(|e| infer_type(e, scope))),
-        Expr::Aggregate { kind, arg } => match kind {
-            AggKind::Count | AggKind::CountDistinct => Some(DataType::Int),
-            AggKind::Avg | AggKind::StdDev => Some(DataType::Float),
-            AggKind::Sum | AggKind::Min | AggKind::Max => {
-                arg.as_ref().and_then(|a| infer_type(a, scope))
-            }
-        },
     }
 }
 
@@ -1407,7 +908,7 @@ fn bound_children(expr: &BoundExpr) -> Vec<&BoundExpr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cda_dataframe::{Column, Field, Table};
+    use cda_dataframe::{Column, DataType, Field, Schema, Table};
     use cda_sql::execute;
     use cda_sql::plan::SortSpec;
 
@@ -1612,33 +1113,10 @@ mod tests {
         assert!(Severity::Warn > Severity::Info);
         let f = Finding::new(Code::LimitZero, "LIMIT 0 makes the result provably empty");
         assert_eq!(
-            f.render(&RenderOpts::default()),
+            f.render(),
             "[A011 warn] LIMIT 0 makes the result provably empty"
         );
         assert_eq!(Code::SyntaxError.to_string(), "A001");
-    }
-
-    #[test]
-    fn render_opts_select_payloads() {
-        let f = Finding::new(Code::UnknownColumn, "no such column")
-            .with_span(7..11)
-            .with_estimated_rows((3, u64::MAX));
-        assert_eq!(
-            f.render(&RenderOpts::default()),
-            "[A003 reject] no such column (estimated rows 3..inf)"
-        );
-        assert_eq!(
-            f.render(&RenderOpts { with_span: true, with_estimated_rows: false }),
-            "[A003 reject] no such column (span 7..11)"
-        );
-        assert_eq!(
-            f.render(&RenderOpts { with_span: true, with_estimated_rows: true }),
-            "[A003 reject] no such column (estimated rows 3..inf) (span 7..11)"
-        );
-        assert_eq!(
-            f.render(&RenderOpts { with_span: false, with_estimated_rows: false }),
-            "[A003 reject] no such column"
-        );
     }
 
     #[test]
@@ -1674,7 +1152,7 @@ mod tests {
         assert!(!r.is_rejected());
         let f = r.findings.iter().find(|f| f.code == Code::RowBudgetExceeded).unwrap();
         assert_eq!(f.estimated_rows, Some((4, 4)));
-        let text = f.render(&RenderOpts::default());
+        let text = f.render();
         assert!(text.contains("row budget of 2"), "{text}");
         assert!(text.contains("estimated rows 4..4"), "{text}");
 
@@ -1695,29 +1173,13 @@ mod tests {
             .analyze("SELECT e.canton FROM emp e JOIN regions r ON 1 = 1");
         let f = r.findings.iter().find(|f| f.code == Code::CartesianJoin).unwrap();
         assert_eq!(f.estimated_rows, Some((8, 8)), "4 emp rows x 2 region rows");
-        let text = f.render(&RenderOpts::default());
+        let text = f.render();
         assert!(text.ends_with("(estimated rows 8..8)"), "{text}");
         // Without stats the same finding stays shape-only, rendered as before.
         let bare = analyze(&c, "SELECT e.canton FROM emp e JOIN regions r ON 1 = 1");
         let f = bare.findings.iter().find(|f| f.code == Code::CartesianJoin).unwrap();
         assert_eq!(f.estimated_rows, None);
-        assert!(!f.render(&RenderOpts::default()).contains("estimated"));
-    }
-
-    #[test]
-    fn spans_locate_unknown_identifiers() {
-        let c = catalog();
-        let r = analyze(&c, "SELECT nope FROM emp");
-        let f = r.findings.iter().find(|f| f.code == Code::UnknownColumn).unwrap();
-        assert_eq!(f.span, Some(7..11));
-        let r = analyze(&c, "SELECT x FROM missing_table");
-        let f = r.findings.iter().find(|f| f.code == Code::UnknownTable).unwrap();
-        assert_eq!(f.span, Some(14..27));
-        // Spans never change the default rendering; opting in appends them.
-        assert!(!f.render(&RenderOpts::default()).contains("14"));
-        assert!(f
-            .render(&RenderOpts { with_span: true, with_estimated_rows: true })
-            .ends_with("(span 14..27)"));
+        assert!(!f.render().contains("estimated"));
     }
 
     #[test]
@@ -1745,7 +1207,7 @@ mod tests {
     #[test]
     fn a012_covers_in_and_between_positions() {
         // IN list item of an incompatible type (regression: previously the
-        // AST pass recursed into the items but never compared them with
+        // gate recursed into the items but never compared them with
         // the subject).
         assert!(codes("SELECT canton FROM emp WHERE canton IN ('ZH', 5)")
             .contains(&Code::SuspiciousComparison));
@@ -1876,7 +1338,7 @@ mod tests {
     #[test]
     fn absint_toggle_only_moves_the_deep_findings() {
         let c = catalog();
-        // The cross-type comparison is A012 from the AST pass either way;
+        // The cross-type comparison is the binder's A012 either way;
         // only the abstract interpreter also proves the result empty.
         let sql = "SELECT canton FROM emp WHERE canton > 5";
         let codes_of = |r: &Report| r.findings.iter().map(|f| f.code).collect::<Vec<_>>();
@@ -1905,7 +1367,7 @@ mod tests {
         let (report, compiled) = a.gate("UPDATE emp SET jobs = jobs + 1 WHERE canton = 'ZH'");
         assert!(!report.dooms_execution(), "{:?}", report.findings);
         assert_eq!(compiled.unwrap().write().unwrap().table, "emp");
-        // Doomed by the AST pass and by binding: nothing bound to hand back.
+        // Doomed by a binding fault: nothing bound to hand back.
         for sql in ["SELECT nope FROM emp", "SELECT canton, SUM(jobs) FROM emp"] {
             let (report, compiled) = a.gate(sql);
             assert!(report.dooms_execution() && compiled.is_none(), "{sql}");

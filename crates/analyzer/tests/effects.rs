@@ -11,7 +11,8 @@
 //!    sanitizer has zero false positives.
 //! 2. **Affected-row bracketing** — the abstract interpreter's
 //!    `affected_rows` bounds bracket the runtime `affected` count, and a
-//!    `provable_noop` verdict really means zero rows were touched.
+//!    `provable_noop` verdict really means the statement executes and
+//!    touches zero rows — checked on statements that fail as well.
 //! 3. **Invalidation completeness** — the no-stale-serve law behind precise
 //!    cache invalidation: for every (write, read) pair in the corpus, if
 //!    committing the write changes the read's answer, then the write's
@@ -138,10 +139,54 @@ fn assert_write_sound(c: &Catalog, stats: Option<&Statistics>, sql: &str, opts: 
             free.affected
         );
     }
-    if effects.provable_noop {
-        assert_eq!(free.affected, 0, "{sql}: provable noop wrote rows");
-    }
     free.affected
+}
+
+/// Law 2's no-op half, for any statement: a `provable_noop` verdict means
+/// the statement binds, executes on both engines, and touches no row. A
+/// no-op verdict on a statement that then fails violates the law; only a
+/// statement the analysis gives no verdict on is exempt.
+fn assert_noop_sound(c: &Catalog, stats: Option<&Statistics>, sql: &str) {
+    let stmt = parse_statement(sql).expect(sql);
+    let Ok(effects) = statement_effects(c, &stmt, stats) else { return };
+    if !effects.provable_noop {
+        return;
+    }
+    let plan =
+        plan_dml(c, &stmt).unwrap_or_else(|e| panic!("{sql}: provable noop does not bind: {e}"));
+    for opts in [ExecOptions::default(), ExecOptions::vectorized()] {
+        match execute_dml(c, &plan, opts) {
+            Ok(r) => assert_eq!(r.affected, 0, "{sql}: provable noop wrote rows"),
+            Err(e) => panic!("{sql}: provable noop fails to execute: {e}"),
+        }
+    }
+}
+
+/// Writes whose WHERE clause misuses a type: LIKE over a number, a text
+/// or number condition. None of them may be certified a no-op and then fail.
+fn mistyped_dml() -> Vec<&'static str> {
+    vec![
+        "DELETE FROM emp WHERE rate LIKE 'a%'",
+        "UPDATE emp SET jobs = 1 WHERE rate LIKE 'a%'",
+        "DELETE FROM emp WHERE canton",
+        "UPDATE emp SET jobs = 1 WHERE jobs",
+        "DELETE FROM emp WHERE NOT canton",
+    ]
+}
+
+#[test]
+fn provable_noops_execute_and_touch_nothing() {
+    let c = catalog();
+    let stats = Statistics::from_catalog(&c);
+    let noops = dml_corpus()
+        .into_iter()
+        .filter(|sql| effects_of(&c, Some(&stats), sql).provable_noop)
+        .count();
+    assert!(noops >= 2, "the corpus must reach the no-op verdict ({noops})");
+    for sql in dml_corpus().into_iter().chain(mistyped_dml()) {
+        assert_noop_sound(&c, Some(&stats), sql);
+        assert_noop_sound(&c, None, sql);
+    }
 }
 
 #[test]
@@ -312,6 +357,7 @@ proptest! {
             let vec = assert_write_sound(&c, Some(&stats), &sql, ExecOptions::vectorized());
             assert_eq!(row, vec, "{sql}: engines disagree on affected rows");
             assert_write_sound(&c, None, &sql, ExecOptions::default());
+            assert_noop_sound(&c, Some(&stats), &sql);
         }
     }
 }

@@ -4,8 +4,8 @@
 //! The first group exercises user-input-reachable paths that used to hit an
 //! `unwrap`/`expect`/`unreachable!` and now return a structured error (or a
 //! graceful empty result). If one of these starts panicking again, the
-//! hardening from the static-analysis PR has regressed. The second group
-//! pins statements whose gate verdict the engines contradicted.
+//! panic hardening has regressed. The second group pins statements whose
+//! gate verdict the engines contradicted.
 
 use cda_core::catalog::DatasetCatalog;
 use cda_sql::execute;
@@ -110,72 +110,62 @@ fn assert_refused_at_bind(sql: &str) {
     }
 }
 
-/// Gated A015 "provably empty"; both engines fail `LIKE expects STR`.
+/// Was gated A015 "provably empty" while both engines failed `LIKE expects STR`.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn like_over_a_float_column_is_a_bind_fault() {
     assert_refused_at_bind("SELECT canton FROM wage_stats WHERE median_wage LIKE 'a%'");
 }
 
-/// Gated A021 with `provable_noop = true`; `apply_sql` errored.
+/// Was gated A021 with `provable_noop = true` while `apply_sql` errored.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn like_over_a_float_column_in_a_delete_is_a_bind_fault() {
     assert_refused_at_bind("DELETE FROM wage_stats WHERE median_wage LIKE 'a%'");
 }
 
-/// Gated A021 with `provable_noop = true`; `apply_sql` errored.
+/// Was gated A021 with `provable_noop = true` while `apply_sql` errored.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn like_over_a_float_column_in_an_update_is_a_bind_fault() {
     assert_refused_at_bind("UPDATE wage_stats SET median_wage = 1 WHERE median_wage LIKE 'a%'");
 }
 
-/// Gate-clean; both engines fail `NOT expects BOOL`.
+/// Was gate-clean while both engines failed `NOT expects BOOL`.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn not_over_a_str_column_is_a_bind_fault() {
     assert_refused_at_bind("SELECT NOT canton FROM wage_stats");
 }
 
-/// Gate-clean; both engines fail `AND expects BOOL`.
+/// Was gate-clean while both engines failed `AND expects BOOL`.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn and_over_a_str_column_is_a_bind_fault() {
     assert_refused_at_bind("SELECT canton FROM wage_stats WHERE canton AND median_wage > 0");
 }
 
-/// Gate-clean; both engines answered 0.
+/// Was gate-clean while both engines answered 0.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn a_str_where_clause_is_a_bind_fault() {
     assert_refused_at_bind("SELECT COUNT(*) FROM wage_stats WHERE canton");
 }
 
-/// Gate-clean; both engines answered 0 rows.
+/// Was gate-clean while both engines answered 0 rows.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn a_float_where_clause_is_a_bind_fault() {
     assert_refused_at_bind("SELECT canton FROM wage_stats WHERE median_wage");
 }
 
-/// Gate-clean; both engines answered 0 rows.
+/// Was gate-clean while both engines answered 0 rows.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn a_str_having_clause_is_a_bind_fault() {
     assert_refused_at_bind("SELECT canton FROM wage_stats GROUP BY canton HAVING MAX(canton)");
 }
 
-/// Gate-clean; both engines took the ELSE arm on all 24 rows.
+/// Was gate-clean while both engines took the ELSE arm on all 24 rows.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn a_str_case_condition_is_a_bind_fault() {
     assert_refused_at_bind("SELECT CASE WHEN canton THEN 1 ELSE 2 END FROM wage_stats");
 }
 
-/// Gate-clean; `apply_sql` "applied" with 0 rows affected.
+/// Was gate-clean while `apply_sql` "applied" it with 0 rows affected.
 #[test]
-#[ignore = "unsound gate verdict; fixed by the typed binder"]
 fn a_str_delete_predicate_is_a_bind_fault() {
     assert_refused_at_bind("DELETE FROM wage_stats WHERE canton");
 }

@@ -1,9 +1,11 @@
 //! The one `Statement → plan` entry: SQL text is compiled once, and every
 //! later layer consumes the compiled statement.
 //!
-//! [`plan_statement`] is the single match over [`Statement`] — SELECT binds
-//! through [`plan_select`] and is optimized, INSERT/UPDATE/DELETE bind
-//! through [`plan_dml`] — and [`compile`] is parse + [`plan_statement`]. The
+//! [`bind_statement`] is the single match over [`Statement`] — SELECT binds
+//! through [`bind_select`] and is optimized, INSERT/UPDATE/DELETE bind
+//! through the same binder in [`crate::dml`] — and returns every
+//! [`BindFault`](crate::BindFault) it met. [`plan_statement`] reports the
+//! first fault as its error, and [`compile`] is parse + [`plan_statement`]. The
 //! resulting [`Compiled`] carries everything the layers above read: the AST
 //! (static gate), the logical plan (plan pass, abstract interpretation,
 //! cardinality, fingerprint), and the plan that executes (optimized `Plan`
@@ -18,11 +20,11 @@
 
 use crate::ast::{Select, Statement};
 use crate::catalog::Catalog;
-use crate::dml::{plan_dml, DmlPlan};
+use crate::dml::{bind_dml, DmlPlan};
 use crate::optimizer::{optimize, OptimizerRules};
 use crate::parser::parse_statement;
 use crate::plan::Plan;
-use crate::planner::plan_select;
+use crate::planner::{bind_select, first_error, plan_select, Bound};
 use crate::Result;
 
 /// The bound, executable form of one statement.
@@ -79,16 +81,26 @@ pub(crate) fn plan_query(
     Ok((logical, optimized))
 }
 
-/// Bind any parsed statement against the catalog; a query is also optimized
-/// (default rules).
-pub fn plan_statement(catalog: &Catalog, statement: &Statement) -> Result<StatementPlan> {
-    Ok(match statement {
-        Statement::Select(select) => {
-            let (logical, optimized) = plan_query(catalog, select, OptimizerRules::all())?;
-            StatementPlan::Query { logical, optimized }
+/// Bind any parsed statement against the catalog, collecting every fault;
+/// a query is also optimized (default rules).
+pub fn bind_statement(catalog: &Catalog, statement: &Statement) -> Bound<StatementPlan> {
+    match statement {
+        Statement::Select(select) => bind_select(catalog, select).map(|(logical, warnings)| {
+            let optimized = optimize(logical.clone(), OptimizerRules::all());
+            (StatementPlan::Query { logical, optimized }, warnings)
+        }),
+        write => {
+            bind_dml(catalog, write).map(|(plan, warnings)| (StatementPlan::Write(plan), warnings))
         }
-        write => StatementPlan::Write(plan_dml(catalog, write)?),
-    })
+    }
+}
+
+/// Bind any parsed statement against the catalog; its first fault is the
+/// error. A query is also optimized (default rules).
+pub fn plan_statement(catalog: &Catalog, statement: &Statement) -> Result<StatementPlan> {
+    bind_statement(catalog, statement)
+        .map(|(plan, _)| plan)
+        .map_err(first_error)
 }
 
 /// Parse, bind, and optimize one statement.

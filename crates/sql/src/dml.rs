@@ -1,10 +1,13 @@
 //! DML planning and execution: INSERT / UPDATE / DELETE over catalog tables.
 //!
-//! A [`DmlPlan`] binds a parsed write statement against the catalog: INSERT
-//! values are constant-folded and coerced to the target column types, UPDATE
-//! assignments and WHERE predicates become [`BoundExpr`]s over the target
-//! schema. Row matching for UPDATE/DELETE reuses the *query* engines: the
-//! plan's [`DmlPlan::read_plan`] is a `Filter(Scan)` executed through either
+//! A [`DmlPlan`] binds a parsed write statement against the catalog through
+//! the planner's binder, which types every expression and collects every
+//! fault (unknown targets, INSERT arity, values the target column cannot
+//! store, non-BOOL WHERE clauses): INSERT values are constant-folded and
+//! coerced to the target column types, UPDATE assignments and WHERE
+//! predicates become [`BoundExpr`]s over the target schema. Row matching
+//! for UPDATE/DELETE reuses the *query* engines: the plan's
+//! [`DmlPlan::read_plan`] is a `Filter(Scan)` executed through either
 //! the row reference interpreter or the vectorized morsel engine (per
 //! [`ExecOptions`]), and matched base rows are recovered from row lineage —
 //! so the write path inherits the differential certification of the read
@@ -18,14 +21,14 @@
 //! [`execute_dml_checked`] fails loudly if the applied write touches any
 //! `(table, column)` outside it.
 
-use crate::ast::{Insert, Statement, Update};
+use crate::ast::{Expr, Insert, Statement, Update};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
 use crate::exec::{execute_plan_checked, ExecOptions, ExecStats};
 use crate::plan::{BoundExpr, Plan};
-use crate::planner::bind_single;
+use crate::planner::{first_error, BindFault, Binder, Bound, Input, Scope, Ty};
 use crate::Result;
-use cda_dataframe::{DataType, Schema, Table, Value};
+use cda_dataframe::{DataType, Field, Schema, Table, Value};
 use std::collections::BTreeSet;
 
 /// The bound form of one DML statement.
@@ -122,93 +125,162 @@ impl DmlPlan {
     }
 }
 
-/// Bind a parsed statement against the catalog. SELECT statements are
-/// rejected — they go through [`crate::planner::plan_select`].
+/// Bind a parsed statement against the catalog; its first fault is the
+/// error. SELECT statements are rejected — they go through
+/// [`crate::planner::plan_select`].
 pub fn plan_dml(catalog: &Catalog, stmt: &Statement) -> Result<DmlPlan> {
-    match stmt {
+    bind_dml(catalog, stmt).map(|(plan, _)| plan).map_err(first_error)
+}
+
+/// Bind a parsed write statement, collecting every fault: unknown target
+/// tables and columns, INSERT arity, value types the target column cannot
+/// store, and the names and types of every expression.
+pub(crate) fn bind_dml(catalog: &Catalog, stmt: &Statement) -> Bound<DmlPlan> {
+    let mut b = Binder::new(catalog);
+    let plan = match stmt {
         Statement::Select(_) => {
-            Err(SqlError::Semantic("SELECT is not a DML statement; use the query path".into()))
+            b.fault(BindFault::Unplannable(SqlError::Semantic(
+                "SELECT is not a DML statement; use the query path".into(),
+            )));
+            None
         }
-        Statement::Insert(i) => plan_insert(catalog, i),
-        Statement::Update(u) => plan_update(catalog, u),
-        Statement::Delete(d) => {
-            let entry = catalog.get(&d.table)?;
-            let schema = entry.table.schema().clone();
-            let table = d.table.to_ascii_lowercase();
-            let filter =
-                d.filter.as_ref().map(|p| bind_single(p, &table, &schema)).transpose()?;
-            Ok(DmlPlan { table, schema, kind: DmlKind::Delete { filter } })
-        }
+        Statement::Insert(i) => plan_insert(&mut b, i),
+        Statement::Update(u) => plan_update(&mut b, u),
+        Statement::Delete(d) => target(&mut b, &d.table).map(|(table, schema, scope)| {
+            let filter = d.filter.as_ref().map(|p| b.condition(p, &mut Input::Rows(&scope), "WHERE"));
+            DmlPlan { table, schema, kind: DmlKind::Delete { filter } }
+        }),
+    };
+    match (b.finish(()), plan) {
+        (Ok(((), warnings)), Some(plan)) => Ok((plan, warnings)),
+        (Ok((_, faults)) | Err(faults), _) => Err(faults),
     }
 }
 
-fn plan_insert(catalog: &Catalog, insert: &Insert) -> Result<DmlPlan> {
-    let entry = catalog.get(&insert.table)?;
+/// The write target: its catalog key, schema and scope. An unknown table
+/// is a fault, and nothing else about the statement can be bound.
+fn target(b: &mut Binder<'_>, name: &str) -> Option<(String, Schema, Scope)> {
+    let Ok(entry) = b.catalog.get(name) else {
+        b.fault(BindFault::UnknownTable(name.to_owned()));
+        return None;
+    };
     let schema = entry.table.schema().clone();
-    let table = insert.table.to_ascii_lowercase();
+    let table = name.to_ascii_lowercase();
+    let scope = Scope::single(&table, schema.clone());
+    Some((table, schema, scope))
+}
+
+fn plan_insert(b: &mut Binder<'_>, insert: &Insert) -> Option<DmlPlan> {
+    let (table, schema, scope) = target(b, &insert.table)?;
     // Resolve the column list (default: all columns in schema order).
-    let targets: Vec<usize> = if insert.columns.is_empty() {
-        (0..schema.len()).collect()
+    let targets: Vec<Option<usize>> = if insert.columns.is_empty() {
+        (0..schema.len()).map(Some).collect()
     } else {
         let mut seen = BTreeSet::new();
         insert
             .columns
             .iter()
             .map(|c| {
-                let i = schema
-                    .index_of(c)
-                    .ok_or_else(|| SqlError::Binding(format!("unknown column {c:?} in INSERT")))?;
-                if !seen.insert(i) {
-                    return Err(SqlError::Binding(format!("duplicate column {c:?} in INSERT")));
+                let i = schema.index_of(c);
+                match i {
+                    None => b.fault(BindFault::UnknownWriteColumn {
+                        insert: true,
+                        table: insert.table.clone(),
+                        column: c.clone(),
+                    }),
+                    Some(i) if !seen.insert(i) => b.fault(BindFault::Unplannable(
+                        SqlError::Binding(format!("duplicate column {c:?} in INSERT")),
+                    )),
+                    Some(_) => {}
                 }
-                Ok(i)
+                i
             })
-            .collect::<Result<_>>()?
+            .collect()
     };
     let mut rows = Vec::with_capacity(insert.rows.len());
     for row in &insert.rows {
         if row.len() != targets.len() {
-            return Err(SqlError::Binding(format!(
-                "INSERT row has {} values but {} columns",
-                row.len(),
-                targets.len()
-            )));
+            b.fault(BindFault::InsertArity { values: row.len(), columns: targets.len() });
+            continue;
         }
         let mut full = vec![Value::Null; schema.len()];
         for (expr, &i) in row.iter().zip(&targets) {
-            let bound = bind_single(expr, &table, &schema)?;
-            if !bound.is_constant() {
-                return Err(SqlError::Semantic(
-                    "INSERT values must be constant expressions".into(),
-                ));
+            let errors = b.errors();
+            let (bound, ty) = b.bind(expr, &mut Input::Rows(&scope));
+            let Some((i, field)) = i.and_then(|i| Some((i, schema.field_at(i)?))) else {
+                continue;
+            };
+            check_stored_type(b, &insert.table, field, ty, expr);
+            if b.errors() > errors {
+                continue;
             }
-            let v = bound.eval(&[])?;
-            let field = self_field(&schema, i)?;
-            full[i] = coerce_value(field.data_type(), v, &table, field.name())?;
+            if !bound.is_constant() {
+                b.fault(BindFault::Unplannable(SqlError::Semantic(
+                    "INSERT values must be constant expressions".into(),
+                )));
+                continue;
+            }
+            let value = bound.eval(&[]);
+            match value.and_then(|v| coerce_value(field.data_type(), v, &table, field.name())) {
+                Ok(v) => full[i] = v,
+                Err(e) => b.fault(BindFault::Unplannable(e)),
+            }
         }
         rows.push(full);
     }
-    Ok(DmlPlan { table, schema, kind: DmlKind::Insert { rows } })
+    Some(DmlPlan { table, schema, kind: DmlKind::Insert { rows } })
 }
 
-fn plan_update(catalog: &Catalog, update: &Update) -> Result<DmlPlan> {
-    let entry = catalog.get(&update.table)?;
-    let schema = entry.table.schema().clone();
-    let table = update.table.to_ascii_lowercase();
+fn plan_update(b: &mut Binder<'_>, update: &Update) -> Option<DmlPlan> {
+    let (table, schema, scope) = target(b, &update.table)?;
     let mut seen = BTreeSet::new();
     let mut sets = Vec::with_capacity(update.sets.len());
     for (col, expr) in &update.sets {
-        let i = schema
-            .index_of(col)
-            .ok_or_else(|| SqlError::Binding(format!("unknown column {col:?} in UPDATE SET")))?;
+        let (bound, ty) = b.bind(expr, &mut Input::Rows(&scope));
+        let Some(i) = schema.index_of(col) else {
+            b.fault(BindFault::UnknownWriteColumn {
+                insert: false,
+                table: update.table.clone(),
+                column: col.clone(),
+            });
+            continue;
+        };
         if !seen.insert(i) {
-            return Err(SqlError::Binding(format!("duplicate column {col:?} in UPDATE SET")));
+            b.fault(BindFault::Unplannable(SqlError::Binding(format!(
+                "duplicate column {col:?} in UPDATE SET"
+            ))));
         }
-        sets.push((i, bind_single(expr, &table, &schema)?));
+        if let Some(field) = schema.field_at(i) {
+            check_stored_type(b, &update.table, field, ty, expr);
+        }
+        sets.push((i, bound));
     }
-    let filter =
-        update.filter.as_ref().map(|p| bind_single(p, &table, &schema)).transpose()?;
-    Ok(DmlPlan { table, schema, kind: DmlKind::Update { sets, filter } })
+    let filter = update.filter.as_ref().map(|p| b.condition(p, &mut Input::Rows(&scope), "WHERE"));
+    Some(DmlPlan { table, schema, kind: DmlKind::Update { sets, filter } })
+}
+
+/// Can a value of static type `value` be stored into `field` of `table`
+/// (as written)? The rules of [`coerce_value`]: NULL is universal, INT
+/// widens to FLOAT/TIMESTAMP, FLOAT narrows to INT only when lossless — a
+/// fractional literal never is, any other FLOAT is a narrowing warning.
+fn check_stored_type(b: &mut Binder<'_>, table: &str, field: &Field, value: Ty, expr: &Expr) {
+    let Some(value) = value else { return };
+    let target = field.data_type();
+    let widening =
+        value == DataType::Int && matches!(target, DataType::Float | DataType::Timestamp);
+    if target == value || widening {
+        return;
+    }
+    let (table, column) = (table.to_owned(), field.name().to_owned());
+    b.fault(match expr {
+        _ if (target, value) != (DataType::Int, DataType::Float) => {
+            BindFault::WriteType { table, column, value, target }
+        }
+        Expr::Literal(Value::Float(x)) if x.fract() != 0.0 => {
+            BindFault::FractionalInt { table, column, value: *x }
+        }
+        _ => BindFault::NarrowingWrite { table, column },
+    });
 }
 
 fn self_field(schema: &Schema, i: usize) -> Result<&cda_dataframe::Field> {
@@ -219,7 +291,8 @@ fn self_field(schema: &Schema, i: usize) -> Result<&cda_dataframe::Field> {
 
 /// Coerce a value to a target column type: NULL is universal, INT widens to
 /// FLOAT/TIMESTAMP, FLOAT narrows to INT only when lossless. Anything else
-/// is a runtime type error (the static gate flags it as A020/A023 first).
+/// is a type error (the binder refuses it first, where the value's type is
+/// known).
 fn coerce_value(target: DataType, v: Value, table: &str, column: &str) -> Result<Value> {
     let err = |v: &Value| {
         SqlError::Eval(format!(

@@ -89,7 +89,7 @@ pub mod plan;
 pub mod planner;
 
 pub use catalog::Catalog;
-pub use compile::{compile, plan_statement, Compiled, StatementPlan};
+pub use compile::{bind_statement, compile, plan_statement, Compiled, StatementPlan};
 pub use dml::{
     execute_dml, execute_dml_checked, plan_dml, DmlKind, DmlPlan, DmlResult, WriteGuard,
 };
@@ -99,6 +99,7 @@ pub use exec::{
 };
 pub use morsel::MorselConfig;
 pub use optimizer::OptimizerRules;
+pub use planner::{BindFault, Bound, Clause, Comparison};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SqlError>;
