@@ -148,32 +148,16 @@ pub fn nearest_name<'a>(name: &str, candidates: &'a [String]) -> Option<&'a str>
         .map(|(_, c)| c)
 }
 
-/// The identifier a finding message quotes (`{:?}`-formatted), if any.
-fn quoted_ident(message: &str) -> Option<&str> {
-    message.split('"').nth(1).filter(|s| !s.is_empty())
-}
-
 /// Derive structured repair hints from a gate report over `sql`. Returns an
 /// empty list when nothing applicable was found (notably A001: a candidate
 /// that does not parse has no AST to repair — resampling is the only cure).
 pub fn repair_hints(catalog: &Catalog, sql: &str, report: &Report) -> Vec<RepairHint> {
-    let Ok(select) = cda_sql::parser::parse(sql) else {
-        // Not a SELECT: DML statements get the write-gate hint derivation;
-        // anything unparseable has no AST to repair.
-        return match cda_sql::parser::parse_statement(sql) {
-            Ok(stmt) if stmt.is_write() => dml_hints(catalog, &stmt, report),
-            _ => Vec::new(),
-        };
-    };
+    // An unknown table, read or written: the nearest catalog table.
     let mut hints: Vec<RepairHint> = Vec::new();
-
     let mut tables = catalog.table_names();
     tables.sort();
-    for f in report.findings.iter().filter(|f| f.code == Code::UnknownTable) {
-        let Some(from) = quoted_ident(&f.message) else { continue };
-        if tables.iter().any(|t| t.eq_ignore_ascii_case(from)) {
-            continue; // already a real table; nothing to repair
-        }
+    for fault in &report.faults {
+        let BindFault::UnknownTable(from) = fault else { continue };
         if let Some(to) = nearest_name(from, &tables) {
             let h = RepairHint::ReplaceTable { from: from.to_owned(), to: to.to_owned() };
             if !hints.contains(&h) {
@@ -181,15 +165,23 @@ pub fn repair_hints(catalog: &Catalog, sql: &str, report: &Report) -> Vec<Repair
             }
         }
     }
+    let Ok(select) = cda_sql::parser::parse(sql) else {
+        // Not a SELECT: DML statements get the write-gate hint derivation;
+        // anything unparseable has no AST to repair.
+        return match cda_sql::parser::parse_statement(sql) {
+            Ok(stmt) if stmt.is_write() => dml_hints(catalog, &stmt, report, hints),
+            _ => Vec::new(),
+        };
+    };
 
     // Columns in scope *after* table repairs: resolve FROM/JOIN names
     // through the table hints so a repaired table contributes its schema.
     let scope = scope_columns(catalog, &select, &hints);
     let column_names: Vec<String> = scope.iter().map(|(n, _)| n.clone()).collect();
 
-    for f in report.findings.iter().filter(|f| f.code == Code::UnknownColumn) {
-        let Some(ident) = quoted_ident(&f.message) else { continue };
-        let from = ident.rsplit('.').next().unwrap_or(ident);
+    for fault in &report.faults {
+        let BindFault::UnknownColumn { column, .. } = fault else { continue };
+        let from = column.rsplit('.').next().unwrap_or(column);
         if column_names.iter().any(|c| c.eq_ignore_ascii_case(from)) {
             continue; // the name exists (ambiguity, not a misspelling)
         }
@@ -201,22 +193,17 @@ pub fn repair_hints(catalog: &Catalog, sql: &str, report: &Report) -> Vec<Repair
         }
     }
 
-    if report.findings.iter().any(|f| f.code == Code::TypeMismatch) {
-        let numeric: Vec<String> = scope
+    let numeric: Vec<String> =
+        scope.iter().filter(|(_, dt)| dt.is_numeric()).map(|(n, _)| n.clone()).collect();
+    for from in misused_numeric_columns(report) {
+        let Some(to) = nearest_name(&from, &numeric) else { continue };
+        let expected = scope
             .iter()
-            .filter(|(_, dt)| dt.is_numeric())
-            .map(|(n, _)| n.clone())
-            .collect();
-        for from in misused_numeric_columns(catalog, &select) {
-            let Some(to) = nearest_name(&from, &numeric) else { continue };
-            let expected = scope
-                .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(to))
-                .map_or(DataType::Float, |(_, dt)| *dt);
-            let h = RepairHint::RetypeColumn { from, to: to.to_owned(), expected };
-            if !hints.contains(&h) {
-                hints.push(h);
-            }
+            .find(|(n, _)| n.eq_ignore_ascii_case(to))
+            .map_or(DataType::Float, |(_, dt)| *dt);
+        let h = RepairHint::RetypeColumn { from, to: to.to_owned(), expected };
+        if !hints.contains(&h) {
+            hints.push(h);
         }
     }
 
@@ -259,33 +246,18 @@ pub fn repair_hints(catalog: &Catalog, sql: &str, report: &Report) -> Vec<Repair
     hints
 }
 
-/// Hint derivation for the DML write gate (A019/A020): unknown target table
-/// → nearest catalog table; unknown INSERT/SET column → nearest column of
-/// the (possibly repaired) target table; a literal whose type cannot be
-/// stored into its target column → the nearest column *of the value's type*
-/// as a [`RepairHint::RetypeColumn`].
-fn dml_hints(catalog: &Catalog, stmt: &Statement, report: &Report) -> Vec<RepairHint> {
-    let mut hints: Vec<RepairHint> = Vec::new();
+/// Hint derivation for the DML write gate (A019/A020), after the table
+/// hints: unknown INSERT/SET column → nearest column of the (possibly
+/// repaired) target table; a literal whose type cannot be stored into its
+/// target column → the nearest column *of the value's type* as a
+/// [`RepairHint::RetypeColumn`].
+fn dml_hints(
+    catalog: &Catalog,
+    stmt: &Statement,
+    report: &Report,
+    mut hints: Vec<RepairHint>,
+) -> Vec<RepairHint> {
     let Some(target) = stmt.write_target() else { return hints };
-    let mut tables = catalog.table_names();
-    tables.sort();
-
-    // A019 with a table-shaped message: the write target itself is unknown.
-    for f in report.findings.iter().filter(|f| f.code == Code::UnknownWriteTarget) {
-        let Some(from) = quoted_ident(&f.message) else { continue };
-        if !f.message.contains("targets table") {
-            continue;
-        }
-        if tables.iter().any(|t| t.eq_ignore_ascii_case(from)) {
-            continue;
-        }
-        if let Some(to) = nearest_name(from, &tables) {
-            let h = RepairHint::ReplaceTable { from: from.to_owned(), to: to.to_owned() };
-            if !hints.contains(&h) {
-                hints.push(h);
-            }
-        }
-    }
 
     // Resolve the target through a pending table repair so column hints are
     // derived against the schema the repaired statement will bind to.
@@ -302,14 +274,9 @@ fn dml_hints(catalog: &Catalog, stmt: &Statement, report: &Report) -> Vec<Repair
     let schema = entry.table.schema();
     let columns: Vec<String> = schema.fields().iter().map(|f| f.name().to_owned()).collect();
 
-    // A019 with a column-shaped message: unknown INSERT / SET column.
-    for f in report.findings.iter().filter(|f| f.code == Code::UnknownWriteTarget) {
-        if !f.message.contains("unknown column") {
-            continue;
-        }
-        let Some(from) = f.message.rsplit('"').nth(1).filter(|s| !s.is_empty()) else {
-            continue;
-        };
+    // A019 over a column: unknown INSERT / SET column.
+    for fault in &report.faults {
+        let BindFault::UnknownWriteColumn { column: from, .. } = fault else { continue };
         if columns.iter().any(|c| c.eq_ignore_ascii_case(from)) {
             continue;
         }
@@ -323,25 +290,22 @@ fn dml_hints(catalog: &Catalog, stmt: &Statement, report: &Report) -> Vec<Repair
 
     // A020 type faults: the written column is probably the wrong one —
     // point at the nearest column whose type fits the value.
-    if report.findings.iter().any(|f| f.code == Code::WriteShapeMismatch) {
-        let faults = cda_sql::bind_statement(catalog, stmt).err().unwrap_or_default();
-        let typed = faults.into_iter().filter_map(|f| match f {
-            BindFault::WriteType { column, value, .. } => Some((column, value)),
-            BindFault::FractionalInt { column, .. } => Some((column, DataType::Float)),
-            _ => None,
-        });
-        for (from, expected) in typed {
-            let fitting: Vec<String> = schema
-                .fields()
-                .iter()
-                .filter(|f| f.data_type() == expected)
-                .map(|f| f.name().to_owned())
-                .collect();
-            let Some(to) = nearest_name(&from, &fitting) else { continue };
-            let h = RepairHint::RetypeColumn { from, to: to.to_owned(), expected };
-            if !hints.contains(&h) {
-                hints.push(h);
-            }
+    let typed = report.faults.iter().filter_map(|f| match f {
+        BindFault::WriteType { column, value, .. } => Some((column, *value)),
+        BindFault::FractionalInt { column, .. } => Some((column, DataType::Float)),
+        _ => None,
+    });
+    for (from, expected) in typed {
+        let fitting: Vec<String> = schema
+            .fields()
+            .iter()
+            .filter(|f| f.data_type() == expected)
+            .map(|f| f.name().to_owned())
+            .collect();
+        let Some(to) = nearest_name(from, &fitting) else { continue };
+        let h = RepairHint::RetypeColumn { from: from.clone(), to: to.to_owned(), expected };
+        if !hints.contains(&h) {
+            hints.push(h);
         }
     }
 
@@ -397,20 +361,19 @@ fn scope_columns(
 /// The columns the binder blames for a fault that wants a number: the
 /// non-numeric column operands of arithmetic (other than `STR + STR`), of
 /// unary minus and of `SUM`/`AVG`/`STDDEV`.
-fn misused_numeric_columns(catalog: &Catalog, select: &Select) -> Vec<String> {
-    let Err(faults) = cda_sql::planner::bind_select(catalog, select) else { return Vec::new() };
+fn misused_numeric_columns(report: &Report) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
-    for fault in faults {
+    for fault in &report.faults {
         let blamed = match fault {
-            BindFault::Arithmetic { columns, .. } => columns,
+            BindFault::Arithmetic { columns, .. } => columns.as_slice(),
             BindFault::Negation { column, .. } | BindFault::NonNumericAggregate { column, .. } => {
-                column.into_iter().collect()
+                column.as_slice()
             }
-            _ => Vec::new(),
+            _ => &[],
         };
         for name in blamed {
-            if !out.iter().any(|n| n.eq_ignore_ascii_case(&name)) {
-                out.push(name);
+            if !out.iter().any(|n| n.eq_ignore_ascii_case(name)) {
+                out.push(name.clone());
             }
         }
     }

@@ -7,7 +7,8 @@
 //!    one place names and types are resolved. It returns every
 //!    [`BindFault`] — unknown tables and columns, ambiguous references,
 //!    type misuse (arithmetic on text, `SUM` over a text column, `LIKE`
-//!    over a number, a non-BOOL condition), bare non-aggregated columns
+//!    over a number, a non-BOOL condition, CASE arms of unrelated types),
+//!    misplaced aggregates and HAVING, bare non-aggregated columns
 //!    outside `GROUP BY`, write-target and write-type faults, and the
 //!    comparisons that can never hold — and the gate maps each to its code
 //!    and message in one exhaustive `match`;
@@ -282,6 +283,9 @@ pub struct Report {
     pub estimate: Option<CardEstimate>,
     /// The row budget the cost pass checked against, if one was configured.
     pub row_budget: Option<u64>,
+    /// The binder's faults, warnings included, in the order of their
+    /// findings: what repair reads the misspelt or misused names from.
+    pub faults: Vec<BindFault>,
 }
 
 impl Report {
@@ -453,15 +457,15 @@ impl<'a> Analyzer<'a> {
             }
         };
         let write = statement.is_write();
-        let bound = cda_sql::bind_statement(self.catalog, &statement);
-        let faults = match &bound {
-            Ok((_, warnings)) => warnings,
-            Err(faults) => faults,
+        let (plan, faults) = match cda_sql::bind_statement(self.catalog, &statement) {
+            Ok((plan, warnings)) => (Some(plan), warnings),
+            Err(faults) => (None, faults),
         };
-        for fault in faults {
+        for fault in &faults {
             report.push_finding(self.bind_finding(fault, write));
         }
-        let Ok((plan, _)) = bound else { return (report, None) };
+        report.faults = faults;
+        let Some(plan) = plan else { return (report, None) };
         match &plan {
             StatementPlan::Query { logical, .. } => self.plan_passes(logical, &mut report),
             StatementPlan::Write(dml) => self.write_passes(&statement, dml, &mut report),
@@ -548,6 +552,15 @@ impl<'a> Analyzer<'a> {
                 "SELECT * cannot be combined with GROUP BY or aggregates — every output column \
                  must be grouped or aggregated"
                     .to_owned(),
+            ),
+            BindFault::AggregateInGroupBy | BindFault::HavingWithoutGrouping => {
+                (Code::BareColumn, unbound("query"))
+            }
+            BindFault::CaseArms { first, other } => (
+                Code::TypeMismatch,
+                format!(
+                    "CASE arms of types {first} and {other} share no type — no column holds both"
+                ),
             ),
             BindFault::IncompatibleComparison { left, right, site } => (
                 Code::SuspiciousComparison,
@@ -873,36 +886,7 @@ fn check_div_zero(expr: &BoundExpr, report: &mut Report) {
             );
         }
     }
-    for child in bound_children(expr) {
-        check_div_zero(child, report);
-    }
-}
-
-/// Direct children of a bound expression (for recursive walks).
-fn bound_children(expr: &BoundExpr) -> Vec<&BoundExpr> {
-    match expr {
-        BoundExpr::Literal(_) | BoundExpr::Column(_) => Vec::new(),
-        BoundExpr::Binary { left, right, .. } => vec![left, right],
-        BoundExpr::Neg(e) | BoundExpr::Not(e) => vec![e],
-        BoundExpr::IsNull { expr, .. } | BoundExpr::Like { expr, .. } => vec![expr],
-        BoundExpr::InList { expr, list, .. } => {
-            let mut out: Vec<&BoundExpr> = vec![expr];
-            out.extend(list.iter());
-            out
-        }
-        BoundExpr::Between { expr, low, high, .. } => vec![expr, low, high],
-        BoundExpr::Case { branches, else_expr } => {
-            let mut out: Vec<&BoundExpr> = Vec::new();
-            for (c, v) in branches {
-                out.push(c);
-                out.push(v);
-            }
-            if let Some(e) = else_expr {
-                out.push(e);
-            }
-            out
-        }
-    }
+    expr.for_each_child(|child| check_div_zero(child, report));
 }
 
 #[cfg(test)]
@@ -992,6 +976,11 @@ mod tests {
         assert!(codes("SELECT -canton FROM emp").contains(&Code::TypeMismatch));
         // string concatenation via + is allowed
         assert!(analyze(&catalog(), "SELECT canton + sector FROM emp").is_clean());
+        // CASE arms need one type; INT widens to FLOAT
+        let mixed = "SELECT CASE WHEN jobs > 0 THEN jobs ELSE 'x' END + 1 FROM emp";
+        assert_eq!(codes(mixed), vec![Code::TypeMismatch]);
+        assert!(analyze(&catalog(), "SELECT CASE WHEN jobs > 0 THEN rate ELSE 1 END FROM emp")
+            .is_clean());
     }
 
     #[test]
@@ -1000,6 +989,17 @@ mod tests {
             .contains(&Code::BareColumn));
         assert!(codes("SELECT canton, SUM(jobs) FROM emp").contains(&Code::BareColumn));
         assert!(codes("SELECT * FROM emp GROUP BY canton").contains(&Code::BareColumn));
+        assert_eq!(codes("SELECT canton FROM emp HAVING canton = 'ZH'"), vec![Code::BareColumn]);
+        assert_eq!(codes("SELECT COUNT(*) FROM emp GROUP BY COUNT(*)"), vec![Code::BareColumn]);
+        // the names inside a misplaced clause or aggregate are still bound
+        let misplaced = [
+            ("SELECT canton FROM emp HAVING nope = 'ZH'", Code::BareColumn),
+            ("SELECT canton FROM emp WHERE COUNT(nope) > 1", Code::TypeMismatch),
+            ("SELECT SUM(COUNT(nope)) FROM emp", Code::TypeMismatch),
+        ];
+        for (sql, code) in misplaced {
+            assert_eq!(codes(sql), vec![Code::UnknownColumn, code], "{sql}");
+        }
     }
 
     #[test]

@@ -358,6 +358,7 @@ proptest! {
             assert_eq!(row, vec, "{sql}: engines disagree on affected rows");
             assert_write_sound(&c, None, &sql, ExecOptions::default());
             assert_noop_sound(&c, Some(&stats), &sql);
+            assert_noop_sound(&c, None, &sql);
         }
     }
 }

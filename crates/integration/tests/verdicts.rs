@@ -3,12 +3,13 @@
 //!
 //! The corpus crosses every column type (INT, FLOAT, STR, BOOL, TIMESTAMP)
 //! with every operator form (arithmetic, unary minus, NOT, AND/OR,
-//! comparisons, LIKE, IN, BETWEEN) and every literal type (INT, FLOAT, STR,
-//! BOOL, NULL), and places each expression in every position a binder types
-//! differently: a SELECT item, WHERE, HAVING, JOIN ON, CASE WHEN, and the
-//! WHERE of an UPDATE and of a DELETE. The aggregates (SUM, AVG, MIN, MAX,
-//! COUNT) over every column type go in a SELECT item and in HAVING. It runs
-//! over a small NULL-dense catalog.
+//! comparisons, LIKE, IN, BETWEEN, a CASE with a column arm and a literal
+//! arm) and every literal type (INT, FLOAT, STR, BOOL, NULL), and places
+//! each expression in every position a binder types differently: a SELECT
+//! item, WHERE, HAVING, JOIN ON, CASE WHEN, and the WHERE of an UPDATE and
+//! of a DELETE. The aggregates (SUM, AVG, MIN, MAX, COUNT) over every column
+//! type go in a SELECT item and in HAVING. It runs over a small NULL-dense
+//! catalog.
 //!
 //! `bind_pins.tsv` holds, per statement: the SQL, the `analyze_statement`
 //! summary, the row engine's outcome, the vectorized engine's outcome, and
@@ -56,7 +57,7 @@ const COLUMNS: [(&str, DataType); 5] = [
 const LITERALS: [&str; 5] = ["1", "1.5", "'a'", "TRUE", "NULL"];
 
 /// Operator forms over a column `{c}` and a literal `{l}`.
-const BINARY_FORMS: [&str; 9] = [
+const BINARY_FORMS: [&str; 10] = [
     "{c} + {l}",
     "{c} - {l}",
     "{c} / {l}",
@@ -66,6 +67,7 @@ const BINARY_FORMS: [&str; 9] = [
     "{c} < {l}",
     "{c} IN ({l})",
     "{c} BETWEEN {l} AND {l}",
+    "CASE WHEN b THEN {c} ELSE {l} END",
 ];
 
 /// Operator forms over a column `{c}` alone.
@@ -292,6 +294,7 @@ fn is_type_error(e: &cda_sql::SqlError) -> bool {
         "needs numeric operands",
         "expects numeric values",
         "cannot negate",
+        "type mismatch",
     ]
     .iter()
     .any(|marker| m.contains(marker))

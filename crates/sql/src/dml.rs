@@ -24,7 +24,7 @@
 use crate::ast::{Expr, Insert, Statement, Update};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
-use crate::exec::{execute_plan_checked, ExecOptions, ExecStats};
+use crate::exec::{common_type, execute_plan_checked, ExecOptions, ExecStats};
 use crate::plan::{BoundExpr, Plan};
 use crate::planner::{first_error, BindFault, Binder, Bound, Input, Scope, Ty};
 use crate::Result;
@@ -266,9 +266,7 @@ fn plan_update(b: &mut Binder<'_>, update: &Update) -> Option<DmlPlan> {
 fn check_stored_type(b: &mut Binder<'_>, table: &str, field: &Field, value: Ty, expr: &Expr) {
     let Some(value) = value else { return };
     let target = field.data_type();
-    let widening =
-        value == DataType::Int && matches!(target, DataType::Float | DataType::Timestamp);
-    if target == value || widening {
+    if common_type(value, target) == Some(target) {
         return;
     }
     let (table, column) = (table.to_owned(), field.name().to_owned());

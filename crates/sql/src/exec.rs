@@ -216,8 +216,19 @@ fn run(
     Ok(out)
 }
 
+/// The type of a column holding values of types `a` and `b`: INT widens to
+/// FLOAT or TIMESTAMP; `None` when no column holds both.
+pub(crate) fn common_type(a: DataType, b: DataType) -> Option<DataType> {
+    match (a, b) {
+        _ if a == b => Some(a),
+        (DataType::Int, wide @ (DataType::Float | DataType::Timestamp))
+        | (wide @ (DataType::Float | DataType::Timestamp), DataType::Int) => Some(wide),
+        _ => None,
+    }
+}
+
 /// Build a column from evaluated values, widening the planner's guess when
-/// the actual values require it (e.g. a CASE that mixes INT and FLOAT).
+/// the actual values require it (values no one type holds become STR).
 pub(crate) fn column_from_values(planned: DataType, values: Vec<Value>) -> Result<Column> {
     let mut ty = planned;
     let mut has_any = false;
@@ -228,14 +239,7 @@ pub(crate) fn column_from_values(planned: DataType, values: Vec<Value>) -> Resul
             has_any = true;
             continue;
         }
-        ty = match (ty, vt) {
-            (a, b) if a == b => a,
-            (DataType::Int, DataType::Float) | (DataType::Float, DataType::Int) => DataType::Float,
-            (DataType::Int, DataType::Timestamp) | (DataType::Timestamp, DataType::Int) => {
-                DataType::Timestamp
-            }
-            _ => DataType::Str,
-        };
+        ty = common_type(ty, vt).unwrap_or(DataType::Str);
     }
     let mut col = ColumnBuilder::with_capacity(ty, values.len());
     for v in values {

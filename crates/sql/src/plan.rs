@@ -170,61 +170,48 @@ impl BoundExpr {
         }
     }
 
-    /// True if the expression references no columns (is a constant).
-    pub fn is_constant(&self) -> bool {
+    /// Call `f` on each direct subexpression, in evaluation order.
+    pub fn for_each_child<'e>(&'e self, mut f: impl FnMut(&'e BoundExpr)) {
         match self {
-            BoundExpr::Literal(_) => true,
-            BoundExpr::Column(_) => false,
-            BoundExpr::Binary { left, right, .. } => left.is_constant() && right.is_constant(),
-            BoundExpr::Neg(e) | BoundExpr::Not(e) => e.is_constant(),
-            BoundExpr::IsNull { expr, .. } => expr.is_constant(),
+            BoundExpr::Literal(_) | BoundExpr::Column(_) => {}
+            BoundExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            BoundExpr::Neg(e) | BoundExpr::Not(e) => f(e),
+            BoundExpr::IsNull { expr, .. } | BoundExpr::Like { expr, .. } => f(expr),
             BoundExpr::InList { expr, list, .. } => {
-                expr.is_constant() && list.iter().all(BoundExpr::is_constant)
+                f(expr);
+                list.iter().for_each(f);
             }
             BoundExpr::Between { expr, low, high, .. } => {
-                expr.is_constant() && low.is_constant() && high.is_constant()
+                f(expr);
+                f(low);
+                f(high);
             }
-            BoundExpr::Like { expr, .. } => expr.is_constant(),
             BoundExpr::Case { branches, else_expr } => {
-                branches.iter().all(|(c, v)| c.is_constant() && v.is_constant())
-                    && else_expr.as_ref().is_none_or(|e| e.is_constant())
+                for (c, v) in branches {
+                    f(c);
+                    f(v);
+                }
+                else_expr.iter().for_each(|e| f(e));
             }
         }
     }
 
+    /// True if the expression references no columns (is a constant).
+    pub fn is_constant(&self) -> bool {
+        let mut constant = !matches!(self, BoundExpr::Column(_));
+        self.for_each_child(|e| constant = constant && e.is_constant());
+        constant
+    }
+
     /// Collect referenced column indices into `out` (with duplicates).
     pub fn collect_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            BoundExpr::Literal(_) => {}
-            BoundExpr::Column(i) => out.push(*i),
-            BoundExpr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            BoundExpr::Neg(e) | BoundExpr::Not(e) => e.collect_columns(out),
-            BoundExpr::IsNull { expr, .. } => expr.collect_columns(out),
-            BoundExpr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
-                for e in list {
-                    e.collect_columns(out);
-                }
-            }
-            BoundExpr::Between { expr, low, high, .. } => {
-                expr.collect_columns(out);
-                low.collect_columns(out);
-                high.collect_columns(out);
-            }
-            BoundExpr::Like { expr, .. } => expr.collect_columns(out),
-            BoundExpr::Case { branches, else_expr } => {
-                for (c, v) in branches {
-                    c.collect_columns(out);
-                    v.collect_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.collect_columns(out);
-                }
-            }
+        if let BoundExpr::Column(i) = self {
+            out.push(*i);
         }
+        self.for_each_child(|e| e.collect_columns(out));
     }
 
     /// Rewrite every column index through `f` (used when pushing expressions

@@ -16,7 +16,9 @@
 //!   `STR + STR`; unary minus needs INT or FLOAT;
 //! * `NOT`, `AND`, `OR` and every WHERE, HAVING, JOIN ON and CASE WHEN
 //!   condition need BOOL or NULL;
-//! * `LIKE` needs STR or NULL; `SUM`, `AVG` and `STDDEV` need numeric.
+//! * `LIKE` needs STR or NULL; `SUM`, `AVG` and `STDDEV` need numeric;
+//! * the arms of a CASE need one type, INT widening to FLOAT or TIMESTAMP
+//!   as an output column does.
 //!
 //! NULL-typed operands pass every rule. A comparison between types that
 //! never compare (text with non-text, BOOL with numeric) is always NULL; it
@@ -33,6 +35,7 @@
 use crate::ast::{BinaryOp, Expr, OrderDirection, Select, SelectItem, TableRef};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
+use crate::exec::common_type;
 use crate::plan::{AggExpr, BoundExpr, Plan, SortSpec};
 use crate::Result;
 use cda_dataframe::kernels::AggKind;
@@ -132,6 +135,17 @@ pub enum BindFault {
     },
     /// `SELECT *` in a grouped or aggregate query.
     GroupedWildcard,
+    /// An aggregate in a GROUP BY key.
+    AggregateInGroupBy,
+    /// HAVING in a query with neither GROUP BY nor aggregates.
+    HavingWithoutGrouping,
+    /// Two CASE arms whose values no one type holds.
+    CaseArms {
+        /// The type of the arms before.
+        first: DataType,
+        /// The arm's type.
+        other: DataType,
+    },
     /// A comparison between types that never compare, so it is always NULL.
     /// A warning: the statement still binds.
     IncompatibleComparison {
@@ -224,6 +238,13 @@ impl fmt::Display for BindFault {
             }
             BindFault::GroupedWildcard => {
                 f.write_str("SELECT * cannot be combined with GROUP BY / aggregates")
+            }
+            BindFault::AggregateInGroupBy => f.write_str("aggregates are not allowed in GROUP BY"),
+            BindFault::HavingWithoutGrouping => {
+                f.write_str("HAVING requires GROUP BY or aggregates")
+            }
+            BindFault::CaseArms { first, other } => {
+                write!(f, "CASE arms of types {first} and {other} have no common type")
             }
             BindFault::IncompatibleComparison { left, right, .. } => {
                 write!(f, "comparing {left} with {right} is always NULL")
@@ -530,7 +551,16 @@ impl<'a> Binder<'a> {
             }
             Expr::Aggregate { kind, arg: written } => {
                 let Input::Groups(scope, g) = input else {
-                    self.unplannable("aggregate used outside SELECT/HAVING/ORDER BY");
+                    if let Some(arg) = written {
+                        self.bind(arg, input); // for the faults of its names and types
+                    }
+                    match self.clause {
+                        Some(Clause::GroupBy) => self.fault(BindFault::AggregateInGroupBy),
+                        Some(Clause::Where) => {
+                            self.unplannable("aggregates are not allowed in WHERE");
+                        }
+                        _ => self.unplannable("aggregate used outside SELECT/HAVING/ORDER BY"),
+                    }
                     return (null(), None);
                 };
                 let j = match g.calls.iter().position(|c| c == expr) {
@@ -538,6 +568,14 @@ impl<'a> Binder<'a> {
                     None => {
                         let (arg, arg_ty) = match written {
                             Some(a) if a.contains_aggregate() => {
+                                // Its names still resolve, or fault.
+                                let mut columns = Vec::new();
+                                a.collect_columns(&mut columns);
+                                for (table, name) in columns {
+                                    if let Err(fault) = scope.resolve(table.as_deref(), name) {
+                                        self.fault(fault);
+                                    }
+                                }
                                 self.unplannable("nested aggregates are not allowed");
                                 (None, None)
                             }
@@ -628,22 +666,31 @@ impl<'a> Binder<'a> {
             Expr::Case { branches, else_expr } => {
                 let mut arms = Vec::with_capacity(branches.len());
                 let mut ty = None;
-                for (k, (c, v)) in branches.iter().enumerate() {
+                for (c, v) in branches {
                     let c = self.condition(c, input, "CASE WHEN");
                     let (v, vt) = self.bind(v, input);
-                    if k == 0 {
-                        ty = vt;
-                    }
+                    ty = self.case_arm(ty, vt);
                     arms.push((c, v));
                 }
                 let else_expr = else_expr.as_ref().map(|e| {
                     let (e, et) = self.bind(e, input);
-                    ty = ty.or(et);
+                    ty = self.case_arm(ty, et);
                     Box::new(e)
                 });
                 (BoundExpr::Case { branches: arms, else_expr }, ty)
             }
         }
+    }
+
+    /// A CASE's type so far joined with one more arm's: the type of a
+    /// column of both values; a fault when there is none.
+    fn case_arm(&mut self, ty: Ty, arm: Ty) -> Ty {
+        let (Some(first), Some(other)) = (ty, arm) else { return ty.or(arm) };
+        let common = common_type(first, other);
+        if common.is_none() {
+            self.fault(BindFault::CaseArms { first, other });
+        }
+        common
     }
 
     /// Type a binary operator's result, checking its operands.
@@ -691,12 +738,8 @@ impl<'a> Binder<'a> {
         // 2. WHERE.
         if let Some(w) = &select.where_clause {
             self.clause = Some(Clause::Where);
-            if w.contains_aggregate() {
-                self.unplannable("aggregates are not allowed in WHERE");
-            } else {
-                let predicate = self.condition(w, &mut Input::Rows(&scope), "WHERE");
-                plan = Plan::Filter { input: Box::new(plan), predicate };
-            }
+            let predicate = self.condition(w, &mut Input::Rows(&scope), "WHERE");
+            plan = Plan::Filter { input: Box::new(plan), predicate };
         }
 
         // 3. GROUP BY keys, when the query aggregates.
@@ -711,18 +754,15 @@ impl<'a> Binder<'a> {
             self.clause = Some(Clause::GroupBy);
             let mut g = Grouping::default();
             for key in &select.group_by {
-                if key.contains_aggregate() {
-                    self.unplannable("aggregates are not allowed in GROUP BY");
-                    continue;
-                }
                 let first = self.faults.len();
                 let (bound, ty) = self.bind(key, &mut Input::Rows(&scope));
                 g.keys.push((key.clone(), bound, ty, first..self.faults.len()));
             }
             grouping = Some(g);
-        } else if select.having.is_some() {
+        } else if let Some(h) = &select.having {
             self.clause = Some(Clause::Having);
-            self.unplannable("HAVING requires GROUP BY or aggregates");
+            self.condition(h, &mut Input::Rows(&scope), "HAVING");
+            self.fault(BindFault::HavingWithoutGrouping);
         }
 
         // 4. SELECT items, over the rows or over the groups.
@@ -1066,5 +1106,9 @@ mod tests {
         assert_eq!(s.field_at(1).unwrap().data_type(), DataType::Float);
         assert_eq!(s.field_at(2).unwrap().data_type(), DataType::Str);
         assert_eq!(s.field_at(3).unwrap().data_type(), DataType::Bool);
+        // a CASE takes the type that holds every arm
+        let p = plan_sql("SELECT CASE WHEN jobs > 3 THEN jobs ELSE 1.5 END FROM emp").unwrap();
+        assert_eq!(p.schema().field_at(0).unwrap().data_type(), DataType::Float);
+        assert!(plan_sql("SELECT CASE WHEN jobs > 3 THEN jobs ELSE 'x' END FROM emp").is_err());
     }
 }
