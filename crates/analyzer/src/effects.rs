@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// `table → columns`, all lowercased; the carrier of read and write sets.
-pub(crate) type ColumnSet = BTreeMap<String, BTreeSet<String>>;
+pub type ColumnSet = BTreeMap<String, BTreeSet<String>>;
 
 /// The statically-derived effects of one statement.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

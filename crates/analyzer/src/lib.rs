@@ -79,7 +79,9 @@ pub mod repair;
 pub mod sqlcheck;
 
 pub use absint::{analyze, domain_tree, row_bounds, Analysis};
-pub use effects::{compiled_effects, dml_effects, plan_reads, statement_effects, EffectSet};
+pub use effects::{
+    compiled_effects, dml_effects, plan_reads, statement_effects, ColumnSet, EffectSet,
+};
 pub use cardest::{estimate, q_error, CardEstimate, Statistics};
 pub use equiv::{certify_optimizer, EquivEngine, EquivResult, PlanFingerprint};
 pub use repair::{apply_hints, edit_distance, nearest_name, repair_hints, RepairHint};

@@ -27,7 +27,7 @@ use crate::{clock, row, Budget, Cell, Experiment};
 use cda_analyzer::{Analyzer, Statistics};
 use cda_core::CdaConfig;
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
-use cda_soundness::consistency::ConsistencyUq;
+use cda_soundness::consistency::{ConsistencyUq, Known};
 use cda_sql::QueryResult;
 use std::time::Duration;
 
@@ -78,10 +78,10 @@ pub fn run(_: &Budget) -> Experiment {
                 schema: schema.clone(),
                 other_tables: vec![],
             };
-            let skip_only = uq.with_repair(0).run_with(&prompt, |_| None::<QueryResult>).unwrap();
+            let nothing_known = |_| Known::<QueryResult>::Unknown;
+            let skip_only = uq.with_repair(0).run_with(&prompt, nothing_known).unwrap();
             exec_skip += skip_only.report.samples - skip_only.report.failed;
-            let repairing =
-                uq.with_repair(rounds).run_with(&prompt, |_| None::<QueryResult>).unwrap();
+            let repairing = uq.with_repair(rounds).run_with(&prompt, nothing_known).unwrap();
             exec_repair += repairing.report.samples - repairing.report.failed;
             salvaged += repairing.report.repaired;
             if let Some(winner) = &repairing.winner {

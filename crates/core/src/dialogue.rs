@@ -24,7 +24,7 @@ use cda_nlmodel::nl2sql::{parse_question, refine_task, AnalyticTask};
 use cda_provenance::checks::check_plan_losslessness;
 use cda_provenance::lineage::NodeKind;
 use cda_provenance::Explanation;
-use cda_soundness::consistency::{ConsistencyUq, Execution, UqRound};
+use cda_soundness::consistency::{ConsistencyUq, Execution, Known, UqRound};
 use cda_sql::Compiled;
 use cda_timeseries::seasonality::detect_seasonality;
 use cda_timeseries::decompose::decompose;
@@ -678,9 +678,10 @@ impl Session {
 
         // Soundness: one consistency-UQ round chooses the statement. It
         // gates, fingerprints and — unless the session's semantic cache
-        // already holds that fingerprint's result — executes each candidate
-        // once, and hands the winner back with all of that attached: the
-        // rest of the turn reads the record instead of redoing the work.
+        // already holds that fingerprint's result or knows how its execution
+        // came out — executes each candidate once, and hands the winner back
+        // with all of that attached: the rest of the turn reads the record
+        // instead of redoing the work.
         // Equivalence-aware clustering is provably confidence-neutral (equal
         // fingerprints ⇒ identical execution), so it is always on here.
         let analyzer = self.analyzer();
@@ -695,12 +696,20 @@ impl Session {
                 .with_exec_options(self.exec_options())
                 .with_sanitizer(self.config.absint_check.then(|| self.world.catalog.stats()))
                 .run_with(&prompt, |fp| {
-                    use_cache.then(|| self.semantic_cache.probe(fp)).flatten()
+                    if use_cache {
+                        self.semantic_cache.known(fp)
+                    } else {
+                        Known::Unknown
+                    }
                 });
             match round {
-                Ok(UqRound { report, winner }) => {
-                    // One execution per fingerprint group the cache did not hold.
-                    self.executions += report.equiv_groups - report.known_results;
+                Ok(UqRound { report, winner, outcomes }) => {
+                    // One execution per fingerprint group the cache knew
+                    // nothing of, plus a winner it knew only the outcome of.
+                    self.executions += outcomes.len();
+                    if use_cache {
+                        self.semantic_cache.record_outcomes(outcomes);
+                    }
                     let Some(winner) = winner else {
                         let mut a = AnswerTurn::answered(
                             "None of my candidate queries executed successfully, so I cannot \
@@ -780,7 +789,7 @@ impl Session {
                 let fingerprint =
                     use_cache.then(|| EquivEngine::new().fingerprint(logical).as_u64());
                 let execution = match fingerprint.and_then(|fp| self.semantic_cache.probe(fp)) {
-                    Some(hit) => Some(Execution::Known(hit)),
+                    Some(hit) => Some(Execution::Held(hit)),
                     None => {
                         self.executions += 1;
                         self.execute_answer(optimized).ok().map(Execution::Ran)
@@ -793,10 +802,11 @@ impl Session {
             (None, None) => (None, None),
         };
         // The turn serves the hit, or stores the execution it paid for —
-        // the winner's only: losing candidates are never cached.
+        // the winner's only: of a losing candidate the cache keeps just the
+        // outcome the round recorded, never a result.
         let mut cache_note: Option<String> = None;
         let executed = match execution {
-            Some(Execution::Known(hit)) => {
+            Some(Execution::Held(hit)) => {
                 self.semantic_cache.count_hit();
                 cache_note = Some(format!(
                     "[cache] served from the semantic cache: this request is equivalent to the \
@@ -858,29 +868,37 @@ impl Session {
         // Explainability: provenance + losslessness verification.
         let t_expl = Instant::now();
         let explanation = if self.config.explainability {
-            // Replays the plan that produced the answer over the tables it
-            // scans, restricted to the rows the answer's first row cites.
-            let lossless = query.filter(|_| result.table.num_rows() > 0).and_then(
-                |(_, optimized)| {
-                    check_plan_losslessness(
-                        self.world.catalog.sql(),
-                        optimized,
-                        self.exec_options(),
-                        &result.table,
-                        0,
-                    )
-                    .ok()
-                },
-            );
-            let cited = result
-                .table
-                .lineages()
-                .ids()
-                .iter()
-                .copied()
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect::<Vec<_>>();
+            // The verdict is a function of the plan's equivalence class, the
+            // world and the result — what the fingerprint already certifies —
+            // so one the cache recorded for this fingerprint is reused.
+            // Otherwise the plan that produced the answer is replayed over
+            // the tables it scans, restricted to the rows the answer's first
+            // row cites, and the verdict recorded.
+            let lossless = match fingerprint.and_then(|fp| self.semantic_cache.verdict(fp)) {
+                Some(recorded) => recorded,
+                None => {
+                    let replayed = query.filter(|_| result.table.num_rows() > 0).map(
+                        |(_, optimized)| {
+                            check_plan_losslessness(
+                                self.world.catalog.sql(),
+                                optimized,
+                                self.exec_options(),
+                                &result.table,
+                                0,
+                            )
+                            .ok()
+                        },
+                    );
+                    self.lossless_replays += usize::from(replayed.is_some());
+                    let verdict = replayed.flatten();
+                    if let Some(fp) = fingerprint {
+                        let reads = cda_analyzer::plan_reads(&result.plan);
+                        self.semantic_cache.record_verdict(fp, reads, verdict.clone());
+                    }
+                    verdict
+                }
+            };
+            let cited = result.table.lineages().distinct_ids();
             let ds_lin = self.lineage_node(NodeKind::Dataset(task.table.clone()), &[]);
             let q_lin =
                 self.lineage_node(NodeKind::Query(sql.clone()), &[parent, ds_lin]);

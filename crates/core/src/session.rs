@@ -20,15 +20,17 @@
 use crate::log::QueryLog;
 use crate::reliability::CdaConfig;
 use crate::world::WorldSnapshot;
-use cda_analyzer::Analyzer;
+use cda_analyzer::{Analyzer, ColumnSet, EffectSet};
 use cda_guidance::graph::ConversationGraph;
 use cda_guidance::profile::UserProfile;
 use cda_nlmodel::lm::{SimLm, SimLmConfig};
+use cda_provenance::checks::LosslessReport;
 use cda_provenance::lineage::LineageGraph;
+use cda_soundness::consistency::{GroupOutcome, Known};
 use cda_sql::exec::QueryResult;
 use cda_storage::{StorageBackend, StoreId};
 use cda_testkit::rng::mix64;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Mutable per-conversation state.
@@ -74,7 +76,9 @@ impl std::borrow::Borrow<QueryResult> for CachedAnswer {
 /// [`count_hit`](Self::count_hit). Only the answer a turn executed and
 /// returned is [`put`](Self::put) — a losing candidate's result never is —
 /// so `hits`, `misses` and the stored entries are per *turn*, whatever UQ
-/// looked at on the way. Lookups return an owned answer (a world-scoped
+/// looked at on the way. (What [`SemanticCache`] also remembers about losing
+/// candidates and served answers lives beside this interface: it is neither
+/// an answer nor counted.) Lookups return an owned answer (a world-scoped
 /// cache decodes it from storage, so there is no stored value to borrow).
 pub trait CacheStore {
     /// Look up a fingerprint without counting anything.
@@ -97,7 +101,7 @@ pub trait CacheStore {
     /// Returns the number dropped. A world-scoped cache returns 0 here: its
     /// records were already reconciled storage-side when the successor
     /// world was opened.
-    fn invalidate(&mut self, effects: &cda_analyzer::EffectSet) -> usize;
+    fn invalidate(&mut self, effects: &EffectSet) -> usize;
     /// Forget conversation-scoped state: the hit/miss counters always, the
     /// entries when the cache is conversation-scoped.
     fn clear(&mut self);
@@ -116,9 +120,28 @@ pub trait CacheStore {
 /// the query that produced them. Equal fingerprints certify equal execution
 /// on the deterministic engine, so a hit is byte-identical to re-executing —
 /// E16 and E20 verify exactly that. Only successful executions are stored
-/// (errors always re-execute: canonicalization preserves *whether* an error
-/// fires, not which message it carries). Counters are read through
-/// [`CacheStats`] / [`SessionStats`], not fields.
+/// as answers. Counters are read through [`CacheStats`] / [`SessionStats`],
+/// not fields.
+///
+/// Beside the answers, the cache remembers two facts per fingerprint that
+/// let a re-asked question do no engine work, each with the read set of the
+/// plan it came from:
+///
+/// * the **outcome of every candidate group** a consistency round executed
+///   — its exact result signature, or that it failed — so that a losing
+///   candidate sampled again clusters without executing
+///   ([`Known::Outcome`]); canonicalization preserves *whether* an error
+///   fires, so a recorded failure is the failure re-executing would give;
+/// * the **losslessness verdict** of the answer served for the
+///   fingerprint, a function of the plan's equivalence class, the world and
+///   the result table — the certificate a hit already rests on — so a hit
+///   reuses it instead of replaying the plan.
+///
+/// These records are the conversation's, in memory, in either scope: they
+/// are not answers (`len`, [`CacheStats`] and [`CacheStore`] do not see
+/// them), nothing persists them, and exactly the answers' invalidation rule
+/// drops them — the ones a committed write's effect set intersects, all of
+/// them when the write is unknown or the conversation is cleared.
 ///
 /// The cache has one of two scopes, fixed at construction:
 ///
@@ -135,9 +158,25 @@ pub trait CacheStore {
 #[derive(Debug, Clone, Default)]
 pub struct SemanticCache {
     scope: Scope,
+    /// Candidate-group outcomes (exact result signature, `None`: failed).
+    outcomes: HashMap<u64, Recorded<Option<Arc<str>>>>,
+    /// Losslessness verdicts of served answers (`None`: no verdict — an
+    /// empty result, or a replay that could not run).
+    verdicts: HashMap<u64, Recorded<Option<LosslessReport>>>,
+    /// The distinct read sets the records rest on, each stored once: a
+    /// conversation's many candidate plans read few distinct column sets,
+    /// and a read set is the largest part of a record.
+    read_sets: HashSet<Arc<ColumnSet>>,
     hits: usize,
     misses: usize,
     write_errors: usize,
+}
+
+/// A fact about one fingerprint and the `(table, column)` pairs it rests on.
+#[derive(Debug, Clone)]
+struct Recorded<T> {
+    reads: Arc<ColumnSet>,
+    value: T,
 }
 
 /// Where a [`SemanticCache`] keeps its answers.
@@ -173,26 +212,83 @@ impl SemanticCache {
     /// Re-point the cache at a successor world. A conversation-scoped cache
     /// drops the answers the move invalidates: exactly those `effects`
     /// intersects when the committed write is known, all of them
-    /// otherwise. A world-scoped cache only re-points — its records were
-    /// reconciled storage-side when the successor was opened. Counters carry
-    /// over: the conversation did not restart. Returns the number dropped.
+    /// otherwise. A world-scoped cache only re-points its answers — they
+    /// were reconciled storage-side when the successor was opened. Either
+    /// scope drops its outcome and verdict records by the same rule.
+    /// Counters carry over: the conversation did not restart. Returns the
+    /// number of answers dropped.
     pub(crate) fn adopt(
         &mut self,
         world: Arc<WorldSnapshot>,
-        effects: Option<&cda_analyzer::EffectSet>,
+        effects: Option<&EffectSet>,
     ) -> usize {
-        match (&mut self.scope, effects) {
-            (Scope::World { world: current, .. }, _) => {
-                *current = world;
-                0
-            }
-            (Scope::Conversation(entries), None) => {
-                let n = entries.len();
-                entries.clear();
-                n
-            }
-            (Scope::Conversation(_), Some(effects)) => self.invalidate(effects),
+        if let Scope::World { world: current, .. } = &mut self.scope {
+            *current = world;
         }
+        match effects {
+            Some(effects) => self.invalidate(effects),
+            None => {
+                self.forget_records();
+                match &mut self.scope {
+                    Scope::Conversation(entries) => std::mem::take(entries).len(),
+                    Scope::World { .. } => 0,
+                }
+            }
+        }
+    }
+
+    /// What the cache knows about `fingerprint` for a consistency round: the
+    /// held answer, else the recorded outcome of its execution, else nothing.
+    /// Counts nothing, like [`probe`](CacheStore::probe).
+    pub(crate) fn known(&self, fingerprint: u64) -> Known<CachedAnswer> {
+        if let Some(answer) = self.probe(fingerprint) {
+            return Known::Held(answer);
+        }
+        self.outcomes
+            .get(&fingerprint)
+            .map_or(Known::Unknown, |outcome| Known::Outcome(outcome.value.clone()))
+    }
+
+    /// Record how a round's executions came out.
+    pub(crate) fn record_outcomes(&mut self, outcomes: Vec<GroupOutcome>) {
+        for GroupOutcome { fingerprint, signature, reads } in outcomes {
+            let reads = self.shared_reads(reads);
+            self.outcomes.insert(fingerprint, Recorded { reads, value: signature });
+        }
+    }
+
+    /// The recorded losslessness verdict of the answer served for
+    /// `fingerprint`, when one is recorded.
+    pub(crate) fn verdict(&self, fingerprint: u64) -> Option<Option<LosslessReport>> {
+        self.verdicts.get(&fingerprint).map(|verdict| verdict.value.clone())
+    }
+
+    /// Record the losslessness verdict of the answer served for
+    /// `fingerprint`, which `reads` (its executed plan's read set) rests on.
+    pub(crate) fn record_verdict(
+        &mut self,
+        fingerprint: u64,
+        reads: ColumnSet,
+        verdict: Option<LosslessReport>,
+    ) {
+        let reads = self.shared_reads(reads);
+        self.verdicts.insert(fingerprint, Recorded { reads, value: verdict });
+    }
+
+    /// The stored copy of `reads`, made on first use.
+    fn shared_reads(&mut self, reads: ColumnSet) -> Arc<ColumnSet> {
+        if let Some(shared) = self.read_sets.get(&reads) {
+            return Arc::clone(shared);
+        }
+        let shared = Arc::new(reads);
+        self.read_sets.insert(Arc::clone(&shared));
+        shared
+    }
+
+    fn forget_records(&mut self) {
+        self.outcomes.clear();
+        self.verdicts.clear();
+        self.read_sets.clear();
     }
 }
 
@@ -233,7 +329,12 @@ impl CacheStore for SemanticCache {
         }
     }
 
-    fn invalidate(&mut self, effects: &cda_analyzer::EffectSet) -> usize {
+    fn invalidate(&mut self, effects: &EffectSet) -> usize {
+        // Outcomes and verdicts are dropped by the rule that drops answers,
+        // in either scope: a retained record reads nothing the write touched.
+        self.outcomes.retain(|_, r| !effects.invalidates(&r.reads));
+        self.verdicts.retain(|_, r| !effects.invalidates(&r.reads));
+        self.read_sets.retain(|reads| Arc::strong_count(reads) > 1);
         match &mut self.scope {
             Scope::Conversation(entries) => {
                 let before = entries.len();
@@ -260,6 +361,7 @@ impl CacheStore for SemanticCache {
         if let Scope::Conversation(entries) = &mut self.scope {
             entries.clear();
         }
+        self.forget_records();
         self.hits = 0;
         self.misses = 0;
     }
@@ -325,9 +427,16 @@ pub struct SessionStats {
     /// Query executions the engine ran for this conversation's analysis
     /// turns — consistency-UQ candidates included. Each distinct candidate
     /// plan of a turn executes at most once, and not at all when the
-    /// semantic cache already holds its result; the turn's answer is one of
-    /// those executions, never an extra one.
+    /// semantic cache already holds its result or has recorded how its
+    /// execution came out — unless such a recorded outcome represents the
+    /// winning cluster, which then executes to be served. The turn's answer
+    /// is one of those executions, never an extra one.
     pub executions: usize,
+    /// Losslessness replays (`cda_provenance::checks::check_plan_losslessness`)
+    /// the explanations of this conversation's answers ran. An answer the
+    /// semantic cache has already verified reuses the recorded verdict and
+    /// replays nothing.
+    pub lossless_replays: usize,
 }
 
 /// One conversation over a shared [`WorldSnapshot`].
@@ -356,6 +465,8 @@ pub struct Session {
     pub(crate) semantic_cache: SemanticCache,
     /// Query executions so far (see [`SessionStats::executions`]).
     pub(crate) executions: usize,
+    /// Losslessness replays so far (see [`SessionStats::lossless_replays`]).
+    pub(crate) lossless_replays: usize,
 }
 
 /// Derive a session's LM seed from the world's base seed. Seed 0 is the
@@ -398,6 +509,7 @@ impl Session {
             query_log: QueryLog::new(),
             semantic_cache: SemanticCache::new(),
             executions: 0,
+            lossless_replays: 0,
         }
     }
 
@@ -525,6 +637,7 @@ impl Session {
             conversation_nodes: self.conversation.len(),
             cache: self.semantic_cache.stats(),
             executions: self.executions,
+            lossless_replays: self.lossless_replays,
         }
     }
 
@@ -538,7 +651,7 @@ impl Session {
     pub fn adopt_world(
         &mut self,
         world: Arc<WorldSnapshot>,
-        effects: Option<&cda_analyzer::EffectSet>,
+        effects: Option<&EffectSet>,
     ) -> usize {
         if Arc::ptr_eq(&self.world, &world) {
             return 0;
@@ -559,6 +672,7 @@ impl Session {
         // references would dangle); world-scoped answers stay.
         self.semantic_cache.clear();
         self.executions = 0;
+        self.lossless_replays = 0;
     }
 }
 
@@ -566,6 +680,8 @@ impl Session {
 mod tests {
     use super::*;
     use crate::demo::{demo_session, demo_world};
+    use cda_provenance::checks::check_plan_losslessness;
+    use cda_soundness::verify::result_signature;
 
     #[test]
     fn demo_session_assembles() {
@@ -653,6 +769,159 @@ mod tests {
         let after = s.stats().cache;
         assert_eq!(after.entries, 0, "{after:?}");
         assert_eq!((after.hits, after.misses), (before.hits, before.misses), "{after:?}");
+    }
+
+    /// The optimized plan of every candidate `s`'s consistency round samples
+    /// for `question`, by canonical-plan fingerprint.
+    fn candidate_plans(s: &Session, question: &str) -> HashMap<u64, cda_sql::plan::Plan> {
+        let crate::Route::Analysis(task) = s.route(question) else { return HashMap::new() };
+        let catalog = s.catalog().sql();
+        let schema = catalog.get(&task.table).unwrap().table.schema().clone();
+        let other_tables = catalog.table_names().into_iter().filter(|n| *n != task.table).collect();
+        let prompt = cda_nlmodel::lm::Nl2SqlPrompt { task, schema, other_tables };
+        let analyzer = s.analyzer();
+        let mut plans = HashMap::new();
+        for g in s.lm.sample_k(&prompt, s.config.temperature, s.config.uq_samples) {
+            let gated = analyzer.gate_with_repair(&g.sql, s.config.repair_rounds);
+            if let Some((logical, optimized)) = gated.compiled.as_ref().and_then(|c| c.query()) {
+                let fp = cda_analyzer::EquivEngine::new().fingerprint(logical).as_u64();
+                plans.insert(fp, optimized.clone());
+            }
+        }
+        plans
+    }
+
+    /// A demo session that has asked `questions`, and the plans its records
+    /// describe; `durable` gives it a world-scoped cache over a fresh backend.
+    fn session_with_records(
+        questions: &[String],
+        durable: bool,
+    ) -> (Session, HashMap<u64, cda_sql::plan::Plan>) {
+        let mut s = if durable {
+            let world = WorldSnapshot::builder()
+                .catalog(crate::demo::demo_catalog(5))
+                .kg(crate::demo::demo_kg())
+                .vocab(crate::demo::demo_vocabulary())
+                .linker(crate::demo::demo_linker())
+                .lm(demo_world(5).lm_config.clone())
+                .with_storage(Arc::new(cda_storage::MemBackend::new()))
+                .open_shared()
+                .unwrap();
+            Session::open_durable_seeded(world, CdaConfig::default(), 9).unwrap()
+        } else {
+            Session::open_seeded(demo_world(5), CdaConfig::default(), 9)
+        };
+        let mut plans = HashMap::new();
+        for q in questions {
+            plans.extend(candidate_plans(&s, q));
+            let _ = s.process(q);
+        }
+        (s, plans)
+    }
+
+    fn demo_questions() -> Vec<String> {
+        let world = demo_world(5);
+        cda_nlmodel::nl2sql::Workload::generate(world.workload_tables(), 24, 5)
+            .tasks
+            .into_iter()
+            .map(|t| t.question)
+            .collect()
+    }
+
+    #[test]
+    fn a_committed_update_retains_only_records_it_leaves_true() {
+        for durable in [false, true] {
+            a_committed_update_retains_only_true_records(durable);
+        }
+    }
+
+    fn a_committed_update_retains_only_true_records(durable: bool) {
+        let (mut s, plans) = session_with_records(&demo_questions(), durable);
+        assert_eq!(matches!(s.semantic_cache.scope, Scope::World { .. }), durable);
+        let cache = &s.semantic_cache;
+        let (outcomes, verdicts) = (cache.outcomes.len(), cache.verdicts.len());
+        assert!(outcomes > verdicts && verdicts > 1, "{outcomes} outcomes, {verdicts} verdicts");
+        let sql = "UPDATE wage_stats SET median_wage = median_wage + 1 WHERE canton = 'ZH'";
+        let crate::WriteDecision::Applied(write) = s.apply_sql(sql).unwrap() else {
+            panic!("the update must apply")
+        };
+        assert!(write.committed);
+        let (cache, catalog, options) = (&s.semantic_cache, s.catalog().sql(), s.exec_options());
+        let retained = cache.outcomes.len() + cache.verdicts.len();
+        assert!(retained > 0 && retained < outcomes + verdicts, "the write must split the records");
+        assert!(cache.read_sets.iter().all(|reads| Arc::strong_count(reads) > 1));
+        for (fp, outcome) in &cache.outcomes {
+            assert!(!write.effects.invalidates(&outcome.reads));
+            let fresh = cda_sql::execute_plan(catalog, &plans[fp], options).ok();
+            let signature = fresh.map(|r| result_signature(&r.table));
+            assert_eq!(signature.as_deref(), outcome.value.as_deref(), "{}", plans[fp].explain());
+        }
+        for (fp, verdict) in &cache.verdicts {
+            assert!(!write.effects.invalidates(&verdict.reads));
+            let fresh = cda_sql::execute_plan(catalog, &plans[fp], options).unwrap();
+            let replayed = (fresh.table.num_rows() > 0)
+                .then(|| {
+                    check_plan_losslessness(catalog, &plans[fp], options, &fresh.table, 0).ok()
+                })
+                .flatten();
+            assert_eq!(replayed, verdict.value, "{}", plans[fp].explain());
+        }
+    }
+
+    #[test]
+    fn an_unknown_write_and_a_reset_retain_no_record() {
+        let questions = demo_questions();
+        for durable in [false, true] {
+            let (mut s, _) = session_with_records(&questions, durable);
+            let cache = &s.semantic_cache;
+            assert!(!cache.outcomes.is_empty() && !cache.verdicts.is_empty());
+            let next = s.world().successor().build_shared();
+            s.adopt_world(next, None);
+            let cache = &s.semantic_cache;
+            assert!(cache.outcomes.is_empty() && cache.verdicts.is_empty());
+            assert!(cache.read_sets.is_empty());
+            let (mut s, _) = session_with_records(&questions, durable);
+            s.reset_conversation();
+            let cache = &s.semantic_cache;
+            assert!(cache.outcomes.is_empty() && cache.verdicts.is_empty());
+            assert!(cache.read_sets.is_empty());
+            assert_eq!((s.stats().executions, s.stats().lossless_replays), (0, 0));
+        }
+    }
+
+    #[test]
+    fn after_writes_a_cached_session_answers_as_an_uncached_one_does() {
+        // Readers re-asking questions between writes to both tables — the
+        // shape of a read-write server session — with and without the cache.
+        let questions = demo_questions();
+        let writes = [
+            "UPDATE wage_stats SET median_wage = median_wage * 2 WHERE sector = 'it'",
+            "UPDATE employment_by_type SET employees = employees + 7 WHERE canton = 'ZH'",
+            "DELETE FROM employment_by_type WHERE year < 2022",
+            "INSERT INTO wage_stats VALUES ('ZH', 'it', 9000.0)",
+        ];
+        let mut script = Vec::new();
+        for (round, write) in writes.iter().enumerate() {
+            script.extend(questions.iter().skip(round * 3).take(8).cloned());
+            script.push((*write).to_owned());
+        }
+        script.extend(questions.iter().take(12).cloned());
+        let uncached = CdaConfig { semantic_cache: false, ..CdaConfig::default() };
+        let lossless = |t: &crate::AnswerTurn| t.explanation.as_ref().map(|e| e.lossless.clone());
+        for seed in 1..4 {
+            let mut cached = Session::open_seeded(demo_world(5), CdaConfig::default(), seed);
+            let mut plain = Session::open_seeded(demo_world(5), uncached, seed);
+            for utterance in &script {
+                let (a, b) = (cached.process(utterance), plain.process(utterance));
+                assert_eq!(a.executed_sql, b.executed_sql, "seed {seed}, {utterance:?}");
+                assert_eq!(a.confidence, b.confidence, "seed {seed}, {utterance:?}");
+                assert_eq!(a.status, b.status, "seed {seed}, {utterance:?}");
+                assert_eq!(lossless(&a), lossless(&b), "seed {seed}, {utterance:?}");
+            }
+            let (cached, plain) = (cached.stats(), plain.stats());
+            assert!(cached.cache.hits > 0 && cached.epoch == 4, "{cached:?}");
+            assert!(cached.executions < plain.executions);
+        }
     }
 
     #[test]

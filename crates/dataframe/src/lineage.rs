@@ -74,6 +74,18 @@ impl LineageStore {
         &self.ids
     }
 
+    /// Every id any row cites, once each, ascending — the where-from
+    /// provenance of the whole table. The stable sort finds the ascending
+    /// runs the ids already come in (a base table scans in row order, and
+    /// each group of an aggregate cites its rows in that order), so it does
+    /// far less than a general sort.
+    pub fn distinct_ids(&self) -> Vec<RowId> {
+        let mut ids = self.ids.clone();
+        ids.sort();
+        ids.dedup();
+        ids
+    }
+
     /// One vector per row (the owned, per-row form).
     pub fn to_vec(&self) -> Vec<Vec<RowId>> {
         self.iter().map(<[RowId]>::to_vec).collect()
@@ -251,6 +263,16 @@ mod tests {
         assert_eq!(flat.concat(&c).len(), 6);
         assert_eq!(flat.concat(&c).get(4), Some(&[rid(0), rid(1)][..]));
         assert!(c.take(&[2]).is_err());
+    }
+
+    #[test]
+    fn distinct_ids_are_every_cited_id_once_in_order() {
+        let other = RowId::new(0, 9);
+        let s = csr(&[&[rid(2), rid(5)], &[], &[rid(1), rid(2), other], &[rid(5)]]);
+        let expected: std::collections::BTreeSet<RowId> = s.ids().iter().copied().collect();
+        assert_eq!(s.distinct_ids(), expected.into_iter().collect::<Vec<_>>());
+        assert_eq!(LineageStore::identity(1, 3).distinct_ids(), vec![rid(0), rid(1), rid(2)]);
+        assert!(LineageStore::default().distinct_ids().is_empty());
     }
 
     #[test]

@@ -14,10 +14,19 @@
 //!   world reopened from its file halfway through.
 //! * **The execution-count law.** Over the same sessions, a turn runs the
 //!   engine exactly once per distinct candidate fingerprint its consistency
-//!   round takes to execution and the semantic cache does not already hold
-//!   (`SessionStats::executions`): a miss costs `equiv_groups` executions —
-//!   the answer is one of them, not one more — and a re-asked question costs
-//!   none for the candidates it shares with the earlier answer.
+//!   round takes to execution and the conversation has not executed before
+//!   (`SessionStats::executions`): the semantic cache holds every earlier
+//!   winner's result and records every earlier candidate group's outcome, so
+//!   a re-asked question executes nothing — unless the majority's
+//!   representative is a candidate known only by its outcome, which then
+//!   executes once to be served. A first-time question costs `equiv_groups`
+//!   executions: the answer is one of them, not one more. A verbatim re-ask
+//!   executes nothing and replays no losslessness check, under a clean model
+//!   and a hallucinating one alike.
+//! * **A hit explains like a fresh answer.** Every turn served from the
+//!   cache — in memory and across a durable reopen — carries the
+//!   losslessness verdict and the cited rows a fresh execution of its SQL
+//!   gives, although the verdict was recorded by the turn that paid for it.
 
 // Scratch database files under the temp dir.
 #![allow(clippy::disallowed_methods)]
@@ -34,7 +43,8 @@ use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::intent::{classify_intent, Intent};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLmConfig};
 use cda_nlmodel::nl2sql::{parse_question, Nl2SqlTask, Workload};
-use cda_soundness::consistency::{ConsistencyUq, UqRound};
+use cda_provenance::checks::check_losslessness;
+use cda_soundness::consistency::{ConsistencyUq, Known, UqRound};
 use cda_sql::{ExecOptions, QueryResult};
 use cda_testkit::rng::StdRng;
 use std::cell::RefCell;
@@ -184,11 +194,24 @@ fn transcript_pins() -> Vec<String> {
         lines.push(pin_line(&format!("scaled/mem/{i}"), &mut session, script));
     }
 
-    // Durable sessions share one world-scoped cache, so they run one after
-    // the other over the same file; each is cut in two by a restart in
-    // which the session, the world and the backend are all dropped.
+    run_durable(&scripts, "pins", |name, session, turns| {
+        lines.push(pin_line(&format!("scaled/durable/{name}"), session, turns));
+    });
+    lines
+}
+
+/// Run the scaled `scripts` on durable sessions over one fresh file named
+/// after `tag`, handing each session and its turns to `run`. The sessions
+/// share one world-scoped cache, so they run one after the other; each is
+/// cut in two by a restart in which the session, the world and the backend
+/// are all dropped (`run` sees `"{session}/{half}"`).
+fn run_durable(
+    scripts: &[Vec<String>],
+    tag: &str,
+    mut run: impl FnMut(&str, &mut Session, &[String]),
+) {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("once-pins-{}.db", std::process::id()));
+        .join(format!("once-{tag}-{}.db", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut catalog = Some(scaled_catalog());
     for (i, script) in scripts.iter().enumerate() {
@@ -202,11 +225,10 @@ fn transcript_pins() -> Vec<String> {
             .unwrap();
             let mut session =
                 Session::open_durable_seeded(world, CdaConfig::default(), i as u64 + 1).unwrap();
-            lines.push(pin_line(&format!("scaled/durable/{i}/{half}"), &mut session, turns));
+            run(&format!("{i}/{half}"), &mut session, turns);
         }
     }
     let _ = std::fs::remove_file(&path);
-    lines
 }
 
 /// Prints `transcript_pins.tsv`. Run it at the commit whose behaviour is to
@@ -260,14 +282,16 @@ fn round_outside(
         .with_exec_options(ExecOptions::vectorized())
         .run_with(&prompt, |fp| {
             executing.borrow_mut().insert(fp);
-            None::<QueryResult>
+            Known::<QueryResult>::Unknown
         })
         .unwrap();
     Some((executing.into_inner(), round))
 }
 
 /// Run every script on a fresh session and check each turn's execution
-/// count against a model of what the cache holds.
+/// count against a model of what the cache knows: `held`, every candidate
+/// group the conversation executed (its outcome is recorded), and
+/// `answers`, the winners among them whose result the cache stores.
 fn assert_each_candidate_executes_once(
     world: &Arc<WorldSnapshot>,
     config: CdaConfig,
@@ -277,36 +301,45 @@ fn assert_each_candidate_executes_once(
     for (i, script) in scripts.iter().enumerate() {
         let mut session = Session::open_seeded(Arc::clone(world), config, i as u64 + 1);
         let mut held: BTreeSet<u64> = BTreeSet::new();
+        let mut answers: BTreeSet<u64> = BTreeSet::new();
         for utterance in script {
             let outside = round_outside(&session, utterance);
             let before = session.stats();
             let turn = session.process(utterance);
             let after = session.stats();
             let ran = after.executions - before.executions;
+            let replays = after.lossless_replays - before.lossless_replays;
             let Some((executing, round)) = outside else {
-                assert_eq!(ran, 0, "{utterance:?} is not an analysis turn");
+                assert_eq!((ran, replays), (0, 0), "{utterance:?} is not an analysis turn");
                 continue;
             };
             analysis_turns += 1;
             assert_eq!(executing.len(), round.report.equiv_groups);
+            // What the turn served or stored is the winner, and only it.
+            let winner = round.winner.as_ref().map(|w| (w.fingerprint.unwrap(), &w.sql));
+            // A winner known only by its outcome executes to be served.
+            let late = winner.is_some_and(|(fp, _)| held.contains(&fp) && !answers.contains(&fp));
             assert_eq!(
                 ran,
-                executing.difference(&held).count(),
-                "session {i}, {utterance:?}: {} candidate groups, {} of them held by the cache",
+                executing.difference(&held).count() + usize::from(late),
+                "session {i}, {utterance:?}: {} candidate groups, {} of them executed before",
                 executing.len(),
                 executing.intersection(&held).count()
             );
-            // What the turn served or stored is the winner, and only it.
-            let winner = round.winner.as_ref().map(|w| (w.fingerprint.unwrap(), &w.sql));
             if after.cache.hits > before.cache.hits {
                 hit_turns += 1;
-                assert!(held.contains(&winner.unwrap().0));
+                assert!(answers.contains(&winner.unwrap().0));
+                assert_eq!(replays, 0, "session {i}, {utterance:?}: a hit replayed");
             }
             if after.cache.misses > before.cache.misses {
                 assert_eq!(turn.executed_sql.as_ref(), Some(winner.unwrap().1));
-                assert!(held.insert(winner.unwrap().0));
+                assert!(answers.insert(winner.unwrap().0));
+                assert!(replays <= 1);
             }
-            assert_eq!(after.cache.entries, held.len());
+            if config.semantic_cache {
+                held.extend(executing);
+            }
+            assert_eq!(after.cache.entries, answers.len());
         }
     }
     assert!(analysis_turns > 100, "{analysis_turns} analysis turns");
@@ -327,6 +360,48 @@ fn a_turn_executes_exactly_the_distinct_candidates_the_cache_does_not_hold() {
     assert_each_candidate_executes_once(&scaled, uncached, &scripts);
 }
 
+/// Check one answered turn's explanation against a fresh execution of its
+/// SQL on the session's world: the losslessness verdict a fresh replay
+/// gives, and the distinct rows the fresh result cites.
+fn assert_explains_like_a_fresh_answer(session: &Session, turn: &AnswerTurn, name: &str) {
+    let catalog = session.catalog().sql();
+    let sql = turn.executed_sql.as_deref().unwrap();
+    let explanation = turn.explanation.as_ref().unwrap();
+    let fresh = cda_sql::execute(catalog, sql).unwrap();
+    let lossless = (fresh.table.num_rows() > 0)
+        .then(|| check_losslessness(catalog, sql, &fresh.table, 0).ok())
+        .flatten();
+    assert_eq!(explanation.lossless, lossless, "{name}: {sql}");
+    let cited: BTreeSet<_> = fresh.table.lineages().iter().flatten().copied().collect();
+    assert!(explanation.cited_rows.iter().eq(cited.iter()), "{name}: {sql}");
+}
+
+#[test]
+fn a_hit_explains_exactly_like_a_fresh_answer_in_memory_and_durable() {
+    let scaled = scaled_world_builder().catalog(scaled_catalog()).build_shared();
+    let scripts = scaled_scripts(&scaled);
+    let mut hits = 0;
+    let mut check = |name: &str, session: &mut Session, turns: &[String]| {
+        for utterance in turns {
+            let before = session.stats().cache.hits;
+            let turn = session.process(utterance);
+            if session.stats().cache.hits > before {
+                hits += 1;
+                assert_explains_like_a_fresh_answer(session, &turn, name);
+            }
+        }
+    };
+    for (i, script) in scripts.iter().enumerate() {
+        let mut session =
+            Session::open_seeded(Arc::clone(&scaled), CdaConfig::default(), i as u64 + 1);
+        check(&format!("mem/{i}"), &mut session, script);
+    }
+    run_durable(&scripts, "explain", |name, session, turns| {
+        check(&format!("durable/{name}"), session, turns);
+    });
+    assert!(hits > 100, "the sessions must exercise the hit path ({hits} hits)");
+}
+
 #[test]
 fn a_verbatim_re_ask_under_a_clean_model_executes_nothing() {
     let world = scaled_world_builder()
@@ -342,4 +417,41 @@ fn a_verbatim_re_ask_under_a_clean_model_executes_nothing() {
     assert_eq!((stats.executions, stats.cache.hits, stats.cache.misses), (1, 1, 1));
     assert_eq!(first.executed_sql, again.executed_sql);
     assert!(again.analysis.iter().any(|a| a.starts_with("[cache]")));
+}
+
+#[test]
+fn a_verbatim_re_ask_under_a_hallucinating_model_executes_and_replays_nothing() {
+    // The default scaled world's model hallucinates (rate 0.15): each
+    // question of the scaled scripts is asked and, when answered, asked
+    // again at once, word for word.
+    let world = scaled_world_builder().catalog(scaled_catalog()).build_shared();
+    let mut several_groups = 0;
+    for (i, script) in scaled_scripts(&world).iter().enumerate() {
+        let mut session =
+            Session::open_seeded(Arc::clone(&world), CdaConfig::default(), i as u64 + 1);
+        for question in script {
+            let before = session.stats();
+            let first = session.process(question);
+            let paid = session.stats();
+            if first.executed_sql.is_none() {
+                continue;
+            }
+            several_groups += usize::from(paid.executions - before.executions > 1);
+            let again = session.process(question);
+            let stats = session.stats();
+            assert_eq!(
+                (stats.executions, stats.lossless_replays),
+                (paid.executions, paid.lossless_replays),
+                "session {i}, {question:?}"
+            );
+            assert_eq!(stats.cache.hits, paid.cache.hits + 1, "session {i}, {question:?}");
+            assert_eq!(stats.cache.misses, paid.cache.misses);
+            assert_eq!(first.executed_sql, again.executed_sql);
+            assert_eq!(first.confidence, again.confidence);
+            let lossless = |t: &AnswerTurn| t.explanation.as_ref().map(|e| e.lossless.clone());
+            assert_eq!(lossless(&first), lossless(&again));
+            assert!(again.analysis.iter().any(|a| a.starts_with("[cache]")));
+        }
+    }
+    assert!(several_groups > 10, "{several_groups} first asks executed more than one plan");
 }

@@ -7,7 +7,7 @@ use cda_core::storage::fnv1a;
 use cda_dataframe::{Column, DataType, Field, Schema, Table};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm, SimLmConfig};
 use cda_nlmodel::nl2sql::{Workload, WorkloadTable};
-use cda_soundness::consistency::ConsistencyUq;
+use cda_soundness::consistency::{ConsistencyUq, Known};
 use cda_sql::{Catalog, QueryResult};
 use cda_testkit::prelude::*;
 use cda_testkit::prop as proptest;
@@ -253,7 +253,7 @@ fn uq_repair_cases() -> Vec<(String, Vec<String>)> {
                         .with_samples(5)
                         .with_repair(rounds)
                         .with_equivalence(true)
-                        .run_with(&prompt, |_| None::<QueryResult>)
+                        .run_with(&prompt, |_| Known::<QueryResult>::Unknown)
                         .unwrap();
                     let winner = round.winner.map_or_else(|| "-".to_owned(), |w| w.sql);
                     cases.push(format!("{pct}/{rounds}\t{:?}\t{winner}", round.report));

@@ -29,18 +29,23 @@
 //!   is decided over *meaning*, so syntactic variants of the same query
 //!   merge into one cluster without paying k executions
 //!   (`executions_saved`, E16).
-//! * **Known results.** Before executing a fingerprint group the round asks
-//!   the caller's lookup whether a result for that fingerprint is already
-//!   known (the dialogue layer answers from the session's semantic cache); a
-//!   known group costs no execution (`known_results`). Equal fingerprints
+//! * **Known results and outcomes.** Before executing a fingerprint group
+//!   the round asks the caller's lookup what it already knows about that
+//!   fingerprint ([`Known`]; the dialogue layer answers from the session's
+//!   semantic cache). A **held** result costs no execution; a known
+//!   **outcome** — the exact result signature of an earlier execution, or
+//!   that it failed — clusters (or fails) by that record without executing,
+//!   and executes only if it ends up as the majority's representative, once.
+//!   Either way the group counts in `known_results`. Equal fingerprints
 //!   guarantee identical results on the deterministic executor, so clusters
-//!   and confidence are provably the same whichever way a result was
-//!   obtained.
+//!   and confidence are provably the same whichever way an outcome was
+//!   obtained. The round hands back the outcome of every group it did
+//!   execute ([`UqRound::outcomes`]), for the caller to record.
 //! * **Execute — if still unknown** — under the abstract-interpretation
 //!   sanitizer when [`with_sanitizer`](ConsistencyUq::with_sanitizer) is set.
 //! * **Winner.** The majority cluster's representative comes back as one
 //!   [`Winner`] record: post-repair SQL, the gate's report and compiled
-//!   statement, the fingerprint, and the result itself (executed or known).
+//!   statement, the fingerprint, and the result itself (executed or held).
 //!   The caller answers from that record — it does not gate, fingerprint or
 //!   execute the chosen SQL again.
 
@@ -48,13 +53,14 @@ use crate::verify::result_signature;
 use crate::{Result, SoundnessError};
 use cda_analyzer::equiv::EquivEngine;
 use cda_analyzer::repair::Gated;
-use cda_analyzer::{Analyzer, Report, Statistics};
+use cda_analyzer::{Analyzer, ColumnSet, Report, Statistics};
 use cda_nlmodel::lm::{Nl2SqlPrompt, SimLm};
 use cda_sql::plan::Plan;
 use cda_sql::{Compiled, QueryResult};
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The outcome of one consistency-UQ round.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,10 +98,10 @@ pub struct ConsistencyReport {
     /// Executions skipped because a sample's canonical plan certified
     /// equivalent to an already-executed one (0 with equivalence disabled).
     pub executions_saved: usize,
-    /// Of the `equiv_groups`, how many were served from the caller's
-    /// known-result lookup instead of an execution — the engine ran
-    /// `equiv_groups - known_results` times this round (0 with equivalence
-    /// disabled or an empty lookup).
+    /// Of the `equiv_groups`, how many the caller's lookup already knew —
+    /// a held result or a recorded outcome — so that they clustered without
+    /// executing (0 with equivalence disabled or an empty lookup). The
+    /// engine runs are [`UqRound::outcomes`].
     pub known_results: usize,
 }
 
@@ -105,8 +111,8 @@ pub enum Execution<K> {
     /// The candidate's plan was executed this round.
     Ran(QueryResult),
     /// The caller's lookup already held the result under the candidate's
-    /// fingerprint; nothing was executed.
-    Known(K),
+    /// fingerprint ([`Known::Held`]); nothing was executed.
+    Held(K),
 }
 
 impl<K: Borrow<QueryResult>> Execution<K> {
@@ -114,9 +120,39 @@ impl<K: Borrow<QueryResult>> Execution<K> {
     pub fn result(&self) -> &QueryResult {
         match self {
             Self::Ran(result) => result,
-            Self::Known(known) => known.borrow(),
+            Self::Held(held) => held.borrow(),
         }
     }
+}
+
+/// What the caller's lookup knows about a fingerprint group before the
+/// round would execute it.
+#[derive(Debug, Clone)]
+pub enum Known<K> {
+    /// Nothing: the group executes.
+    Unknown,
+    /// The result itself: the group does not execute, and if it wins, the
+    /// [`Winner`] hands this record back.
+    Held(K),
+    /// Only how an earlier execution came out — the exact
+    /// [`result_signature`] of its result, or `None` when it failed. The
+    /// group clusters (or fails) by it without executing; if it ends up as
+    /// the majority's representative it executes then, once.
+    Outcome(Option<Arc<str>>),
+}
+
+/// How the execution of one fingerprint group came out — what a caller
+/// records to answer [`Known::Outcome`] later.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupOutcome {
+    /// The group's canonical-plan fingerprint.
+    pub fingerprint: u64,
+    /// The exact signature of its result, or `None` when it failed.
+    pub signature: Option<Arc<str>>,
+    /// The `(table, column)` pairs its executed plan reads
+    /// (`cda_analyzer::plan_reads`): a write that misses them leaves the
+    /// outcome true.
+    pub reads: ColumnSet,
 }
 
 /// The representative of the majority cluster, with everything the round
@@ -134,7 +170,7 @@ pub struct Winner<K> {
     /// Canonical-plan fingerprint of `compiled` (`None` with
     /// equivalence-aware clustering disabled).
     pub fingerprint: Option<u64>,
-    /// Its result: executed this round, or known to the caller's lookup.
+    /// Its result: executed this round, or held by the caller's lookup.
     pub execution: Execution<K>,
 }
 
@@ -146,6 +182,11 @@ pub struct UqRound<K> {
     pub report: ConsistencyReport,
     /// The candidate `report.chosen_sql` names.
     pub winner: Option<Winner<K>>,
+    /// One entry per engine execution the round ran, in order: each
+    /// fingerprint group it executed, and a representative whose outcome
+    /// alone was known (empty with equivalence-aware clustering disabled,
+    /// where nothing is fingerprinted).
+    pub outcomes: Vec<GroupOutcome>,
 }
 
 /// Builder-style consistency UQ.
@@ -177,10 +218,20 @@ pub struct ConsistencyUq<'a> {
 
 /// Candidates whose results agree, in sample order.
 struct Cluster<K> {
-    signature: String,
+    signature: Arc<str>,
     members: Vec<usize>,
     /// The member that opened the cluster — its representative.
-    first: Winner<K>,
+    first: Candidate,
+    /// The representative's result, `None` when only its outcome was known.
+    execution: Option<Execution<K>>,
+}
+
+/// A gated, compiled candidate: a [`Winner`] but for its result.
+struct Candidate {
+    sql: String,
+    report: Report,
+    compiled: Compiled,
+    fingerprint: Option<u64>,
 }
 
 impl<'a> ConsistencyUq<'a> {
@@ -254,18 +305,19 @@ impl<'a> ConsistencyUq<'a> {
     /// Run the UQ round with nothing known beforehand: the report of
     /// [`run_with`](Self::run_with) over an empty lookup.
     pub fn run(&self, prompt: &Nl2SqlPrompt) -> Result<ConsistencyReport> {
-        self.run_with(prompt, |_| None::<QueryResult>).map(|round| round.report)
+        self.run_with(prompt, |_| Known::<QueryResult>::Unknown).map(|round| round.report)
     }
 
-    /// Run the UQ round. `known` maps a canonical-plan fingerprint to a
-    /// result the caller already holds for it (consulted once per
-    /// fingerprint group, and only with equivalence-aware clustering on):
-    /// such a group is not executed, and if it wins, the [`Winner`] hands
-    /// the caller's own record back.
+    /// Run the UQ round. `known` says what the caller already knows about a
+    /// canonical-plan fingerprint (consulted once per fingerprint group, and
+    /// only with equivalence-aware clustering on): a held result is not
+    /// executed, and if it wins, the [`Winner`] hands the caller's own
+    /// record back; a known outcome is not executed unless it represents
+    /// the majority.
     pub fn run_with<K: Borrow<QueryResult>>(
         &self,
         prompt: &Nl2SqlPrompt,
-        known: impl Fn(u64) -> Option<K>,
+        known: impl Fn(u64) -> Known<K>,
     ) -> Result<UqRound<K>> {
         let k = self.samples;
         if k == 0 {
@@ -277,10 +329,11 @@ impl<'a> ConsistencyUq<'a> {
         let naive_confidence =
             gens.iter().map(cda_nlmodel::lm::Generation::naive_confidence).sum::<f64>() / k as f64;
         let mut clusters: Vec<Cluster<K>> = Vec::new();
-        let mut cluster_of_signature: HashMap<String, usize> = HashMap::new();
+        let mut cluster_of_signature: HashMap<Arc<str>, usize> = HashMap::new();
         // Fingerprint group → the cluster its result fell into (`None`: the
         // group's execution failed, and so does every later member).
         let mut cluster_of_fingerprint: HashMap<u64, Option<usize>> = HashMap::new();
+        let mut outcomes: Vec<GroupOutcome> = Vec::new();
         let mut failed = 0usize;
         let mut static_rejects = 0usize;
         let mut repaired = 0usize;
@@ -319,21 +372,43 @@ impl<'a> ConsistencyUq<'a> {
                     shared
                 }
                 None => {
-                    let execution = match fingerprint.and_then(&known) {
-                        Some(known) => {
-                            known_results += 1;
-                            Some(Execution::Known(known))
+                    let lookup = fingerprint.map_or(Known::Unknown, &known);
+                    if !matches!(lookup, Known::Unknown) {
+                        known_results += 1;
+                    }
+                    // The group's signature, and its result when there is one.
+                    let outcome = match lookup {
+                        Known::Held(held) => {
+                            let execution = Execution::Held(held);
+                            let signature = result_signature(&execution.result().table);
+                            Some((signature.into(), Some(execution)))
                         }
-                        None => self.execute(optimized).map(Execution::Ran),
+                        Known::Outcome(signature) => signature.map(|signature| (signature, None)),
+                        Known::Unknown => {
+                            let ran = self.execute(optimized);
+                            let signature: Option<Arc<str>> =
+                                ran.as_ref().map(|result| result_signature(&result.table).into());
+                            if let Some(fingerprint) = fingerprint {
+                                outcomes.push(GroupOutcome {
+                                    fingerprint,
+                                    signature: signature.clone(),
+                                    reads: cda_analyzer::plan_reads(optimized),
+                                });
+                            }
+                            signature.zip(ran).map(|(signature, result)| {
+                                (signature, Some(Execution::Ran(result)))
+                            })
+                        }
                     };
-                    let cluster = execution.map(|execution| {
-                        match cluster_of_signature.entry(result_signature(&execution.result().table)) {
+                    let cluster = outcome.map(|(signature, execution)| {
+                        match cluster_of_signature.entry(signature) {
                             Entry::Occupied(agreeing) => *agreeing.get(),
                             Entry::Vacant(new) => {
                                 clusters.push(Cluster {
-                                    signature: new.key().clone(),
+                                    signature: Arc::clone(new.key()),
                                     members: Vec::new(),
-                                    first: Winner { sql, report, compiled, fingerprint, execution },
+                                    first: Candidate { sql, report, compiled, fingerprint },
+                                    execution,
                                 });
                                 *new.insert(clusters.len() - 1)
                             }
@@ -384,7 +459,29 @@ impl<'a> ConsistencyUq<'a> {
             executions_saved,
             known_results,
         };
-        Ok(UqRound { report, winner: majority.map(|c| c.first) })
+        let winner = majority.and_then(|Cluster { first, execution, signature, .. }| {
+            let Candidate { sql, report, compiled, fingerprint } = first;
+            let execution = match execution {
+                Some(execution) => execution,
+                None => {
+                    // Only the outcome was known: the representative executes
+                    // now, once. Its recorded signature came from the same
+                    // deterministic execution, so the result agrees with it.
+                    let (_, optimized) = compiled.query()?;
+                    let ran = self.execute(optimized);
+                    if let Some(fingerprint) = fingerprint {
+                        outcomes.push(GroupOutcome {
+                            fingerprint,
+                            signature: ran.as_ref().map(|_| signature),
+                            reads: cda_analyzer::plan_reads(optimized),
+                        });
+                    }
+                    Execution::Ran(ran?)
+                }
+            };
+            Some(Winner { sql, report, compiled, fingerprint, execution })
+        });
+        Ok(UqRound { report, winner, outcomes })
     }
 
     /// Execute one candidate plan; an execution error is the candidate's
@@ -648,7 +745,7 @@ mod tests {
             .with_samples(7)
             .with_repair(2)
             .with_equivalence(true)
-            .run_with(&p, |_| None::<QueryResult>)
+            .run_with(&p, |_| Known::<QueryResult>::Unknown)
             .unwrap();
         let winner = round.winner.expect("repair salvages the samples");
         assert_eq!(Some(&winner.sql), round.report.chosen_sql.as_ref());
@@ -675,20 +772,63 @@ mod tests {
                 .with_samples(9)
                 .with_repair(2)
                 .with_equivalence(true);
-            let cold = uq.run_with(&prompt(), |_| None::<QueryResult>).unwrap();
+            let cold = uq.run_with(&prompt(), |_| Known::<QueryResult>::Unknown).unwrap();
             assert_eq!(cold.report.known_results, 0);
             assert_eq!(cold.report, uq.run(&prompt()).unwrap());
+            assert_eq!(cold.outcomes.len(), cold.report.equiv_groups);
             let Some(winner) = cold.winner else { continue };
             let (fp, result) = (winner.fingerprint.unwrap(), winner.execution.result().clone());
             // The caller holds the winner's result: one group fewer executes,
             // the caller's own record comes back, the verdict is unchanged.
-            let warm = uq.run_with(&prompt(), |f| (f == fp).then_some(&result)).unwrap();
+            let warm = uq
+                .run_with(&prompt(), |f| if f == fp { Known::Held(&result) } else { Known::Unknown })
+                .unwrap();
             assert_eq!(warm.report.known_results, 1, "seed {seed}");
+            assert_eq!(warm.outcomes.len(), cold.outcomes.len() - 1, "seed {seed}");
             assert_eq!(ConsistencyReport { known_results: 0, ..warm.report }, cold.report);
             let served = warm.winner.unwrap();
             assert_eq!((served.sql, served.fingerprint), (winner.sql, Some(fp)));
-            assert!(matches!(served.execution, Execution::Known(r) if std::ptr::eq(r, &result)));
+            assert!(matches!(served.execution, Execution::Held(r) if std::ptr::eq(r, &result)));
         }
+    }
+
+    #[test]
+    fn known_outcomes_execute_only_a_winning_representative_and_change_nothing_else() {
+        let c = catalog();
+        let analyzer = Analyzer::new(&c);
+        let mut late = 0;
+        for seed in 0..8u64 {
+            let lm =
+                SimLm::new(SimLmConfig { hallucination_rate: 0.5, seed, ..Default::default() });
+            let uq = ConsistencyUq::new(&lm, &analyzer)
+                .with_samples(9)
+                .with_repair(2)
+                .with_equivalence(true);
+            let cold = uq.run_with(&prompt(), |_| Known::<QueryResult>::Unknown).unwrap();
+            let recorded: HashMap<u64, GroupOutcome> =
+                cold.outcomes.iter().map(|o| (o.fingerprint, o.clone())).collect();
+            // Every group's outcome is known, none of its results: the round
+            // clusters without executing, then runs the representative once.
+            let warm = uq
+                .run_with(&prompt(), |f| {
+                    Known::<QueryResult>::Outcome(recorded[&f].signature.clone())
+                })
+                .unwrap();
+            let groups = cold.report.equiv_groups;
+            assert_eq!(warm.report.known_results, groups, "seed {seed}");
+            assert_eq!(ConsistencyReport { known_results: 0, ..warm.report }, cold.report);
+            let Some(winner) = cold.winner else {
+                assert!(warm.winner.is_none() && warm.outcomes.is_empty(), "seed {seed}");
+                continue;
+            };
+            late += 1;
+            let served = warm.winner.unwrap();
+            assert_eq!((&served.sql, served.fingerprint), (&winner.sql, winner.fingerprint));
+            assert!(matches!(served.execution, Execution::Ran(_)));
+            assert_eq!(served.execution.result().table, winner.execution.result().table);
+            assert_eq!(warm.outcomes, vec![recorded[&winner.fingerprint.unwrap()].clone()]);
+        }
+        assert!(late > 0);
     }
 
     #[test]
@@ -698,7 +838,7 @@ mod tests {
         let lm = SimLm::new(SimLmConfig { hallucination_rate: 0.0, ..Default::default() });
         let round = ConsistencyUq::new(&lm, &analyzer)
             .with_samples(4)
-            .run_with(&prompt(), |_| -> Option<QueryResult> { panic!("never consulted") })
+            .run_with(&prompt(), |_| -> Known<QueryResult> { panic!("never consulted") })
             .unwrap();
         assert_eq!(round.report.known_results, 0);
         assert_eq!(round.winner.unwrap().fingerprint, None);

@@ -28,7 +28,7 @@
 pub mod consistency;
 pub mod verify;
 
-pub use consistency::{ConsistencyUq, Execution, UqRound};
+pub use consistency::{ConsistencyUq, Execution, GroupOutcome, Known, UqRound};
 pub use verify::execution_accuracy;
 
 use std::fmt;

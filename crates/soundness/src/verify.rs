@@ -49,7 +49,7 @@ pub fn execution_accuracy(catalog: &Catalog, candidate_sql: &str, gold_sql: &str
 /// execution-equivalent — the clustering key of consistency-based UQ. It is
 /// independent of the engine that produced the table (both engine paths are
 /// differentially certified byte-identical).
-pub(crate) fn result_signature(t: &Table) -> String {
+pub fn result_signature(t: &Table) -> String {
     let mut rows: Vec<String> = (0..t.num_rows())
         .map(|i| {
             let cells: Vec<String> =
