@@ -317,6 +317,11 @@ impl Column {
         })
     }
 
+    /// The validity mask: slot `i` is non-null iff `validity()[i]`.
+    pub fn validity(&self) -> &[bool] {
+        &self.0.validity
+    }
+
     /// Typed view of the INT buffer (valid and null slots interleaved; use
     /// `Column::is_valid` to mask).
     pub fn ints(&self) -> Option<&[i64]> {

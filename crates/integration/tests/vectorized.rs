@@ -106,6 +106,15 @@ fn corpus() -> Vec<&'static str> {
         "SELECT COUNT(DISTINCT canton), COUNT(jobs), STDDEV(rate) FROM emp",
         "SELECT MIN(canton), MAX(sector), SUM(rate), AVG(jobs) FROM emp",
         "SELECT sector, COUNT(DISTINCT canton) FROM emp GROUP BY sector ORDER BY sector",
+        // -- typed filter leaves and folds: aggregate over a filter's selection --
+        "SELECT COUNT(*), SUM(jobs), MIN(rate), MAX(canton), AVG(jobs), STDDEV(rate) FROM emp WHERE canton = 'XX'",
+        "SELECT sector, SUM(jobs), MIN(jobs), STDDEV(jobs), COUNT(jobs) FROM emp WHERE canton = 'GE' GROUP BY sector",
+        "SELECT canton, COUNT(jobs), AVG(rate) FROM emp WHERE 50 < jobs GROUP BY canton",
+        "SELECT MIN(jobs), MAX(rate), SUM(jobs), AVG(rate), STDDEV(jobs) FROM emp WHERE rate >= 1.0",
+        "SELECT COUNT(*), MAX(sector) FROM emp WHERE jobs <> 120",
+        "SELECT canton FROM emp WHERE canton < 'GE'",
+        "SELECT COUNT(*) FROM emp WHERE canton = 1",
+        "SELECT SUM(jobs + 1), COUNT(DISTINCT sector) FROM emp WHERE rate > 0.5",
         // -- runtime-fallible: must error on BOTH paths --
         "SELECT 100 / jobs FROM emp",
         "SELECT canton FROM emp WHERE 100 % jobs > 0",
@@ -337,6 +346,9 @@ fn generated_queries(pivot: i64) -> Vec<String> {
         "SELECT MIN(x), MAX(y), COUNT(DISTINCT g), STDDEV(y) FROM t".to_string(),
         format!("SELECT CASE WHEN x > {pivot} THEN g ELSE 'lo' END FROM t"),
         format!("SELECT g FROM t WHERE x BETWEEN {pivot} AND {}", pivot.saturating_add(20)),
+        format!("SELECT MIN(x), MAX(y), SUM(x), AVG(y), STDDEV(x), COUNT(y) FROM t WHERE x < {pivot}"),
+        format!("SELECT g, SUM(y), MIN(x), STDDEV(y) FROM t WHERE y > {pivot}.5 GROUP BY g"),
+        "SELECT SUM(y), AVG(x), MIN(g), MAX(g) FROM t WHERE g = 'b'".to_string(),
     ]
 }
 

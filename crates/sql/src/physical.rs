@@ -45,7 +45,7 @@ use crate::Result;
 use cda_dataframe::batch::{Batch, ColumnWindow, Slot, SlotAccess, Vector};
 use cda_dataframe::kernels::{
     build_join_table, compare, group_rows, join_key_hash, join_keys_match, values_group_hash,
-    CmpOp,
+    AggKind, CmpOp,
 };
 use cda_dataframe::{
     Column, ColumnBuilder, DomainTree, LineageBuilder, LineageStore, Schema, Table, Value,
@@ -129,8 +129,39 @@ fn run_node<'a>(
             Cow::Owned(project_vec(&t, exprs, schema, cfg, threads)?)
         }
         Plan::Aggregate { input, group_exprs, aggs, schema } => {
+            // Aggregate over a filter over a column-pruned scan: fold the
+            // filter's selection of the borrowed base table (expressions
+            // remapped to physical columns) instead of gathering the filtered
+            // table. Counters move as if both nodes had run; the filter's
+            // output is built only for the sanitizer to check.
+            if let Plan::Filter { input: scan, predicate } = &**input {
+                if let Plan::Scan { table, projection: Some(p), .. } = &**scan {
+                    let entry = catalog.get(table)?;
+                    if !is_identity_projection(p, entry.table.num_columns()) {
+                        let base = &entry.table;
+                        stats.rows_scanned += base.num_rows();
+                        stats.rows_materialized += base.num_rows(); // the scan node's count
+                        let pred = predicate.remap_columns(&|i| p[i]);
+                        let rows = filter_indices(base, &pred, cfg, threads)?;
+                        if let Some(m) = sub(0) {
+                            sanitize(input, Some(m), &base.project(p)?.take(&rows)?)?;
+                        }
+                        stats.rows_materialized += rows.len(); // the filter node's count
+                        let remap = |e: &BoundExpr| e.remap_columns(&|i| p[i]);
+                        let keys: Vec<BoundExpr> = group_exprs.iter().map(remap).collect();
+                        let aggs: Vec<AggExpr> = aggs
+                            .iter()
+                            .map(|a| AggExpr { kind: a.kind, arg: a.arg.as_ref().map(remap) })
+                            .collect();
+                        let out = aggregate_vec(base, Some(rows), &keys, &aggs, schema, opts, cfg, threads)?;
+                        sanitize(plan, monitor, &out)?;
+                        stats.rows_materialized += out.num_rows();
+                        return Ok(Cow::Owned(out));
+                    }
+                }
+            }
             let t = run_node(catalog, input, opts, cfg, threads, sub(0), stats)?;
-            Cow::Owned(aggregate_vec(&t, group_exprs, aggs, schema, opts, cfg, threads)?)
+            Cow::Owned(aggregate_vec(&t, None, group_exprs, aggs, schema, opts, cfg, threads)?)
         }
         Plan::Distinct { input } => {
             let t = run_node(catalog, input, opts, cfg, threads, sub(0), stats)?;
@@ -594,6 +625,9 @@ fn filter_indices(
     let ranges = morsel_ranges(t.num_rows(), cfg.morsel_rows);
     let src = TableSource(t);
     let per: Vec<Result<Vec<usize>>> = run_ordered(ranges.len(), threads, |m| {
+        if let Some(keep) = typed_filter(t, predicate, ranges[m].clone()) {
+            return Ok(keep);
+        }
         let sel: Vec<usize> = ranges[m].clone().collect();
         let mask = eval_vector(predicate, &src, &sel)?;
         let mut keep = Vec::new();
@@ -606,6 +640,77 @@ fn filter_indices(
     });
     let kept = first_error(per)?;
     Ok(kept.into_iter().flatten().collect())
+}
+
+/// Whether a comparison that came out `ord` satisfies `op`.
+fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord == Ordering::Equal,
+        CmpOp::NotEq => ord != Ordering::Equal,
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::LtEq => ord != Ordering::Greater,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::GtEq => ord != Ordering::Less,
+    }
+}
+
+/// `op` with its operands swapped (`lit < col` is `col > lit`).
+fn flip(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::LtEq => CmpOp::GtEq,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::GtEq => CmpOp::LtEq,
+        other => other,
+    }
+}
+
+/// The rows of `range` where a column-vs-literal comparison is TRUE, as a
+/// typed loop over the column's buffer read in place (no gathered vector,
+/// no boolean mask). It reproduces `slot_sql_cmp`: NULL slots are unknown,
+/// STR compares with STR, numerics through `f64` (`partial_cmp`, so NaN is
+/// unknown). `None` when `predicate` has another shape or mixes type
+/// classes; the caller then evaluates it in general.
+fn typed_filter(
+    t: &Table,
+    predicate: &BoundExpr,
+    range: std::ops::Range<usize>,
+) -> Option<Vec<usize>> {
+    let BoundExpr::Binary { left, op, right } = predicate else {
+        return None;
+    };
+    let op = cmp_op(*op)?;
+    let (c, lit, op) = match (&**left, &**right) {
+        (BoundExpr::Column(c), BoundExpr::Literal(v)) => (*c, v, op),
+        (BoundExpr::Literal(v), BoundExpr::Column(c)) => (*c, v, flip(op)),
+        _ => return None,
+    };
+    let col = t.column(c).ok()?;
+    let valid = col.validity();
+    let mut keep = Vec::new();
+    let mut select = |ord: &dyn Fn(usize) -> Option<Ordering>| {
+        for r in range.clone() {
+            if valid.get(r).copied().unwrap_or(false) && ord(r).is_some_and(|o| cmp_holds(op, o)) {
+                keep.push(r);
+            }
+        }
+    };
+    match (col.data_type(), lit) {
+        (cda_dataframe::DataType::Str, Value::Str(s)) => {
+            let data = col.strs()?;
+            select(&|r| data.get(r).map(|x| x.as_str().cmp(s.as_str())));
+        }
+        (cda_dataframe::DataType::Int | cda_dataframe::DataType::Timestamp, _) => {
+            let (data, y) = (col.ints()?, lit.as_f64()?);
+            select(&|r| data.get(r).and_then(|&x| (x as f64).partial_cmp(&y)));
+        }
+        (cda_dataframe::DataType::Float, _) => {
+            let (data, y) = (col.floats()?, lit.as_f64()?);
+            select(&|r| data.get(r).and_then(|x| x.partial_cmp(&y)));
+        }
+        _ => return None,
+    }
+    Some(keep)
 }
 
 fn filter_vec(t: &Table, predicate: &BoundExpr, cfg: MorselConfig, threads: usize) -> Result<Table> {
@@ -805,17 +910,20 @@ impl SlotAccess for KeySlots<'_> {
     }
 }
 
-/// Key accessor for `expr` over the contiguous selection `sel` (which starts
-/// at table row `start`).
+/// Key accessor for `expr` over the ascending selection `sel`: a column
+/// reference over a contiguous selection windows the column in place; other
+/// keys materialize a vector.
 fn key_slots<'a>(
     t: &'a Table,
     expr: &BoundExpr,
     src: &dyn VectorSource,
     sel: &[usize],
-    start: usize,
 ) -> Result<KeySlots<'a>> {
-    match expr {
-        BoundExpr::Column(c) => Ok(KeySlots::Win(ColumnWindow::new(t.column(*c)?, start, sel.len()))),
+    let contiguous = |start: usize| sel.iter().enumerate().all(|(k, &r)| r == start + k);
+    match (expr, sel.first()) {
+        (BoundExpr::Column(c), Some(&start)) if contiguous(start) => {
+            Ok(KeySlots::Win(ColumnWindow::new(t.column(*c)?, start, sel.len())))
+        }
         _ => Ok(KeySlots::Vec(eval_vector(expr, src, sel)?)),
     }
 }
@@ -824,12 +932,16 @@ struct MorselGroups {
     keys: Vec<Vec<Value>>,
     /// Global row ids per local group, ascending.
     rows: Vec<Vec<usize>>,
-    /// Evaluated aggregate arguments, aligned to the morsel's rows.
-    args: Vec<Option<Vector>>,
 }
 
+/// Aggregate the rows `rows` of `t` (ascending; `None` = every row).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the Aggregate node's fields plus its input selection and the morsel execution context"
+)]
 fn aggregate_vec(
     t: &Table,
+    rows: Option<Vec<usize>>,
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
     schema: &Schema,
@@ -837,61 +949,44 @@ fn aggregate_vec(
     cfg: MorselConfig,
     threads: usize,
 ) -> Result<Table> {
-    let ranges = morsel_ranges(t.num_rows(), cfg.morsel_rows);
     let src = TableSource(t);
-    let per: Vec<Result<MorselGroups>> = run_ordered(ranges.len(), threads, |m| {
-        let range = ranges[m].clone();
-        let sel: Vec<usize> = range.clone().collect();
-        let keys = group_exprs
-            .iter()
-            .map(|e| key_slots(t, e, &src, &sel, range.start))
-            .collect::<Result<Vec<_>>>()?;
-        let (gkeys, grows) = group_rows(&keys, sel.len());
-        let rows = grows
-            .into_iter()
-            .map(|g| g.into_iter().map(|i| i + range.start).collect())
-            .collect();
-        let args = aggs
-            .iter()
-            .map(|a| match &a.arg {
-                Some(e) => eval_vector(e, &src, &sel).map(Some),
-                None => Ok(None),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MorselGroups { keys: gkeys, rows, args })
-    });
-    let morsels = first_error(per)?;
-
-    // Merge per-morsel group tables in morsel order: global first-seen order
-    // equals row order, and each group's row list stays ascending.
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    let rows = rows.unwrap_or_else(|| (0..t.num_rows()).collect());
     let mut keys: Vec<Vec<Value>> = Vec::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut arg_vals: Vec<Option<Vec<Value>>> =
-        aggs.iter().map(|a| a.arg.as_ref().map(|_| Vec::with_capacity(t.num_rows()))).collect();
-    for mg in morsels {
-        for (key, rows) in mg.keys.into_iter().zip(mg.rows) {
-            let h = values_group_hash(&key);
-            let cands = buckets.entry(h).or_default();
-            match cands.iter().copied().find(|&g| keys[g] == key) {
-                Some(g) => groups[g].extend(rows),
-                None => {
-                    cands.push(keys.len());
-                    keys.push(key);
-                    groups.push(rows);
+    if group_exprs.is_empty() {
+        // A grouping-free aggregate is one group, the selection in order
+        // (also when it is empty): nothing to hash.
+        keys.push(Vec::new());
+        groups.push(rows);
+    } else {
+        let ranges = morsel_ranges(rows.len(), cfg.morsel_rows);
+        let per: Vec<Result<MorselGroups>> = run_ordered(ranges.len(), threads, |m| {
+            let sel = &rows[ranges[m].clone()];
+            let keys = group_exprs
+                .iter()
+                .map(|e| key_slots(t, e, &src, sel))
+                .collect::<Result<Vec<_>>>()?;
+            let (gkeys, grows) = group_rows(&keys, sel.len());
+            let rows = grows.into_iter().map(|g| g.into_iter().map(|i| sel[i]).collect()).collect();
+            Ok(MorselGroups { keys: gkeys, rows })
+        });
+        // Merge per-morsel group tables in morsel order: global first-seen
+        // order equals row order, and each group's row list stays ascending.
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        for mg in first_error(per)? {
+            for (key, rows) in mg.keys.into_iter().zip(mg.rows) {
+                let h = values_group_hash(&key);
+                let cands = buckets.entry(h).or_default();
+                match cands.iter().copied().find(|&g| keys[g] == key) {
+                    Some(g) => groups[g].extend(rows),
+                    None => {
+                        cands.push(keys.len());
+                        keys.push(key);
+                        groups.push(rows);
+                    }
                 }
             }
         }
-        for (dst, v) in arg_vals.iter_mut().zip(mg.args) {
-            if let (Some(dst), Some(v)) = (dst, v) {
-                dst.extend(v.into_values());
-            }
-        }
-    }
-    // A global aggregate over an empty input still yields one row.
-    if groups.is_empty() && group_exprs.is_empty() {
-        keys.push(Vec::new());
-        groups.push(Vec::new());
     }
 
     let out_cols = group_exprs.len() + aggs.len();
@@ -901,17 +996,8 @@ fn aggregate_vec(
         for (c, kv) in key.iter().enumerate() {
             per_col[c].push(kv.clone());
         }
-        for (j, (agg, vals)) in aggs.iter().zip(&arg_vals).enumerate() {
-            let value = match vals {
-                None => Value::Int(rows.len() as i64),
-                Some(vals) => {
-                    // Gather in ascending row order so float folds sum in the
-                    // reference order (bit-identical results).
-                    let group_vals: Vec<Value> = rows.iter().map(|&r| vals[r].clone()).collect();
-                    agg_over_values(agg.kind, &group_vals)?
-                }
-            };
-            per_col[group_exprs.len() + j].push(value);
+        for (j, agg) in aggs.iter().enumerate() {
+            per_col[group_exprs.len() + j].push(aggregate_group(t, &src, rows, agg)?);
         }
         if opts.track_lineage {
             for &rix in rows {
@@ -928,6 +1014,142 @@ fn aggregate_vec(
         columns.push(col);
     }
     Table::with_lineage(Schema::new(fields), columns, lineage.build()).map_err(Into::into)
+}
+
+/// One aggregate over one group's rows (ascending). A column argument folds
+/// its typed buffer in place ([`fold_column`]); anything else evaluates the
+/// argument over the group and folds the values with the reference
+/// `agg_over_values`.
+fn aggregate_group(
+    t: &Table,
+    src: &TableSource<'_>,
+    rows: &[usize],
+    agg: &AggExpr,
+) -> Result<Value> {
+    let Some(arg) = &agg.arg else {
+        return Ok(Value::Int(rows.len() as i64));
+    };
+    if let BoundExpr::Column(c) = arg {
+        if let Some(v) = fold_column(t.column(*c)?, rows, agg.kind) {
+            return Ok(v);
+        }
+    }
+    let v = eval_vector(arg, src, rows)?;
+    let vals: Vec<Value> = (0..rows.len()).map(|k| v.value(k)).collect();
+    agg_over_values(agg.kind, &vals)
+}
+
+/// The slot among `rows` that `cmp` ranks `want`-most (the first on ties),
+/// skipping NULLs — the MIN/MAX loop of `agg_over_values`.
+fn best_slot<'a, T>(
+    data: &'a [T],
+    valid: &[bool],
+    rows: &[usize],
+    want: Ordering,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Option<&'a T> {
+    let mut best: Option<&T> = None;
+    for &r in rows {
+        if !valid.get(r).copied().unwrap_or(false) {
+            continue;
+        }
+        let Some(x) = data.get(r) else { continue };
+        match best {
+            Some(b) if cmp(x, b) != want => {}
+            _ => best = Some(x),
+        }
+    }
+    best
+}
+
+/// SUM/AVG/STDDEV over the numeric values `vals` yields (NULLs already
+/// skipped), bit-identical to `agg_over_values`: the same `f64` sums in the
+/// same order, a two-pass STDDEV.
+fn numeric_fold<I: Iterator<Item = f64>>(
+    kind: AggKind,
+    vals: impl Fn() -> I,
+    all_int: bool,
+) -> Value {
+    let n = vals().count();
+    if n == 0 {
+        return Value::Null;
+    }
+    let sum: f64 = vals().sum();
+    match kind {
+        AggKind::Sum if all_int => Value::Int(sum as i64),
+        AggKind::Sum => Value::Float(sum),
+        AggKind::Avg => Value::Float(sum / n as f64),
+        _ => {
+            let mean = sum / n as f64;
+            let var = vals().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
+            Value::Float(var.sqrt())
+        }
+    }
+}
+
+/// `kind` folded over column `col` at `rows` (ascending), typed and in place,
+/// bit-identical to `agg_over_values` over the same values: `f64`
+/// accumulation in row order (SUM over INT included), a two-pass STDDEV,
+/// `total_cmp` for MIN/MAX. `None` for what it does not type —
+/// COUNT(DISTINCT), or a numeric fold over STR/BOOL — which takes the
+/// generic path.
+fn fold_column(col: &Column, rows: &[usize], kind: AggKind) -> Option<Value> {
+    use cda_dataframe::DataType;
+    let valid = col.validity();
+    let ok = |r: usize| valid.get(r).copied().unwrap_or(false);
+    let ty = col.data_type();
+    match kind {
+        AggKind::Count => Some(Value::Int(rows.iter().filter(|&&r| ok(r)).count() as i64)),
+        AggKind::CountDistinct => None,
+        AggKind::Min | AggKind::Max => {
+            let want = if kind == AggKind::Min {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            Some(match ty {
+                DataType::Int | DataType::Timestamp => {
+                    let best = best_slot(col.ints()?, valid, rows, want, |x, y| {
+                        (*x as f64).total_cmp(&(*y as f64))
+                    });
+                    match best {
+                        None => Value::Null,
+                        Some(&x) if ty == DataType::Int => Value::Int(x),
+                        Some(&x) => Value::Timestamp(x),
+                    }
+                }
+                DataType::Float => best_slot(col.floats()?, valid, rows, want, f64::total_cmp)
+                    .map_or(Value::Null, |&x| Value::Float(x)),
+                DataType::Str => best_slot(col.strs()?, valid, rows, want, |x, y| x.cmp(y))
+                    .map_or(Value::Null, |x| Value::Str(x.clone())),
+                DataType::Bool => best_slot(col.bools()?, valid, rows, want, bool::cmp)
+                    .map_or(Value::Null, |&x| Value::Bool(x)),
+            })
+        }
+        AggKind::Sum | AggKind::Avg | AggKind::StdDev => match ty {
+            DataType::Int | DataType::Timestamp => {
+                let data = col.ints()?;
+                let vals = || {
+                    rows.iter()
+                        .filter(|&&r| ok(r))
+                        .filter_map(|&r| data.get(r))
+                        .map(|&x| x as f64)
+                };
+                Some(numeric_fold(kind, vals, ty == DataType::Int))
+            }
+            DataType::Float => {
+                let data = col.floats()?;
+                let vals = || {
+                    rows.iter()
+                        .filter(|&&r| ok(r))
+                        .filter_map(|&r| data.get(r))
+                        .copied()
+                };
+                Some(numeric_fold(kind, vals, false))
+            }
+            DataType::Str | DataType::Bool => None,
+        },
+    }
 }
 
 fn distinct_vec(t: &Table, opts: ExecOptions) -> Result<Table> {
@@ -1097,7 +1319,7 @@ fn hash_join(
     let rkeys = hj
         .right_keys
         .iter()
-        .map(|e| key_slots(r, e, &rsrc, &rsel, 0))
+        .map(|e| key_slots(r, e, &rsrc, &rsel))
         .collect::<Result<Vec<_>>>()?;
     let table = build_join_table(&rkeys, r.num_rows());
     let lsrc = TableSource(l);
@@ -1107,7 +1329,7 @@ fn hash_join(
         let lkeys = hj
             .left_keys
             .iter()
-            .map(|e| key_slots(l, e, &lsrc, &sel, ranges[m].start))
+            .map(|e| key_slots(l, e, &lsrc, &sel))
             .collect::<Result<Vec<_>>>()?;
         let mut cand: Vec<(usize, usize)> = Vec::new();
         let mut considered = 0usize;
