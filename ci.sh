@@ -102,6 +102,22 @@ if [ "$(grep -c '"correct":true,"failed":0,' <<<"$scan_result")" -ne 1 ]; then
   exit 1
 fi
 
+echo "== perf/: server_rw at the seeds whose rounds once broke serial replay, scored the same way"
+# A drain must equal a serial replay of its turns in submission order. At
+# seed 25 (1 s) and seed 37 (15 s) a reader's repaired candidate reads the
+# table a writer of the same round updates; the serial-replay oracle checks
+# that the reader saw exactly the writes submitted before it.
+for run in "25 1" "37 15"; do
+  read -r seed seconds <<<"$run"
+  rw_result=$(cargo run --release --offline --manifest-path perf/Cargo.toml -- \
+    --workload server_rw --seed "$seed" --seconds "$seconds" --trace 0 \
+    | tee /dev/stderr | grep '^{"attempted"' || true)
+  if [ "$(grep -c '"correct":true,"failed":0,' <<<"$rw_result")" -ne 1 ]; then
+    echo "FAIL: server_rw at seed $seed answered wrongly, failed an operation or reported no result" >&2
+    exit 1
+  fi
+done
+
 echo "== experiments: all 21 (DESIGN.md §4) at CI sizes; every gate holds and stdout equals the golden"
 # `exp` exits non-zero iff a gate fails; `diff` fails iff any deterministic
 # number moved. Wall-clock readings go to stderr and are never compared. A

@@ -154,6 +154,26 @@ fn value_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// An IN-list literal as the value of numeric column type `t` it equals
+/// under SQL's cross-type numeric comparison (`2` matches a FLOAT `2.0`),
+/// or `None` when no value of `t` can equal it (`2.5` against an INT).
+/// Other literals are returned as they are.
+fn in_column_type(v: &Value, t: Option<DataType>) -> Option<Value> {
+    let (Some(t), Some(x)) = (t, v.as_f64()) else {
+        return Some(v.clone());
+    };
+    if v.data_type() == Some(t) {
+        return Some(v.clone());
+    }
+    let int = || Some(x as i64).filter(|&i| i as f64 == x);
+    match t {
+        DataType::Float => Some(Value::Float(x)),
+        DataType::Int => int().map(Value::Int),
+        DataType::Timestamp => int().map(Value::Timestamp),
+        DataType::Str | DataType::Bool => Some(v.clone()),
+    }
+}
+
 /// Result NULL-ness of a NULL-propagating operation (arithmetic, NOT):
 /// NULL in, NULL out.
 fn null_prop(a: Nullness, b: Nullness) -> Nullness {
@@ -612,8 +632,8 @@ fn refine_conjunct(c: &BoundExpr, cols: &mut [ColDomain]) {
                 if let Some(lits) = lits {
                     let admissible: Vec<Value> = lits
                         .into_iter()
+                        .filter_map(|v| in_column_type(v, d.dtype))
                         .filter(|v| !v.is_null() && d.contains(v))
-                        .cloned()
                         .collect();
                     match &d.values {
                         Some(set) => {

@@ -41,7 +41,7 @@
 
 use crate::cardest::{estimate, CardEstimate, Statistics};
 use cda_dataframe::Value;
-use cda_sql::ast::{BinaryOp, Statement};
+use cda_sql::ast::{BinaryOp, JoinKind, Statement};
 use cda_sql::optimizer::fold_expr;
 use cda_sql::plan::{BoundExpr, Plan};
 use cda_sql::{
@@ -760,6 +760,15 @@ impl<'a> Analyzer<'a> {
 // ------------------------------------------------------------ plan pass
 
 fn check_plan(plan: &Plan, report: &mut Report) {
+    check_node(plan, true, report);
+}
+
+/// The plan checks of one node and its inputs. `reaches_root` says whether
+/// an empty result here makes the whole result empty: a grouping-free
+/// aggregate answers one row over no input, and a LEFT JOIN keeps its left
+/// rows whatever its right side holds, so an unsatisfiable filter below
+/// either is not reported as making the result provably empty (A006).
+fn check_node(plan: &Plan, reaches_root: bool, report: &mut Report) {
     match plan {
         Plan::Scan { schema, projection, table } => {
             if let Some(p) = projection {
@@ -778,10 +787,12 @@ fn check_plan(plan: &Plan, report: &mut Report) {
             }
         }
         Plan::Filter { input, predicate } => {
-            check_plan(input, report);
+            check_node(input, reaches_root, report);
             check_bound(predicate, input.arity(), report);
             match fold_expr(predicate.clone()) {
-                BoundExpr::Literal(Value::Bool(false)) | BoundExpr::Literal(Value::Null) => {
+                BoundExpr::Literal(Value::Bool(false)) | BoundExpr::Literal(Value::Null)
+                    if reaches_root =>
+                {
                     report.push(
                         Code::UnsatisfiablePredicate,
                         "a filter condition can never hold, so the result is provably empty",
@@ -794,9 +805,9 @@ fn check_plan(plan: &Plan, report: &mut Report) {
                 _ => {}
             }
         }
-        Plan::Join { left, right, on, .. } => {
-            check_plan(left, report);
-            check_plan(right, report);
+        Plan::Join { left, right, on, kind } => {
+            check_node(left, reaches_root, report);
+            check_node(right, reaches_root && *kind == JoinKind::Inner, report);
             let la = left.arity();
             check_bound(on, la + right.arity(), report);
             let mut cols = Vec::new();
@@ -816,13 +827,13 @@ fn check_plan(plan: &Plan, report: &mut Report) {
             }
         }
         Plan::Project { input, exprs, .. } => {
-            check_plan(input, report);
+            check_node(input, reaches_root, report);
             for e in exprs {
                 check_bound(e, input.arity(), report);
             }
         }
         Plan::Aggregate { input, group_exprs, aggs, .. } => {
-            check_plan(input, report);
+            check_node(input, reaches_root && !group_exprs.is_empty(), report);
             for e in group_exprs {
                 check_bound(e, input.arity(), report);
             }
@@ -832,9 +843,9 @@ fn check_plan(plan: &Plan, report: &mut Report) {
                 }
             }
         }
-        Plan::Distinct { input } => check_plan(input, report),
+        Plan::Distinct { input } => check_node(input, reaches_root, report),
         Plan::Sort { input, keys } => {
-            check_plan(input, report);
+            check_node(input, reaches_root, report);
             for k in keys {
                 if k.column >= input.arity() {
                     report.push(
@@ -849,7 +860,7 @@ fn check_plan(plan: &Plan, report: &mut Report) {
             }
         }
         Plan::Limit { input, limit, .. } => {
-            check_plan(input, report);
+            check_node(input, reaches_root, report);
             if *limit == Some(0) {
                 report.push(Code::LimitZero, "LIMIT 0 makes the result provably empty");
             }

@@ -296,7 +296,7 @@ impl Column {
     }
 
     /// Whether slot `i` holds a non-null value.
-    pub(crate) fn is_valid(&self, i: usize) -> bool {
+    pub fn is_valid(&self, i: usize) -> bool {
         self.0.validity.get(i).copied().unwrap_or(false)
     }
 
@@ -315,11 +315,6 @@ impl Column {
             Buffer::Bool(v) => Value::Bool(v[i]),
             Buffer::Timestamp(v) => Value::Timestamp(v[i]),
         })
-    }
-
-    /// The validity mask: slot `i` is non-null iff `validity()[i]`.
-    pub fn validity(&self) -> &[bool] {
-        &self.0.validity
     }
 
     /// Typed view of the INT buffer (valid and null slots interleaved; use

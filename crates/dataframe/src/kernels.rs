@@ -224,6 +224,20 @@ pub enum CmpOp {
     GtEq,
 }
 
+impl CmpOp {
+    /// Whether a comparison that came out `ord` satisfies the operator.
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::NotEq => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::LtEq => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::GtEq => ord != Ordering::Less,
+        }
+    }
+}
+
 /// SQL three-valued comparison of two slots (`None` = unknown), mirroring
 /// [`Value::sql_cmp`] exactly: NULL compares unknown, strings and booleans
 /// compare within their class, everything else through `f64` (`partial_cmp`,
@@ -341,15 +355,7 @@ pub fn compare(l: &Vector, r: &Vector, op: CmpOp) -> Vector {
                 validity.push(false);
             }
             Some(ord) => {
-                let b = match op {
-                    CmpOp::Eq => ord == Ordering::Equal,
-                    CmpOp::NotEq => ord != Ordering::Equal,
-                    CmpOp::Lt => ord == Ordering::Less,
-                    CmpOp::LtEq => ord != Ordering::Greater,
-                    CmpOp::Gt => ord == Ordering::Greater,
-                    CmpOp::GtEq => ord != Ordering::Less,
-                };
-                data.push(b);
+                data.push(op.holds(ord));
                 validity.push(true);
             }
         }

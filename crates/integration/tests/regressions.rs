@@ -169,3 +169,45 @@ fn a_str_case_condition_is_a_bind_fault() {
 fn a_str_delete_predicate_is_a_bind_fault() {
     assert_refused_at_bind("DELETE FROM wage_stats WHERE canton");
 }
+
+/// Was gated A006 "provably empty" while both engines answered one row,
+/// `[0]`: a grouping-free aggregate over an empty filter still yields a row,
+/// so the filter's emptiness does not reach the result. A constant-FALSE
+/// filter whose emptiness does reach it stays A006.
+#[test]
+fn an_empty_filter_under_a_global_aggregate_is_not_provably_empty() {
+    use cda_analyzer::Code;
+    use cda_sql::{execute_with_options, ExecOptions};
+    let world = cda_core::demo::demo_world(7);
+    let catalog = world.catalog();
+    let analyzer = cda_analyzer::Analyzer::new(catalog.sql()).with_stats(catalog.stats());
+    let empty = |sql: &str| {
+        let (report, compiled) = analyzer.gate(sql);
+        assert!(compiled.is_some(), "{sql}: {}", report.summary());
+        let empty = |f: &cda_analyzer::Finding| {
+            matches!(f.code, Code::UnsatisfiablePredicate | Code::ProvablyEmpty)
+        };
+        report.findings.iter().any(empty)
+    };
+    for sql in [
+        "SELECT COUNT(*) FROM wage_stats WHERE 1 = 2",
+        "SELECT COUNT(*), MAX(median_wage) FROM wage_stats WHERE NULL",
+    ] {
+        assert!(!empty(sql), "{sql}: gated provably empty");
+        for opts in [ExecOptions::default(), ExecOptions::vectorized()] {
+            let out = execute_with_options(catalog.sql(), sql, opts).unwrap();
+            assert_eq!(out.table.num_rows(), 1, "{sql}");
+        }
+    }
+    for sql in [
+        "SELECT canton FROM wage_stats WHERE 1 = 2",
+        "SELECT canton, COUNT(*) FROM wage_stats WHERE 1 = 2 GROUP BY canton",
+        "SELECT COUNT(*) FROM wage_stats HAVING 1 = 2",
+    ] {
+        assert!(empty(sql), "{sql}: not gated provably empty");
+        for opts in [ExecOptions::default(), ExecOptions::vectorized()] {
+            let out = execute_with_options(catalog.sql(), sql, opts).unwrap();
+            assert_eq!(out.table.num_rows(), 0, "{sql}");
+        }
+    }
+}

@@ -7,10 +7,12 @@
 //! control must reject over-quota work *before* execution, never after a
 //! session has been touched.
 
+use cda_analyzer::{statement_effects, EffectSet};
 use cda_bench::loadgen::{interleave, session_scripts, LoadSpec};
 use cda_core::demo::demo_world;
 use cda_core::{CdaConfig, Session};
 use cda_server::{Server, ServerConfig, TenantQuota, TurnOutcome};
+use std::sync::Arc;
 
 /// Serial reference: replay each session's script on a bare `Session` with
 /// the server's seed derivation (id + 1) and collect rendered transcripts.
@@ -65,6 +67,147 @@ fn hosted_sessions_are_byte_identical_to_serial_replay_across_workers() {
                 hosted, reference,
                 "transcripts diverged at workers={workers} shuffle={shuffle_seed}"
             );
+        }
+    }
+}
+
+/// Serial reference with writes: replay the submitted turns on bare
+/// sessions (seeded as the server seeds them) one after another in
+/// submission order. Each turn runs over the world the last commit before it
+/// produced, its session invalidated by the effects committed so far — what
+/// a strictly serial execution gives every turn.
+fn serial_replay_in_submission_order(
+    sessions: usize,
+    order: &[(usize, String)],
+) -> Vec<Vec<String>> {
+    let start = demo_world(42);
+    let mut world = Arc::clone(&start);
+    let mut delta: Option<EffectSet> = None;
+    let mut replayed: Vec<Session> = (0..sessions)
+        .map(|i| Session::open_seeded(Arc::clone(&start), CdaConfig::default(), i as u64 + 1))
+        .collect();
+    let mut out = vec![Vec::new(); sessions];
+    for (i, turn) in order {
+        let session = &mut replayed[*i];
+        session.adopt_world(Arc::clone(&world), delta.as_ref());
+        let epoch = session.epoch();
+        out[*i].push(session.process(turn).render());
+        if session.epoch() > epoch {
+            world = Arc::clone(session.world());
+            let stmt = cda_sql::parser::parse_statement(turn).unwrap();
+            let catalog = start.catalog();
+            let effects =
+                statement_effects(catalog.sql(), &stmt, Some(catalog.stats())).unwrap();
+            match &mut delta {
+                Some(d) => d.union(&effects),
+                None => delta = Some(effects),
+            }
+        }
+    }
+    out
+}
+
+/// The law above with writers in the round: every third session turns some
+/// of its turns into `wage_stats` updates, while the other sessions ask
+/// about every table under the default (hallucinating) model, so a repaired
+/// candidate may read the written table whatever its question names.
+/// Hosted transcripts must equal the serial replay in submission order, for
+/// any worker count — every turn sees the writes submitted before it and
+/// none submitted after it.
+#[test]
+fn hosted_sessions_with_writers_equal_a_serial_replay_in_submission_order() {
+    const CANTONS: [&str; 4] = ["ZH", "BE", "GE", "VD"];
+    let world = demo_world(42);
+    for seed in [17u64, 25, 37] {
+        let mut scripts =
+            session_scripts(&world, LoadSpec { sessions: 12, turns_per_session: 10, seed });
+        for (i, script) in scripts.iter_mut().enumerate().filter(|(i, _)| i % 3 == 0) {
+            for (t, turn) in script.iter_mut().enumerate().filter(|(t, _)| t % 3 == 1) {
+                let canton = CANTONS[(i + t) % CANTONS.len()];
+                *turn = format!(
+                    "UPDATE wage_stats SET median_wage = median_wage + 1 WHERE canton = '{canton}'"
+                );
+            }
+        }
+        let order = interleave(&scripts, seed);
+        let reference = serial_replay_in_submission_order(scripts.len(), &order);
+        for workers in [1usize, 2, 4] {
+            let mut server = Server::new(
+                demo_world(42),
+                ServerConfig { workers, ..ServerConfig::default() },
+            );
+            let ids = server.open_sessions("tenant", scripts.len());
+            for (i, turn) in &order {
+                server.submit(ids[*i], turn).unwrap();
+            }
+            let report = server.drain();
+            assert!(server.world().epoch() > 0, "the writes committed");
+            let mut hosted = vec![Vec::new(); scripts.len()];
+            for o in &report.outcomes {
+                match o {
+                    TurnOutcome::Completed(r) => {
+                        hosted[r.session.index()].push(r.rendered.clone())
+                    }
+                    TurnOutcome::Rejected { .. } => panic!("unexpected rejection"),
+                }
+            }
+            for s in 0..scripts.len() {
+                assert_eq!(
+                    hosted[s], reference[s],
+                    "session {s} diverged from the serial replay at seed={seed} workers={workers}"
+                );
+            }
+        }
+    }
+}
+
+/// Readers whose questions all name tables the writer never touches, asked
+/// twice with a `wage_stats` update submitted in between. Under the
+/// hallucinating model some answers are repaired candidates that read
+/// `wage_stats` anyway (session seed 3 answers one of these questions from
+/// `wage_stats.median_wage`), so the update must invalidate them for the
+/// second ask exactly as it does serially, whatever the question names.
+#[test]
+fn an_answer_reading_a_written_table_sees_the_write_submitted_before_it() {
+    const UPDATE: &str = "UPDATE wage_stats SET median_wage = median_wage + 1";
+    let world = demo_world(42);
+    let fixed =
+        ["Which datasets", "Tell me more", "Is there seasonality", "and per type", "only the top"];
+    let mut questions: Vec<String> =
+        session_scripts(&world, LoadSpec { sessions: 64, turns_per_session: 16, seed: 17 })
+            .into_iter()
+            .flatten()
+            .filter(|t| !t.contains("wage") && !fixed.iter().any(|f| t.starts_with(f)))
+            .collect();
+    questions.sort();
+    questions.dedup();
+    let readers = 1..5;
+    let mut order: Vec<(usize, String)> = Vec::new();
+    for q in &questions {
+        order.extend(readers.clone().map(|r| (r, q.clone())));
+    }
+    order.push((0, UPDATE.to_owned()));
+    for q in &questions {
+        order.extend(readers.clone().map(|r| (r, q.clone())));
+    }
+    let reference = serial_replay_in_submission_order(readers.end, &order);
+    for workers in [1usize, 2, 4] {
+        let mut server =
+            Server::new(demo_world(42), ServerConfig { workers, ..ServerConfig::default() });
+        let ids = server.open_sessions("tenant", readers.end);
+        for (i, turn) in &order {
+            server.submit(ids[*i], turn).unwrap();
+        }
+        let report = server.drain();
+        assert_eq!(server.world().epoch(), 1, "the update committed");
+        let mut hosted = vec![Vec::new(); readers.end];
+        for o in &report.outcomes {
+            if let TurnOutcome::Completed(r) = o {
+                hosted[r.session.index()].push(r.rendered.clone());
+            }
+        }
+        for s in readers.clone() {
+            assert_eq!(hosted[s], reference[s], "session {s} diverged at workers={workers}");
         }
     }
 }

@@ -15,13 +15,27 @@
 //! the same minimized-counterexample discipline as `cda-sql/tests/certify.rs`
 //! (property-test failures additionally shrink the generated table).
 
-use cda_dataframe::{Column, DataType, Field, Schema, Table};
+use cda_dataframe::{Column, DataType, Field, Schema, Table, Value};
 use cda_sql::{execute_with_options, Catalog, ExecOptions, MorselConfig};
 use cda_testkit::prelude::*;
 use cda_testkit::prop as proptest;
 
+/// A BOOL column with NULLs.
+fn opt_bools(values: &[Option<bool>]) -> Column {
+    let values: Vec<Value> = values.iter().map(|v| v.map_or(Value::Null, Value::Bool)).collect();
+    Column::from_values(DataType::Bool, &values).expect("bool column")
+}
+
+/// A TIMESTAMP column with NULLs.
+fn opt_timestamps(values: &[Option<i64>]) -> Column {
+    let values: Vec<Value> =
+        values.iter().map(|v| v.map_or(Value::Null, Value::Timestamp)).collect();
+    Column::from_values(DataType::Timestamp, &values).expect("timestamp column")
+}
+
 /// The certify-corpus catalog: NULL-bearing ints on both tables so 3VL
-/// filters, NULL group keys, and LEFT-join padding are all exercised.
+/// filters, NULL group keys, and LEFT-join padding are all exercised; `emp`
+/// also carries a NULL-bearing BOOL and TIMESTAMP column.
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
     let emp = Table::from_columns(
@@ -30,12 +44,23 @@ fn catalog() -> Catalog {
             Field::new("sector", DataType::Str),
             Field::new("jobs", DataType::Int),
             Field::new("rate", DataType::Float),
+            Field::new("active", DataType::Bool),
+            Field::new("since", DataType::Timestamp),
         ]),
         vec![
             Column::from_strs(&["ZH", "BE", "ZH", "GE", "BE", "ZH"]),
             Column::from_strs(&["it", "it", "finance", "health", "health", "it"]),
             Column::from_opt_ints(&[Some(120), Some(0), Some(340), None, Some(75), Some(18)]),
             Column::from_floats(&[1.5, 0.0, 2.25, 3.5, 0.5, 1.0]),
+            opt_bools(&[Some(true), Some(false), None, Some(true), Some(false), Some(true)]),
+            opt_timestamps(&[
+                Some(1_600_000_000),
+                None,
+                Some(1_600_086_400),
+                Some(1_599_000_000),
+                Some(1_600_000_000),
+                None,
+            ]),
         ],
     )
     .expect("emp table");
@@ -115,6 +140,37 @@ fn corpus() -> Vec<&'static str> {
         "SELECT canton FROM emp WHERE canton < 'GE'",
         "SELECT COUNT(*) FROM emp WHERE canton = 1",
         "SELECT SUM(jobs + 1), COUNT(DISTINCT sector) FROM emp WHERE rate > 0.5",
+        // -- typed filter leaves on every column type, with NULLs --
+        "SELECT canton FROM emp WHERE active = TRUE",
+        "SELECT canton, jobs FROM emp WHERE FALSE <> active",
+        "SELECT canton FROM emp WHERE NOT active",
+        "SELECT canton, since FROM emp WHERE since >= 1600000000",
+        "SELECT canton FROM emp WHERE since < 1600000000 OR active = FALSE",
+        "SELECT canton FROM emp WHERE since IS NULL",
+        "SELECT canton FROM emp WHERE active IS NOT NULL AND jobs IS NULL",
+        "SELECT canton FROM emp WHERE rate = 1.5 OR rate > 3",
+        "SELECT canton FROM emp WHERE jobs = 340.0",
+        "SELECT canton FROM emp WHERE NOT (jobs < 100 AND canton <> 'BE')",
+        // -- IN and BETWEEN over literals --
+        "SELECT sector FROM emp WHERE canton IN ('ZH', 'GE', NULL)",
+        "SELECT sector FROM emp WHERE canton NOT IN ('ZH', 'XX')",
+        "SELECT sector FROM emp WHERE canton NOT IN ('ZH', NULL)",
+        "SELECT COUNT(*) FROM emp WHERE rate IN (1.5, 2, 0)",
+        "SELECT canton FROM emp WHERE active IN (TRUE, NULL)",
+        "SELECT canton FROM emp WHERE since IN (1600000000, 1599000000)",
+        "SELECT canton FROM emp WHERE rate BETWEEN 0.5 AND 2.25 OR canton = 'GE'",
+        "SELECT canton FROM emp WHERE NOT (canton BETWEEN 'BE' AND 'GE')",
+        "SELECT canton FROM emp WHERE sector BETWEEN 'a' AND 'i'",
+        "SELECT canton FROM emp WHERE since BETWEEN 1599000000 AND 1600000000",
+        "SELECT canton FROM emp WHERE jobs BETWEEN NULL AND 200",
+        // -- aggregate over a filter: folds per type, all-NULL groups --
+        "SELECT COUNT(*), MIN(since), MAX(since) FROM emp WHERE since BETWEEN 1599000000 AND 1600000000",
+        "SELECT COUNT(*), MIN(active), MAX(active) FROM emp WHERE active = TRUE OR since < 1600000000",
+        "SELECT active, COUNT(*), SUM(jobs) FROM emp WHERE jobs IS NOT NULL GROUP BY active",
+        "SELECT since, COUNT(*), MAX(rate) FROM emp WHERE canton <> 'BE' GROUP BY since",
+        "SELECT MIN(jobs), MAX(jobs), SUM(jobs), AVG(jobs), STDDEV(jobs), COUNT(jobs) FROM emp WHERE jobs IS NULL",
+        "SELECT canton, SUM(jobs), MIN(jobs), AVG(jobs) FROM emp WHERE jobs IS NULL OR canton = 'BE' GROUP BY canton",
+        "SELECT sector, MIN(since), COUNT(since) FROM emp WHERE canton IN ('ZH', 'BE') GROUP BY sector",
         // -- runtime-fallible: must error on BOTH paths --
         "SELECT 100 / jobs FROM emp",
         "SELECT canton FROM emp WHERE 100 % jobs > 0",
@@ -197,12 +253,16 @@ fn vectorized_engine_matches_reference_on_empty_tables() {
             Field::new("sector", DataType::Str),
             Field::new("jobs", DataType::Int),
             Field::new("rate", DataType::Float),
+            Field::new("active", DataType::Bool),
+            Field::new("since", DataType::Timestamp),
         ]),
         vec![
             Column::from_strs(&[]),
             Column::from_strs(&[]),
             Column::from_ints(&[]),
             Column::from_floats(&[]),
+            opt_bools(&[]),
+            opt_timestamps(&[]),
         ],
     )
     .expect("empty emp");
@@ -232,12 +292,16 @@ fn vectorized_engine_matches_reference_on_single_row_tables() {
             Field::new("sector", DataType::Str),
             Field::new("jobs", DataType::Int),
             Field::new("rate", DataType::Float),
+            Field::new("active", DataType::Bool),
+            Field::new("since", DataType::Timestamp),
         ]),
         vec![
             Column::from_strs(&["ZH"]),
             Column::from_strs(&["it"]),
             Column::from_opt_ints(&[None]),
             Column::from_floats(&[0.0]),
+            opt_bools(&[None]),
+            opt_timestamps(&[Some(1_600_000_000)]),
         ],
     )
     .expect("single-row emp");
@@ -349,6 +413,16 @@ fn generated_queries(pivot: i64) -> Vec<String> {
         format!("SELECT MIN(x), MAX(y), SUM(x), AVG(y), STDDEV(x), COUNT(y) FROM t WHERE x < {pivot}"),
         format!("SELECT g, SUM(y), MIN(x), STDDEV(y) FROM t WHERE y > {pivot}.5 GROUP BY g"),
         "SELECT SUM(y), AVG(x), MIN(g), MAX(g) FROM t WHERE g = 'b'".to_string(),
+        format!(
+            "SELECT g, COUNT(*), SUM(x) FROM t WHERE x IN ({pivot}, {}, NULL) OR y IS NULL GROUP BY g",
+            pivot.saturating_add(1)
+        ),
+        format!(
+            "SELECT COUNT(*), SUM(x), MIN(y), MAX(g) FROM t WHERE x NOT BETWEEN {pivot} AND {} AND g <> 'a'",
+            pivot.saturating_add(10)
+        ),
+        "SELECT g, MIN(y), MAX(y), AVG(x), STDDEV(x) FROM t WHERE x IS NOT NULL GROUP BY g".to_string(),
+        format!("SELECT COUNT(*), STDDEV(y) FROM t WHERE NOT (y < {pivot}.25) AND g IN ('a', 'c')"),
     ]
 }
 
@@ -370,6 +444,64 @@ proptest! {
             for cfg in cfgs {
                 assert_differential(&catalog, &sql, cfg);
             }
+        }
+    }
+}
+
+/// Rows of the scaled fact table below: the size of the benchmark's
+/// `chat_scan` fact table in release builds, where the engines are measured;
+/// smaller in debug, where the row engine is slow.
+const SCALED_ROWS: usize = if cfg!(debug_assertions) { 4_096 } else { 65_536 };
+
+/// The scan → filter → aggregate shapes of consistency UQ's candidates and
+/// the losslessness replay, over a seeded fact table of `SCALED_ROWS` rows
+/// (NULL-bearing INT and FLOAT measures), under the default scheduler and
+/// under many small morsels on 2 workers, so groups straddle morsels.
+#[test]
+fn vectorized_engine_matches_reference_on_a_scaled_fact_table() {
+    let mut rng = StdRng::seed_from_u64(0x5CA1ED);
+    let cantons = ["ZH", "BE", "GE", "VD", "TI", "BS"];
+    let types = ["full-time", "part-time", "apprentice"];
+    let (mut cs, mut ts, mut years, mut emps, mut shares) = (vec![], vec![], vec![], vec![], vec![]);
+    for _ in 0..SCALED_ROWS {
+        cs.push(cantons[rng.gen_range(0..cantons.len())]);
+        ts.push(types[rng.gen_range(0..types.len())]);
+        years.push(rng.gen_range(2000i64..2025));
+        emps.push(rng.gen_bool(0.95).then(|| rng.gen_range(10_000i64..80_000)));
+        shares.push(rng.gen_bool(0.9).then(|| rng.gen_range(0.0f64..1.0)));
+    }
+    let fact = Table::from_columns(
+        Schema::new(vec![
+            Field::new("canton", DataType::Str),
+            Field::new("type", DataType::Str),
+            Field::new("year", DataType::Int),
+            Field::new("employees", DataType::Int),
+            Field::new("share", DataType::Float),
+        ]),
+        vec![
+            Column::from_strs(&cs),
+            Column::from_strs(&ts),
+            Column::from_ints(&years),
+            Column::from_opt_ints(&emps),
+            Column::from_opt_floats(&shares),
+        ],
+    )
+    .expect("fact table");
+    let mut catalog = Catalog::new();
+    catalog.register("f", fact).expect("register f");
+    let queries = [
+        "SELECT MIN(employees) FROM f",
+        "SELECT SUM(employees), AVG(share), STDDEV(employees), MAX(share), COUNT(*) FROM f WHERE canton = 'ZH'",
+        "SELECT canton, SUM(employees), STDDEV(share) FROM f GROUP BY canton",
+        "SELECT type, AVG(employees), MIN(canton) FROM f WHERE year >= 2010 AND share IS NOT NULL GROUP BY type",
+        "SELECT year, MAX(employees), COUNT(share) FROM f WHERE canton IN ('GE', 'TI') GROUP BY year ORDER BY year",
+        "SELECT COUNT(*), SUM(share) FROM f WHERE year BETWEEN 2030 AND 2040",
+        "SELECT canton, type, SUM(employees) FROM f WHERE employees > 40000 OR share < 0.1 GROUP BY canton, type",
+        "SELECT canton, employees FROM f WHERE year = 2012 AND type <> 'apprentice' ORDER BY employees LIMIT 20",
+    ];
+    for sql in queries {
+        for cfg in [MorselConfig::default(), MorselConfig::default().with_morsel_rows(1000).with_threads(2)] {
+            assert_differential(&catalog, sql, cfg);
         }
     }
 }

@@ -90,6 +90,20 @@ const POSITIONS: [&str; 7] = [
 /// Where an aggregate `{a}` is placed.
 const AGGREGATE_POSITIONS: [&str; 2] = ["SELECT {a} FROM t", "SELECT COUNT(*) FROM t HAVING {a}"];
 
+/// Constant-FALSE or NULL filters under a grouping-free aggregate (one row,
+/// not provably empty), under grouping, a join, a LEFT JOIN's right side and
+/// HAVING, and alone.
+const CONSTANT_FILTERS: [&str; 8] = [
+    "SELECT COUNT(*) FROM t WHERE 1 = 2",
+    "SELECT COUNT(*), SUM(i), MAX(s), AVG(f) FROM t WHERE NULL",
+    "SELECT MIN(ts) FROM t WHERE FALSE AND i > 0",
+    "SELECT i, COUNT(*) FROM t WHERE 1 = 2 GROUP BY i",
+    "SELECT COUNT(*) FROM t JOIN u ON t.i = u.k WHERE 1 = 2",
+    "SELECT t.i, u.k FROM t LEFT JOIN u ON t.i = u.k AND u.k > 1 - 1 AND NULL",
+    "SELECT COUNT(*) FROM t HAVING 1 = 2",
+    "SELECT s FROM t WHERE NULL",
+];
+
 /// Every `(column, expression)` of the corpus.
 fn expressions() -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
@@ -126,6 +140,7 @@ fn statements() -> Vec<String> {
             }
         }
     }
+    out.extend(CONSTANT_FILTERS.iter().map(|s| (*s).to_owned()));
     out
 }
 

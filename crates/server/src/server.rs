@@ -213,19 +213,23 @@ struct SessionSlot {
 }
 
 /// Work moved out of a slot for one drain: the session, its pending turns
-/// (each with its statically derived effect set), and the tenant's row
-/// budget.
-type ParkedWork = (Session, Vec<(QueuedTurn, EffectSet)>, Option<u64>);
+/// (each write with its statically derived effect set), and the tenant's
+/// row budget.
+type ParkedWork = (Session, Vec<(QueuedTurn, Option<EffectSet>)>, Option<u64>);
 
 /// One parked slot: registry slot index + work behind a `Mutex` each
 /// worker locks exactly once.
 type DrainSlot = (usize, Mutex<Option<ParkedWork>>);
 
+/// One commit of the write lane: the committing turn's submission seq, its
+/// successor world, and the union of the effects committed in this drain up
+/// to and including it.
+type Commit = (u64, Arc<WorldSnapshot>, EffectSet);
+
 /// One drain task's result: the returned sessions (slot index + session),
-/// the `(submission seq, outcome)` pairs for its turns, and — for the
-/// write lane — the advanced world plus the union of committed effects.
-type TaskResult =
-    (Vec<(usize, Session)>, Vec<(u64, TurnOutcome)>, Option<(Arc<WorldSnapshot>, EffectSet)>);
+/// the `(submission seq, outcome)` pairs for its turns, and the commits its
+/// turns made, in order (only the write lane commits).
+type TaskResult = (Vec<(usize, Session)>, Vec<(u64, TurnOutcome)>, Vec<Commit>);
 
 #[derive(Debug, Default)]
 struct TenantState {
@@ -358,39 +362,41 @@ impl Server {
     /// Execute every queued turn across the worker pool and return the
     /// outcomes in global submission order.
     ///
-    /// **Write admission** happens here, on the statically derived effect
-    /// sets of the queued turns (`cda_analyzer::effects`): every session
-    /// whose queue carries a write — plus every session whose effect set
-    /// conflicts with the union of those writes — is serialized into one
-    /// **write lane**, a single task that runs the merged turns in global
-    /// submission order and threads each commit's successor world into the
-    /// following turns ([`Session::adopt_world`]). The world's lineage and
-    /// its storage backend are single-writer resources, so conflicting
-    /// writers cannot drain in parallel; sessions whose effect sets are
-    /// disjoint from every queued write keep full parallelism, one task
-    /// each. A turn whose effects cannot be derived (a refinement of an
-    /// earlier queued turn, free-form dialogue) gets a conservative
-    /// whole-catalog read set — it serializes behind writers only when a
-    /// writer is actually queued. With no writes queued the partition is
-    /// the identity and the drain is exactly the all-parallel one.
+    /// **Write admission** happens here, by submission order. Every session
+    /// with a queued write ([`Route::Write`]) is serialized into one **write
+    /// lane**, a single task that runs first: it merges its members' turns
+    /// into global submission order, threads each commit's successor world
+    /// into the following turns ([`Session::adopt_world`]) and records, per
+    /// commit, its sequence number, the successor world and the union of the
+    /// effects committed so far (each write's effect set is derived
+    /// statically by the session's own gate-and-repair loop, against the
+    /// pre-drain world). The world's lineage and its storage backend are
+    /// single-writer resources, so writers cannot drain in parallel. Every
+    /// other session then runs in parallel, one task each, and before each
+    /// turn adopts the world the lane committed last before that turn's
+    /// sequence number, invalidated by that commit's union. Each turn thus
+    /// sees exactly the world a serial replay in submission order gives it,
+    /// whatever tables its answer ends up reading — no read set is guessed.
+    /// With no writes queued there is no lane and the drain is the
+    /// all-parallel one.
     ///
     /// Each task runs its turns serially in submission order, each passing
     /// the **governor gate** first: the turn's oracle SQL is analyzed
     /// against the tenant's row budget and rejected pre-execution on an
-    /// A013 finding, leaving the session untouched. After the drain, a
-    /// world advanced by the write lane is installed and every hosted
-    /// session is re-pointed at it, with the lane's accumulated effect
-    /// union driving precise cache invalidation.
+    /// A013 finding, leaving the session untouched. After the drain, the
+    /// lane's last successor world is installed and every hosted session is
+    /// re-pointed at it, with the lane's accumulated effect union driving
+    /// precise cache invalidation.
     pub fn drain(&mut self) -> DrainReport {
         let started = Instant::now();
         let workers = self.config.effective_workers();
 
         // Move every session with pending work out of the registry; each
         // cell is locked exactly once across all tasks, so there is no
-        // contention and no shared mutable state. Per-turn effect sets are
+        // contention and no shared mutable state. Write effect sets are
         // derived now, against the pre-drain world.
         let mut work: Vec<DrainSlot> = Vec::new();
-        let mut slot_effects: Vec<EffectSet> = Vec::new();
+        let mut writes: Vec<bool> = Vec::new();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if slot.queue.is_empty() {
                 continue;
@@ -404,77 +410,54 @@ impl Server {
             // The turns run over the server's world, so the session adopts it
             // now and the prelude routes them the way they will run.
             slot.session.adopt_world(Arc::clone(&self.world), None);
-            let queue: Vec<(QueuedTurn, EffectSet)> = queue
+            let queue: Vec<(QueuedTurn, Option<EffectSet>)> = queue
                 .into_iter()
                 .map(|t| {
-                    let effects = turn_effects(&slot.session, &t.utterance);
+                    let effects = write_effects(&slot.session, &t.utterance);
                     (t, effects)
                 })
                 .collect();
-            let mut union = EffectSet::default();
-            for (_, e) in &queue {
-                union.union(e);
-            }
+            writes.push(queue.iter().any(|(_, e)| e.is_some()));
             // Placeholder session: replaced when the drained session returns.
             let parked = std::mem::replace(
                 &mut slot.session,
                 Session::open(self.world.clone(), self.config.session_config),
             );
             work.push((i, Mutex::new(Some((parked, queue, budget)))));
-            slot_effects.push(union);
         }
         self.queued = 0;
 
-        // Partition: one serial write lane (writers + transitively
-        // conflicting readers), everything else a parallel singleton.
-        let lane_union = slot_effects
-            .iter()
-            .filter(|e| e.is_write())
-            .fold(EffectSet::default(), |mut acc, e| {
-                acc.union(e);
-                acc
-            });
-        let mut tasks: Vec<Vec<usize>> = Vec::new();
-        let mut serialized = 0usize;
-        if lane_union.is_write() {
-            let lane: Vec<usize> = (0..work.len())
-                .filter(|&i| slot_effects[i].is_write() || slot_effects[i].conflicts_with(&lane_union))
-                .collect();
-            serialized = lane.len();
-            let singles: Vec<Vec<usize>> =
-                (0..work.len()).filter(|i| !lane.contains(i)).map(|i| vec![i]).collect();
-            tasks.push(lane);
-            tasks.extend(singles);
-        } else {
-            tasks.extend((0..work.len()).map(|i| vec![i]));
-        }
-
+        // The write lane runs first, alone; then every other session in
+        // parallel, over the lane's commits.
         let world = self.world.clone();
-        let results: Vec<TaskResult> =
-            cda_sql::morsel::run_ordered(tasks.len(), workers, |task| {
-                run_drain_task(&world, &work, &tasks[task])
-            });
+        let lane: Vec<usize> = (0..work.len()).filter(|&i| writes[i]).collect();
+        let serialized = lane.len();
+        let mut results: Vec<TaskResult> = Vec::new();
+        if !lane.is_empty() {
+            results.push(run_drain_task(&world, &work, &lane, &[]));
+        }
+        let commits: Vec<Commit> = results.first().map(|r| r.2.clone()).unwrap_or_default();
+        let singles: Vec<usize> = (0..work.len()).filter(|&i| !writes[i]).collect();
+        results.extend(cda_sql::morsel::run_ordered(singles.len(), workers, |task| {
+            run_drain_task(&world, &work, &singles[task..=task], &commits)
+        }));
 
         let mut sequenced: Vec<(u64, TurnOutcome)> = Vec::new();
-        let mut advanced: Option<(Arc<WorldSnapshot>, EffectSet)> = None;
-        for (sessions, outcomes, lane_world) in results {
+        for (sessions, outcomes, _) in results {
             for (slot_index, session) in sessions {
                 self.slots[slot_index].session = session;
             }
             sequenced.extend(outcomes);
-            if lane_world.is_some() {
-                advanced = lane_world;
-            }
         }
-        // A write lane advanced the world: install the successor and
+        // The lane advanced the world: install its last successor and
         // re-point every hosted session, invalidating precisely by the
         // lane's committed effect union. Sessions already on the successor
-        // (the lane's own) no-op on the pointer check.
-        if let Some((next, delta)) = advanced {
+        // no-op on the pointer check.
+        if let Some((_, next, delta)) = commits.last() {
             for slot in &mut self.slots {
-                slot.session.adopt_world(Arc::clone(&next), Some(&delta));
+                slot.session.adopt_world(Arc::clone(next), Some(delta));
             }
-            self.world = next;
+            self.world = Arc::clone(next);
         }
         sequenced.sort_by_key(|(seq, _)| *seq);
 
@@ -504,24 +487,26 @@ impl Server {
     }
 }
 
-/// Execute one drain task: `members` indexes into `work`. A singleton task
-/// is the ordinary parallel case — one session, its turns in order. The
-/// write lane (more than one member, or a single member with writes) merges
-/// its members' turns into global submission order and threads the world:
-/// after a turn commits (the session's epoch advanced), every following
-/// turn — whichever session it belongs to — first adopts the successor
-/// snapshot, invalidated precisely by the union of effects committed so
-/// far. That is what makes the lane's transcript equal to a serial replay
-/// of the same turns in submission order.
+/// Execute one drain task: `members` indexes into `work`. The task merges
+/// its members' turns into global submission order (a parallel task has one
+/// member; the write lane has every writer) and, before each turn, points
+/// the turn's session at the world committed last before the turn's
+/// sequence number — by this task's own earlier turns, else among `prior`
+/// (the lane's commits, for a task that runs after it) — invalidated by the
+/// union of the effects committed up to it. A turn that commits (the
+/// session's epoch advanced) is recorded with its successor world. That is
+/// what makes every transcript equal to a serial replay of the drain's
+/// turns in submission order.
 fn run_drain_task(
     world: &Arc<WorldSnapshot>,
     work: &[DrainSlot],
     members: &[usize],
+    prior: &[Commit],
 ) -> TaskResult {
     // Collect the members' parked work (each cell locked exactly once).
     let mut sessions: Vec<(usize, Session)> = Vec::with_capacity(members.len());
     let mut budgets: Vec<Option<u64>> = Vec::with_capacity(members.len());
-    let mut merged: Vec<(usize, QueuedTurn, EffectSet)> = Vec::new();
+    let mut merged: Vec<(usize, QueuedTurn, Option<EffectSet>)> = Vec::new();
     for (m, &w) in members.iter().enumerate() {
         let (slot_index, cell) = &work[w];
         #[expect(clippy::expect_used, reason = "each member's slot is taken exactly once")]
@@ -536,85 +521,58 @@ fn run_drain_task(
     }
     merged.sort_by_key(|(_, t, _)| t.seq);
 
-    let mut lane_world = Arc::clone(world);
-    let mut lane_delta: Option<EffectSet> = None;
+    let mut commits: Vec<Commit> = Vec::new();
     let mut outcomes = Vec::with_capacity(merged.len());
     for (m, turn, effects) in merged {
         let (slot_index, session) = &mut sessions[m];
         let id = SessionId(*slot_index as u64);
-        if !Arc::ptr_eq(session.world(), &lane_world) {
-            session.adopt_world(Arc::clone(&lane_world), lane_delta.as_ref());
+        let before = commits
+            .last()
+            .or_else(|| prior.iter().take_while(|(seq, ..)| *seq < turn.seq).last());
+        let (current, delta) = match before {
+            Some((_, w, union)) => (w, Some(union)),
+            None => (world, None),
+        };
+        if !Arc::ptr_eq(session.world(), current) {
+            session.adopt_world(Arc::clone(current), delta);
         }
-        let epoch_before = session.epoch();
+        let (seq, epoch_before) = (turn.seq, session.epoch());
         outcomes.push(run_admitted_turn(session, id, turn, budgets[m]));
         if session.epoch() > epoch_before {
-            // The turn committed a write: its successor world carries the
-            // invalidation forward for the rest of the lane. A commit the
-            // prelude derived no write set for invalidates everything.
-            lane_world = Arc::clone(session.world());
-            let committed = if effects.is_write() { effects } else { EffectSet::schema_change() };
-            match &mut lane_delta {
-                Some(d) => d.union(&committed),
-                None => lane_delta = Some(committed),
-            }
+            // The turn committed a write. A commit the prelude derived no
+            // write set for invalidates everything.
+            let committed =
+                effects.filter(EffectSet::is_write).unwrap_or_else(EffectSet::schema_change);
+            let union = match delta {
+                Some(d) => {
+                    let mut u = d.clone();
+                    u.union(&committed);
+                    u
+                }
+                None => committed,
+            };
+            commits.push((seq, Arc::clone(session.world()), union));
         }
     }
-    let advanced = (lane_world.epoch() > world.epoch())
-        .then(|| (lane_world, lane_delta.unwrap_or_else(EffectSet::schema_change)));
-    (sessions, outcomes, advanced)
+    (sessions, outcomes, commits)
 }
 
-/// Statically derive one queued turn's effect set against the session's
-/// world — the write-admission signal. The turn is routed the way
-/// [`Session::process`] will route it. A write goes through the session's own
-/// gate-and-repair loop and gets the read/write sets of the statement that
-/// will execute — or none at all when the gate dooms it, since a statement
-/// that cannot run cannot write. An analysis turn gets the read set of its
-/// oracle plan. Anything underivable (a refinement of a turn still queued
-/// ahead of it, free-form dialogue, an oracle that does not compile) is
-/// treated as reading the whole catalog, which serializes it behind writers
-/// only when a writer is actually queued — admission must never be
-/// *under*-conservative.
-fn turn_effects(session: &Session, utterance: &str) -> EffectSet {
-    let world = session.world();
-    let catalog = world.catalog();
-    let compiled = match session.route(utterance) {
-        Route::Write => {
-            let gated =
-                session.analyzer().gate_with_repair(utterance, session.config.repair_rounds);
-            if gated.report.dooms_execution() {
-                return EffectSet::default();
-            }
-            gated.compiled
-        }
-        Route::Analysis(task) => cda_sql::compile(catalog.sql(), &task.to_sql()).ok(),
-        Route::Dialogue => None,
-    };
-    compiled
-        .map(|c| cda_analyzer::compiled_effects(&c.plan, Some(catalog.stats())))
-        .unwrap_or_else(|| full_read_effects(world))
-}
-
-/// The conservative ⊤ read set: every column of every table in the world's
-/// catalog.
-fn full_read_effects(world: &Arc<WorldSnapshot>) -> EffectSet {
-    let sql = world.catalog().sql();
-    let reads = sql
-        .table_names()
-        .into_iter()
-        .filter_map(|name| {
-            let entry = sql.get(&name).ok()?;
-            let cols = entry
-                .table
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.name().to_ascii_lowercase())
-                .collect();
-            Some((name.to_ascii_lowercase(), cols))
-        })
-        .collect();
-    EffectSet::read_only(reads)
+/// Statically derive one queued turn's write effect set against the
+/// session's world — the write-admission signal. The turn is routed the way
+/// [`Session::process`] will route it; anything but a write is `None`. A
+/// write goes through the session's own gate-and-repair loop and gets the
+/// read/write sets of the statement that will execute — or an empty set when
+/// the gate dooms it, since a statement that cannot run cannot write.
+fn write_effects(session: &Session, utterance: &str) -> Option<EffectSet> {
+    let Route::Write = session.route(utterance) else { return None };
+    let gated = session.analyzer().gate_with_repair(utterance, session.config.repair_rounds);
+    if gated.report.dooms_execution() {
+        return Some(EffectSet::default());
+    }
+    let stats = session.world().catalog().stats();
+    Some(gated.compiled.map_or_else(EffectSet::default, |c| {
+        cda_analyzer::compiled_effects(&c.plan, Some(stats))
+    }))
 }
 
 /// Run one queued turn through the governor gate and, if admitted, the
@@ -882,7 +840,7 @@ mod tests {
         s.submit(reader, EMPLOYMENT_Q).unwrap();
         let report = s.drain();
         assert_eq!(report.completed(), 2);
-        assert_eq!(report.serialized, 2, "reader conflicts with the write, joins the lane");
+        assert_eq!(report.serialized, 1, "only the writer is in the lane, the reader runs after it");
         assert_eq!(s.world().epoch(), 1, "the committed write advanced the hosted world");
         assert_eq!(s.session(reader).unwrap().epoch(), 1);
         assert_eq!(s.session(writer).unwrap().epoch(), 1);
@@ -937,7 +895,7 @@ mod tests {
     fn a_write_that_cannot_bind_serializes_nobody() {
         // The gate dooms this before binding (A019, and no column is near
         // enough for repair): it cannot write, so it has no effects to
-        // serialize anyone behind.
+        // invalidate anyone's answers by.
         const DOOMED: &str = "UPDATE wage_stats SET missing_col = 1";
         let round = |turns: &[&str]| {
             let mut s = server();
@@ -952,7 +910,7 @@ mod tests {
         let without = round(&[EMPLOYMENT_Q, WAGE_Q]);
         let with = round(&[EMPLOYMENT_Q, WAGE_Q, DOOMED]);
         assert_eq!(without.serialized, 0);
-        assert_eq!(with.serialized, without.serialized, "the doomed write parks nobody in the lane");
+        assert_eq!(with.serialized, 1, "the doomed write parks only its own session in the lane");
         // Hosted transcripts equal the serial replay, the rejection included.
         for (i, (outcome, turn)) in with.outcomes.iter().zip([EMPLOYMENT_Q, WAGE_Q, DOOMED]).enumerate() {
             let mut reference = Session::open_seeded(demo_world(42), CdaConfig::default(), i as u64 + 1);

@@ -44,8 +44,8 @@ use crate::plan::{like_match, AggExpr, BoundExpr, Plan};
 use crate::Result;
 use cda_dataframe::batch::{Batch, ColumnWindow, Slot, SlotAccess, Vector};
 use cda_dataframe::kernels::{
-    build_join_table, compare, group_rows, join_key_hash, join_keys_match, values_group_hash,
-    AggKind, CmpOp,
+    build_join_table, compare, group_rows, join_key_hash, join_keys_match, slot_sql_cmp,
+    values_group_hash, AggKind, CmpOp,
 };
 use cda_dataframe::{
     Column, ColumnBuilder, DomainTree, LineageBuilder, LineageStore, Schema, Table, Value,
@@ -99,25 +99,18 @@ fn run_node<'a>(
             }
         }
         Plan::Filter { input, predicate } => {
-            // Filter directly over a column-pruned scan: evaluate against the
-            // borrowed base table (with scan-local column indices remapped to
-            // physical ones) and materialize only the surviving rows of the
-            // projected columns — the row path clones the pruned table first.
-            // The scan's output is never materialized here, so the sanitizer
-            // checks only the filter's (this node's) domain.
-            if let Plan::Scan { table, projection: Some(p), .. } = &**input {
-                let entry = catalog.get(table)?;
-                if !is_identity_projection(p, entry.table.num_columns()) {
-                    stats.rows_scanned += entry.table.num_rows();
-                    stats.rows_materialized += entry.table.num_rows(); // the scan node's count
-                    let out = fused_filter_scan(&entry.table, p, predicate, cfg, threads)?;
-                    sanitize(plan, monitor, &out)?;
-                    stats.rows_materialized += out.num_rows();
-                    return Ok(Cow::Owned(out));
+            // Filter directly over a column-pruned scan: only the surviving
+            // rows of the projected columns materialize (a projection shares
+            // buffers, then one gather) — the row path clones the pruned
+            // table first. The scan's output is never materialized here, so
+            // the sanitizer checks only the filter's (this node's) domain.
+            match pruned_filter_selection(catalog, plan, cfg, threads, stats)? {
+                Some((base, p, rows)) => Cow::Owned(base.project(p)?.take(&rows)?),
+                None => {
+                    let t = run_node(catalog, input, opts, cfg, threads, sub(0), stats)?;
+                    Cow::Owned(filter_vec(&t, predicate, cfg, threads)?)
                 }
             }
-            let t = run_node(catalog, input, opts, cfg, threads, sub(0), stats)?;
-            Cow::Owned(filter_vec(&t, predicate, cfg, threads)?)
         }
         Plan::Join { left, right, kind, on } => {
             let l = run_node(catalog, left, opts, cfg, threads, sub(0), stats)?;
@@ -132,36 +125,30 @@ fn run_node<'a>(
             // Aggregate over a filter over a column-pruned scan: fold the
             // filter's selection of the borrowed base table (expressions
             // remapped to physical columns) instead of gathering the filtered
-            // table. Counters move as if both nodes had run; the filter's
-            // output is built only for the sanitizer to check.
-            if let Plan::Filter { input: scan, predicate } = &**input {
-                if let Plan::Scan { table, projection: Some(p), .. } = &**scan {
-                    let entry = catalog.get(table)?;
-                    if !is_identity_projection(p, entry.table.num_columns()) {
-                        let base = &entry.table;
-                        stats.rows_scanned += base.num_rows();
-                        stats.rows_materialized += base.num_rows(); // the scan node's count
-                        let pred = predicate.remap_columns(&|i| p[i]);
-                        let rows = filter_indices(base, &pred, cfg, threads)?;
-                        if let Some(m) = sub(0) {
-                            sanitize(input, Some(m), &base.project(p)?.take(&rows)?)?;
-                        }
-                        stats.rows_materialized += rows.len(); // the filter node's count
-                        let remap = |e: &BoundExpr| e.remap_columns(&|i| p[i]);
-                        let keys: Vec<BoundExpr> = group_exprs.iter().map(remap).collect();
-                        let aggs: Vec<AggExpr> = aggs
-                            .iter()
-                            .map(|a| AggExpr { kind: a.kind, arg: a.arg.as_ref().map(remap) })
-                            .collect();
-                        let out = aggregate_vec(base, Some(rows), &keys, &aggs, schema, opts, cfg, threads)?;
-                        sanitize(plan, monitor, &out)?;
-                        stats.rows_materialized += out.num_rows();
-                        return Ok(Cow::Owned(out));
+            // table. The filter's output is built only for the sanitizer.
+            match pruned_filter_selection(catalog, input, cfg, threads, stats)? {
+                Some((base, p, rows)) => {
+                    if let Some(m) = sub(0) {
+                        sanitize(input, Some(m), &base.project(p)?.take(&rows)?)?;
                     }
+                    stats.rows_materialized += rows.len(); // the filter node's count
+                    let remap = |e: &BoundExpr| e.remap_columns(&|i| p[i]);
+                    let keys: Vec<BoundExpr> = group_exprs.iter().map(remap).collect();
+                    let aggs: Vec<AggExpr> = aggs
+                        .iter()
+                        .map(|a| AggExpr { kind: a.kind, arg: a.arg.as_ref().map(remap) })
+                        .collect();
+                    let out =
+                        aggregate_vec(base, Some(rows), &keys, &aggs, schema, opts, cfg, threads)?;
+                    Cow::Owned(out)
+                }
+                None => {
+                    let t = run_node(catalog, input, opts, cfg, threads, sub(0), stats)?;
+                    let out =
+                        aggregate_vec(&t, None, group_exprs, aggs, schema, opts, cfg, threads)?;
+                    Cow::Owned(out)
                 }
             }
-            let t = run_node(catalog, input, opts, cfg, threads, sub(0), stats)?;
-            Cow::Owned(aggregate_vec(&t, None, group_exprs, aggs, schema, opts, cfg, threads)?)
         }
         Plan::Distinct { input } => {
             let t = run_node(catalog, input, opts, cfg, threads, sub(0), stats)?;
@@ -335,8 +322,8 @@ pub(crate) fn eval_vector(
             let mut validity = Vec::with_capacity(sel.len());
             for i in 0..sel.len() {
                 match (
-                    cda_dataframe::kernels::slot_sql_cmp(v.slot(i), lo.slot(i)),
-                    cda_dataframe::kernels::slot_sql_cmp(v.slot(i), hi.slot(i)),
+                    slot_sql_cmp(v.slot(i), lo.slot(i)),
+                    slot_sql_cmp(v.slot(i), hi.slot(i)),
                 ) {
                     (Some(a), Some(b)) => {
                         let inside = a != Ordering::Less && b != Ordering::Greater;
@@ -582,7 +569,7 @@ fn eval_in_list(
         let w = eval_vector(item, src, &isel)?;
         let mut still = Vec::with_capacity(active.len());
         for (k, &p) in active.iter().enumerate() {
-            match cda_dataframe::kernels::slot_sql_cmp(v.slot(p), w.slot(k)) {
+            match slot_sql_cmp(v.slot(p), w.slot(k)) {
                 Some(Ordering::Equal) => {
                     out[p] = Value::Bool(!negated);
                     decided[p] = true;
@@ -624,9 +611,10 @@ fn filter_indices(
 ) -> Result<Vec<usize>> {
     let ranges = morsel_ranges(t.num_rows(), cfg.morsel_rows);
     let src = TableSource(t);
+    let test = RowTest::compile(t, predicate);
     let per: Vec<Result<Vec<usize>>> = run_ordered(ranges.len(), threads, |m| {
-        if let Some(keep) = typed_filter(t, predicate, ranges[m].clone()) {
-            return Ok(keep);
+        if let Some(test) = &test {
+            return Ok(ranges[m].clone().filter(|&r| test.truth(r) == Some(true)).collect());
         }
         let sel: Vec<usize> = ranges[m].clone().collect();
         let mask = eval_vector(predicate, &src, &sel)?;
@@ -642,75 +630,110 @@ fn filter_indices(
     Ok(kept.into_iter().flatten().collect())
 }
 
-/// Whether a comparison that came out `ord` satisfies `op`.
-fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::NotEq => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::LtEq => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::GtEq => ord != Ordering::Less,
-    }
+/// A filter predicate that reads its columns in place: each leaf tests one
+/// column's slots against literals (no gathered vector, no boolean mask),
+/// and connectives combine leaves under three-valued logic. On the shapes it
+/// accepts it is `eval_vector` exactly — the same `slot_sql_cmp` per slot,
+/// the same IN and BETWEEN rules — and none of them can error.
+enum RowTest<'a> {
+    /// `col op lit`, or `lit op col` when `lit_left`.
+    Cmp { col: ColumnWindow<'a>, op: CmpOp, lit: Slot<'a>, lit_left: bool },
+    IsNull { col: ColumnWindow<'a>, negated: bool },
+    InList { col: ColumnWindow<'a>, list: Vec<Slot<'a>>, negated: bool },
+    Between { col: ColumnWindow<'a>, low: Slot<'a>, high: Slot<'a>, negated: bool },
+    And(Box<RowTest<'a>>, Box<RowTest<'a>>),
+    Or(Box<RowTest<'a>>, Box<RowTest<'a>>),
+    Not(Box<RowTest<'a>>),
 }
 
-/// `op` with its operands swapped (`lit < col` is `col > lit`).
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::LtEq => CmpOp::GtEq,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::GtEq => CmpOp::LtEq,
-        other => other,
-    }
-}
-
-/// The rows of `range` where a column-vs-literal comparison is TRUE, as a
-/// typed loop over the column's buffer read in place (no gathered vector,
-/// no boolean mask). It reproduces `slot_sql_cmp`: NULL slots are unknown,
-/// STR compares with STR, numerics through `f64` (`partial_cmp`, so NaN is
-/// unknown). `None` when `predicate` has another shape or mixes type
-/// classes; the caller then evaluates it in general.
-fn typed_filter(
-    t: &Table,
-    predicate: &BoundExpr,
-    range: std::ops::Range<usize>,
-) -> Option<Vec<usize>> {
-    let BoundExpr::Binary { left, op, right } = predicate else {
-        return None;
-    };
-    let op = cmp_op(*op)?;
-    let (c, lit, op) = match (&**left, &**right) {
-        (BoundExpr::Column(c), BoundExpr::Literal(v)) => (*c, v, op),
-        (BoundExpr::Literal(v), BoundExpr::Column(c)) => (*c, v, flip(op)),
-        _ => return None,
-    };
-    let col = t.column(c).ok()?;
-    let valid = col.validity();
-    let mut keep = Vec::new();
-    let mut select = |ord: &dyn Fn(usize) -> Option<Ordering>| {
-        for r in range.clone() {
-            if valid.get(r).copied().unwrap_or(false) && ord(r).is_some_and(|o| cmp_holds(op, o)) {
-                keep.push(r);
+impl<'a> RowTest<'a> {
+    /// `predicate` over `t` as a row test; `None` for any other shape, which
+    /// the caller evaluates in general.
+    fn compile(t: &'a Table, predicate: &'a BoundExpr) -> Option<Self> {
+        let col = |e: &BoundExpr| match e {
+            BoundExpr::Column(c) => t.column(*c).ok().map(|c| ColumnWindow::new(c, 0, c.len())),
+            _ => None,
+        };
+        let lit = |e: &'a BoundExpr| match e {
+            BoundExpr::Literal(v) => Some(Slot::from_value(v)),
+            _ => None,
+        };
+        let sub = |e: &'a BoundExpr| Self::compile(t, e).map(Box::new);
+        Some(match predicate {
+            BoundExpr::Binary { left, op: BinaryOp::And, right } => {
+                Self::And(sub(left)?, sub(right)?)
             }
-        }
-    };
-    match (col.data_type(), lit) {
-        (cda_dataframe::DataType::Str, Value::Str(s)) => {
-            let data = col.strs()?;
-            select(&|r| data.get(r).map(|x| x.as_str().cmp(s.as_str())));
-        }
-        (cda_dataframe::DataType::Int | cda_dataframe::DataType::Timestamp, _) => {
-            let (data, y) = (col.ints()?, lit.as_f64()?);
-            select(&|r| data.get(r).and_then(|&x| (x as f64).partial_cmp(&y)));
-        }
-        (cda_dataframe::DataType::Float, _) => {
-            let (data, y) = (col.floats()?, lit.as_f64()?);
-            select(&|r| data.get(r).and_then(|x| x.partial_cmp(&y)));
-        }
-        _ => return None,
+            BoundExpr::Binary { left, op: BinaryOp::Or, right } => {
+                Self::Or(sub(left)?, sub(right)?)
+            }
+            BoundExpr::Binary { left, op, right } => {
+                let op = cmp_op(*op)?;
+                match (col(left), lit(right)) {
+                    (Some(col), Some(lit)) => Self::Cmp { col, op, lit, lit_left: false },
+                    _ => Self::Cmp { col: col(right)?, op, lit: lit(left)?, lit_left: true },
+                }
+            }
+            BoundExpr::Not(e) => Self::Not(sub(e)?),
+            BoundExpr::IsNull { expr, negated } => {
+                Self::IsNull { col: col(expr)?, negated: *negated }
+            }
+            BoundExpr::InList { expr, list, negated } => Self::InList {
+                col: col(expr)?,
+                list: list.iter().map(lit).collect::<Option<_>>()?,
+                negated: *negated,
+            },
+            BoundExpr::Between { expr, low, high, negated } => Self::Between {
+                col: col(expr)?,
+                low: lit(low)?,
+                high: lit(high)?,
+                negated: *negated,
+            },
+            _ => return None,
+        })
     }
-    Some(keep)
+
+    /// The predicate's truth at base row `r` (`None` = unknown).
+    fn truth(&self, r: usize) -> Option<bool> {
+        match self {
+            Self::Cmp { col, op, lit, lit_left } => {
+                let (v, lit) = (col.slot_at(r), *lit);
+                let ord = if *lit_left { slot_sql_cmp(lit, v) } else { slot_sql_cmp(v, lit) };
+                ord.map(|o| op.holds(o))
+            }
+            Self::IsNull { col, negated } => Some(col.slot_at(r).is_null() != *negated),
+            Self::InList { col, list, negated } => {
+                let v = col.slot_at(r);
+                if v.is_null() {
+                    return None;
+                }
+                let mut saw_null = false;
+                for &item in list {
+                    match slot_sql_cmp(v, item) {
+                        Some(Ordering::Equal) => return Some(!negated),
+                        Some(_) => {}
+                        None => saw_null = true,
+                    }
+                }
+                (!saw_null).then_some(*negated)
+            }
+            Self::Between { col, low, high, negated } => {
+                let v = col.slot_at(r);
+                let (a, b) = (slot_sql_cmp(v, *low)?, slot_sql_cmp(v, *high)?);
+                Some((a != Ordering::Less && b != Ordering::Greater) != *negated)
+            }
+            Self::And(l, r2) => match (l.truth(r), r2.truth(r)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            Self::Or(l, r2) => match (l.truth(r), r2.truth(r)) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+            Self::Not(e) => e.truth(r).map(|b| !b),
+        }
+    }
 }
 
 fn filter_vec(t: &Table, predicate: &BoundExpr, cfg: MorselConfig, threads: usize) -> Result<Table> {
@@ -718,20 +741,35 @@ fn filter_vec(t: &Table, predicate: &BoundExpr, cfg: MorselConfig, threads: usiz
     t.take(&indices).map_err(Into::into)
 }
 
-/// Filter fused over a pruned scan: the predicate (whose column indices are
-/// scan-local) runs against the borrowed base table, then only the kept rows
-/// of the projected columns materialize: a projection (shared buffers) and
-/// one gather, which is `project-then-filter` exactly.
-fn fused_filter_scan(
-    base: &Table,
-    projection: &[usize],
-    predicate: &BoundExpr,
+/// A borrowed base table, the projection mapping a scan's columns to its
+/// columns, and a selection of its rows (ascending).
+type PrunedSelection<'c, 'p> = (&'c Table, &'p [usize], Vec<usize>);
+
+/// The selection a filter directly over a column-pruned scan keeps: the
+/// predicate (whose column indices are scan-local) runs against the borrowed
+/// base table, and the kept base rows come back ascending, with the base
+/// table and the projection that maps scan columns to base columns. Bumps
+/// the scan node's counters; the caller counts the filter's rows. `None`
+/// when `plan` is not a filter over a projected scan.
+fn pruned_filter_selection<'c, 'p>(
+    catalog: &'c Catalog,
+    plan: &'p Plan,
     cfg: MorselConfig,
     threads: usize,
-) -> Result<Table> {
-    let pred = predicate.remap_columns(&|i| projection[i]);
-    let indices = filter_indices(base, &pred, cfg, threads)?;
-    base.project(projection)?.take(&indices).map_err(Into::into)
+    stats: &mut ExecStats,
+) -> Result<Option<PrunedSelection<'c, 'p>>> {
+    let Plan::Filter { input, predicate } = plan else {
+        return Ok(None);
+    };
+    let Plan::Scan { table, projection: Some(p), .. } = &**input else {
+        return Ok(None);
+    };
+    let base = &catalog.get(table)?.table;
+    stats.rows_scanned += base.num_rows();
+    stats.rows_materialized += base.num_rows(); // the scan node's count
+    let pred = predicate.remap_columns(&|i| p[i]);
+    let rows = filter_indices(base, &pred, cfg, threads)?;
+    Ok(Some((base, p, rows)))
 }
 
 fn project_vec(
@@ -893,36 +931,35 @@ fn column_from_vectors(
     column_from_values(planned, values)
 }
 
-/// A grouping/join key over one morsel: column references window the backing
-/// column in place (zero-copy — no string clones before hashing); computed
-/// key expressions materialize a vector.
+/// A grouping/join key over a selection of rows: a column reference reads
+/// the backing column's slots in place at the selected rows (zero-copy — no
+/// string clones before hashing); computed key expressions materialize a
+/// vector aligned with the selection.
 enum KeySlots<'a> {
-    Win(ColumnWindow<'a>),
+    Col { col: ColumnWindow<'a>, sel: &'a [usize] },
     Vec(Vector),
 }
 
 impl SlotAccess for KeySlots<'_> {
     fn slot_at(&self, i: usize) -> Slot<'_> {
         match self {
-            KeySlots::Win(w) => w.slot_at(i),
+            KeySlots::Col { col, sel } => sel.get(i).map_or(Slot::Null, |&r| col.slot_at(r)),
             KeySlots::Vec(v) => v.slot_at(i),
         }
     }
 }
 
-/// Key accessor for `expr` over the ascending selection `sel`: a column
-/// reference over a contiguous selection windows the column in place; other
-/// keys materialize a vector.
+/// Key accessor for `expr` over the selection `sel` of `t`'s rows.
 fn key_slots<'a>(
     t: &'a Table,
     expr: &BoundExpr,
     src: &dyn VectorSource,
-    sel: &[usize],
+    sel: &'a [usize],
 ) -> Result<KeySlots<'a>> {
-    let contiguous = |start: usize| sel.iter().enumerate().all(|(k, &r)| r == start + k);
-    match (expr, sel.first()) {
-        (BoundExpr::Column(c), Some(&start)) if contiguous(start) => {
-            Ok(KeySlots::Win(ColumnWindow::new(t.column(*c)?, start, sel.len())))
+    match expr {
+        BoundExpr::Column(c) => {
+            let col = t.column(*c)?;
+            Ok(KeySlots::Col { col: ColumnWindow::new(col, 0, col.len()), sel })
         }
         _ => Ok(KeySlots::Vec(eval_vector(expr, src, sel)?)),
     }
@@ -1043,14 +1080,14 @@ fn aggregate_group(
 /// skipping NULLs — the MIN/MAX loop of `agg_over_values`.
 fn best_slot<'a, T>(
     data: &'a [T],
-    valid: &[bool],
+    valid: impl Fn(usize) -> bool,
     rows: &[usize],
     want: Ordering,
     cmp: impl Fn(&T, &T) -> Ordering,
 ) -> Option<&'a T> {
     let mut best: Option<&T> = None;
     for &r in rows {
-        if !valid.get(r).copied().unwrap_or(false) {
+        if !valid(r) {
             continue;
         }
         let Some(x) = data.get(r) else { continue };
@@ -1095,8 +1132,7 @@ fn numeric_fold<I: Iterator<Item = f64>>(
 /// generic path.
 fn fold_column(col: &Column, rows: &[usize], kind: AggKind) -> Option<Value> {
     use cda_dataframe::DataType;
-    let valid = col.validity();
-    let ok = |r: usize| valid.get(r).copied().unwrap_or(false);
+    let ok = |r: usize| col.is_valid(r);
     let ty = col.data_type();
     match kind {
         AggKind::Count => Some(Value::Int(rows.iter().filter(|&&r| ok(r)).count() as i64)),
@@ -1109,7 +1145,7 @@ fn fold_column(col: &Column, rows: &[usize], kind: AggKind) -> Option<Value> {
             };
             Some(match ty {
                 DataType::Int | DataType::Timestamp => {
-                    let best = best_slot(col.ints()?, valid, rows, want, |x, y| {
+                    let best = best_slot(col.ints()?, ok, rows, want, |x, y| {
                         (*x as f64).total_cmp(&(*y as f64))
                     });
                     match best {
@@ -1118,11 +1154,11 @@ fn fold_column(col: &Column, rows: &[usize], kind: AggKind) -> Option<Value> {
                         Some(&x) => Value::Timestamp(x),
                     }
                 }
-                DataType::Float => best_slot(col.floats()?, valid, rows, want, f64::total_cmp)
+                DataType::Float => best_slot(col.floats()?, ok, rows, want, f64::total_cmp)
                     .map_or(Value::Null, |&x| Value::Float(x)),
-                DataType::Str => best_slot(col.strs()?, valid, rows, want, |x, y| x.cmp(y))
+                DataType::Str => best_slot(col.strs()?, ok, rows, want, |x, y| x.cmp(y))
                     .map_or(Value::Null, |x| Value::Str(x.clone())),
-                DataType::Bool => best_slot(col.bools()?, valid, rows, want, bool::cmp)
+                DataType::Bool => best_slot(col.bools()?, ok, rows, want, bool::cmp)
                     .map_or(Value::Null, |&x| Value::Bool(x)),
             })
         }
