@@ -16,9 +16,9 @@
 //! 2. **precise cache invalidation** — on commit of a write, only cached
 //!    answers whose read set intersects the write set are dropped
 //!    ([`EffectSet::invalidates`]); schema changes still purge by epoch;
-//! 3. server write admission — sessions whose queued writes have overlapping
-//!    effect sets are serialized into one drain task, disjoint writers run
-//!    in parallel ([`EffectSet::conflicts_with`]);
+//! 3. server write admission — the write lane's commits carry the union of
+//!    the effect sets committed so far, by which every later turn of the
+//!    drain invalidates its session's cached answers;
 //! 4. the runtime effect sanitizer — [`EffectSet::write_guard`] converts the
 //!    static write set into a `cda_sql::WriteGuard` that execution must stay
 //!    inside (`CdaConfig::effect_check`).
@@ -82,19 +82,8 @@ impl EffectSet {
         self.schema_effects || intersects(&self.writes, reads)
     }
 
-    /// Do two statements conflict (one's writes touch the other's reads or
-    /// writes)? Used by the server to serialize conflicting writers while
-    /// disjoint ones drain in parallel.
-    pub fn conflicts_with(&self, other: &EffectSet) -> bool {
-        self.schema_effects
-            || other.schema_effects
-            || intersects(&self.writes, &other.writes)
-            || intersects(&self.writes, &other.reads)
-            || intersects(&self.reads, &other.writes)
-    }
-
-    /// Fold another statement's effects into this one (for grouping a
-    /// session's queued writes).
+    /// Fold another statement's effects into this one (the server's write
+    /// lane carries the union of the writes a drain has committed so far).
     pub fn union(&mut self, other: &EffectSet) {
         for (t, cols) in &other.reads {
             self.reads.entry(t.clone()).or_default().extend(cols.iter().cloned());
@@ -342,11 +331,16 @@ mod tests {
         let w1 = effects(&c, "UPDATE emp SET salary = 0");
         let w2 = effects(&c, "UPDATE emp SET salary = 1 WHERE id = 2");
         let w3 = effects(&c, "DELETE FROM dept");
-        assert!(w1.conflicts_with(&w2));
-        assert!(!w1.conflicts_with(&w3));
+        let reads_salary = effects(&c, "SELECT salary FROM emp").reads;
+        let reads_name = effects(&c, "SELECT name FROM emp").reads;
+        let reads_dept = effects(&c, "SELECT d FROM dept").reads;
+        assert!(w2.invalidates(&reads_salary) && !w2.invalidates(&reads_dept));
+        // The union of committed writes invalidates exactly what one of
+        // them does.
         let mut grouped = w1.clone();
         grouped.union(&w3);
-        assert!(grouped.conflicts_with(&w2) && grouped.conflicts_with(&w3));
+        assert!(grouped.invalidates(&reads_salary) && grouped.invalidates(&reads_dept));
+        assert!(!grouped.invalidates(&reads_name), "no committed write touches emp.name");
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub struct DrainReport {
     pub wall: Duration,
     /// Worker threads the drain ran with.
     pub workers: usize,
-    /// Sessions serialized into the write lane by effect-set overlap
+    /// Sessions serialized into the write lane: those with a queued write
     /// (0 when the drain carried no writes — every session ran parallel).
     pub serialized: usize,
 }
